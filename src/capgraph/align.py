@@ -23,7 +23,6 @@ from .core import EmbeddingMatrix, SegmentedSentence
 from .errors import DimensionMismatch
 
 SELECTION_MODES = ("steepest_decline", "fixed_gap")
-CLUSTERING_BACKENDS = ("kmeans", "agglomerative", "gmm")
 
 
 @dataclass
@@ -31,7 +30,6 @@ class AlignConfig:
     """Alignment hyperparameters. ``beta`` divides the frame count to pick K."""
 
     beta: int = 4
-    clustering: str = "kmeans"
     selection: str = "steepest_decline"
     gap_tau: float = 0.2
     seed: int = 0
@@ -45,8 +43,6 @@ class AlignConfig:
             raise ValueError(f"unknown selection mode {self.selection!r}")
         if self.selection == "fixed_gap" and not (0.0 < self.gap_tau < 1.0):
             raise ValueError("gap_tau must lie in (0, 1)")
-        if self.clustering not in CLUSTERING_BACKENDS:
-            raise ValueError(f"unknown clustering backend {self.clustering!r}")
 
 
 @dataclass
@@ -174,11 +170,6 @@ def cluster_frames(frame_embeds: EmbeddingMatrix, config: AlignConfig) -> Cluste
     inertia. If all rows are identical and K would exceed 1, the result
     degenerates to a single cluster with a warning.
     """
-    if config.clustering != "kmeans":
-        raise NotImplementedError(
-            f"clustering backend {config.clustering!r} is a plug-in point; only"
-            " 'kmeans' is built in"
-        )
     rows = np.asarray(frame_embeds.rows, dtype=np.float64)
     t = rows.shape[0]
     k = choose_k(t, config.beta)
@@ -299,7 +290,8 @@ def align_sentences(
     """
     if len(sentence_embeds) != len(sentences):
         raise DimensionMismatch(
-            f"{len(sentences)} sentences but {len(sentence_embeds)} embedding rows"
+            f"video {video_id!r}: {len(sentences)} sentences but "
+            f"{len(sentence_embeds)} sentence embedding rows"
         )
     if len(sentences) and sentence_embeds.dim != clustering.centroids.shape[1]:
         raise DimensionMismatch(

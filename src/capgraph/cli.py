@@ -31,7 +31,7 @@ from .core import (
 )
 from .errors import (
     CapgraphError,
-    DimensionMismatch,
+    MalformedRecord,
     MissingFile,
     MissingTrace,
     StageError,
@@ -65,54 +65,44 @@ class PipelineConfig:
         self.segmentation.offline = self.offline
 
     def to_dict(self) -> dict:
-        def plain(obj):
-            if dataclasses.is_dataclass(obj):
-                return {k: plain(v) for k, v in dataclasses.asdict(obj).items()}
-            if isinstance(obj, tuple):
-                return [plain(v) for v in obj]
-            return obj
-
-        return {
-            "data_root": self.data_root,
-            "out_dir": self.out_dir,
-            "cache_dir": self.cache_dir,
-            "seed": self.seed,
-            "workers": self.workers,
-            "offline": self.offline,
-            "skip_negatives": self.skip_negatives,
-            "ingest": plain(self.ingest),
-            "segmentation": plain(self.segmentation),
-            "alignment": plain(self.alignment),
-            "parsing": plain(self.parsing),
-            "motion": plain(self.motion),
-            "evaluation": plain(self.evaluation),
-        }
+        return _plain(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "PipelineConfig":
-        def build(klass, key):
-            payload = dict(d.get(key, {}))
-            if klass is motion.MotionLabelConfig and "negative_class_names" in payload:
-                payload["negative_class_names"] = tuple(payload["negative_class_names"])
-            if klass is eval_mod.EvalConfig and "k_values" in payload:
-                payload["k_values"] = tuple(payload["k_values"])
-            return klass(**payload)
+        """Inverse of ``to_dict``; missing keys keep their defaults and
+        unknown keys raise ``TypeError``."""
+        return _from_plain(cls, d)
 
-        return cls(
-            data_root=d.get("data_root", "."),
-            out_dir=d.get("out_dir", "out"),
-            cache_dir=d.get("cache_dir"),
-            seed=int(d.get("seed", 0)),
-            workers=int(d.get("workers", 1)),
-            offline=bool(d.get("offline", False)),
-            skip_negatives=bool(d.get("skip_negatives", False)),
-            ingest=build(ingest.IngestConfig, "ingest"),
-            segmentation=build(segment_mod.SegmentConfig, "segmentation"),
-            alignment=build(align_mod.AlignConfig, "alignment"),
-            parsing=build(parse_mod.ParseConfig, "parsing"),
-            motion=build(motion.MotionLabelConfig, "motion"),
-            evaluation=build(eval_mod.EvalConfig, "evaluation"),
-        )
+
+def _plain(obj):
+    if dataclasses.is_dataclass(obj):
+        return {f.name: _plain(getattr(obj, f.name)) for f in dataclasses.fields(obj)}
+    if isinstance(obj, tuple):
+        return [_plain(v) for v in obj]
+    return obj
+
+
+def _from_plain(klass, data):
+    """Build ``klass`` from JSON-shaped data. Nested dataclasses, tuples and
+    scalar types come from the field defaults (null and None defaults are not
+    type-checked); the constructor rejects unknown keys."""
+    if not isinstance(data, dict):
+        raise TypeError(f"{klass.__name__} must be a JSON object, got {data!r}")
+    defaults = klass()
+    kwargs = {}
+    for key, value in data.items():
+        default = getattr(defaults, key, None)
+        if dataclasses.is_dataclass(default):
+            value = _from_plain(type(default), value)
+        elif isinstance(default, tuple):
+            value = tuple(value)
+        elif default is not None and value is not None:
+            expected = (int, float) if isinstance(default, float) else type(default)
+            if not isinstance(value, expected):
+                raise TypeError(f"{klass.__name__}.{key} must be {type(default).__name__}, "
+                                f"got {value!r}")
+        kwargs[key] = value
+    return klass(**kwargs)
 
 
 @dataclass
@@ -159,18 +149,126 @@ class RunReport:
         }
 
 
-def _make_client(config: PipelineConfig) -> ChatClient:
-    seg = config.segmentation
-    return ChatClient(
-        model_name=seg.model_name,
-        endpoint=seg.endpoint,
-        temperature=seg.temperature,
-        max_retries=seg.max_retries,
-        cache_dir=config.cache_dir or seg.cache_dir,
-        offline=config.offline or seg.offline,
-        input_price_per_million=seg.input_price_per_million,
-        output_price_per_million=seg.output_price_per_million,
+# ---------------------------------------------------------------------------
+# Stages, each shared by run_all and its subcommand
+
+
+def _segment_video(
+    manifest, config: segment_mod.SegmentConfig, client: ChatClient
+) -> List[SegmentedSentence]:
+    """Segment one caption, capping the sentence count below the frame count."""
+    return segment_mod.segment_caption(
+        manifest.caption,
+        config,
+        client=client,
+        max_sentences=max(1, manifest.num_frames - 1),
     )
+
+
+def _align_video(
+    video_id: str,
+    sentences: List[SegmentedSentence],
+    bundle: ingest.DatasetBundle,
+    config: align_mod.AlignConfig,
+) -> Tuple[List[SegmentedSentence], align_mod.AlignmentTrace]:
+    sentence_embeds = bundle.sentence_embeddings.get(video_id)
+    if sentence_embeds is None:
+        raise MissingFile(
+            f"embeddings/{video_id}.sentences.nlve (produce sentence embeddings "
+            "for the segmented captions, then re-run)"
+        )
+    clustering = align_mod.cluster_frames(bundle.embeddings[video_id], config)
+    return align_mod.align_sentences(
+        sentences, sentence_embeds, clustering, config, video_id=video_id
+    )
+
+
+def _parse_sentences(
+    sentences: List[SegmentedSentence],
+    vocab: Vocabulary,
+    config: parse_mod.ParseConfig,
+    client: ChatClient,
+    discards: parse_mod.DiscardCounters,
+) -> Tuple[List[Tuple[int, Triplet]], List[Tuple[int, Triplet]]]:
+    """Extracted and mapped triplets, each paired with its sentence's order index."""
+    extracted: List[Tuple[int, Triplet]] = []
+    mapped: List[Tuple[int, Triplet]] = []
+    for sentence in sentences:
+        triplets = parse_mod.parse_triplets(
+            sentence, config, client=client, counters=discards
+        )
+        for t in triplets:
+            extracted.append((sentence.order_index, t))
+            m = parse_mod.map_classes(t, vocab, config, client=client, counters=discards)
+            if m is not None:
+                mapped.append((sentence.order_index, m))
+    return extracted, mapped
+
+
+def _open_vocabulary_cut(
+    mapped_by_video: Dict[str, List[Tuple[int, Triplet]]], config: parse_mod.ParseConfig
+) -> Dict[str, List[Tuple[int, Triplet]]]:
+    """Dataset-wide predicate frequency cut for open-vocabulary runs."""
+    if config.mapping != "none" or not config.top_n_open_classes:
+        return mapped_by_video
+    pool = [t for mapped in mapped_by_video.values() for _, t in mapped]
+    kept = {id(t) for t in parse_mod.restrict_open_vocabulary(pool, config.top_n_open_classes)}
+    return {
+        video_id: [(order, t) for order, t in mapped if id(t) in kept]
+        for video_id, mapped in mapped_by_video.items()
+    }
+
+
+def _ground_video(
+    video_id: str,
+    mapped: List[Tuple[int, Triplet]],
+    sentences: List[SegmentedSentence],
+    bundle: ingest.DatasetBundle,
+    source: str,
+) -> List[Triplet]:
+    """Ground one video's mapped triplets on their sentences' aligned frames.
+
+    Triplets whose sentence is absent ground nothing. ``source`` names where
+    the triplets came from when the video is not in the manifest.
+    """
+    detections = bundle.detections.get(video_id)
+    if detections is None:
+        raise CapgraphError(f"{source}: video {video_id!r} is not in the manifest")
+    by_order = {s.order_index: s for s in sentences}
+    grounded: List[Triplet] = []
+    for order_index, triplet in mapped:
+        sentence = by_order.get(order_index)
+        if sentence is not None:
+            grounded.extend(
+                parse_mod.ground_triplets([triplet], sentence.aligned_frames, detections)
+            )
+    return grounded
+
+
+def _negatives(
+    bundle: ingest.DatasetBundle,
+    sentences: Dict[str, List[SegmentedSentence]],
+    graphs: Dict[str, SceneGraph],
+    config: motion.MotionLabelConfig,
+) -> Tuple[List[motion.MotionCandidate], motion.NegativeAssignment]:
+    """Motion candidates of the whole dataset and the negatives they earn."""
+    runs = {
+        m.video_id: motion.collect_unaligned_runs(m, sentences.get(m.video_id, []))
+        for m in bundle.manifests
+    }
+    candidates = motion.build_candidates(
+        bundle.manifests, bundle.detections, graphs, runs, config
+    )
+    if not candidates:
+        return candidates, motion.NegativeAssignment(selected=[], by_video={})
+    return candidates, motion.assign_negatives(candidates, config)
+
+
+def _negative_graphs(assignment: motion.NegativeAssignment) -> List[SceneGraph]:
+    return [
+        SceneGraph.from_triplets(video_id, triplets)
+        for video_id, triplets in sorted(assignment.by_video.items())
+    ]
 
 
 def _process_video(
@@ -181,50 +279,13 @@ def _process_video(
 ) -> VideoResult:
     """Segment, align and parse one video; grounding happens dataset-wide
     after the optional open-vocabulary restriction."""
-    video_id = manifest.video_id
-    client = _make_client(config)
+    client = segment_mod.make_client(config.segmentation)
     discards = parse_mod.DiscardCounters()
-
-    sentences = segment_mod.segment_caption(
-        manifest.caption,
-        config.segmentation,
-        client=client,
-        max_sentences=max(1, manifest.num_frames - 1),
-    )
-
-    sentence_embeds = bundle.sentence_embeddings.get(video_id)
-    if sentence_embeds is None:
-        raise MissingFile(
-            f"embeddings/{video_id}.sentences.nlve (produce sentence embeddings "
-            "for the segmented captions, then re-run)"
-        )
-    if len(sentence_embeds) != len(sentences):
-        raise DimensionMismatch(
-            f"video {video_id}: {len(sentences)} sentences but "
-            f"{len(sentence_embeds)} sentence embedding rows"
-        )
-
-    clustering = align_mod.cluster_frames(bundle.embeddings[video_id], config.alignment)
-    aligned, trace = align_mod.align_sentences(
-        sentences, sentence_embeds, clustering, config.alignment, video_id=video_id
-    )
-
-    extracted: List[Tuple[int, Triplet]] = []
-    mapped: List[Tuple[int, Triplet]] = []
-    for sentence in aligned:
-        triplets = parse_mod.parse_triplets(
-            sentence, config.parsing, client=client, counters=discards
-        )
-        for t in triplets:
-            extracted.append((sentence.order_index, t))
-            m = parse_mod.map_classes(
-                t, vocab, config.parsing, client=client, counters=discards
-            )
-            if m is not None:
-                mapped.append((sentence.order_index, m))
-
+    sentences = _segment_video(manifest, config.segmentation, client)
+    aligned, trace = _align_video(manifest.video_id, sentences, bundle, config.alignment)
+    extracted, mapped = _parse_sentences(aligned, vocab, config.parsing, client, discards)
     return VideoResult(
-        video_id=video_id,
+        video_id=manifest.video_id,
         sentences=aligned,
         trace=trace,
         extracted=extracted,
@@ -232,27 +293,6 @@ def _process_video(
         usage=client.usage,
         discards=discards,
     )
-
-
-def _restrict_open_vocabulary(results: List[VideoResult], top_n: int) -> None:
-    """Dataset-wide predicate frequency cut for open-vocabulary runs."""
-    pool = [t for r in results for _, t in r.mapped]
-    kept = {id(t) for t in parse_mod.restrict_open_vocabulary(pool, top_n)}
-    for r in results:
-        r.mapped = [(order, t) for order, t in r.mapped if id(t) in kept]
-
-
-def _ground_video(result: VideoResult, bundle: ingest.DatasetBundle) -> List[Triplet]:
-    by_order = {s.order_index: s for s in result.sentences}
-    grounded: List[Triplet] = []
-    for order_index, triplet in result.mapped:
-        sentence = by_order[order_index]
-        grounded.extend(
-            parse_mod.ground_triplets(
-                [triplet], sentence.aligned_frames, bundle.detections[result.video_id]
-            )
-        )
-    return grounded
 
 
 def _map_videos(fn, manifests, workers: int):
@@ -294,9 +334,15 @@ def run_all(config: PipelineConfig, vocab: Optional[Vocabulary] = None) -> RunRe
         results.sort(key=lambda r: r.video_id)
 
         stage = "ground"
-        if config.parsing.mapping == "none" and config.parsing.top_n_open_classes:
-            _restrict_open_vocabulary(results, config.parsing.top_n_open_classes)
-        grounded = {r.video_id: _ground_video(r, bundle) for r in results}
+        cut = _open_vocabulary_cut({r.video_id: r.mapped for r in results}, config.parsing)
+        for r in results:
+            r.mapped = cut[r.video_id]
+        grounded = {
+            r.video_id: _ground_video(
+                r.video_id, r.mapped, r.sentences, bundle, source=config.data_root
+            )
+            for r in results
+        }
 
         stage = "negatives"
         graphs = {
@@ -306,17 +352,9 @@ def run_all(config: PipelineConfig, vocab: Optional[Vocabulary] = None) -> RunRe
         candidates: List[motion.MotionCandidate] = []
         assignment = motion.NegativeAssignment(selected=[], by_video={})
         if not config.skip_negatives and vocab.negative_classes:
-            runs_by_video = {
-                r.video_id: motion.collect_unaligned_runs(
-                    bundle.manifest_for(r.video_id), r.sentences
-                )
-                for r in results
-            }
-            candidates = motion.build_candidates(
-                manifests, bundle.detections, graphs, runs_by_video, config.motion
+            candidates, assignment = _negatives(
+                bundle, {r.video_id: r.sentences for r in results}, graphs, config.motion
             )
-            if candidates:
-                assignment = motion.assign_negatives(candidates, config.motion)
 
         stage = "write"
         report = RunReport(
@@ -343,13 +381,9 @@ def run_all(config: PipelineConfig, vocab: Optional[Vocabulary] = None) -> RunRe
                 [graphs[r.video_id] for r in results], p
             ),
         )
-        negative_graphs = [
-            SceneGraph.from_triplets(video_id, triplets)
-            for video_id, triplets in sorted(assignment.by_video.items())
-        ]
         emit(
             "negatives.ndjson",
-            lambda p: ingest.write_scene_graphs(negative_graphs, p),
+            lambda p: ingest.write_scene_graphs(_negative_graphs(assignment), p),
         )
         trace_records = []
         for r in results:
@@ -454,12 +488,26 @@ def _fail(e: Exception) -> None:
     sys.exit(1)
 
 
-def _load_pipeline_config(config_path: Optional[str]) -> PipelineConfig:
-    if config_path:
-        return PipelineConfig.from_dict(
-            json.loads(Path(config_path).read_text(encoding="utf-8"))
-        )
-    return PipelineConfig()
+def _load_pipeline_config(
+    config_path: Optional[str], overrides: Dict[str, object]
+) -> PipelineConfig:
+    """The config file (defaults without one) with ``overrides`` folded in.
+
+    Override keys are ``field`` or ``section.field``; None values are skipped.
+    """
+    try:
+        data = json.loads(Path(config_path).read_text(encoding="utf-8")) if config_path else {}
+        if not isinstance(data, dict):
+            raise TypeError(f"PipelineConfig must be a JSON object, got {data!r}")
+        for key, value in overrides.items():
+            if value is not None:
+                section, _, name = key.rpartition(".")
+                (data.setdefault(section, {}) if section else data)[name] = value
+        return PipelineConfig.from_dict(data)
+    except json.JSONDecodeError as e:
+        raise MalformedRecord(config_path, e.lineno, f"invalid JSON: {e.msg}") from e
+    except (TypeError, ValueError) as e:
+        raise MalformedRecord(config_path, 0, f"bad pipeline config: {e}") from e
 
 
 @main.command()
@@ -477,14 +525,10 @@ def segment(data_root, out_path, mode, model, cache_dir, offline):
             model_name=model, mode=mode, cache_dir=cache_dir, offline=offline
         )
         client = segment_mod.make_client(config)
-        sentences = {}
-        for manifest in sorted(bundle.manifests, key=lambda m: m.video_id):
-            sentences[manifest.video_id] = segment_mod.segment_caption(
-                manifest.caption,
-                config,
-                client=client,
-                max_sentences=max(1, manifest.num_frames - 1),
-            )
+        sentences = {
+            m.video_id: _segment_video(m, config, client)
+            for m in sorted(bundle.manifests, key=lambda m: m.video_id)
+        }
         ingest.write_sentences(sentences, out_path)
         click.echo(f"wrote {sum(map(len, sentences.values()))} sentences to {out_path}")
     except CapgraphError as e:
@@ -517,12 +561,8 @@ def align_cmd(data_root, sentences_path, out_path, beta, selection, seed, trace_
         aligned = {}
         traces = []
         for video_id in sorted(sentences):
-            embeds = bundle.sentence_embeddings.get(video_id)
-            if embeds is None:
-                raise MissingFile(f"embeddings/{video_id}.sentences.nlve")
-            clustering = align_mod.cluster_frames(bundle.embeddings[video_id], config)
-            aligned[video_id], trace = align_mod.align_sentences(
-                sentences[video_id], embeds, clustering, config, video_id=video_id
+            aligned[video_id], trace = _align_video(
+                video_id, sentences[video_id], bundle, config
             )
             traces.append(trace)
         ingest.write_sentences(aligned, out_path)
@@ -554,25 +594,21 @@ def parse_cmd(sentences_path, out_path, parser, mapping, top_n, lexicon_path, mo
             top_n_open_classes=top_n,
         )
         vocab = Vocabulary.action_genome()
-        client = None
-        if parser == "llm" or mapping == "llm":
-            client = ChatClient(
-                model_name=model, cache_dir=cache_dir, offline=offline,
-                endpoint=segment_mod.SegmentConfig().endpoint,
-            )
+        client = segment_mod.make_client(
+            segment_mod.SegmentConfig(model_name=model, cache_dir=cache_dir, offline=offline)
+        )
         counters = parse_mod.DiscardCounters()
         sentences = ingest.load_sentences(sentences_path)
-        rows = []
-        for video_id in sorted(sentences):
-            for sentence in sentences[video_id]:
-                for t in parse_mod.parse_triplets(sentence, config, client, counters):
-                    mapped = parse_mod.map_classes(t, vocab, config, client, counters)
-                    if mapped is not None:
-                        rows.append((video_id, sentence.order_index, mapped))
-        if mapping == "none" and top_n:
-            kept = parse_mod.restrict_open_vocabulary([t for _, _, t in rows], top_n)
-            kept_ids = {id(t) for t in kept}
-            rows = [r for r in rows if id(r[2]) in kept_ids]
+        mapped = {
+            video_id: _parse_sentences(items, vocab, config, client, counters)[1]
+            for video_id, items in sorted(sentences.items())
+        }
+        mapped = _open_vocabulary_cut(mapped, config)
+        rows = [
+            (video_id, order_index, t)
+            for video_id, items in mapped.items()
+            for order_index, t in items
+        ]
         ingest.write_parsed_triplets(rows, out_path)
         click.echo(
             f"wrote {len(rows)} triplets ({counters.total()} discarded) to {out_path}"
@@ -591,21 +627,17 @@ def ground(data_root, sentences_path, triplets_path, out_path):
     try:
         bundle = ingest.load_bundle(data_root)
         sentences = ingest.load_sentences(sentences_path)
-        rows = ingest.load_parsed_triplets(triplets_path)
-        grounded: Dict[str, List[Triplet]] = {}
-        for video_id, order_index, triplet in rows:
-            by_order = {s.order_index: s for s in sentences.get(video_id, [])}
-            sentence = by_order.get(order_index)
-            if sentence is None:
-                continue
-            grounded.setdefault(video_id, []).extend(
-                parse_mod.ground_triplets(
-                    [triplet], sentence.aligned_frames, bundle.detections[video_id]
-                )
-            )
+        mapped: Dict[str, List[Tuple[int, Triplet]]] = {}
+        for video_id, order_index, triplet in ingest.load_parsed_triplets(triplets_path):
+            mapped.setdefault(video_id, []).append((order_index, triplet))
         graphs = [
-            SceneGraph.from_triplets(video_id, triplets)
-            for video_id, triplets in sorted(grounded.items())
+            SceneGraph.from_triplets(
+                video_id,
+                _ground_video(
+                    video_id, items, sentences.get(video_id, []), bundle, source=triplets_path
+                ),
+            )
+            for video_id, items in sorted(mapped.items())
         ]
         ingest.write_scene_graphs(graphs, out_path)
         click.echo(f"grounded {sum(len(g.all_triplets()) for g in graphs)} triplets")
@@ -638,20 +670,8 @@ def plm(data_root, sentences_path, graphs_path, out_path, alpha, not_looking, no
         bundle = ingest.load_bundle(data_root)
         sentences = ingest.load_sentences(sentences_path)
         graphs = {g.video_id: g for g in ingest.load_scene_graphs(graphs_path)}
-        runs = {
-            m.video_id: motion.collect_unaligned_runs(m, sentences.get(m.video_id, []))
-            for m in bundle.manifests
-        }
-        candidates = motion.build_candidates(
-            bundle.manifests, bundle.detections, graphs, runs, config
-        )
-        assignment = motion.assign_negatives(candidates, config) if candidates else \
-            motion.NegativeAssignment(selected=[], by_video={})
-        negative_graphs = [
-            SceneGraph.from_triplets(video_id, triplets)
-            for video_id, triplets in sorted(assignment.by_video.items())
-        ]
-        ingest.write_scene_graphs(negative_graphs, out_path)
+        candidates, assignment = _negatives(bundle, sentences, graphs, config)
+        ingest.write_scene_graphs(_negative_graphs(assignment), out_path)
         click.echo(
             f"selected {len(assignment.selected)} of {len(candidates)} candidates; "
             f"wrote {sum(len(t) for t in assignment.by_video.values())} negatives"
@@ -730,7 +750,8 @@ def format_recall_table(results, k_values, regimes) -> str:
 @click.option("--data-root", default=None, type=click.Path())
 @click.option("--out-dir", default=None, type=click.Path())
 @click.option("--cache-dir", default=None, type=click.Path())
-@click.option("--config", "config_path", default=None, type=click.Path())
+@click.option("--config", "config_path", default=None,
+              type=click.Path(exists=True, dir_okay=False))
 @click.option("--seed", default=None, type=int)
 @click.option("--workers", default=None, type=int)
 @click.option("--offline", is_flag=True, default=False)
@@ -744,30 +765,18 @@ def run_all_cmd(data_root, out_dir, cache_dir, config_path, seed, workers, offli
                 skip_plm, parser, mapping, tcs_mode, dump_config):
     """Run the whole pipeline end to end and write all outputs."""
     try:
-        config = _load_pipeline_config(config_path)
-        if data_root is not None:
-            config.data_root = data_root
-        if out_dir is not None:
-            config.out_dir = out_dir
-        if cache_dir is not None:
-            config.cache_dir = cache_dir
-            config.segmentation.cache_dir = cache_dir
-        if seed is not None:
-            config.seed = seed
-            config.alignment.seed = seed
-        if workers is not None:
-            config.workers = workers
-        if offline:
-            config.offline = True
-            config.segmentation.offline = True
-        if skip_plm:
-            config.skip_negatives = True
-        if parser is not None:
-            config.parsing.parser = parser
-        if mapping is not None:
-            config.parsing.mapping = mapping
-        if tcs_mode is not None:
-            config.segmentation.mode = tcs_mode
+        config = _load_pipeline_config(config_path, {
+            "data_root": data_root,
+            "out_dir": out_dir,
+            "cache_dir": cache_dir,
+            "seed": seed,
+            "workers": workers,
+            "offline": offline or None,
+            "skip_negatives": skip_plm or None,
+            "parsing.parser": parser,
+            "parsing.mapping": mapping,
+            "segmentation.mode": tcs_mode,
+        })
         if dump_config:
             click.echo(json.dumps(config.to_dict(), sort_keys=True, indent=1))
             return

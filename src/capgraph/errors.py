@@ -33,18 +33,6 @@ class LlmTransport(CapgraphError):
     """Network or protocol failure talking to the chat endpoint (after retries)."""
 
 
-class UnparseableResponse(CapgraphError):
-    """The chat endpoint replied, but not in the expected shape."""
-
-
-class DegenerateInput(CapgraphError):
-    pass
-
-
-class EmptyPool(CapgraphError):
-    pass
-
-
 class NoGtFrames(CapgraphError):
     pass
 

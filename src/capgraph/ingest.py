@@ -227,15 +227,6 @@ def write_detections(detections: Sequence[Detection], path) -> None:
 # Scene graphs (also used for pseudo-label and prediction files)
 
 
-def graph_records(graph: SceneGraph) -> List[dict]:
-    records = []
-    for t in graph.all_triplets():
-        record = t.to_dict()
-        record["video_id"] = graph.video_id
-        records.append(record)
-    return records
-
-
 def write_scene_graphs(graphs: Sequence[SceneGraph], path) -> None:
     """Write graphs as NDJSON, one triplet per line, in a stable total order.
 

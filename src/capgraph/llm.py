@@ -11,6 +11,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import tempfile
 import threading
 import time
 from dataclasses import dataclass
@@ -148,25 +149,23 @@ class ChatClient:
 
     # -- cache ------------------------------------------------------------
 
-    def _cache_path(self, key: str) -> Optional[Path]:
+    def _cache_read(self, key: str) -> Optional[dict]:
+        """The recorded reply for ``key``, or None on a miss.
+
+        A file that is not a recorded reply raises ``LlmTransport`` naming it.
+        """
         if self.cache_dir is None:
             return None
-        return self.cache_dir / f"{key}.json"
-
-    def _cache_read(self, key: str) -> Optional[dict]:
-        path = self._cache_path(key)
-        if path is None or not path.exists():
+        path = self.cache_dir / f"{key}.json"
+        try:
+            record = json.loads(path.read_text(encoding="utf-8"))
+        except FileNotFoundError:
             return None
-        return json.loads(path.read_text(encoding="utf-8"))
-
-    def _cache_write(self, key: str, record: dict) -> None:
-        path = self._cache_path(key)
-        if path is None:
-            return
-        path.parent.mkdir(parents=True, exist_ok=True)
-        tmp = path.with_suffix(".tmp")
-        tmp.write_text(json.dumps(record, sort_keys=True, indent=1), encoding="utf-8")
-        tmp.replace(path)
+        except ValueError as e:
+            raise LlmTransport(f"{path}: corrupt cache file: {e}") from e
+        if not isinstance(record, dict) or not isinstance(record.get("response"), str):
+            raise LlmTransport(f"{path}: corrupt cache file: no recorded response")
+        return record
 
     # -- transport ---------------------------------------------------------
 
@@ -219,15 +218,10 @@ class ChatClient:
             usage = payload.get("usage", {})
             input_tokens = int(usage.get("prompt_tokens", 0))
             output_tokens = int(usage.get("completion_tokens", 0))
-            self._cache_write(
-                key,
-                {
-                    "model": self.model_name,
-                    "response": text,
-                    "input_tokens": input_tokens,
-                    "output_tokens": output_tokens,
-                },
-            )
+            if self.cache_dir is not None:
+                write_cassette(
+                    self.cache_dir, self.model_name, prompt, text, input_tokens, output_tokens
+                )
             self._account(input_tokens, output_tokens)
             return text
 
@@ -246,21 +240,31 @@ class ChatClient:
 
 def write_cassette(cache_dir, model_name: str, prompt: str, response: str,
                    input_tokens: int = 0, output_tokens: int = 0) -> Path:
-    """Record a canned response so later calls replay it without network."""
+    """Record a response so later calls replay it without network.
+
+    The record is staged in a temporary file unique to this call and renamed
+    into place, so a reader never sees a partial file, a crash leaves the
+    previous record intact, and concurrent writers of one key do not collide.
+    """
     key = cache_key(model_name, prompt)
     path = Path(cache_dir) / f"{key}.json"
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(
-        json.dumps(
-            {
-                "model": model_name,
-                "response": response,
-                "input_tokens": input_tokens,
-                "output_tokens": output_tokens,
-            },
-            sort_keys=True,
-            indent=1,
-        ),
-        encoding="utf-8",
+    text = json.dumps(
+        {
+            "model": model_name,
+            "response": response,
+            "input_tokens": input_tokens,
+            "output_tokens": output_tokens,
+        },
+        sort_keys=True,
+        indent=1,
     )
+    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{key}.", suffix=".tmp")
+    try:
+        with os.fdopen(fd, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
     return path

@@ -77,14 +77,19 @@ def giou(a: BoundingBox, b: BoundingBox) -> float:
     """Generalized IoU: IoU minus the normalized dead area of the hull.
 
     Equals IoU - (hull - union) / hull where hull is the smallest enclosing
-    axis-aligned box. Ranges over (-1, 1]; 1 iff the boxes coincide.
+    axis-aligned box. Ranges over [-1, 1]; 1 iff the boxes coincide.
+    Zero-area boxes, which the loader keeps, are defined explicitly: with
+    ``union == 0`` the IoU term is 1 for coinciding boxes and 0 otherwise, and
+    with ``hull == 0`` the dead-area term is 0.
     """
     inter_w = min(a.x2, b.x2) - max(a.x1, b.x1)
     inter_h = min(a.y2, b.y2) - max(a.y1, b.y1)
     inter = max(0.0, inter_w) * max(0.0, inter_h)
     union = a.area + b.area - inter
     hull = (max(a.x2, b.x2) - min(a.x1, b.x1)) * (max(a.y2, b.y2) - min(a.y1, b.y1))
-    return inter / union - (hull - union) / hull
+    iou = inter / union if union else float(a == b)
+    dead = (hull - union) / hull if hull else 0.0
+    return iou - dead
 
 
 def collect_unaligned_runs(

@@ -129,11 +129,6 @@ class TestClusterFrames:
         assert all(members[c] for c in range(result.k))
         assert sorted(f for fs in members.values() for f in fs) == list(range(1, 7))
 
-    def test_pluggable_backends_not_builtin(self):
-        matrix = _frames([0], [4])
-        with pytest.raises(NotImplementedError):
-            cluster_frames(matrix, AlignConfig(clustering="gmm"))
-
 
 class TestSelectClusters:
     def test_worked_example_prefix(self):

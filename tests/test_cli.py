@@ -4,13 +4,15 @@ import pytest
 from click.testing import CliRunner
 
 from capgraph.cli import PipelineConfig, aggregate_stats, main, run_all
-from capgraph.core import BoundingBox, Detection, VideoManifest
+from capgraph.core import BoundingBox, Detection, SegmentedSentence, Triplet, VideoManifest
 from capgraph.errors import MissingTrace, StageError
 from capgraph.ingest import (
     load_scene_graphs,
     write_detections,
     write_embeddings,
     write_manifests,
+    write_parsed_triplets,
+    write_sentences,
 )
 
 
@@ -133,8 +135,10 @@ class TestPipelineConfig:
     def test_round_trip(self):
         config = PipelineConfig(seed=9, workers=3)
         config.alignment.beta = 6
+        config.parsing.top_n_open_classes = None
         clone = PipelineConfig.from_dict(config.to_dict())
         assert clone.to_dict() == config.to_dict()
+        assert clone == config
 
 
 class TestRunAllCli:
@@ -178,7 +182,18 @@ class TestRunAllCli:
 
 
 class TestStageCommands:
-    def test_staged_pipeline_matches_run_all(self, data_root, cassette_dir, tmp_path):
+    @pytest.mark.parametrize(
+        "parse_flags, parsing",
+        [
+            ([], {}),
+            (["--mapping", "none", "--top-n", "2"],
+             {"mapping": "none", "top_n_open_classes": 2}),
+        ],
+        ids=["lexicon", "open-vocabulary-top-2"],
+    )
+    def test_staged_pipeline_matches_run_all(
+        self, data_root, cassette_dir, tmp_path, parse_flags, parsing
+    ):
         runner = CliRunner()
         out = tmp_path / "staged"
         out.mkdir()
@@ -190,7 +205,7 @@ class TestStageCommands:
              "--trace-out", str(out / "trace.ndjson")],
             ["parse", "--sentences", str(out / "sentences.ndjson"),
              "--out", str(out / "triplets.ndjson"), "--cache-dir", str(cassette_dir),
-             "--offline"],
+             "--offline", *parse_flags],
             ["ground", "--data-root", str(data_root),
              "--sentences", str(out / "sentences.ndjson"),
              "--triplets", str(out / "triplets.ndjson"),
@@ -205,9 +220,27 @@ class TestStageCommands:
             assert result.exit_code == 0, (step[0], result.output)
 
         reference = tmp_path / "reference"
-        run_all(_config(data_root, cassette_dir, reference))
+        config = _config(data_root, cassette_dir, reference)
+        for name, value in parsing.items():
+            setattr(config.parsing, name, value)
+        run_all(config)
         for name in ("sentences.ndjson", "scene_graphs.ndjson", "negatives.ndjson"):
             assert (out / name).read_bytes() == (reference / name).read_bytes(), name
+
+    def test_ground_video_missing_from_manifest(self, data_root, tmp_path):
+        sentences = tmp_path / "sentences.ndjson"
+        triplets = tmp_path / "triplets.ndjson"
+        write_sentences({"ghost": [SegmentedSentence(1, "A person holds a cup.", (1, 2))]},
+                        sentences)
+        write_parsed_triplets([("ghost", 1, Triplet("person", "holding", "cup"))], triplets)
+        result = CliRunner().invoke(
+            main,
+            ["ground", "--data-root", str(data_root), "--sentences", str(sentences),
+             "--triplets", str(triplets), "--out", str(tmp_path / "graphs.ndjson")],
+        )
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit), result.exception
+        assert "ghost" in result.output and str(triplets) in result.output
 
 
 class TestConfigFile:
@@ -232,6 +265,21 @@ class TestConfigFile:
         # Flag-overridden seed 7 reproduces the golden fixture alignment.
         report = json.loads((tmp_path / "out" / "report.json").read_text())
         assert report["grounded_triplets"] == 22
+
+    @pytest.mark.parametrize(
+        "text",
+        ['{"seed": 3', '{"alignment": {"betaa": 3}}', '{"seeed": 3}', '{"offline": "false"}'],
+        ids=["malformed-json", "unknown-section-key", "unknown-top-level-key", "wrong-type"],
+    )
+    def test_bad_config_file_exits_1_naming_it(self, tmp_path, text):
+        config_path = tmp_path / "pipeline.json"
+        config_path.write_text(text)
+        result = CliRunner().invoke(
+            main, ["run-all", "--config", str(config_path), "--dump-config"]
+        )
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit), result.exception
+        assert str(config_path) in result.output
 
 
 class TestSelectionFlag:

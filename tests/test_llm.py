@@ -1,4 +1,8 @@
 import json
+import re
+import sys
+import threading
+import time
 
 import pytest
 
@@ -96,6 +100,55 @@ class TestCacheKey:
     def test_cassette_path_uses_key(self, tmp_path):
         path = write_cassette(tmp_path, "m", "prompt", "reply")
         assert path.name == f"{cache_key('m', 'prompt')}.json"
+
+
+class TestCacheFiles:
+    def test_corrupt_cache_file_names_it(self, tmp_path):
+        path = write_cassette(tmp_path, "m", "hello", "1. ok")
+        path.write_text(path.read_text()[:10])
+        client = ChatClient("m", cache_dir=tmp_path, offline=True)
+        with pytest.raises(LlmTransport, match=re.escape(str(path))):
+            client.complete("hello")
+
+    def test_concurrent_writers_of_one_key(self, tmp_path):
+        # Writers keep replacing one cassette while readers replay it: no
+        # reader may see a partial file and no writer may lose its rename.
+        path = write_cassette(tmp_path, "m", "p", "first")
+        errors = []
+        deadline = time.monotonic() + 1.0
+
+        def write(worker):
+            try:
+                n = 0
+                while time.monotonic() < deadline:
+                    write_cassette(tmp_path, "m", "p", f"{worker}:{n} " + "x" * 20000)
+                    n += 1
+            except Exception as e:  # recorded for the assertion below
+                errors.append(e)
+
+        def read():
+            client = ChatClient("m", cache_dir=tmp_path, offline=True)
+            try:
+                while time.monotonic() < deadline:
+                    client.complete("p")
+            except Exception as e:  # recorded for the assertion below
+                errors.append(e)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=write, args=(i,)) for i in range(4)]
+            threads += [threading.Thread(target=read) for _ in range(2)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert errors == []
+        assert json.loads(path.read_text())["response"].endswith("x" * 20000)
+        assert sorted(p.name for p in tmp_path.iterdir()) == [path.name]
 
 
 class TestRateLimiter:

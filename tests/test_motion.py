@@ -51,6 +51,12 @@ class TestGiou:
         # IoU 0, union 2, hull 3: 0 - 1/3.
         assert giou(_box(0, 0, 1, 1), _box(2, 0, 3, 1)) == pytest.approx(-1 / 3, abs=1e-12)
 
+    def test_zero_area_boxes(self):
+        # Coinciding points: IoU term 1, empty hull adds no dead area.
+        assert giou(_box(5, 5, 5, 5), _box(5, 5, 5, 5)) == 1.0
+        # Distinct points: IoU term 0, the whole unit hull is dead area.
+        assert giou(_box(0, 0, 0, 0), _box(1, 1, 1, 1)) == -1.0
+
     @given(_BOXES, _BOXES)
     @settings(max_examples=200, deadline=None)
     def test_range_and_symmetry(self, a, b):
