@@ -37,13 +37,21 @@ from .errors import (
     StageError,
 )
 from .llm import ChatClient, TokenUsage, estimate_cost
+from .llm import DEFAULT_INPUT_PRICE_PER_MILLION, DEFAULT_OUTPUT_PRICE_PER_MILLION
+
+# Section fields that copy a top-level setting, keyed "section.field", valued
+# by that setting. Config files and ``to_dict`` carry only the top-level key.
+_FED_BY = {
+    "alignment.seed": "seed",
+    "segmentation.cache_dir": "cache_dir",
+    "segmentation.offline": "offline",
+}
 
 
 @dataclass
 class PipelineConfig:
     """One declarative config for the whole pipeline; every default is the
-    published hyperparameter (beta 4, alpha 15%, confidence floor 0.2,
-    K in {20, 50}, IoU 0.5)."""
+    published hyperparameter (beta 4, alpha 15%, confidence floor 0.2)."""
 
     data_root: str = "."
     out_dir: str = "out"
@@ -57,43 +65,54 @@ class PipelineConfig:
     alignment: align_mod.AlignConfig = field(default_factory=align_mod.AlignConfig)
     parsing: parse_mod.ParseConfig = field(default_factory=parse_mod.ParseConfig)
     motion: motion.MotionLabelConfig = field(default_factory=motion.MotionLabelConfig)
-    evaluation: eval_mod.EvalConfig = field(default_factory=eval_mod.EvalConfig)
 
     def __post_init__(self):
-        self.alignment.seed = self.seed
-        self.segmentation.cache_dir = self.cache_dir or self.segmentation.cache_dir
-        self.segmentation.offline = self.offline
+        for dotted, key in _FED_BY.items():
+            section, name = dotted.split(".")
+            setattr(getattr(self, section), name, getattr(self, key))
 
     def to_dict(self) -> dict:
         return _plain(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "PipelineConfig":
-        """Inverse of ``to_dict``; missing keys keep their defaults and
-        unknown keys raise ``TypeError``."""
+        """Inverse of ``to_dict``; missing keys keep their defaults, and
+        unknown keys, fed section fields among them, raise ``TypeError``."""
         return _from_plain(cls, d)
 
 
-def _plain(obj):
+def _plain(obj, prefix=""):
     if dataclasses.is_dataclass(obj):
-        return {f.name: _plain(getattr(obj, f.name)) for f in dataclasses.fields(obj)}
+        return {
+            f.name: _plain(getattr(obj, f.name), f"{prefix}{f.name}.")
+            for f in dataclasses.fields(obj)
+            if prefix + f.name not in _FED_BY
+        }
     if isinstance(obj, tuple):
         return [_plain(v) for v in obj]
     return obj
 
 
-def _from_plain(klass, data):
+def _from_plain(klass, data, prefix=""):
     """Build ``klass`` from JSON-shaped data. Nested dataclasses, tuples and
     scalar types come from the field defaults (null and None defaults are not
-    type-checked); the constructor rejects unknown keys."""
+    type-checked); unknown keys, fed section fields among them, are rejected
+    by their dotted name."""
     if not isinstance(data, dict):
         raise TypeError(f"{klass.__name__} must be a JSON object, got {data!r}")
     defaults = klass()
+    names = {f.name for f in dataclasses.fields(klass)}
     kwargs = {}
     for key, value in data.items():
+        dotted = prefix + key
+        if dotted in _FED_BY:
+            raise TypeError(f"unknown key {dotted!r}; set the top-level key "
+                            f"{_FED_BY[dotted]!r} instead")
+        if key not in names:
+            raise TypeError(f"unknown key {dotted!r}")
         default = getattr(defaults, key, None)
         if dataclasses.is_dataclass(default):
-            value = _from_plain(type(default), value)
+            value = _from_plain(type(default), value, f"{key}.")
         elif isinstance(default, tuple):
             value = tuple(value)
         elif default is not None and value is not None:
@@ -121,7 +140,8 @@ class RunReport:
     """Per-stage counts for one pipeline run.
 
     ``wall_time_seconds`` is informational and intentionally left out of the
-    serialized report so equal inputs always produce byte-identical outputs.
+    serialized report so equal inputs always produce byte-identical outputs;
+    ``usage`` is written as ``token_usage``.
     """
 
     videos: int = 0
@@ -136,17 +156,10 @@ class RunReport:
     wall_time_seconds: float = 0.0
 
     def to_dict(self) -> dict:
-        return {
-            "videos": self.videos,
-            "sentences": self.sentences,
-            "triplets_extracted": self.triplets_extracted,
-            "triplets_mapped": self.triplets_mapped,
-            "triplets_discarded": self.triplets_discarded,
-            "grounded_triplets": self.grounded_triplets,
-            "motion_candidates": self.motion_candidates,
-            "negatives": self.negatives,
-            "token_usage": self.usage.to_dict(),
-        }
+        d = dataclasses.asdict(self)
+        del d["wall_time_seconds"]
+        d["token_usage"] = d.pop("usage")
+        return d
 
 
 # ---------------------------------------------------------------------------
@@ -418,8 +431,8 @@ def run_all(config: PipelineConfig, vocab: Optional[Vocabulary] = None) -> RunRe
 
 def aggregate_stats(
     trace_paths: Sequence[str],
-    input_price: float = 0.5,
-    output_price: float = 1.5,
+    input_price: float = DEFAULT_INPUT_PRICE_PER_MILLION,
+    output_price: float = DEFAULT_OUTPUT_PRICE_PER_MILLION,
 ) -> dict:
     """Aggregate trace files into usage, cost and histogram statistics."""
     records = []
@@ -474,7 +487,8 @@ def aggregate_stats(
 
 
 # ---------------------------------------------------------------------------
-# CLI
+# CLI. Flag defaults are read from the config dataclasses: a field with a
+# plain default keeps it as a class attribute (``AlignConfig.beta == 4``).
 
 
 @click.group()
@@ -513,8 +527,9 @@ def _load_pipeline_config(
 @main.command()
 @click.option("--data-root", required=True, type=click.Path())
 @click.option("--out", "out_path", required=True, type=click.Path())
-@click.option("--tcs-mode", "mode", type=click.Choice(["llm", "rule_fallback"]), default="llm")
-@click.option("--model", default="gpt-3.5-turbo")
+@click.option("--tcs-mode", "mode", type=click.Choice(segment_mod.SEGMENT_MODES),
+              default=segment_mod.SegmentConfig.mode)
+@click.option("--model", default=segment_mod.SegmentConfig.model_name)
 @click.option("--cache-dir", default=None, type=click.Path())
 @click.option("--offline", is_flag=True, default=False)
 def segment(data_root, out_path, mode, model, cache_dir, offline):
@@ -537,7 +552,7 @@ def segment(data_root, out_path, mode, model, cache_dir, offline):
 
 def _parse_selection(value: str) -> Tuple[str, float]:
     if value in ("steepest", "steepest_decline"):
-        return "steepest_decline", 0.2
+        return "steepest_decline", align_mod.AlignConfig.gap_tau
     if value.startswith("gap:"):
         return "fixed_gap", float(value.split(":", 1)[1])
     raise click.BadParameter("selection must be 'steepest' or 'gap:<tau>'")
@@ -547,9 +562,9 @@ def _parse_selection(value: str) -> Tuple[str, float]:
 @click.option("--data-root", required=True, type=click.Path())
 @click.option("--sentences", "sentences_path", required=True, type=click.Path())
 @click.option("--out", "out_path", required=True, type=click.Path())
-@click.option("--beta", default=4, show_default=True)
+@click.option("--beta", default=align_mod.AlignConfig.beta, show_default=True)
 @click.option("--selection", default="steepest", show_default=True)
-@click.option("--seed", default=0, show_default=True)
+@click.option("--seed", default=align_mod.AlignConfig.seed, show_default=True)
 @click.option("--trace-out", default=None, type=click.Path())
 def align_cmd(data_root, sentences_path, out_path, beta, selection, seed, trace_out):
     """Align segmented sentences with consecutive frame intervals."""
@@ -576,14 +591,14 @@ def align_cmd(data_root, sentences_path, out_path, beta, selection, seed, trace_
 @main.command(name="parse")
 @click.option("--sentences", "sentences_path", required=True, type=click.Path())
 @click.option("--out", "out_path", required=True, type=click.Path())
-@click.option("--parser", type=click.Choice(["llm", "rule"]), default="llm", show_default=True)
-@click.option(
-    "--mapping", type=click.Choice(["llm", "lexicon", "none"]), default="lexicon",
-    show_default=True,
-)
-@click.option("--top-n", "top_n", default=500, show_default=True)
+@click.option("--parser", type=click.Choice(parse_mod.PARSER_MODES),
+              default=parse_mod.ParseConfig.parser, show_default=True)
+@click.option("--mapping", type=click.Choice(parse_mod.MAPPING_MODES),
+              default=parse_mod.ParseConfig.mapping, show_default=True)
+@click.option("--top-n", "top_n", default=parse_mod.ParseConfig.top_n_open_classes,
+              show_default=True)
 @click.option("--lexicon-path", default=None, type=click.Path())
-@click.option("--model", default="gpt-3.5-turbo")
+@click.option("--model", default=segment_mod.SegmentConfig.model_name)
 @click.option("--cache-dir", default=None, type=click.Path())
 @click.option("--offline", is_flag=True, default=False)
 def parse_cmd(sentences_path, out_path, parser, mapping, top_n, lexicon_path, model, cache_dir, offline):
@@ -650,15 +665,11 @@ def ground(data_root, sentences_path, triplets_path, out_path):
 @click.option("--sentences", "sentences_path", required=True, type=click.Path())
 @click.option("--graphs", "graphs_path", required=True, type=click.Path())
 @click.option("--out", "out_path", required=True, type=click.Path())
-@click.option("--alpha", default=15.0, show_default=True)
-@click.option(
-    "--not-looking", type=click.Choice(list(motion.ENDPOINT_STRATEGIES)),
-    default="start_and_end", show_default=True,
-)
-@click.option(
-    "--not-contacting", type=click.Choice(list(motion.ENDPOINT_STRATEGIES)),
-    default="end", show_default=True,
-)
+@click.option("--alpha", default=motion.MotionLabelConfig.alpha_percent, show_default=True)
+@click.option("--not-looking", type=click.Choice(motion.ENDPOINT_STRATEGIES),
+              default=motion.MotionLabelConfig.strategy_not_looking, show_default=True)
+@click.option("--not-contacting", type=click.Choice(motion.ENDPOINT_STRATEGIES),
+              default=motion.MotionLabelConfig.strategy_not_contacting, show_default=True)
 def plm(data_root, sentences_path, graphs_path, out_path, alpha, not_looking, not_contacting):
     """Assign negative-action pseudo-labels on unaligned frames."""
     try:
@@ -683,12 +694,12 @@ def plm(data_root, sentences_path, graphs_path, out_path, alpha, not_looking, no
 @main.command(name="eval")
 @click.option("--gt", "gt_path", required=True, type=click.Path())
 @click.option("--pred", "pred_path", required=True, type=click.Path())
-@click.option("--k", "k_values", default="20,50", show_default=True)
-@click.option(
-    "--regime", type=click.Choice(["with_constraint", "no_constraint", "both"]),
-    default="both", show_default=True,
-)
-@click.option("--iou", "iou_threshold", default=0.5, show_default=True)
+@click.option("--k", "k_values", default=",".join(map(str, eval_mod.EvalConfig.k_values)),
+              show_default=True)
+@click.option("--regime", type=click.Choice(eval_mod.REGIME_CHOICES),
+              default=eval_mod.EvalConfig.regime, show_default=True)
+@click.option("--iou", "iou_threshold", default=eval_mod.EvalConfig.iou_threshold,
+              show_default=True)
 @click.option("--json-out", default=None, type=click.Path())
 def eval_cmd(gt_path, pred_path, k_values, regime, iou_threshold, json_out):
     """Score predictions against ground truth with Recall@K."""
@@ -756,9 +767,9 @@ def format_recall_table(results, k_values, regimes) -> str:
 @click.option("--workers", default=None, type=int)
 @click.option("--offline", is_flag=True, default=False)
 @click.option("--skip-plm", is_flag=True, default=False)
-@click.option("--parser", default=None, type=click.Choice(["llm", "rule"]))
-@click.option("--mapping", default=None, type=click.Choice(["llm", "lexicon", "none"]))
-@click.option("--tcs-mode", default=None, type=click.Choice(["llm", "rule_fallback"]))
+@click.option("--parser", default=None, type=click.Choice(parse_mod.PARSER_MODES))
+@click.option("--mapping", default=None, type=click.Choice(parse_mod.MAPPING_MODES))
+@click.option("--tcs-mode", default=None, type=click.Choice(segment_mod.SEGMENT_MODES))
 @click.option("--dump-config", is_flag=True, default=False,
               help="Print the effective configuration as JSON and exit.")
 def run_all_cmd(data_root, out_dir, cache_dir, config_path, seed, workers, offline,
@@ -789,9 +800,9 @@ def run_all_cmd(data_root, out_dir, cache_dir, config_path, seed, workers, offli
 
 @main.command()
 @click.argument("traces", nargs=-1, type=click.Path())
-@click.option("--input-price", default=0.5, show_default=True,
+@click.option("--input-price", default=DEFAULT_INPUT_PRICE_PER_MILLION, show_default=True,
               help="Dollars per million input tokens.")
-@click.option("--output-price", default=1.5, show_default=True,
+@click.option("--output-price", default=DEFAULT_OUTPUT_PRICE_PER_MILLION, show_default=True,
               help="Dollars per million output tokens.")
 def stats(traces, input_price, output_price):
     """Aggregate trace files: token usage, cost per video, histograms."""

@@ -18,6 +18,7 @@ from .core import Triplet, box_iou
 from .errors import NoGtFrames
 
 REGIMES = ("with_constraint", "no_constraint")
+REGIME_CHOICES = REGIMES + ("both",)
 
 
 @dataclass
@@ -33,7 +34,7 @@ class EvalConfig:
             raise ValueError("k_values must be sorted ascending")
         if not 0.0 < self.iou_threshold < 1.0:
             raise ValueError("iou_threshold must lie in (0, 1)")
-        if self.regime not in REGIMES + ("both",):
+        if self.regime not in REGIME_CHOICES:
             raise ValueError(f"unknown regime {self.regime!r}")
 
     def regimes(self) -> Tuple[str, ...]:

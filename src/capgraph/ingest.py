@@ -7,7 +7,6 @@ Dataset layout under a root directory:
     embeddings/<video_id>.sentences.nlve sentence embeddings, produced after
                                          caption segmentation and re-ingested
     detections/<video_id>.ndjson         one detection per line
-    gt/<video_id>.ndjson                 optional ground-truth graph records
 
 NLVE binary layout: magic bytes ``NLVE``, little-endian u32 dim, u32 row
 count, then each row id as u32 byte length + UTF-8 bytes, then all rows as
@@ -64,7 +63,6 @@ class DatasetBundle:
     embeddings: Dict[str, EmbeddingMatrix] = field(default_factory=dict)
     sentence_embeddings: Dict[str, EmbeddingMatrix] = field(default_factory=dict)
     detections: Dict[str, List[Detection]] = field(default_factory=dict)
-    gt_graphs: Optional[Dict[str, SceneGraph]] = None
 
     def manifest_for(self, video_id: str) -> VideoManifest:
         for m in self.manifests:
@@ -209,17 +207,16 @@ def load_detections(path, confidence_floor: float) -> List[Detection]:
             raise MalformedRecord(path, line_no, f"bad detection record: {e}") from e
         if det.confidence >= confidence_floor:
             detections.append(det)
-    detections.sort(
-        key=lambda d: (d.frame_index, d.entity_class, d.box.as_tuple(), -d.confidence)
-    )
+    detections.sort(key=_detection_order)
     return detections
 
 
+def _detection_order(d: Detection) -> tuple:
+    return (d.frame_index, d.entity_class, d.box.as_tuple(), -d.confidence)
+
+
 def write_detections(detections: Sequence[Detection], path) -> None:
-    ordered = sorted(
-        detections,
-        key=lambda d: (d.frame_index, d.entity_class, d.box.as_tuple(), -d.confidence),
-    )
+    ordered = sorted(detections, key=_detection_order)
     _write_ndjson((_dump_line(d.to_dict()) for d in ordered), path)
 
 
@@ -243,6 +240,7 @@ def write_scene_graphs(graphs: Sequence[SceneGraph], path) -> None:
 
 
 def load_scene_graphs(path) -> List[SceneGraph]:
+    """Read a graph file; every triplet must be localized (both boxes set)."""
     by_video: Dict[str, List[Triplet]] = {}
     for line_no, record in _read_ndjson(path):
         try:
@@ -250,6 +248,8 @@ def load_scene_graphs(path) -> List[SceneGraph]:
             triplet = Triplet.from_dict(record)
         except (KeyError, TypeError, ValueError) as e:
             raise MalformedRecord(path, line_no, f"bad graph record: {e}") from e
+        if not triplet.is_localized:
+            raise MalformedRecord(path, line_no, "graph triplet is not localized (null box)")
         by_video.setdefault(video_id, []).append(triplet)
     return [
         SceneGraph.from_triplets(video_id, triplets)
@@ -335,7 +335,6 @@ def load_bundle(root, config: Optional[IngestConfig] = None) -> DatasetBundle:
     manifests = load_manifests(root / "manifest.ndjson")
 
     bundle = DatasetBundle(manifests=manifests)
-    gt: Dict[str, SceneGraph] = {}
     for manifest in manifests:
         video_id = manifest.video_id
         frames_path = root / "embeddings" / f"{video_id}.frames.nlve"
@@ -356,12 +355,4 @@ def load_bundle(root, config: Optional[IngestConfig] = None) -> DatasetBundle:
         bundle.detections[video_id] = load_detections(
             root / "detections" / f"{video_id}.ndjson", config.confidence_floor
         )
-
-        gt_path = root / "gt" / f"{video_id}.ndjson"
-        if gt_path.exists():
-            graphs = load_scene_graphs(gt_path)
-            for g in graphs:
-                gt[g.video_id] = g
-    if gt:
-        bundle.gt_graphs = gt
     return bundle

@@ -14,7 +14,7 @@ import os
 import tempfile
 import threading
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Optional
 
@@ -46,11 +46,7 @@ class TokenUsage:
         )
 
     def to_dict(self) -> dict:
-        return {
-            "input_tokens": self.input_tokens,
-            "output_tokens": self.output_tokens,
-            "estimated_cost": self.estimated_cost,
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "TokenUsage":

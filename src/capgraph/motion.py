@@ -24,9 +24,8 @@ from .core import (
     SegmentedSentence,
     Triplet,
     VideoManifest,
-    box_iou,
 )
-from .parse import _best_detection
+from .parse import detections_by_frame, ground_pair
 
 ENDPOINT_STRATEGIES = ("start", "end", "start_and_end")
 
@@ -117,23 +116,6 @@ def collect_unaligned_runs(
     return runs
 
 
-def _ground_pair(
-    detections_by_frame: Dict[int, List[Detection]],
-    frame: int,
-    subject_class: str,
-    object_class: str,
-) -> Optional[GroundedPair]:
-    frame_dets = detections_by_frame.get(frame, [])
-    subject = _best_detection(frame_dets, subject_class)
-    if subject is None:
-        return None
-    exclude = subject if object_class == subject_class else None
-    obj = _best_detection(frame_dets, object_class, exclude=exclude)
-    if obj is None:
-        return None
-    return GroundedPair(subject.box, obj.box)
-
-
 def build_candidates(
     manifests: Sequence[VideoManifest],
     detections: Dict[str, Sequence[Detection]],
@@ -154,17 +136,17 @@ def build_candidates(
         if graph is None:
             continue
         object_classes = sorted(graph.object_classes())
-        by_frame: Dict[int, List[Detection]] = {}
-        for det in detections.get(video_id, []):
-            by_frame.setdefault(det.frame_index, []).append(det)
+        by_frame = detections_by_frame(detections.get(video_id, []))
         for lo, hi in runs_by_video.get(video_id, []):
             for object_class in object_classes:
-                start_pair = _ground_pair(by_frame, lo, config.subject_class, object_class)
-                if start_pair is None:
+                start = ground_pair(by_frame.get(lo, []), config.subject_class, object_class)
+                if start is None:
                     continue
-                end_pair = _ground_pair(by_frame, hi, config.subject_class, object_class)
-                if end_pair is None:
+                end = ground_pair(by_frame.get(hi, []), config.subject_class, object_class)
+                if end is None:
                     continue
+                start_pair = GroundedPair(start[0].box, start[1].box)
+                end_pair = GroundedPair(end[0].box, end[1].box)
                 candidates.append(
                     MotionCandidate(
                         video_id=video_id,
@@ -249,16 +231,3 @@ def assign_negatives(
                 )
     return NegativeAssignment(selected=selected, by_video=by_video)
 
-
-__all__ = [
-    "MotionLabelConfig",
-    "MotionCandidate",
-    "GroundedPair",
-    "NegativeAssignment",
-    "giou",
-    "box_iou",
-    "collect_unaligned_runs",
-    "build_candidates",
-    "selection_count",
-    "assign_negatives",
-]

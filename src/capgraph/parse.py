@@ -14,7 +14,8 @@ import json
 import re
 import warnings
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
+from functools import lru_cache
 from importlib import resources
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -50,20 +51,10 @@ class DiscardCounters:
     unmapped_object: int = 0
 
     def total(self) -> int:
-        return (
-            self.unparseable
-            + self.unmapped_subject
-            + self.unmapped_predicate
-            + self.unmapped_object
-        )
+        return sum(self.to_dict().values())
 
     def to_dict(self) -> dict:
-        return {
-            "unparseable": self.unparseable,
-            "unmapped_subject": self.unmapped_subject,
-            "unmapped_predicate": self.unmapped_predicate,
-            "unmapped_object": self.unmapped_object,
-        }
+        return asdict(self)
 
 
 # ---------------------------------------------------------------------------
@@ -288,10 +279,10 @@ class SynonymLexicon:
         )
 
 
-def _lexicon_for(config: ParseConfig) -> SynonymLexicon:
-    if config.lexicon_path:
-        return SynonymLexicon.load(config.lexicon_path)
-    return SynonymLexicon.bundled()
+@lru_cache(maxsize=None)
+def _lexicon(path: Optional[str]) -> SynonymLexicon:
+    """The lexicon at ``path`` (the bundled one for None), read once per process."""
+    return SynonymLexicon.load(path) if path else SynonymLexicon.bundled()
 
 
 MAPPING_PROMPT_TEMPLATE = (
@@ -341,7 +332,7 @@ def map_classes(
         return triplet
 
     if config.mapping == "lexicon":
-        lexicon = _lexicon_for(config)
+        lexicon = _lexicon(config.lexicon_path)
         subject = _map_entity(triplet.subject_class, vocab, lexicon)
         predicate = _map_action(triplet.predicate_class, vocab, lexicon)
         obj = _map_entity(triplet.object_class, vocab, lexicon)
@@ -381,6 +372,14 @@ def restrict_open_vocabulary(triplets: Sequence[Triplet], top_n: int) -> List[Tr
 # Grounding
 
 
+def detections_by_frame(detections: Sequence[Detection]) -> Dict[int, List[Detection]]:
+    """Detections grouped by frame index, record order kept within a frame."""
+    by_frame: Dict[int, List[Detection]] = {}
+    for det in detections:
+        by_frame.setdefault(det.frame_index, []).append(det)
+    return by_frame
+
+
 def _best_detection(
     frame_detections: Sequence[Detection],
     entity_class: str,
@@ -397,6 +396,25 @@ def _best_detection(
     return best
 
 
+def ground_pair(
+    frame_detections: Sequence[Detection], subject_class: str, object_class: str
+) -> Optional[Tuple[Detection, Detection]]:
+    """The subject and object detections of one frame, or None if either is missing.
+
+    Each role takes the highest-confidence detection of its class (ties:
+    larger box, then earlier record); when the classes coincide the object
+    must be a second, distinct detection.
+    """
+    subject = _best_detection(frame_detections, subject_class)
+    if subject is None:
+        return None
+    exclude = subject if object_class == subject_class else None
+    obj = _best_detection(frame_detections, object_class, exclude=exclude)
+    if obj is None:
+        return None
+    return subject, obj
+
+
 def ground_triplets(
     triplets: Sequence[Triplet],
     aligned_frames: Optional[Tuple[int, int]],
@@ -404,29 +422,22 @@ def ground_triplets(
 ) -> List[Triplet]:
     """Localize triplets on every frame of the aligned interval.
 
-    Per frame and triplet, the subject takes the highest-confidence detection
-    of its class (ties: larger box, then earlier record) and the object
-    likewise; when subject and object classes coincide they must use two
-    distinct detections. Frames missing either role produce nothing.
+    Each triplet's roles are grounded per frame with ``ground_pair``; frames
+    missing either role produce nothing.
     """
     if aligned_frames is None:
         return []
-    by_frame: Dict[int, List[Detection]] = {}
-    for det in detections:
-        by_frame.setdefault(det.frame_index, []).append(det)
+    by_frame = detections_by_frame(detections)
 
     lo, hi = aligned_frames
     grounded: List[Triplet] = []
     for frame in range(lo, hi + 1):
         frame_dets = by_frame.get(frame, [])
         for t in triplets:
-            subject = _best_detection(frame_dets, t.subject_class)
-            if subject is None:
+            pair = ground_pair(frame_dets, t.subject_class, t.object_class)
+            if pair is None:
                 continue
-            exclude = subject if t.object_class == t.subject_class else None
-            obj = _best_detection(frame_dets, t.object_class, exclude=exclude)
-            if obj is None:
-                continue
+            subject, obj = pair
             grounded.append(
                 Triplet(
                     subject_class=t.subject_class,

@@ -12,6 +12,7 @@ import json
 import re
 import warnings
 from dataclasses import dataclass
+from functools import lru_cache
 from importlib import resources
 from typing import List, Optional
 
@@ -46,6 +47,8 @@ _MARKER_RE = re.compile(r"\b(" + "|".join(MARKER_SEMANTICS) + r")\b", re.IGNOREC
 _TERMINATOR_RE = re.compile(r"[.!?]+")
 _NUMBERED_LINE_RE = re.compile(r"^\s*\d+\s*[.):\-]\s*(.+?)\s*$")
 
+SEGMENT_MODES = ("llm", "rule_fallback")
+
 
 @dataclass
 class SegmentConfig:
@@ -56,7 +59,7 @@ class SegmentConfig:
     endpoint: str = "https://api.openai.com/v1/chat/completions"
     max_retries: int = 2
     cache_dir: Optional[str] = None
-    mode: str = "llm"  # "llm" or "rule_fallback"
+    mode: str = "llm"  # one of SEGMENT_MODES
     offline: bool = False
     include_coreference: bool = True
     input_price_per_million: float = DEFAULT_INPUT_PRICE_PER_MILLION
@@ -67,7 +70,7 @@ class SegmentConfig:
             raise ValueError("temperature must be >= 0")
         if self.max_retries < 0:
             raise ValueError("max_retries must be >= 0")
-        if self.mode not in ("llm", "rule_fallback"):
+        if self.mode not in SEGMENT_MODES:
             raise ValueError(f"unknown segmentation mode {self.mode!r}")
 
 
@@ -84,9 +87,11 @@ def make_client(config: SegmentConfig) -> ChatClient:
     )
 
 
-def _few_shot_examples() -> list:
+@lru_cache(maxsize=None)
+def _few_shot_examples() -> tuple:
+    """The bundled in-context examples, read once per process."""
     text = resources.files("capgraph.assets").joinpath("caption_split_examples.json").read_text()
-    return json.loads(text)["examples"]
+    return tuple(json.loads(text)["examples"])
 
 
 def build_prompt(caption: str, include_coreference: bool = True) -> str:

@@ -229,7 +229,7 @@ def test_criterion_9_hyperparameter_defaults():
     assert dumped["alignment"]["beta"] == 4
     assert dumped["motion"]["alpha_percent"] == 15.0
     assert dumped["ingest"]["confidence_floor"] == 0.2
-    assert dumped["evaluation"]["k_values"] == [20, 50]
-    assert dumped["evaluation"]["iou_threshold"] == 0.5
+    assert EvalConfig().k_values == (20, 50)
+    assert EvalConfig().iou_threshold == 0.5
     assert dumped["segmentation"]["temperature"] == 0.0
     print("PASS criterion 9: hyperparameter defaults audit")

@@ -3,9 +3,12 @@ import json
 import pytest
 from click.testing import CliRunner
 
+from capgraph import parse as parse_mod
+from capgraph import segment as segment_mod
 from capgraph.cli import PipelineConfig, aggregate_stats, main, run_all
 from capgraph.core import BoundingBox, Detection, SegmentedSentence, Triplet, VideoManifest
 from capgraph.errors import MissingTrace, StageError
+from capgraph.evaluate import EvalConfig
 from capgraph.ingest import (
     load_scene_graphs,
     write_detections,
@@ -113,6 +116,19 @@ class TestRunAll:
             predicates.update(t.predicate_class for t in graph.all_triplets())
         assert len(predicates) <= 2
 
+    def test_assets_read_once_per_process(self, data_root, cassette_dir, tmp_path, monkeypatch):
+        loads = []
+        from_dict = parse_mod.SynonymLexicon.from_dict
+        monkeypatch.setattr(parse_mod.SynonymLexicon, "from_dict",
+                            staticmethod(lambda d: loads.append(d) or from_dict(d)))
+        parse_mod._lexicon.cache_clear()
+        segment_mod._few_shot_examples.cache_clear()
+        report = run_all(_config(data_root, cassette_dir, tmp_path / "out"))
+        parse_mod._lexicon.cache_clear()
+        assert report.triplets_extracted == 6
+        assert len(loads) == 1
+        assert segment_mod._few_shot_examples.cache_info().misses == 1
+
     def test_fatal_stage_error_removes_outputs(self, data_root, tmp_path):
         # No cassettes recorded: offline segmentation must fail and leave
         # nothing behind.
@@ -129,8 +145,8 @@ class TestPipelineConfig:
         assert dumped["alignment"]["beta"] == 4
         assert dumped["motion"]["alpha_percent"] == 15.0
         assert dumped["ingest"]["confidence_floor"] == 0.2
-        assert dumped["evaluation"]["k_values"] == [20, 50]
-        assert dumped["evaluation"]["iou_threshold"] == 0.5
+        assert EvalConfig().k_values == (20, 50)
+        assert EvalConfig().iou_threshold == 0.5
 
     def test_round_trip(self):
         config = PipelineConfig(seed=9, workers=3)
@@ -280,6 +296,41 @@ class TestConfigFile:
         assert result.exit_code == 1
         assert isinstance(result.exception, SystemExit), result.exception
         assert str(config_path) in result.output
+
+
+    @pytest.mark.parametrize(
+        "text, key, top_level",
+        [
+            ('{"alignment": {"seed": 7}}', "alignment.seed", "seed"),
+            ('{"segmentation": {"offline": true}}', "segmentation.offline", "offline"),
+            ('{"segmentation": {"cache_dir": "c"}}', "segmentation.cache_dir", "cache_dir"),
+            ('{"evaluation": {"iou_threshold": 0.5}}', "evaluation", None),
+        ],
+        ids=["alignment.seed", "segmentation.offline", "segmentation.cache_dir", "evaluation"],
+    )
+    def test_removed_key_exits_1_naming_file_and_key(self, tmp_path, text, key, top_level):
+        config_path = tmp_path / "pipeline.json"
+        config_path.write_text(text)
+        result = CliRunner().invoke(
+            main, ["run-all", "--config", str(config_path), "--dump-config"]
+        )
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit), result.exception
+        assert str(config_path) in result.output
+        assert f"'{key}'" in result.output
+        if top_level:
+            assert f"top-level key '{top_level}'" in result.output
+
+    def test_top_level_keys_feed_sections(self):
+        config = PipelineConfig.from_dict({"seed": 7, "offline": True, "cache_dir": "c"})
+        assert config.alignment.seed == 7
+        assert config.segmentation.offline is True
+        assert config.segmentation.cache_dir == "c"
+        dumped = config.to_dict()
+        assert "seed" not in dumped["alignment"]
+        assert "offline" not in dumped["segmentation"]
+        assert "cache_dir" not in dumped["segmentation"]
+        assert "evaluation" not in dumped
 
 
 class TestSelectionFlag:
@@ -450,3 +501,18 @@ class TestEvalCommand:
         report = json.loads((tmp_path / "report.json").read_text())
         assert report["with_constraint/R@20"] == 0.5
         assert report["no_constraint/R@50"] == 0.5
+
+    def test_unlocalized_graph_triplet_exits_1_naming_file_and_line(self, tmp_path):
+        box = [0.0, 0.0, 10.0, 10.0]
+        localized = {"video_id": "v", "subject_class": "person", "predicate_class": "holding",
+                     "object_class": "cup/glass/bottle", "subject_box": box,
+                     "object_box": box, "frame_index": 1}
+        gt = tmp_path / "gt.ndjson"
+        gt.write_text(json.dumps(localized) + "\n"
+                      + json.dumps(dict(localized, subject_box=None, object_box=None)) + "\n")
+        pred = tmp_path / "pred.ndjson"
+        pred.write_text(json.dumps(dict(localized, score=0.9)) + "\n")
+        result = CliRunner().invoke(main, ["eval", "--gt", str(gt), "--pred", str(pred)])
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit), result.exception
+        assert f"{gt}:2:" in result.output

@@ -171,7 +171,6 @@ class TestBundleLoading:
         assert [m.video_id for m in bundle.manifests] == ["kitchen01", "kitchen02"]
         assert bundle.embeddings["kitchen01"].is_normalized()
         assert len(bundle.embeddings["kitchen02"]) == 12
-        assert bundle.gt_graphs and "kitchen01" in bundle.gt_graphs
 
     def test_confidence_floor_drops_detection(self, data_root):
         # One fixture detection sits at confidence 0.15, under the 0.2 floor.

@@ -25,6 +25,7 @@ from capgraph.motion import (
     giou,
     selection_count,
 )
+from capgraph.parse import ground_triplets
 
 
 def _box(x1, y1, x2, y2):
@@ -178,6 +179,31 @@ class TestBuildCandidates:
             [manifest], {"v": dets}, graphs, {"v": [(5, 8)]}, MotionLabelConfig()
         )
         assert out == []
+
+    def test_grounds_like_ground_triplets(self):
+        # Confidence ties among persons (area tie, then record order decides)
+        # and among cups (larger area wins), plus a same-class person pair.
+        dets = [
+            Detection(1, "person", _box(0, 0, 10, 20), 0.9),
+            Detection(1, "person", _box(50, 0, 60, 20), 0.9),
+            Detection(1, "person", _box(100, 0, 105, 20), 0.9),
+            Detection(1, "cup/glass/bottle", _box(12, 5, 16, 9), 0.5),
+            Detection(1, "cup/glass/bottle", _box(20, 5, 28, 13), 0.5),
+        ]
+        triplets = [Triplet("person", "holding", "cup/glass/bottle"),
+                    Triplet("person", "looking at", "person")]
+        grounded = ground_triplets(triplets, (1, 1), dets)
+        by_object = {t.object_class: (t.subject_box, t.object_box) for t in grounded}
+        assert by_object == {
+            "cup/glass/bottle": (_box(0, 0, 10, 20), _box(20, 5, 28, 13)),
+            "person": (_box(0, 0, 10, 20), _box(50, 0, 60, 20)),
+        }
+        out = build_candidates(
+            [_manifest("v", 2)], {"v": dets}, {"v": SceneGraph.from_triplets("v", grounded)},
+            {"v": [(1, 1)]}, MotionLabelConfig(),
+        )
+        assert {c.object_class: (c.start_pair.subject_box, c.start_pair.object_box)
+                for c in out} == by_object
 
 
 def _candidate(video_id, score, run=(5, 8), object_class="sofa/couch"):
