@@ -23,6 +23,8 @@ from .core import EmbeddingMatrix, SegmentedSentence
 from .errors import DimensionMismatch
 
 SELECTION_MODES = ("steepest_decline", "fixed_gap")
+KMEANS_MAX_ITERS = 100
+KMEANS_RESTARTS = 5
 
 
 @dataclass
@@ -33,8 +35,6 @@ class AlignConfig:
     selection: str = "steepest_decline"
     gap_tau: float = 0.2
     seed: int = 0
-    kmeans_max_iters: int = 100
-    kmeans_restarts: int = 5
 
     def __post_init__(self):
         if self.beta < 1:
@@ -166,7 +166,7 @@ def _compact_clusters(centroids: np.ndarray, labels: np.ndarray):
 def cluster_frames(frame_embeds: EmbeddingMatrix, config: AlignConfig) -> ClusteringResult:
     """Deterministically cluster frame embeddings.
 
-    k-means++ seeding with a fixed seed, best of ``kmeans_restarts`` by
+    k-means++ seeding with a fixed seed, best of ``KMEANS_RESTARTS`` by
     inertia. If all rows are identical and K would exceed 1, the result
     degenerates to a single cluster with a warning.
     """
@@ -185,10 +185,10 @@ def cluster_frames(frame_embeds: EmbeddingMatrix, config: AlignConfig) -> Cluste
         )
 
     best = None
-    for restart in range(max(1, config.kmeans_restarts)):
+    for restart in range(KMEANS_RESTARTS):
         rng = np.random.default_rng([config.seed, restart])
         init = _kmeans_plusplus_init(rows, k, rng)
-        centroids, labels, inertia = _lloyd(rows, init, config.kmeans_max_iters)
+        centroids, labels, inertia = _lloyd(rows, init, KMEANS_MAX_ITERS)
         if best is None or inertia < best[0]:
             best = (inertia, centroids, labels)
 

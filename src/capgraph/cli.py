@@ -88,14 +88,12 @@ def _plain(obj, prefix=""):
             for f in dataclasses.fields(obj)
             if prefix + f.name not in _FED_BY
         }
-    if isinstance(obj, tuple):
-        return [_plain(v) for v in obj]
     return obj
 
 
 def _from_plain(klass, data, prefix=""):
-    """Build ``klass`` from JSON-shaped data. Nested dataclasses, tuples and
-    scalar types come from the field defaults (null and None defaults are not
+    """Build ``klass`` from JSON-shaped data. Nested dataclasses and scalar
+    types come from the field defaults (null and None defaults are not
     type-checked); unknown keys, fed section fields among them, are rejected
     by their dotted name."""
     if not isinstance(data, dict):
@@ -113,8 +111,6 @@ def _from_plain(klass, data, prefix=""):
         default = getattr(defaults, key, None)
         if dataclasses.is_dataclass(default):
             value = _from_plain(type(default), value, f"{key}.")
-        elif isinstance(default, tuple):
-            value = tuple(value)
         elif default is not None and value is not None:
             expected = (int, float) if isinstance(default, float) else type(default)
             if not isinstance(value, expected):
@@ -315,7 +311,7 @@ def _map_videos(fn, manifests, workers: int):
         return list(pool.map(fn, manifests))
 
 
-def run_all(config: PipelineConfig, vocab: Optional[Vocabulary] = None) -> RunReport:
+def run_all(config: PipelineConfig) -> RunReport:
     """Run segment -> align -> parse -> ground -> negatives and write outputs.
 
     Equal config, seed and cached responses produce byte-identical output
@@ -323,7 +319,10 @@ def run_all(config: PipelineConfig, vocab: Optional[Vocabulary] = None) -> RunRe
     any partially written outputs are removed.
     """
     started = time.monotonic()
-    vocab = vocab or Vocabulary.action_genome()
+    # Re-feed the sections (shared with the caller's config) from the current
+    # top-level seed, cache_dir and offline, which may be set after construction.
+    config = dataclasses.replace(config)
+    vocab = Vocabulary.action_genome()
     out_dir = Path(config.out_dir)
     written: List[Path] = []
 
@@ -364,7 +363,7 @@ def run_all(config: PipelineConfig, vocab: Optional[Vocabulary] = None) -> RunRe
         }
         candidates: List[motion.MotionCandidate] = []
         assignment = motion.NegativeAssignment(selected=[], by_video={})
-        if not config.skip_negatives and vocab.negative_classes:
+        if not config.skip_negatives:
             candidates, assignment = _negatives(
                 bundle, {r.video_id: r.sentences for r in results}, graphs, config.motion
             )
@@ -491,15 +490,21 @@ def aggregate_stats(
 # plain default keeps it as a class attribute (``AlignConfig.beta == 4``).
 
 
-@click.group()
+class _Main(click.Group):
+    """Stops any subcommand's ``CapgraphError`` with ``error: ...`` and exit 1."""
+
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except CapgraphError as e:
+            click.echo(f"error: {e}", err=True)
+            sys.exit(1)
+
+
+@click.group(cls=_Main)
 def main():
     """Turn video captions plus frame embeddings and detections into
     pseudo-localized scene graphs, and evaluate predictions with Recall@K."""
-
-
-def _fail(e: Exception) -> None:
-    click.echo(f"error: {e}", err=True)
-    sys.exit(1)
 
 
 def _load_pipeline_config(
@@ -534,20 +539,16 @@ def _load_pipeline_config(
 @click.option("--offline", is_flag=True, default=False)
 def segment(data_root, out_path, mode, model, cache_dir, offline):
     """Split each video caption into chronologically ordered sentences."""
-    try:
-        bundle = ingest.load_bundle(data_root)
-        config = segment_mod.SegmentConfig(
-            model_name=model, mode=mode, cache_dir=cache_dir, offline=offline
-        )
-        client = segment_mod.make_client(config)
-        sentences = {
-            m.video_id: _segment_video(m, config, client)
-            for m in sorted(bundle.manifests, key=lambda m: m.video_id)
-        }
-        ingest.write_sentences(sentences, out_path)
-        click.echo(f"wrote {sum(map(len, sentences.values()))} sentences to {out_path}")
-    except CapgraphError as e:
-        _fail(e)
+    config = segment_mod.SegmentConfig(
+        model_name=model, mode=mode, cache_dir=cache_dir, offline=offline
+    )
+    client = segment_mod.make_client(config)
+    sentences = {
+        m.video_id: _segment_video(m, config, client)
+        for m in ingest.load_manifests(Path(data_root) / "manifest.ndjson")
+    }
+    ingest.write_sentences(sentences, out_path)
+    click.echo(f"wrote {sum(map(len, sentences.values()))} sentences to {out_path}")
 
 
 def _parse_selection(value: str) -> Tuple[str, float]:
@@ -568,24 +569,21 @@ def _parse_selection(value: str) -> Tuple[str, float]:
 @click.option("--trace-out", default=None, type=click.Path())
 def align_cmd(data_root, sentences_path, out_path, beta, selection, seed, trace_out):
     """Align segmented sentences with consecutive frame intervals."""
-    try:
-        mode, tau = _parse_selection(selection)
-        config = align_mod.AlignConfig(beta=beta, selection=mode, gap_tau=tau, seed=seed)
-        bundle = ingest.load_bundle(data_root)
-        sentences = ingest.load_sentences(sentences_path)
-        aligned = {}
-        traces = []
-        for video_id in sorted(sentences):
-            aligned[video_id], trace = _align_video(
-                video_id, sentences[video_id], bundle, config
-            )
-            traces.append(trace)
-        ingest.write_sentences(aligned, out_path)
-        if trace_out:
-            ingest.write_record_lines([t.to_dict() for t in traces], trace_out)
-        click.echo(f"aligned {len(aligned)} videos")
-    except CapgraphError as e:
-        _fail(e)
+    mode, tau = _parse_selection(selection)
+    config = align_mod.AlignConfig(beta=beta, selection=mode, gap_tau=tau, seed=seed)
+    bundle = ingest.load_bundle(data_root)
+    sentences = ingest.load_sentences(sentences_path)
+    aligned = {}
+    traces = []
+    for video_id in sorted(sentences):
+        aligned[video_id], trace = _align_video(
+            video_id, sentences[video_id], bundle, config
+        )
+        traces.append(trace)
+    ingest.write_sentences(aligned, out_path)
+    if trace_out:
+        ingest.write_record_lines([t.to_dict() for t in traces], trace_out)
+    click.echo(f"aligned {len(aligned)} videos")
 
 
 @main.command(name="parse")
@@ -603,33 +601,30 @@ def align_cmd(data_root, sentences_path, out_path, beta, selection, seed, trace_
 @click.option("--offline", is_flag=True, default=False)
 def parse_cmd(sentences_path, out_path, parser, mapping, top_n, lexicon_path, model, cache_dir, offline):
     """Extract triplets from sentences and map them into the vocabulary."""
-    try:
-        config = parse_mod.ParseConfig(
-            parser=parser, mapping=mapping, lexicon_path=lexicon_path,
-            top_n_open_classes=top_n,
-        )
-        vocab = Vocabulary.action_genome()
-        client = segment_mod.make_client(
-            segment_mod.SegmentConfig(model_name=model, cache_dir=cache_dir, offline=offline)
-        )
-        counters = parse_mod.DiscardCounters()
-        sentences = ingest.load_sentences(sentences_path)
-        mapped = {
-            video_id: _parse_sentences(items, vocab, config, client, counters)[1]
-            for video_id, items in sorted(sentences.items())
-        }
-        mapped = _open_vocabulary_cut(mapped, config)
-        rows = [
-            (video_id, order_index, t)
-            for video_id, items in mapped.items()
-            for order_index, t in items
-        ]
-        ingest.write_parsed_triplets(rows, out_path)
-        click.echo(
-            f"wrote {len(rows)} triplets ({counters.total()} discarded) to {out_path}"
-        )
-    except CapgraphError as e:
-        _fail(e)
+    config = parse_mod.ParseConfig(
+        parser=parser, mapping=mapping, lexicon_path=lexicon_path,
+        top_n_open_classes=top_n,
+    )
+    vocab = Vocabulary.action_genome()
+    client = segment_mod.make_client(
+        segment_mod.SegmentConfig(model_name=model, cache_dir=cache_dir, offline=offline)
+    )
+    counters = parse_mod.DiscardCounters()
+    sentences = ingest.load_sentences(sentences_path)
+    mapped = {
+        video_id: _parse_sentences(items, vocab, config, client, counters)[1]
+        for video_id, items in sorted(sentences.items())
+    }
+    mapped = _open_vocabulary_cut(mapped, config)
+    rows = [
+        (video_id, order_index, t)
+        for video_id, items in mapped.items()
+        for order_index, t in items
+    ]
+    ingest.write_parsed_triplets(rows, out_path)
+    click.echo(
+        f"wrote {len(rows)} triplets ({counters.total()} discarded) to {out_path}"
+    )
 
 
 @main.command()
@@ -639,25 +634,22 @@ def parse_cmd(sentences_path, out_path, parser, mapping, top_n, lexicon_path, mo
 @click.option("--out", "out_path", required=True, type=click.Path())
 def ground(data_root, sentences_path, triplets_path, out_path):
     """Ground parsed triplets to detections across their aligned frames."""
-    try:
-        bundle = ingest.load_bundle(data_root)
-        sentences = ingest.load_sentences(sentences_path)
-        mapped: Dict[str, List[Tuple[int, Triplet]]] = {}
-        for video_id, order_index, triplet in ingest.load_parsed_triplets(triplets_path):
-            mapped.setdefault(video_id, []).append((order_index, triplet))
-        graphs = [
-            SceneGraph.from_triplets(
-                video_id,
-                _ground_video(
-                    video_id, items, sentences.get(video_id, []), bundle, source=triplets_path
-                ),
-            )
-            for video_id, items in sorted(mapped.items())
-        ]
-        ingest.write_scene_graphs(graphs, out_path)
-        click.echo(f"grounded {sum(len(g.all_triplets()) for g in graphs)} triplets")
-    except CapgraphError as e:
-        _fail(e)
+    bundle = ingest.load_bundle(data_root)
+    sentences = ingest.load_sentences(sentences_path)
+    mapped: Dict[str, List[Tuple[int, Triplet]]] = {}
+    for video_id, order_index, triplet in ingest.load_parsed_triplets(triplets_path):
+        mapped.setdefault(video_id, []).append((order_index, triplet))
+    graphs = [
+        SceneGraph.from_triplets(
+            video_id,
+            _ground_video(
+                video_id, items, sentences.get(video_id, []), bundle, source=triplets_path
+            ),
+        )
+        for video_id, items in sorted(mapped.items())
+    ]
+    ingest.write_scene_graphs(graphs, out_path)
+    click.echo(f"grounded {sum(len(g.all_triplets()) for g in graphs)} triplets")
 
 
 @main.command()
@@ -672,23 +664,20 @@ def ground(data_root, sentences_path, triplets_path, out_path):
               default=motion.MotionLabelConfig.strategy_not_contacting, show_default=True)
 def plm(data_root, sentences_path, graphs_path, out_path, alpha, not_looking, not_contacting):
     """Assign negative-action pseudo-labels on unaligned frames."""
-    try:
-        config = motion.MotionLabelConfig(
-            alpha_percent=alpha,
-            strategy_not_looking=not_looking,
-            strategy_not_contacting=not_contacting,
-        )
-        bundle = ingest.load_bundle(data_root)
-        sentences = ingest.load_sentences(sentences_path)
-        graphs = {g.video_id: g for g in ingest.load_scene_graphs(graphs_path)}
-        candidates, assignment = _negatives(bundle, sentences, graphs, config)
-        ingest.write_scene_graphs(_negative_graphs(assignment), out_path)
-        click.echo(
-            f"selected {len(assignment.selected)} of {len(candidates)} candidates; "
-            f"wrote {sum(len(t) for t in assignment.by_video.values())} negatives"
-        )
-    except CapgraphError as e:
-        _fail(e)
+    config = motion.MotionLabelConfig(
+        alpha_percent=alpha,
+        strategy_not_looking=not_looking,
+        strategy_not_contacting=not_contacting,
+    )
+    bundle = ingest.load_bundle(data_root)
+    sentences = ingest.load_sentences(sentences_path)
+    graphs = {g.video_id: g for g in ingest.load_scene_graphs(graphs_path)}
+    candidates, assignment = _negatives(bundle, sentences, graphs, config)
+    ingest.write_scene_graphs(_negative_graphs(assignment), out_path)
+    click.echo(
+        f"selected {len(assignment.selected)} of {len(candidates)} candidates; "
+        f"wrote {sum(len(t) for t in assignment.by_video.values())} negatives"
+    )
 
 
 @main.command(name="eval")
@@ -703,33 +692,27 @@ def plm(data_root, sentences_path, graphs_path, out_path, alpha, not_looking, no
 @click.option("--json-out", default=None, type=click.Path())
 def eval_cmd(gt_path, pred_path, k_values, regime, iou_threshold, json_out):
     """Score predictions against ground truth with Recall@K."""
-    try:
-        ks = tuple(sorted(int(k) for k in k_values.split(",")))
-        config = eval_mod.EvalConfig(k_values=ks, iou_threshold=iou_threshold, regime=regime)
-        instances = build_eval_instances(
-            ingest.load_scene_graphs(gt_path), ingest.load_scene_graphs(pred_path)
+    ks = tuple(sorted(int(k) for k in k_values.split(",")))
+    config = eval_mod.EvalConfig(k_values=ks, iou_threshold=iou_threshold, regime=regime)
+    instances = build_eval_instances(
+        ingest.load_scene_graphs(gt_path), ingest.load_scene_graphs(pred_path)
+    )
+    results = eval_mod.recall_at_k(instances, config)
+    payload = {
+        f"{regime_name}/R@{k}": value for (regime_name, k), value in sorted(results.items())
+    }
+    if json_out:
+        Path(json_out).write_text(
+            json.dumps(payload, sort_keys=True, indent=1) + "\n", encoding="utf-8"
         )
-        results = eval_mod.recall_at_k(instances, config)
-        payload = {
-            f"{regime_name}/R@{k}": value for (regime_name, k), value in sorted(results.items())
-        }
-        if json_out:
-            Path(json_out).write_text(
-                json.dumps(payload, sort_keys=True, indent=1) + "\n", encoding="utf-8"
-            )
-        click.echo(json.dumps(payload, sort_keys=True, indent=1))
-        click.echo(format_recall_table(results, ks, config.regimes()))
-    except CapgraphError as e:
-        _fail(e)
+    click.echo(json.dumps(payload, sort_keys=True, indent=1))
+    click.echo(format_recall_table(results, ks, config.regimes()))
 
 
 def build_eval_instances(
     gt_graphs: Sequence[SceneGraph], pred_graphs: Sequence[SceneGraph]
 ) -> List[eval_mod.EvalInstance]:
-    preds_by_key: Dict[Tuple[str, int], List[Triplet]] = {}
-    for graph in pred_graphs:
-        for frame, triplets in graph.per_frame.items():
-            preds_by_key.setdefault((graph.video_id, frame), []).extend(triplets)
+    preds_by_key = eval_mod.triplets_by_frame(pred_graphs)
     instances = []
     for graph in sorted(gt_graphs, key=lambda g: g.video_id):
         for frame in sorted(graph.per_frame):
@@ -775,27 +758,24 @@ def format_recall_table(results, k_values, regimes) -> str:
 def run_all_cmd(data_root, out_dir, cache_dir, config_path, seed, workers, offline,
                 skip_plm, parser, mapping, tcs_mode, dump_config):
     """Run the whole pipeline end to end and write all outputs."""
-    try:
-        config = _load_pipeline_config(config_path, {
-            "data_root": data_root,
-            "out_dir": out_dir,
-            "cache_dir": cache_dir,
-            "seed": seed,
-            "workers": workers,
-            "offline": offline or None,
-            "skip_negatives": skip_plm or None,
-            "parsing.parser": parser,
-            "parsing.mapping": mapping,
-            "segmentation.mode": tcs_mode,
-        })
-        if dump_config:
-            click.echo(json.dumps(config.to_dict(), sort_keys=True, indent=1))
-            return
-        report = run_all(config)
-        click.echo(json.dumps(report.to_dict(), sort_keys=True, indent=1))
-        click.echo(f"wall time: {report.wall_time_seconds:.2f}s", err=True)
-    except CapgraphError as e:
-        _fail(e)
+    config = _load_pipeline_config(config_path, {
+        "data_root": data_root,
+        "out_dir": out_dir,
+        "cache_dir": cache_dir,
+        "seed": seed,
+        "workers": workers,
+        "offline": offline or None,
+        "skip_negatives": skip_plm or None,
+        "parsing.parser": parser,
+        "parsing.mapping": mapping,
+        "segmentation.mode": tcs_mode,
+    })
+    if dump_config:
+        click.echo(json.dumps(config.to_dict(), sort_keys=True, indent=1))
+        return
+    report = run_all(config)
+    click.echo(json.dumps(report.to_dict(), sort_keys=True, indent=1))
+    click.echo(f"wall time: {report.wall_time_seconds:.2f}s", err=True)
 
 
 @main.command()
@@ -806,11 +786,8 @@ def run_all_cmd(data_root, out_dir, cache_dir, config_path, seed, workers, offli
               help="Dollars per million output tokens.")
 def stats(traces, input_price, output_price):
     """Aggregate trace files: token usage, cost per video, histograms."""
-    try:
-        report = aggregate_stats(list(traces), input_price, output_price)
-        click.echo(json.dumps(report, sort_keys=True, indent=1))
-    except CapgraphError as e:
-        _fail(e)
+    report = aggregate_stats(list(traces), input_price, output_price)
+    click.echo(json.dumps(report, sort_keys=True, indent=1))
 
 
 @main.command()

@@ -169,13 +169,6 @@ class Vocabulary:
             counts[bucket] += 1
         return counts
 
-    def to_dict(self) -> dict:
-        return {
-            "entity_classes": sorted(self.entity_classes),
-            "action_partition": {a: self.action_partition[a] for a in sorted(self.action_classes)},
-            "negative_classes": sorted(self.negative_classes),
-        }
-
     @classmethod
     def from_dict(cls, d: dict) -> "Vocabulary":
         partition = dict(d["action_partition"])
@@ -317,23 +310,6 @@ class SceneGraph:
 
     def object_classes(self) -> frozenset:
         return frozenset(t.object_class for t in self.all_triplets())
-
-    def to_dict(self) -> dict:
-        return {
-            "video_id": self.video_id,
-            "frames": {
-                str(frame): [t.to_dict() for t in self.per_frame[frame]]
-                for frame in sorted(self.per_frame)
-            },
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "SceneGraph":
-        per_frame = {
-            int(frame): tuple(Triplet.from_dict(t) for t in triplets)
-            for frame, triplets in d["frames"].items()
-        }
-        return cls(video_id=str(d["video_id"]), per_frame=per_frame)
 
     @classmethod
     def from_triplets(cls, video_id: str, triplets: Sequence[Triplet]) -> "SceneGraph":

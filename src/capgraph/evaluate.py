@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Sequence, Tuple
 
-from .core import Triplet, box_iou
+from .core import SceneGraph, Triplet, box_iou
 from .errors import NoGtFrames
 
 REGIMES = ("with_constraint", "no_constraint")
@@ -94,17 +94,29 @@ def _ranked(predictions: Sequence[Triplet]) -> List[Triplet]:
     )
 
 
+def _greedy_match(
+    predictions: Sequence[Triplet], gt: Sequence[Triplet], iou_threshold: float
+) -> Tuple[List[bool], List[bool]]:
+    """Match predictions in order, each to the first unconsumed ground truth
+    it hits; returns the per-prediction hits and the per-ground-truth flags."""
+    hits = []
+    consumed = [False] * len(gt)
+    for pred in predictions:
+        hit = False
+        for gi, g in enumerate(gt):
+            if not consumed[gi] and match_triplet(pred, g, iou_threshold):
+                consumed[gi] = hit = True
+                break
+        hits.append(hit)
+    return hits, consumed
+
+
 def frame_recall(instance: EvalInstance, regime: str, k: int, iou_threshold: float) -> float:
     """Fraction of this frame's ground truth hit by the top-K predictions."""
     if not instance.gt:
         raise ValueError("frame recall undefined without ground truth")
     top = _ranked(apply_constraint(instance.predictions, regime))[:k]
-    consumed = [False] * len(instance.gt)
-    for pred in top:
-        for gi, gt in enumerate(instance.gt):
-            if not consumed[gi] and match_triplet(pred, gt, iou_threshold):
-                consumed[gi] = True
-                break
+    _, consumed = _greedy_match(top, instance.gt, iou_threshold)
     return sum(consumed) / len(instance.gt)
 
 
@@ -129,43 +141,38 @@ def recall_at_k(
     return results
 
 
+def triplets_by_frame(graphs: Sequence[SceneGraph]) -> Dict[Tuple[str, int], List[Triplet]]:
+    """The graphs' triplets keyed by (video id, frame index)."""
+    out: Dict[Tuple[str, int], List[Triplet]] = {}
+    for graph in graphs:
+        for frame, triplets in graph.per_frame.items():
+            out.setdefault((graph.video_id, frame), []).extend(triplets)
+    return out
+
+
 def pseudo_label_quality(
-    pseudo: Sequence[Triplet],
-    gt: Sequence[Triplet],
+    pseudo: Sequence[SceneGraph],
+    gt: Sequence[SceneGraph],
     iou_threshold: float = 0.5,
 ) -> Dict[str, Dict[str, float]]:
     """Diagnostic per-predicate precision/recall of unscored pseudo-labels.
 
     Pseudo-labels carry no scores, so each is treated as score 1.0 and
-    matched against ground truth of the same frame. Reported separately from
-    Recall@K.
+    matched against ground truth of the same video and frame. Reported
+    separately from Recall@K.
     """
-    by_frame_gt: Dict[int, List[Triplet]] = {}
-    for g in gt:
-        by_frame_gt.setdefault(g.frame_index, []).append(g)
-
-    classes = sorted({t.predicate_class for t in pseudo} | {t.predicate_class for t in gt})
+    pseudo_by_key, gt_by_key = triplets_by_frame(pseudo), triplets_by_frame(gt)
+    classes = sorted({t.predicate_class for ts in pseudo_by_key.values() for t in ts}
+                     | {t.predicate_class for ts in gt_by_key.values() for t in ts})
     stats = {c: {"tp": 0, "fp": 0, "fn": 0} for c in classes}
-
-    consumed: Dict[int, List[bool]] = {
-        f: [False] * len(ts) for f, ts in by_frame_gt.items()
-    }
-    for p in pseudo:
-        frame_gt = by_frame_gt.get(p.frame_index, [])
-        hit = False
-        for gi, g in enumerate(frame_gt):
-            if not consumed[p.frame_index][gi] and match_triplet(p, g, iou_threshold):
-                consumed[p.frame_index][gi] = True
-                hit = True
-                break
-        if hit:
-            stats[p.predicate_class]["tp"] += 1
-        else:
-            stats[p.predicate_class]["fp"] += 1
-    for frame, flags in consumed.items():
-        for gi, used in enumerate(flags):
+    for key in pseudo_by_key.keys() | gt_by_key.keys():
+        preds, frame_gt = pseudo_by_key.get(key, ()), gt_by_key.get(key, ())
+        hits, consumed = _greedy_match(preds, frame_gt, iou_threshold)
+        for p, hit in zip(preds, hits):
+            stats[p.predicate_class]["tp" if hit else "fp"] += 1
+        for g, used in zip(frame_gt, consumed):
             if not used:
-                stats[by_frame_gt[frame][gi].predicate_class]["fn"] += 1
+                stats[g.predicate_class]["fn"] += 1
 
     report = {}
     for c in classes:

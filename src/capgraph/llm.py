@@ -77,37 +77,6 @@ def cache_key(model_name: str, prompt: str) -> str:
     return digest.hexdigest()
 
 
-class RateLimiter:
-    """Global ceiling on network request rate, shared across clients/threads.
-
-    Cache hits never consult the limiter, so offline replays run unthrottled.
-    """
-
-    def __init__(self, max_per_second: Optional[float] = None, clock=time.monotonic,
-                 sleep=time.sleep):
-        self.max_per_second = max_per_second
-        self._clock = clock
-        self._sleep = sleep
-        self._next_allowed = 0.0
-        self._lock = threading.Lock()
-
-    def wait(self) -> float:
-        """Block until a request may go out; returns the delay applied."""
-        if not self.max_per_second:
-            return 0.0
-        interval = 1.0 / self.max_per_second
-        with self._lock:
-            now = self._clock()
-            delay = max(0.0, self._next_allowed - now)
-            self._next_allowed = max(now, self._next_allowed) + interval
-        if delay:
-            self._sleep(delay)
-        return delay
-
-
-GLOBAL_RATE_LIMITER = RateLimiter()
-
-
 class ChatClient:
     """Cached chat-completion transport.
 
@@ -127,7 +96,6 @@ class ChatClient:
         input_price_per_million: float = DEFAULT_INPUT_PRICE_PER_MILLION,
         output_price_per_million: float = DEFAULT_OUTPUT_PRICE_PER_MILLION,
         timeout: float = 60.0,
-        rate_limiter: Optional[RateLimiter] = None,
     ):
         self.model_name = model_name
         self.endpoint = endpoint
@@ -138,7 +106,6 @@ class ChatClient:
         self.input_price_per_million = input_price_per_million
         self.output_price_per_million = output_price_per_million
         self.timeout = timeout
-        self.rate_limiter = rate_limiter if rate_limiter is not None else GLOBAL_RATE_LIMITER
         self.usage = TokenUsage()
         self.network_calls = 0
         self._lock = threading.Lock()
@@ -178,7 +145,6 @@ class ChatClient:
         last_error: Optional[Exception] = None
         for attempt in range(self.max_retries + 1):
             try:
-                self.rate_limiter.wait()
                 self.network_calls += 1
                 response = requests.post(
                     self.endpoint, json=body, headers=headers, timeout=self.timeout

@@ -28,6 +28,8 @@ from .core import (
 from .parse import detections_by_frame, ground_pair
 
 ENDPOINT_STRATEGIES = ("start", "end", "start_and_end")
+NEGATIVE_CLASS_NAMES = ("not looking at", "not contacting")
+SUBJECT_CLASS = "person"
 
 
 @dataclass
@@ -37,8 +39,6 @@ class MotionLabelConfig:
     alpha_percent: float = 15.0
     strategy_not_looking: str = "start_and_end"
     strategy_not_contacting: str = "end"
-    negative_class_names: Tuple[str, str] = ("not looking at", "not contacting")
-    subject_class: str = "person"
 
     def __post_init__(self):
         if not 0.0 < self.alpha_percent <= 100.0:
@@ -139,10 +139,10 @@ def build_candidates(
         by_frame = detections_by_frame(detections.get(video_id, []))
         for lo, hi in runs_by_video.get(video_id, []):
             for object_class in object_classes:
-                start = ground_pair(by_frame.get(lo, []), config.subject_class, object_class)
+                start = ground_pair(by_frame.get(lo, []), SUBJECT_CLASS, object_class)
                 if start is None:
                     continue
-                end = ground_pair(by_frame.get(hi, []), config.subject_class, object_class)
+                end = ground_pair(by_frame.get(hi, []), SUBJECT_CLASS, object_class)
                 if end is None:
                     continue
                 start_pair = GroundedPair(start[0].box, start[1].box)
@@ -150,7 +150,7 @@ def build_candidates(
                 candidates.append(
                     MotionCandidate(
                         video_id=video_id,
-                        subject_class=config.subject_class,
+                        subject_class=SUBJECT_CLASS,
                         object_class=object_class,
                         run=(lo, hi),
                         g_start=giou(start_pair.subject_box, start_pair.object_box),
@@ -208,7 +208,7 @@ def assign_negatives(
     )
     selected = ordered[: selection_count(config.alpha_percent, len(ordered))]
 
-    not_looking, not_contacting = config.negative_class_names
+    not_looking, not_contacting = NEGATIVE_CLASS_NAMES
     by_video: Dict[str, List[Triplet]] = {}
     for candidate in selected:
         pairs = {candidate.run[0]: candidate.start_pair, candidate.run[1]: candidate.end_pair}

@@ -1,13 +1,16 @@
+import hashlib
 import json
+import shutil
 
 import pytest
 from click.testing import CliRunner
 
+from capgraph import llm
 from capgraph import parse as parse_mod
 from capgraph import segment as segment_mod
 from capgraph.cli import PipelineConfig, aggregate_stats, main, run_all
 from capgraph.core import BoundingBox, Detection, SegmentedSentence, Triplet, VideoManifest
-from capgraph.errors import MissingTrace, StageError
+from capgraph.errors import LlmTransport, MissingTrace, StageError
 from capgraph.evaluate import EvalConfig
 from capgraph.ingest import (
     load_scene_graphs,
@@ -129,6 +132,35 @@ class TestRunAll:
         assert len(loads) == 1
         assert segment_mod._few_shot_examples.cache_info().misses == 1
 
+    def test_seed_set_after_construction_is_used(self, data_root, cassette_dir, tmp_path):
+        from test_acceptance import GOLDEN_CHECKSUMS
+
+        config = _config(data_root, cassette_dir, tmp_path / "out", seed=0)
+        config.seed = 7
+        run_all(config)
+        digests = {
+            name: hashlib.sha256((tmp_path / "out" / name).read_bytes()).hexdigest()
+            for name in GOLDEN_CHECKSUMS
+        }
+        assert digests == GOLDEN_CHECKSUMS
+
+    def test_offline_set_after_construction_is_used(self, data_root, tmp_path, monkeypatch):
+        posts = []
+
+        def post(*args, **kwargs):
+            posts.append(args)
+            raise RuntimeError("network used")
+
+        monkeypatch.setattr(llm.requests, "post", post)
+        config = PipelineConfig(data_root=str(data_root), out_dir=str(tmp_path / "out"),
+                                cache_dir=str(tmp_path / "empty-cassettes"))
+        config.offline = True
+        with pytest.raises(StageError) as err:
+            run_all(config)
+        assert isinstance(err.value.cause, LlmTransport)
+        assert "offline mode" in str(err.value.cause)
+        assert posts == []
+
     def test_fatal_stage_error_removes_outputs(self, data_root, tmp_path):
         # No cassettes recorded: offline segmentation must fail and leave
         # nothing behind.
@@ -147,6 +179,27 @@ class TestPipelineConfig:
         assert dumped["ingest"]["confidence_floor"] == 0.2
         assert EvalConfig().k_values == (20, 50)
         assert EvalConfig().iou_threshold == 0.5
+
+    def test_settings_are_pinned(self):
+        def leaves(d, prefix=""):
+            for key, value in d.items():
+                if isinstance(value, dict):
+                    yield from leaves(value, f"{prefix}{key}.")
+                else:
+                    yield prefix + key
+
+        assert sorted(leaves(PipelineConfig().to_dict())) == [
+            "alignment.beta", "alignment.gap_tau", "alignment.selection",
+            "cache_dir", "data_root", "ingest.confidence_floor",
+            "motion.alpha_percent", "motion.strategy_not_contacting",
+            "motion.strategy_not_looking", "offline", "out_dir",
+            "parsing.lexicon_path", "parsing.mapping", "parsing.parser",
+            "parsing.top_n_open_classes", "seed", "segmentation.endpoint",
+            "segmentation.include_coreference", "segmentation.input_price_per_million",
+            "segmentation.max_retries", "segmentation.mode", "segmentation.model_name",
+            "segmentation.output_price_per_million", "segmentation.temperature",
+            "skip_negatives", "workers",
+        ]
 
     def test_round_trip(self):
         config = PipelineConfig(seed=9, workers=3)
@@ -305,8 +358,15 @@ class TestConfigFile:
             ('{"segmentation": {"offline": true}}', "segmentation.offline", "offline"),
             ('{"segmentation": {"cache_dir": "c"}}', "segmentation.cache_dir", "cache_dir"),
             ('{"evaluation": {"iou_threshold": 0.5}}', "evaluation", None),
+            ('{"alignment": {"kmeans_max_iters": 50}}', "alignment.kmeans_max_iters", None),
+            ('{"alignment": {"kmeans_restarts": 1}}', "alignment.kmeans_restarts", None),
+            ('{"motion": {"negative_class_names": ["a", "b"]}}',
+             "motion.negative_class_names", None),
+            ('{"motion": {"subject_class": "adult"}}', "motion.subject_class", None),
         ],
-        ids=["alignment.seed", "segmentation.offline", "segmentation.cache_dir", "evaluation"],
+        ids=["alignment.seed", "segmentation.offline", "segmentation.cache_dir", "evaluation",
+             "alignment.kmeans_max_iters", "alignment.kmeans_restarts",
+             "motion.negative_class_names", "motion.subject_class"],
     )
     def test_removed_key_exits_1_naming_file_and_key(self, tmp_path, text, key, top_level):
         config_path = tmp_path / "pipeline.json"
@@ -383,6 +443,21 @@ class TestSegmentCommand:
         sentences = load_sentences(out)
         # The first fixture caption splits at its "before" marker.
         assert len(sentences["kitchen01"]) == 2
+
+    def test_reads_only_the_manifest(self, data_root, tmp_path):
+        root = tmp_path / "manifest-only"
+        root.mkdir()
+        shutil.copy(data_root / "manifest.ndjson", root / "manifest.ndjson")
+        for name, source in (("full", data_root), ("manifest-only", root)):
+            result = CliRunner().invoke(
+                main,
+                ["segment", "--data-root", str(source),
+                 "--out", str(tmp_path / f"{name}.ndjson"), "--tcs-mode", "rule_fallback"],
+            )
+            assert result.exit_code == 0, (name, result.output)
+        assert (tmp_path / "manifest-only.ndjson").read_bytes() == (
+            tmp_path / "full.ndjson"
+        ).read_bytes()
 
 
 class TestStats:

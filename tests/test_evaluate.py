@@ -3,7 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
-from capgraph.core import BoundingBox, Provenance, Triplet
+from capgraph.core import BoundingBox, Provenance, SceneGraph, Triplet
 from capgraph.errors import NoGtFrames
 from capgraph.evaluate import (
     EvalConfig,
@@ -331,7 +331,22 @@ class TestPseudoLabelQuality:
                 provenance=Provenance.CAPTION,
             ),
         ]
-        report = pseudo_label_quality(pseudo, gt)
+        report = pseudo_label_quality(
+            [SceneGraph.from_triplets("v", pseudo)], [SceneGraph.from_triplets("v", gt)]
+        )
         assert report["sitting on"]["precision"] == 0.5
         assert report["sitting on"]["recall"] == 1.0
         assert report["looking at"]["recall"] == 0.0
+
+    def test_matches_within_one_video(self):
+        # Both videos have ground truth on frame 1; the pseudo-label of "a"
+        # overlaps only the ground truth of "b".
+        pseudo = Triplet("person", "holding", "cup/glass/bottle", BOX_A, BOX_B, 1,
+                         provenance=Provenance.CAPTION)
+        gt_a = _gt("person", "holding", "cup/glass/bottle", _box(50, 50, 60, 60), BOX_B)
+        gt_b = _gt("person", "holding", "cup/glass/bottle", BOX_A, BOX_B)
+        report = pseudo_label_quality(
+            [SceneGraph.from_triplets("a", [pseudo])],
+            [SceneGraph.from_triplets("a", [gt_a]), SceneGraph.from_triplets("b", [gt_b])],
+        )
+        assert report["holding"] == {"precision": 0.0, "recall": 0.0, "support": 2}

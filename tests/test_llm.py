@@ -8,7 +8,7 @@ import pytest
 
 import capgraph.llm as llm
 from capgraph.errors import LlmTransport
-from capgraph.llm import ChatClient, RateLimiter, TokenUsage, cache_key, write_cassette
+from capgraph.llm import ChatClient, TokenUsage, cache_key, write_cassette
 
 
 class FakeResponse:
@@ -149,39 +149,6 @@ class TestCacheFiles:
         assert errors == []
         assert json.loads(path.read_text())["response"].endswith("x" * 20000)
         assert sorted(p.name for p in tmp_path.iterdir()) == [path.name]
-
-
-class TestRateLimiter:
-    def test_disabled_by_default(self):
-        limiter = RateLimiter()
-        assert limiter.wait() == 0.0
-
-    def test_spacing_enforced(self):
-        clock = {"now": 0.0}
-        naps = []
-        limiter = RateLimiter(
-            max_per_second=2.0, clock=lambda: clock["now"], sleep=naps.append
-        )
-        assert limiter.wait() == 0.0  # first request immediate
-        assert limiter.wait() == pytest.approx(0.5)  # second waits one interval
-        clock["now"] = 10.0  # long idle resets the window
-        assert limiter.wait() == 0.0
-
-    def test_client_consults_limiter(self, tmp_path, monkeypatch):
-        waits = []
-
-        class Spy(RateLimiter):
-            def wait(self):
-                waits.append(1)
-                return 0.0
-
-        monkeypatch.setattr(
-            llm.requests, "post", lambda *a, **k: FakeResponse(200, _ok_payload())
-        )
-        client = ChatClient("m", endpoint="http://e/c", cache_dir=tmp_path,
-                            rate_limiter=Spy())
-        client.complete("q")
-        assert waits == [1]
 
 
 class TestTokenUsageSerialization:
