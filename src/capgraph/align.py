@@ -34,7 +34,6 @@ class AlignConfig:
     beta: int = 4
     selection: str = "steepest_decline"
     gap_tau: float = 0.2
-    seed: int = 0
 
     def __post_init__(self):
         if self.beta < 1:
@@ -163,10 +162,12 @@ def _compact_clusters(centroids: np.ndarray, labels: np.ndarray):
     return centroids[occupied], np.array([remap[int(c)] for c in labels], dtype=np.int64)
 
 
-def cluster_frames(frame_embeds: EmbeddingMatrix, config: AlignConfig) -> ClusteringResult:
+def cluster_frames(
+    frame_embeds: EmbeddingMatrix, config: AlignConfig, seed: int = 0
+) -> ClusteringResult:
     """Deterministically cluster frame embeddings.
 
-    k-means++ seeding with a fixed seed, best of ``KMEANS_RESTARTS`` by
+    k-means++ seeding from ``seed``, best of ``KMEANS_RESTARTS`` by
     inertia. If all rows are identical and K would exceed 1, the result
     degenerates to a single cluster with a warning.
     """
@@ -186,7 +187,7 @@ def cluster_frames(frame_embeds: EmbeddingMatrix, config: AlignConfig) -> Cluste
 
     best = None
     for restart in range(KMEANS_RESTARTS):
-        rng = np.random.default_rng([config.seed, restart])
+        rng = np.random.default_rng([seed, restart])
         init = _kmeans_plusplus_init(rows, k, rng)
         centroids, labels, inertia = _lloyd(rows, init, KMEANS_MAX_ITERS)
         if best is None or inertia < best[0]:

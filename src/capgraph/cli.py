@@ -39,15 +39,6 @@ from .errors import (
 from .llm import ChatClient, TokenUsage, estimate_cost
 from .llm import DEFAULT_INPUT_PRICE_PER_MILLION, DEFAULT_OUTPUT_PRICE_PER_MILLION
 
-# Section fields that copy a top-level setting, keyed "section.field", valued
-# by that setting. Config files and ``to_dict`` carry only the top-level key.
-_FED_BY = {
-    "alignment.seed": "seed",
-    "segmentation.cache_dir": "cache_dir",
-    "segmentation.offline": "offline",
-}
-
-
 @dataclass
 class PipelineConfig:
     """One declarative config for the whole pipeline; every default is the
@@ -66,48 +57,28 @@ class PipelineConfig:
     parsing: parse_mod.ParseConfig = field(default_factory=parse_mod.ParseConfig)
     motion: motion.MotionLabelConfig = field(default_factory=motion.MotionLabelConfig)
 
-    def __post_init__(self):
-        for dotted, key in _FED_BY.items():
-            section, name = dotted.split(".")
-            setattr(getattr(self, section), name, getattr(self, key))
-
     def to_dict(self) -> dict:
-        return _plain(self)
+        return dataclasses.asdict(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "PipelineConfig":
         """Inverse of ``to_dict``; missing keys keep their defaults, and
-        unknown keys, fed section fields among them, raise ``TypeError``."""
+        unknown keys raise ``TypeError``."""
         return _from_plain(cls, d)
-
-
-def _plain(obj, prefix=""):
-    if dataclasses.is_dataclass(obj):
-        return {
-            f.name: _plain(getattr(obj, f.name), f"{prefix}{f.name}.")
-            for f in dataclasses.fields(obj)
-            if prefix + f.name not in _FED_BY
-        }
-    return obj
 
 
 def _from_plain(klass, data, prefix=""):
     """Build ``klass`` from JSON-shaped data. Nested dataclasses and scalar
     types come from the field defaults (null and None defaults are not
-    type-checked); unknown keys, fed section fields among them, are rejected
-    by their dotted name."""
+    type-checked); unknown keys are rejected by their dotted name."""
     if not isinstance(data, dict):
         raise TypeError(f"{klass.__name__} must be a JSON object, got {data!r}")
     defaults = klass()
     names = {f.name for f in dataclasses.fields(klass)}
     kwargs = {}
     for key, value in data.items():
-        dotted = prefix + key
-        if dotted in _FED_BY:
-            raise TypeError(f"unknown key {dotted!r}; set the top-level key "
-                            f"{_FED_BY[dotted]!r} instead")
         if key not in names:
-            raise TypeError(f"unknown key {dotted!r}")
+            raise TypeError(f"unknown key {prefix + key!r}")
         default = getattr(defaults, key, None)
         if dataclasses.is_dataclass(default):
             value = _from_plain(type(default), value, f"{key}.")
@@ -179,6 +150,7 @@ def _align_video(
     sentences: List[SegmentedSentence],
     bundle: ingest.DatasetBundle,
     config: align_mod.AlignConfig,
+    seed: int,
 ) -> Tuple[List[SegmentedSentence], align_mod.AlignmentTrace]:
     sentence_embeds = bundle.sentence_embeddings.get(video_id)
     if sentence_embeds is None:
@@ -186,7 +158,7 @@ def _align_video(
             f"embeddings/{video_id}.sentences.nlve (produce sentence embeddings "
             "for the segmented captions, then re-run)"
         )
-    clustering = align_mod.cluster_frames(bundle.embeddings[video_id], config)
+    clustering = align_mod.cluster_frames(bundle.embeddings[video_id], config, seed)
     return align_mod.align_sentences(
         sentences, sentence_embeds, clustering, config, video_id=video_id
     )
@@ -288,10 +260,12 @@ def _process_video(
 ) -> VideoResult:
     """Segment, align and parse one video; grounding happens dataset-wide
     after the optional open-vocabulary restriction."""
-    client = segment_mod.make_client(config.segmentation)
+    client = segment_mod.make_client(config.segmentation, config.cache_dir, config.offline)
     discards = parse_mod.DiscardCounters()
     sentences = _segment_video(manifest, config.segmentation, client)
-    aligned, trace = _align_video(manifest.video_id, sentences, bundle, config.alignment)
+    aligned, trace = _align_video(
+        manifest.video_id, sentences, bundle, config.alignment, config.seed
+    )
     extracted, mapped = _parse_sentences(aligned, vocab, config.parsing, client, discards)
     return VideoResult(
         video_id=manifest.video_id,
@@ -319,9 +293,6 @@ def run_all(config: PipelineConfig) -> RunReport:
     any partially written outputs are removed.
     """
     started = time.monotonic()
-    # Re-feed the sections (shared with the caller's config) from the current
-    # top-level seed, cache_dir and offline, which may be set after construction.
-    config = dataclasses.replace(config)
     vocab = Vocabulary.action_genome()
     out_dir = Path(config.out_dir)
     written: List[Path] = []
@@ -539,10 +510,8 @@ def _load_pipeline_config(
 @click.option("--offline", is_flag=True, default=False)
 def segment(data_root, out_path, mode, model, cache_dir, offline):
     """Split each video caption into chronologically ordered sentences."""
-    config = segment_mod.SegmentConfig(
-        model_name=model, mode=mode, cache_dir=cache_dir, offline=offline
-    )
-    client = segment_mod.make_client(config)
+    config = segment_mod.SegmentConfig(model_name=model, mode=mode)
+    client = segment_mod.make_client(config, cache_dir, offline)
     sentences = {
         m.video_id: _segment_video(m, config, client)
         for m in ingest.load_manifests(Path(data_root) / "manifest.ndjson")
@@ -565,19 +534,19 @@ def _parse_selection(value: str) -> Tuple[str, float]:
 @click.option("--out", "out_path", required=True, type=click.Path())
 @click.option("--beta", default=align_mod.AlignConfig.beta, show_default=True)
 @click.option("--selection", default="steepest", show_default=True)
-@click.option("--seed", default=align_mod.AlignConfig.seed, show_default=True)
+@click.option("--seed", default=PipelineConfig.seed, show_default=True)
 @click.option("--trace-out", default=None, type=click.Path())
 def align_cmd(data_root, sentences_path, out_path, beta, selection, seed, trace_out):
     """Align segmented sentences with consecutive frame intervals."""
     mode, tau = _parse_selection(selection)
-    config = align_mod.AlignConfig(beta=beta, selection=mode, gap_tau=tau, seed=seed)
+    config = align_mod.AlignConfig(beta=beta, selection=mode, gap_tau=tau)
     bundle = ingest.load_bundle(data_root)
     sentences = ingest.load_sentences(sentences_path)
     aligned = {}
     traces = []
     for video_id in sorted(sentences):
         aligned[video_id], trace = _align_video(
-            video_id, sentences[video_id], bundle, config
+            video_id, sentences[video_id], bundle, config, seed
         )
         traces.append(trace)
     ingest.write_sentences(aligned, out_path)
@@ -607,7 +576,7 @@ def parse_cmd(sentences_path, out_path, parser, mapping, top_n, lexicon_path, mo
     )
     vocab = Vocabulary.action_genome()
     client = segment_mod.make_client(
-        segment_mod.SegmentConfig(model_name=model, cache_dir=cache_dir, offline=offline)
+        segment_mod.SegmentConfig(model_name=model), cache_dir, offline
     )
     counters = parse_mod.DiscardCounters()
     sentences = ingest.load_sentences(sentences_path)

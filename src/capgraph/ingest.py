@@ -10,7 +10,7 @@ Dataset layout under a root directory:
 
 NLVE binary layout: magic bytes ``NLVE``, little-endian u32 dim, u32 row
 count, then each row id as u32 byte length + UTF-8 bytes, then all rows as
-little-endian float32, row-major.
+little-endian float32, row-major. Every value must be finite.
 
 Scene graph NDJSON: one triplet per line with its video id and frame index,
 sorted by (video_id, frame_index, subject, predicate, object) so equal inputs
@@ -119,6 +119,10 @@ def read_embeddings(path) -> EmbeddingMatrix:
     except struct.error as e:
         raise MalformedRecord(path, 0, f"truncated NLVE file: {e}") from e
     rows = rows.reshape(count, dim) if count else np.zeros((0, dim), dtype=np.float32)
+    finite = np.isfinite(rows).all(axis=1)
+    if not finite.all():
+        row_id = row_ids[int(np.argmin(finite))]
+        raise MalformedRecord(path, 0, f"row {row_id!r} holds a non-finite value")
     return EmbeddingMatrix(row_ids, rows)
 
 

@@ -82,7 +82,10 @@ class ChatClient:
 
     ``complete`` first consults the cache; on a miss it POSTs to the endpoint
     (unless ``offline``), retries transient failures, then records the reply.
+    A retried 429 or 503 waits as its ``Retry-After`` header asks.
     Token usage from every call, cached or live, accumulates on ``usage``.
+    Threads may share a client: ``_lock`` guards only the counters, so calls
+    do not wait on each other's network round trips.
     """
 
     def __init__(
@@ -144,13 +147,17 @@ class ChatClient:
         }
         last_error: Optional[Exception] = None
         for attempt in range(self.max_retries + 1):
+            delay = min(2.0**attempt, 8.0)
             try:
-                self.network_calls += 1
+                with self._lock:
+                    self.network_calls += 1
                 response = requests.post(
                     self.endpoint, json=body, headers=headers, timeout=self.timeout
                 )
                 if response.status_code in (429, 500, 502, 503, 504):
                     last_error = LlmTransport(f"HTTP {response.status_code}")
+                    if response.status_code in (429, 503):
+                        delay = _retry_after(response.headers.get("Retry-After"), delay)
                 elif response.status_code != 200:
                     raise LlmTransport(f"HTTP {response.status_code}: {response.text[:200]}")
                 else:
@@ -158,37 +165,34 @@ class ChatClient:
             except requests.RequestException as e:
                 last_error = e
             if attempt < self.max_retries:
-                time.sleep(min(2.0**attempt, 8.0))
+                time.sleep(delay)
         raise LlmTransport(f"request failed after {self.max_retries + 1} attempts: {last_error}")
 
     def complete(self, prompt: str) -> str:
         key = cache_key(self.model_name, prompt)
-        with self._lock:
-            cached = self._cache_read(key)
-            if cached is not None:
-                self._account(cached.get("input_tokens", 0), cached.get("output_tokens", 0))
-                return cached["response"]
-            if self.offline:
-                raise LlmTransport(
-                    f"offline mode and no cached response for key {key[:12]}…"
-                )
-            payload = self._post(prompt)
-            try:
-                text = payload["choices"][0]["message"]["content"]
-            except (KeyError, IndexError, TypeError) as e:
-                raise LlmTransport(f"malformed completion payload: {e}") from e
-            usage = payload.get("usage", {})
-            input_tokens = int(usage.get("prompt_tokens", 0))
-            output_tokens = int(usage.get("completion_tokens", 0))
-            if self.cache_dir is not None:
-                write_cassette(
-                    self.cache_dir, self.model_name, prompt, text, input_tokens, output_tokens
-                )
-            self._account(input_tokens, output_tokens)
-            return text
+        cached = self._cache_read(key)
+        if cached is not None:
+            self._account(cached.get("input_tokens", 0), cached.get("output_tokens", 0))
+            return cached["response"]
+        if self.offline:
+            raise LlmTransport(f"offline mode and no cached response for key {key[:12]}…")
+        payload = self._post(prompt)
+        try:
+            text = payload["choices"][0]["message"]["content"]
+        except (KeyError, IndexError, TypeError) as e:
+            raise LlmTransport(f"malformed completion payload: {e}") from e
+        usage = payload.get("usage", {})
+        input_tokens = int(usage.get("prompt_tokens", 0))
+        output_tokens = int(usage.get("completion_tokens", 0))
+        if self.cache_dir is not None:
+            write_cassette(
+                self.cache_dir, self.model_name, prompt, text, input_tokens, output_tokens
+            )
+        self._account(input_tokens, output_tokens)
+        return text
 
     def _account(self, input_tokens: int, output_tokens: int) -> None:
-        self.usage = self.usage + TokenUsage(
+        usage = TokenUsage(
             input_tokens,
             output_tokens,
             estimate_cost(
@@ -198,6 +202,16 @@ class ChatClient:
                 self.output_price_per_million,
             ),
         )
+        with self._lock:
+            self.usage = self.usage + usage
+
+
+def _retry_after(value: Optional[str], backoff: float) -> float:
+    """The delta-seconds of a ``Retry-After`` header, capped at 60 s, or
+    ``backoff`` when the header is absent or not delta-seconds."""
+    if value is None or not value.strip().isdecimal():
+        return backoff
+    return min(float(value), 60.0)
 
 
 def write_cassette(cache_dir, model_name: str, prompt: str, response: str,

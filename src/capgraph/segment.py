@@ -58,9 +58,7 @@ class SegmentConfig:
     temperature: float = 0.0
     endpoint: str = "https://api.openai.com/v1/chat/completions"
     max_retries: int = 2
-    cache_dir: Optional[str] = None
     mode: str = "llm"  # one of SEGMENT_MODES
-    offline: bool = False
     include_coreference: bool = True
     input_price_per_million: float = DEFAULT_INPUT_PRICE_PER_MILLION
     output_price_per_million: float = DEFAULT_OUTPUT_PRICE_PER_MILLION
@@ -74,14 +72,16 @@ class SegmentConfig:
             raise ValueError(f"unknown segmentation mode {self.mode!r}")
 
 
-def make_client(config: SegmentConfig) -> ChatClient:
+def make_client(
+    config: SegmentConfig, cache_dir: Optional[str] = None, offline: bool = False
+) -> ChatClient:
     return ChatClient(
         model_name=config.model_name,
         endpoint=config.endpoint,
         temperature=config.temperature,
         max_retries=config.max_retries,
-        cache_dir=config.cache_dir,
-        offline=config.offline,
+        cache_dir=cache_dir,
+        offline=offline,
         input_price_per_million=config.input_price_per_million,
         output_price_per_million=config.output_price_per_million,
     )
@@ -187,6 +187,7 @@ def segment_caption(
 ) -> List[SegmentedSentence]:
     """Segment one caption into ordered sentences with empty alignments.
 
+    ``llm`` mode needs ``client`` (see ``make_client``).
     ``max_sentences`` caps the count (must stay below the frame count);
     excess sentences merge into the last one. A reply that is not a numbered
     list degrades to a single-sentence passthrough with a warning so one bad
@@ -197,7 +198,8 @@ def segment_caption(
     if config.mode == "rule_fallback":
         return _cap_sentences(rule_fallback_segment(caption), max_sentences)
 
-    client = client or make_client(config)
+    if client is None:
+        raise ValueError("llm segmentation requires a client")
     prompt = build_prompt(caption, include_coreference=config.include_coreference)
     reply = client.complete(prompt)
     items = parse_numbered_list(reply)

@@ -80,7 +80,7 @@ class TestClusterFrames:
         rows = np.tile(_unit(0), (4, 1)).astype(np.float32)
         matrix = EmbeddingMatrix([f"f{i}" for i in range(4)], rows)
         with pytest.warns(RuntimeWarning):
-            result = cluster_frames(matrix, AlignConfig(beta=2, seed=1))
+            result = cluster_frames(matrix, AlignConfig(beta=2), seed=1)
         assert result.k == 1
         assert set(result.assignment.values()) == {0}
 
@@ -93,7 +93,7 @@ class TestClusterFrames:
                 v = _unit(axis) + noise
                 rows.append(v / np.linalg.norm(v))
         matrix = EmbeddingMatrix([f"f{i}" for i in range(20)], np.stack(rows).astype(np.float32))
-        result = cluster_frames(matrix, AlignConfig(beta=10, seed=0))
+        result = cluster_frames(matrix, AlignConfig(beta=10), seed=0)
         assert result.k == 2
         labels = [result.assignment[f] for f in range(1, 21)]
         assert len(set(labels[:10])) == 1
@@ -107,14 +107,21 @@ class TestClusterFrames:
 
     def test_bitwise_determinism(self):
         matrix = _frames([0, 1], [2, 6])
-        a = cluster_frames(matrix, AlignConfig(seed=7))
-        b = cluster_frames(matrix, AlignConfig(seed=7))
+        a = cluster_frames(matrix, AlignConfig(), seed=7)
+        b = cluster_frames(matrix, AlignConfig(), seed=7)
+        assert np.array_equal(a.centroids, b.centroids)
+        assert a.assignment == b.assignment
+
+    def test_seed_defaults_to_zero(self):
+        matrix = _frames([0, 1], [2, 6])
+        a = cluster_frames(matrix, AlignConfig())
+        b = cluster_frames(matrix, AlignConfig(), seed=0)
         assert np.array_equal(a.centroids, b.centroids)
         assert a.assignment == b.assignment
 
     def test_no_empty_clusters(self):
         matrix = _frames([0, 1, 2], [4, 4, 4])
-        result = cluster_frames(matrix, AlignConfig(seed=5))
+        result = cluster_frames(matrix, AlignConfig(), seed=5)
         members = result.members()
         assert all(members[c] for c in range(result.k))
 
@@ -123,7 +130,7 @@ class TestClusterFrames:
         # occupied clusters only.
         rows = np.stack([_unit(0)] * 4 + [_unit(1)] * 2).astype(np.float32)
         matrix = EmbeddingMatrix([f"f{i}" for i in range(6)], rows)
-        result = cluster_frames(matrix, AlignConfig(beta=2, seed=2))
+        result = cluster_frames(matrix, AlignConfig(beta=2), seed=2)
         members = result.members()
         assert result.k <= 2
         assert all(members[c] for c in range(result.k))
@@ -250,17 +257,17 @@ class TestAlignSentences:
     def test_two_sentence_synthetic_recovery(self):
         frames = _frames([0, 1], [2, 6])
         sentences, embeds = _sentences([0, 1])
-        clustering = cluster_frames(frames, AlignConfig(beta=4, seed=0))
+        clustering = cluster_frames(frames, AlignConfig(beta=4), seed=0)
         assert clustering.k == 2
-        aligned, trace = align_sentences(sentences, embeds, clustering, AlignConfig(seed=0))
+        aligned, trace = align_sentences(sentences, embeds, clustering, AlignConfig())
         assert aligned[0].aligned_frames == (1, 2)
         assert aligned[1].aligned_frames == (3, 8)
 
     def test_one_sentence_one_frame(self):
         frames = _frames([0], [1])
         sentences, embeds = _sentences([0])
-        clustering = cluster_frames(frames, AlignConfig(beta=4, seed=0))
-        aligned, _ = align_sentences(sentences, embeds, clustering, AlignConfig(seed=0))
+        clustering = cluster_frames(frames, AlignConfig(beta=4), seed=0)
+        aligned, _ = align_sentences(sentences, embeds, clustering, AlignConfig())
         assert aligned[0].aligned_frames == (1, 1)
 
     def test_short_and_long_action_spans(self):
@@ -270,8 +277,8 @@ class TestAlignSentences:
         frames = _frames([0, 1, 2, 3], [2, 2, 2, 2])
         s2_vector = _unit(2) + _unit(3)
         sentences, embeds = _sentences([0, s2_vector])
-        config = AlignConfig(beta=2, seed=0)
-        clustering = cluster_frames(frames, config)
+        config = AlignConfig(beta=2)
+        clustering = cluster_frames(frames, config, seed=0)
         assert clustering.k == 4
         aligned, _ = align_sentences(sentences, embeds, clustering, config)
         assert aligned[0].aligned_frames == (1, 2)
@@ -283,8 +290,8 @@ class TestAlignSentences:
         # committed frames and anchors on what survives.
         frames = _frames([0, 1], [2, 6])
         sentences, embeds = _sentences([1, 0])
-        clustering = cluster_frames(frames, AlignConfig(beta=4, seed=0))
-        aligned, _ = align_sentences(sentences, embeds, clustering, AlignConfig(seed=0))
+        clustering = cluster_frames(frames, AlignConfig(beta=4), seed=0)
+        aligned, _ = align_sentences(sentences, embeds, clustering, AlignConfig())
         # Sentence 1 grabs the later cluster (frames 3-8); sentence 2's
         # candidates (frames 1-2) all precede the watermark and vanish.
         assert aligned[0].aligned_frames == (3, 8)
@@ -296,8 +303,8 @@ class TestAlignSentences:
             axes = [int(a) for a in rng.integers(0, 4, size=3)]
             frames = _frames([0, 1, 2, 3], [3, 3, 3, 3])
             sentences, embeds = _sentences(axes)
-            config = AlignConfig(beta=3, seed=trial)
-            clustering = cluster_frames(frames, config)
+            config = AlignConfig(beta=3)
+            clustering = cluster_frames(frames, config, seed=trial)
             aligned, _ = align_sentences(sentences, embeds, clustering, config)
             for s in aligned:
                 if s.aligned_frames is not None:
@@ -307,16 +314,16 @@ class TestAlignSentences:
     def test_dimension_mismatch(self):
         frames = _frames([0], [4])
         sentences, _ = _sentences([0])
-        clustering = cluster_frames(frames, AlignConfig(seed=0))
+        clustering = cluster_frames(frames, AlignConfig(), seed=0)
         bad = EmbeddingMatrix(["1"], np.ones((1, 3), dtype=np.float32))
         with pytest.raises(DimensionMismatch):
-            align_sentences(sentences, bad, clustering, AlignConfig(seed=0))
+            align_sentences(sentences, bad, clustering, AlignConfig())
 
     def test_trace_deterministic(self):
         frames = _frames([0, 1], [2, 6])
         sentences, embeds = _sentences([0, 1])
-        config = AlignConfig(seed=3)
-        clustering = cluster_frames(frames, config)
+        config = AlignConfig()
+        clustering = cluster_frames(frames, config, seed=3)
         _, trace_a = align_sentences(sentences, embeds, clustering, config, video_id="v")
         _, trace_b = align_sentences(sentences, embeds, clustering, config, video_id="v")
         assert trace_a.to_dict() == trace_b.to_dict()
@@ -324,8 +331,8 @@ class TestAlignSentences:
     def test_trace_selected_is_prefix_of_sorted(self):
         frames = _frames([0, 1, 2], [4, 4, 4])
         sentences, embeds = _sentences([0, 1])
-        config = AlignConfig(seed=1)
-        clustering = cluster_frames(frames, config)
+        config = AlignConfig()
+        clustering = cluster_frames(frames, config, seed=1)
         _, trace = align_sentences(sentences, embeds, clustering, config)
         for record in trace.sentences:
             n = len(record.selected_clusters)

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import shutil
+import struct
 
 import pytest
 from click.testing import CliRunner
@@ -352,23 +353,22 @@ class TestConfigFile:
 
 
     @pytest.mark.parametrize(
-        "text, key, top_level",
+        "text, key",
         [
-            ('{"alignment": {"seed": 7}}', "alignment.seed", "seed"),
-            ('{"segmentation": {"offline": true}}', "segmentation.offline", "offline"),
-            ('{"segmentation": {"cache_dir": "c"}}', "segmentation.cache_dir", "cache_dir"),
-            ('{"evaluation": {"iou_threshold": 0.5}}', "evaluation", None),
-            ('{"alignment": {"kmeans_max_iters": 50}}', "alignment.kmeans_max_iters", None),
-            ('{"alignment": {"kmeans_restarts": 1}}', "alignment.kmeans_restarts", None),
-            ('{"motion": {"negative_class_names": ["a", "b"]}}',
-             "motion.negative_class_names", None),
-            ('{"motion": {"subject_class": "adult"}}', "motion.subject_class", None),
+            ('{"alignment": {"seed": 7}}', "alignment.seed"),
+            ('{"segmentation": {"offline": true}}', "segmentation.offline"),
+            ('{"segmentation": {"cache_dir": "c"}}', "segmentation.cache_dir"),
+            ('{"evaluation": {"iou_threshold": 0.5}}', "evaluation"),
+            ('{"alignment": {"kmeans_max_iters": 50}}', "alignment.kmeans_max_iters"),
+            ('{"alignment": {"kmeans_restarts": 1}}', "alignment.kmeans_restarts"),
+            ('{"motion": {"negative_class_names": ["a", "b"]}}', "motion.negative_class_names"),
+            ('{"motion": {"subject_class": "adult"}}', "motion.subject_class"),
         ],
         ids=["alignment.seed", "segmentation.offline", "segmentation.cache_dir", "evaluation",
              "alignment.kmeans_max_iters", "alignment.kmeans_restarts",
              "motion.negative_class_names", "motion.subject_class"],
     )
-    def test_removed_key_exits_1_naming_file_and_key(self, tmp_path, text, key, top_level):
+    def test_removed_key_exits_1_naming_file_and_key(self, tmp_path, text, key):
         config_path = tmp_path / "pipeline.json"
         config_path.write_text(text)
         result = CliRunner().invoke(
@@ -378,19 +378,6 @@ class TestConfigFile:
         assert isinstance(result.exception, SystemExit), result.exception
         assert str(config_path) in result.output
         assert f"'{key}'" in result.output
-        if top_level:
-            assert f"top-level key '{top_level}'" in result.output
-
-    def test_top_level_keys_feed_sections(self):
-        config = PipelineConfig.from_dict({"seed": 7, "offline": True, "cache_dir": "c"})
-        assert config.alignment.seed == 7
-        assert config.segmentation.offline is True
-        assert config.segmentation.cache_dir == "c"
-        dumped = config.to_dict()
-        assert "seed" not in dumped["alignment"]
-        assert "offline" not in dumped["segmentation"]
-        assert "cache_dir" not in dumped["segmentation"]
-        assert "evaluation" not in dumped
 
 
 class TestSelectionFlag:
@@ -531,6 +518,36 @@ class TestValidateCommand:
         runner = CliRunner()
         result = runner.invoke(main, ["validate", "--data-root", str(root)])
         assert result.exit_code == 2
+
+
+def _with_non_finite_value(data_root, root, name):
+    """Copy of the fixture whose ``embeddings/<name>`` ends in a NaN."""
+    shutil.copytree(data_root, root)
+    path = root / "embeddings" / name
+    data = path.read_bytes()
+    path.write_bytes(data[:-4] + struct.pack("<f", float("nan")))
+    return path
+
+
+class TestNonFiniteEmbeddings:
+    @pytest.mark.parametrize("name", ["kitchen01.frames.nlve", "kitchen01.sentences.nlve"])
+    def test_validate_exits_2_naming_file(self, data_root, tmp_path, name):
+        path = _with_non_finite_value(data_root, tmp_path / "data", name)
+        result = CliRunner().invoke(main, ["validate", "--data-root", str(tmp_path / "data")])
+        assert result.exit_code == 2
+        assert str(path) in result.output and "non-finite" in result.output
+
+    def test_run_all_exits_1_naming_file(self, data_root, cassette_dir, tmp_path):
+        path = _with_non_finite_value(data_root, tmp_path / "data", "kitchen01.sentences.nlve")
+        result = CliRunner().invoke(
+            main,
+            ["run-all", "--data-root", str(tmp_path / "data"), "--out-dir", str(tmp_path / "out"),
+             "--cache-dir", str(cassette_dir), "--offline"],
+        )
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit), result.exception
+        assert str(path) in result.output and "non-finite" in result.output
+        assert not (tmp_path / "out" / "trace.ndjson").exists()
 
 
 class TestEvalCommand:

@@ -12,10 +12,11 @@ from capgraph.llm import ChatClient, TokenUsage, cache_key, write_cassette
 
 
 class FakeResponse:
-    def __init__(self, status_code=200, payload=None):
+    def __init__(self, status_code=200, payload=None, headers=None):
         self.status_code = status_code
         self._payload = payload or {}
         self.text = json.dumps(self._payload)
+        self.headers = headers or {}
 
     def json(self):
         return self._payload
@@ -64,6 +65,52 @@ class TestTransport:
                             cache_dir=tmp_path)
         assert client.complete("x") == "steady"
         assert len(attempts) == 3
+
+    @pytest.mark.parametrize(
+        "status, retry_after, delays",
+        [(503, "3", [3.0]), (429, "120", [60.0]), (503, "soon", [1.0]), (500, "3", [1.0])],
+        ids=["honoured", "capped", "unparseable", "not-429-or-503"],
+    )
+    def test_retry_after_sets_the_wait(self, tmp_path, monkeypatch, status, retry_after,
+                                       delays):
+        replies = [FakeResponse(status, {}, {"Retry-After": retry_after}),
+                   FakeResponse(200, _ok_payload())]
+        slept = []
+        monkeypatch.setattr(llm.requests, "post", lambda *a, **k: replies.pop(0))
+        monkeypatch.setattr(llm.time, "sleep", slept.append)
+        client = ChatClient("m", endpoint="http://example/chat", cache_dir=tmp_path)
+        assert client.complete("x") == "1. ok"
+        assert slept == delays
+
+    def test_threads_do_not_wait_on_each_others_post(self, tmp_path, monkeypatch):
+        # Each POST returns only once both are in flight, which a lock held
+        # across the POST forbids.
+        barrier = threading.Barrier(2, timeout=5)
+
+        def post(url, json=None, headers=None, timeout=None):
+            barrier.wait()
+            return FakeResponse(200, _ok_payload())
+
+        monkeypatch.setattr(llm.requests, "post", post)
+        client = ChatClient("m", endpoint="http://example/chat", cache_dir=tmp_path)
+        replies, errors = [], []
+
+        def call(prompt):
+            try:
+                replies.append(client.complete(prompt))
+            except Exception as e:  # recorded for the assertion below
+                errors.append(e)
+
+        threads = [threading.Thread(target=call, args=(p,)) for p in ("a", "b")]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=30)
+        assert errors == []
+        assert replies == ["1. ok", "1. ok"]
+        assert client.network_calls == 2
+        assert client.usage.input_tokens == 24
+        assert client.usage.output_tokens == 8
 
     def test_transport_error_after_retries(self, tmp_path, monkeypatch):
         monkeypatch.setattr(

@@ -262,10 +262,7 @@ class TestCoreferenceCountDirection:
 
         def count(include_coreference: bool) -> int:
             client = _offline_client(tmp_path)
-            config = SegmentConfig(
-                cache_dir=str(tmp_path), offline=True,
-                include_coreference=include_coreference,
-            )
+            config = SegmentConfig(include_coreference=include_coreference)
             sentences = segment_caption(caption, config, client=client)
             total = 0
             for s in sentences:

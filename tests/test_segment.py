@@ -2,6 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import capgraph.llm as llm
 from capgraph.errors import LlmTransport
 from capgraph.llm import ChatClient, TokenUsage, estimate_cost, write_cassette
 from capgraph.segment import (
@@ -73,7 +74,7 @@ class TestSegmentCaption:
             680,
             45,
         )
-        config = SegmentConfig(cache_dir=str(tmp_path), offline=True)
+        config = SegmentConfig()
         out = segment_caption(caption, config, client=_offline_client(tmp_path))
         assert [s.order_index for s in out] == [1, 2]
         assert "drink" in out[0].text
@@ -90,7 +91,7 @@ class TestSegmentCaption:
         caption = "A person opens a door."
         write_cassette(tmp_path, MODEL, build_prompt(caption), "1. A person opens a door.", 10, 5)
         client = _offline_client(tmp_path)
-        config = SegmentConfig(cache_dir=str(tmp_path), offline=True)
+        config = SegmentConfig()
         segment_caption(caption, config, client=client)
         segment_caption(caption, config, client=client)
         assert client.network_calls == 0
@@ -99,15 +100,28 @@ class TestSegmentCaption:
     def test_unparseable_reply_passes_through_with_warning(self, tmp_path):
         caption = "A person sneezes."
         write_cassette(tmp_path, MODEL, build_prompt(caption), "cannot split this", 5, 2)
-        config = SegmentConfig(cache_dir=str(tmp_path), offline=True)
+        config = SegmentConfig()
         with pytest.warns(RuntimeWarning):
             out = segment_caption(caption, config, client=_offline_client(tmp_path))
         assert [s.text for s in out] == ["A person sneezes."]
 
     def test_offline_without_cassette_raises(self, tmp_path):
-        config = SegmentConfig(cache_dir=str(tmp_path), offline=True)
+        config = SegmentConfig()
         with pytest.raises(LlmTransport):
             segment_caption("Unrecorded caption.", config, client=_offline_client(tmp_path))
+
+    def test_llm_mode_without_client_raises(self, monkeypatch):
+        posts = []
+
+        def post(*args, **kwargs):
+            posts.append(args)
+            raise llm.requests.ConnectionError("network used")
+
+        monkeypatch.setattr(llm.requests, "post", post)
+        monkeypatch.setattr(llm.time, "sleep", lambda s: None)
+        with pytest.raises(ValueError, match="client"):
+            segment_caption("A person waves.", SegmentConfig(mode="llm"))
+        assert posts == []
 
     def test_empty_caption_rejected(self):
         with pytest.raises(ValueError):
