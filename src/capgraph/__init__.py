@@ -21,6 +21,17 @@ from .llm import ChatClient, TokenUsage, estimate_cost
 from .motion import MotionLabelConfig, assign_negatives, build_candidates, giou
 from .parse import ParseConfig, ground_triplets, map_classes, parse_triplets
 from .segment import SegmentConfig, build_prompt, rule_fallback_segment, segment_caption
-from .cli import PipelineConfig, RunReport, run_all
 
 __version__ = "0.1.0"
+
+_CLI_NAMES = ("PipelineConfig", "RunReport", "run_all")
+
+
+def __getattr__(name):
+    # The CLI names load ``.cli`` (and click) on first use, so that
+    # ``python -m capgraph.cli`` does not find the module imported already.
+    if name in _CLI_NAMES:
+        from . import cli
+
+        return getattr(cli, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

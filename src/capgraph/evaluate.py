@@ -98,26 +98,43 @@ def _greedy_match(
     predictions: Sequence[Triplet], gt: Sequence[Triplet], iou_threshold: float
 ) -> Tuple[List[bool], List[bool]]:
     """Match predictions in order, each to the first unconsumed ground truth
-    it hits; returns the per-prediction hits and the per-ground-truth flags."""
+    it hits; returns the per-prediction hits and the per-ground-truth flags.
+
+    A prediction can only hit ground truth of its own class triple, so each
+    one visits just that bucket, in ground-truth order.
+    """
+    by_class: Dict[Tuple[str, str, str], List[int]] = {}
+    for gi, g in enumerate(gt):
+        by_class.setdefault(g.classes(), []).append(gi)
     hits = []
     consumed = [False] * len(gt)
     for pred in predictions:
         hit = False
-        for gi, g in enumerate(gt):
-            if not consumed[gi] and match_triplet(pred, g, iou_threshold):
+        for gi in by_class.get(pred.classes(), ()):
+            if not consumed[gi] and match_triplet(pred, gt[gi], iou_threshold):
                 consumed[gi] = hit = True
                 break
         hits.append(hit)
     return hits, consumed
 
 
+def _ranked_hits(
+    instance: EvalInstance, regime: str, k: int, iou_threshold: float
+) -> List[bool]:
+    """Per-prediction hits of the frame's top-K predictions under the regime.
+
+    Greedy matching is prefix-consistent: the first k' hits of a pass at K
+    are the hits of a pass at any k' <= K.
+    """
+    top = _ranked(apply_constraint(instance.predictions, regime))[:k]
+    return _greedy_match(top, instance.gt, iou_threshold)[0]
+
+
 def frame_recall(instance: EvalInstance, regime: str, k: int, iou_threshold: float) -> float:
     """Fraction of this frame's ground truth hit by the top-K predictions."""
     if not instance.gt:
         raise ValueError("frame recall undefined without ground truth")
-    top = _ranked(apply_constraint(instance.predictions, regime))[:k]
-    _, consumed = _greedy_match(top, instance.gt, iou_threshold)
-    return sum(consumed) / len(instance.gt)
+    return sum(_ranked_hits(instance, regime, k, iou_threshold)) / len(instance.gt)
 
 
 def recall_at_k(
@@ -125,18 +142,22 @@ def recall_at_k(
 ) -> Dict[Tuple[str, int], float]:
     """Mean per-frame recall for every (regime, K) pair.
 
-    Frames with no ground truth are excluded from the mean; raises
-    NoGtFrames when none remain.
+    Each frame is ranked and matched once per regime, at the largest K; every
+    K reads its prefix of those hits. Frames with no ground truth are
+    excluded from the mean; raises NoGtFrames when none remain.
     """
     scored = [inst for inst in instances if inst.gt]
     if not scored:
         raise NoGtFrames("no frames with ground-truth triplets")
+    ks, k_max = config.k_values, max(config.k_values)
     results: Dict[Tuple[str, int], float] = {}
     for regime in config.regimes():
-        for k in config.k_values:
-            total = 0.0
-            for inst in scored:
-                total += frame_recall(inst, regime, k, config.iou_threshold)
+        totals = [0.0] * len(ks)
+        for inst in scored:
+            hits = _ranked_hits(inst, regime, k_max, config.iou_threshold)
+            for i, k in enumerate(ks):
+                totals[i] += sum(hits[:k]) / len(inst.gt)
+        for k, total in zip(ks, totals):
             results[(regime, k)] = total / len(scored)
     return results
 

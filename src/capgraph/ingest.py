@@ -24,11 +24,12 @@ import json
 import struct
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .core import (
+    BoundingBox,
     Detection,
     EmbeddingMatrix,
     SceneGraph,
@@ -243,13 +244,42 @@ def write_scene_graphs(graphs: Sequence[SceneGraph], path) -> None:
     _write_ndjson((line for _, line in rows), path)
 
 
+def _shared_boxes() -> Callable[[Sequence[float]], BoundingBox]:
+    """A box factory that returns one object for equal coordinate lists.
+
+    Sharing is bit-exact: equal ints and floats convert to the same float,
+    and a NaN read from one line never equals one read from another. Boxes
+    with a zero coordinate are never shared, since ``-0.0 == 0.0`` would let
+    one stand in for the other.
+    """
+    boxes: Dict[tuple, BoundingBox] = {}
+
+    def box(values: Sequence[float]) -> BoundingBox:
+        try:
+            key = tuple(values)
+            found = boxes.get(key)
+        except TypeError:  # not a flat list of numbers: let from_list say why
+            return BoundingBox.from_list(values)
+        if found is None:
+            found = BoundingBox.from_list(values)
+            if 0 not in key:
+                boxes[key] = found
+        return found
+
+    return box
+
+
 def load_scene_graphs(path) -> List[SceneGraph]:
-    """Read a graph file; every triplet must be localized (both boxes set)."""
+    """Read a graph file; every triplet must be localized (both boxes set).
+
+    Equal boxes within the file are one shared (immutable) object.
+    """
+    box = _shared_boxes()
     by_video: Dict[str, List[Triplet]] = {}
     for line_no, record in _read_ndjson(path):
         try:
             video_id = str(record["video_id"])
-            triplet = Triplet.from_dict(record)
+            triplet = Triplet.from_dict(record, box)
         except (KeyError, TypeError, ValueError) as e:
             raise MalformedRecord(path, line_no, f"bad graph record: {e}") from e
         if not triplet.is_localized:

@@ -1,11 +1,16 @@
 import hashlib
 import json
+import os
 import shutil
 import struct
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 
+import capgraph
 from capgraph import llm
 from capgraph import parse as parse_mod
 from capgraph import segment as segment_mod
@@ -608,3 +613,27 @@ class TestEvalCommand:
         assert result.exit_code == 1
         assert isinstance(result.exception, SystemExit), result.exception
         assert f"{gt}:2:" in result.output
+
+
+def test_module_entry_point_runs_without_runtime_warning():
+    # ``python -m capgraph.cli`` warns when importing the package has
+    # already imported ``capgraph.cli``.
+    src = str(Path(capgraph.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    result = subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", "-m", "capgraph.cli", "--help"],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert result.returncode == 0, result.stderr
+    assert "run-all" in result.stdout
+
+
+def test_package_serves_cli_names():
+    from capgraph import cli
+
+    assert capgraph.run_all is cli.run_all
+    assert capgraph.PipelineConfig is cli.PipelineConfig
+    assert capgraph.RunReport is cli.RunReport
+    with pytest.raises(AttributeError, match="no_such_name"):
+        capgraph.no_such_name

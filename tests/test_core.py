@@ -176,6 +176,16 @@ class TestValidateManifest:
         report = validate_manifest(m, _embeds(m), [])
         assert any("caption is empty" in p for p in report.problems)
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_non_finite_rows_are_not_normalized(self, value):
+        # The loader rejects non-finite values; a matrix built by hand
+        # still fails the normalization check.
+        m = _manifest(t=8)
+        embeds = _embeds(m)
+        embeds.rows[3, 0] = value
+        report = validate_manifest(m, embeds, [])
+        assert report.problems == (f"video {m.video_id}: embedding rows not L2-normalized",)
+
     def test_never_raises_on_garbage(self):
         m = VideoManifest("v", (), float("nan"), "")
         report = validate_manifest(m, None, [])

@@ -2,10 +2,13 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from capgraph.core import BoundingBox, Provenance, SceneGraph, Triplet
 from capgraph.errors import NoGtFrames
 from capgraph.evaluate import (
+    REGIMES,
     EvalConfig,
     EvalInstance,
     apply_constraint,
@@ -209,6 +212,19 @@ class TestRecall:
         for (regime, k), value in results.items():
             assert value == pytest.approx(oracle_recall(instances, regime, k, 0.5), abs=1e-12)
 
+    def test_ground_truth_tried_in_order_within_a_class(self):
+        # The first prediction hits both ground truths and takes the first;
+        # the second hits only that one. Trying the bucket in reverse would
+        # score 2 of 2.
+        shift = [_box(d, 0, d + 10, 10) for d in (0, 3, 6)]
+        gt = [_gt("person", "holding", "cup/glass/bottle", shift[0], BOX_B),
+              _gt("person", "holding", "cup/glass/bottle", shift[2], BOX_B)]
+        preds = [_pred("person", "holding", "cup/glass/bottle", shift[1], BOX_B, 0.9),
+                 _pred("person", "holding", "cup/glass/bottle", shift[0], BOX_B, 0.5)]
+        out = recall_at_k([EvalInstance(1, gt, preds)], EvalConfig(k_values=(1, 2)))
+        assert out[("no_constraint", 1)] == out[("no_constraint", 2)] == 0.5
+        assert oracle_recall([EvalInstance(1, gt, preds)], "no_constraint", 2, 0.5) == 0.5
+
     def test_no_gt_raises(self):
         with pytest.raises(NoGtFrames):
             recall_at_k([EvalInstance(1, [], [])], EvalConfig())
@@ -313,6 +329,51 @@ class TestExhaustiveSmallInstances:
                                 assert got == pytest.approx(want, abs=1e-12)
                         checked += 1
         assert checked == (2 + 4 + 8) * (1 + 3 + 9 + 27 + 81)
+
+
+# Two class triples, so ground truth repeats them and predictions still miss
+# on class. Boxes come from two small pools and are shared by reference.
+# Subject boxes are 10x10 squares shifted along x: shifts 3 apart overlap with
+# IoU 7/13 > 0.5, shifts 6 apart do not. So a prediction can hit two ground
+# truths of its class of which a later prediction hits only one, and the order
+# a bucket is tried in matters.
+_CLASS_TRIPLES = st.tuples(
+    st.just("person"), st.sampled_from(["holding", "looking at"]), st.just("cup/glass/bottle")
+)
+_SUBJECT_BOXES = st.sampled_from([_box(d, 0, d + 10, 10) for d in (0, 3, 6)])
+_OBJECT_BOXES = st.sampled_from([BOX_B, _box(0, 20, 10, 30)])
+
+
+@st.composite
+def _shared_box_frames(draw):
+    """One to three frames; frame 1 always has ground truth."""
+    score = st.sampled_from([0.25, 0.5, 0.75, 1.0])
+    instances = []
+    for f in range(1, draw(st.integers(1, 3)) + 1):
+        gt = draw(st.lists(st.tuples(_CLASS_TRIPLES, _SUBJECT_BOXES, _OBJECT_BOXES),
+                           min_size=1 if f == 1 else 0, max_size=6))
+        preds = draw(st.lists(
+            st.tuples(_CLASS_TRIPLES, _SUBJECT_BOXES, _OBJECT_BOXES, score), max_size=8
+        ))
+        instances.append(EvalInstance(
+            f,
+            [_gt(*c, s, o, frame=f) for c, s, o in gt],
+            [_pred(*c, s, o, sc, frame=f) for c, s, o, sc in preds],
+        ))
+    return instances
+
+
+class TestRecallOracleProperty:
+    # K = 50 always exceeds the 8 predictions a frame can have.
+    @given(_shared_box_frames(), st.sampled_from([(1,), (1, 3, 50), (2, 5)]))
+    @settings(max_examples=300, deadline=None)
+    def test_equals_brute_force_oracle_exactly(self, instances, k_values):
+        got = recall_at_k(instances, EvalConfig(k_values=k_values))
+        want = {
+            (regime, k): oracle_recall(instances, regime, k, 0.5)
+            for regime in REGIMES for k in k_values
+        }
+        assert got == want
 
 
 class TestPseudoLabelQuality:

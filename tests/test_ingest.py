@@ -1,4 +1,5 @@
 import json
+import math
 import random
 
 import numpy as np
@@ -116,6 +117,76 @@ class TestSceneGraphFiles:
         with pytest.raises(MalformedRecord) as err:
             load_scene_graphs(path)
         assert err.value.line_number in (1, 2)
+
+
+def _graph_record(frame, predicate, subject_box, object_box, score):
+    return {"video_id": "v", "frame_index": frame, "subject_class": "person",
+            "predicate_class": predicate, "object_class": "cup/glass/bottle",
+            "subject_box": subject_box, "object_box": object_box, "score": score,
+            "provenance": "prediction"}
+
+
+class TestSharedBoxes:
+    """Equal boxes in one graph file load as one object; no written byte moves."""
+
+    PERSON = [10.5, 20.25, 110.0, 220.75]
+
+    def _records(self):
+        person = self.PERSON
+        return [
+            # Integer coordinates, then the same box written as floats.
+            _graph_record(1, "holding", person, [1, 2, 30, 40], 0.9),
+            _graph_record(1, "looking at", person, [1.0, 2.0, 30.0, 40.0], 0.8),
+            # Boxes that compare equal but differ in the sign of a zero.
+            _graph_record(2, "holding", [0.0, 5.0, 50.0, 60.0], person, 0.7),
+            _graph_record(2, "looking at", [-0.0, 5.0, 50.0, 60.0], person, 0.6),
+            _graph_record(3, "holding", [-0.0, 5.0, 50.0, 60.0], [0, 0.0, 9, 9], 0.5),
+            _graph_record(3, "looking at", [0.0, 5.0, 50.0, 60.0], [-0.0, 0, 9, 9], 0.4),
+        ]
+
+    def _write_records(self, path, records):
+        path.write_text("".join(json.dumps(r) + "\n" for r in records))
+
+    def test_bytes_equal_unshared_loading(self, tmp_path):
+        # Loading the raw records, or the canonical file written from them
+        # without sharing, writes that canonical file back byte for byte.
+        records = self._records()
+        unshared = SceneGraph.from_triplets("v", [Triplet.from_dict(r) for r in records])
+        canonical, raw = tmp_path / "canonical", tmp_path / "raw"
+        write_scene_graphs([unshared], canonical)
+        assert '"subject_box":[-0.0,' in canonical.read_text()
+        self._write_records(raw, records)
+        for source in (raw, canonical):
+            again = tmp_path / f"{source.name}-again"
+            write_scene_graphs(load_scene_graphs(source), again)
+            assert again.read_bytes() == canonical.read_bytes(), source.name
+
+    def test_equal_nonzero_boxes_are_one_object(self, tmp_path):
+        path = tmp_path / "g.ndjson"
+        self._write_records(path, self._records())
+        (graph,) = load_scene_graphs(path)
+        triplets = graph.all_triplets()
+        person_boxes = [t.subject_box for t in triplets[:2]] + [
+            t.object_box for t in triplets[2:4]
+        ]
+        assert all(b is person_boxes[0] for b in person_boxes)
+        assert person_boxes[0].as_tuple() == tuple(self.PERSON)
+        assert triplets[0].object_box is triplets[1].object_box
+        signs = [math.copysign(1.0, t.subject_box.x1) for t in triplets[2:]]
+        assert signs == [1.0, -1.0, -1.0, 1.0]
+
+    @pytest.mark.parametrize("bad_box", [[[1], 2, 3, 4], 5, [1, 2, 3], "abcd"])
+    def test_bad_box_reports_the_unshared_error(self, tmp_path, bad_box):
+        record = _graph_record(1, "holding", bad_box, self.PERSON, 0.9)
+        with pytest.raises((TypeError, ValueError)) as unshared:
+            Triplet.from_dict(record)
+        path = tmp_path / "g.ndjson"
+        self._write_records(path, [_graph_record(1, "holding", self.PERSON, self.PERSON, 0.5),
+                                   record])
+        with pytest.raises(MalformedRecord) as err:
+            load_scene_graphs(path)
+        assert err.value.line_number == 2
+        assert str(unshared.value) in str(err.value)
 
 
 class TestDetections:
