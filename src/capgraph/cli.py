@@ -12,6 +12,7 @@ import dataclasses
 import json
 import sys
 import time
+from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -29,13 +30,7 @@ from .core import (
     Vocabulary,
     validate_manifest,
 )
-from .errors import (
-    CapgraphError,
-    MalformedRecord,
-    MissingFile,
-    MissingTrace,
-    StageError,
-)
+from .errors import CapgraphError, MalformedRecord, MissingFile, StageError
 from .llm import ChatClient, TokenUsage, estimate_cost
 from .llm import DEFAULT_INPUT_PRICE_PER_MILLION, DEFAULT_OUTPUT_PRICE_PER_MILLION
 
@@ -405,46 +400,48 @@ def aggregate_stats(
     output_price: float = DEFAULT_OUTPUT_PRICE_PER_MILLION,
 ) -> dict:
     """Aggregate trace files into usage, cost and histogram statistics."""
-    records = []
-    for raw in trace_paths:
-        path = Path(raw)
-        if not path.exists():
-            raise MissingTrace(str(path))
-        records.extend(ingest.read_record_lines(path))
 
+    def decode(record: dict) -> tuple:
+        """(video id, usage with cost, sentence count, interval lengths, gap
+        buckets, discard counts) of one trace record."""
+        u = TokenUsage.from_dict(ingest.json_object(record.get("usage", {})))
+        cost = estimate_cost(u.input_tokens, u.output_tokens, input_price, output_price)
+        sentences = [ingest.json_object(s) for s in record.get("sentences", [])]
+        intervals = [s["post_pruning_interval"] for s in sentences
+                     if s.get("post_pruning_interval")]
+        gaps = [s["steepest_gap"] for s in sentences if s.get("steepest_gap") is not None]
+        discards = ingest.json_object(record.get("discards", {}))
+        return (
+            str(record.get("video_id", "?")),
+            TokenUsage(u.input_tokens, u.output_tokens, cost),
+            str(len(sentences)),
+            [str(interval[1] - interval[0] + 1) for interval in intervals],
+            [f"{round(float(gap), 1):.1f}" for gap in gaps],
+            {reason: int(count) for reason, count in discards.items()},
+        )
+
+    videos = 0
     per_video_cost = {}
     usage = TokenUsage()
-    sentences_hist: Dict[str, int] = {}
-    interval_hist: Dict[str, int] = {}
-    gap_hist: Dict[str, int] = {}
-    discards: Dict[str, int] = {}
-    for record in records:
-        u = TokenUsage.from_dict(record.get("usage", {}))
-        cost = estimate_cost(u.input_tokens, u.output_tokens, input_price, output_price)
-        per_video_cost[record.get("video_id", "?")] = {
-            "input_tokens": u.input_tokens,
-            "output_tokens": u.output_tokens,
-            "cost": cost,
-        }
-        usage = usage + TokenUsage(u.input_tokens, u.output_tokens, cost)
-
-        sentence_records = record.get("sentences", [])
-        key = str(len(sentence_records))
-        sentences_hist[key] = sentences_hist.get(key, 0) + 1
-        for s in sentence_records:
-            interval = s.get("post_pruning_interval")
-            if interval:
-                length = str(interval[1] - interval[0] + 1)
-                interval_hist[length] = interval_hist.get(length, 0) + 1
-            gap = s.get("steepest_gap")
-            if gap is not None:
-                bucket = f"{round(float(gap), 1):.1f}"
-                gap_hist[bucket] = gap_hist.get(bucket, 0) + 1
-        for reason, count in record.get("discards", {}).items():
-            discards[reason] = discards.get(reason, 0) + int(count)
+    sentences_hist, interval_hist, gap_hist, discards = Counter(), Counter(), Counter(), Counter()
+    for path in trace_paths:
+        for _, (video_id, u, sentence_count, lengths, gaps, counts) in ingest.read_records(
+            path, "trace", decode
+        ):
+            videos += 1
+            per_video_cost[video_id] = {
+                "input_tokens": u.input_tokens,
+                "output_tokens": u.output_tokens,
+                "cost": u.estimated_cost,
+            }
+            usage = usage + u
+            sentences_hist[sentence_count] += 1
+            interval_hist.update(lengths)
+            gap_hist.update(gaps)
+            discards.update(counts)
 
     return {
-        "videos": len(records),
+        "videos": videos,
         "token_usage": usage.to_dict(),
         "per_video": {k: per_video_cost[k] for k in sorted(per_video_cost)},
         "histograms": {
@@ -476,6 +473,19 @@ class _Main(click.Group):
 def main():
     """Turn video captions plus frame embeddings and detections into
     pseudo-localized scene graphs, and evaluate predictions with Recall@K."""
+
+
+def _checked(make):
+    """A click callback whose flag value is ``make(value)``; a ``ValueError``
+    from it (a config rejecting the value) is a usage error, exit 2."""
+
+    def callback(ctx, param, value):
+        try:
+            return make(value)
+        except ValueError as e:
+            raise click.BadParameter(f"{e} (got {value!r})") from e
+
+    return callback
 
 
 def _load_pipeline_config(
@@ -520,11 +530,12 @@ def segment(data_root, out_path, mode, model, cache_dir, offline):
     click.echo(f"wrote {sum(map(len, sentences.values()))} sentences to {out_path}")
 
 
-def _parse_selection(value: str) -> Tuple[str, float]:
+def _parse_selection(value: str) -> align_mod.AlignConfig:
+    """The ``--selection`` flag as an ``AlignConfig`` with the default beta."""
     if value in ("steepest", "steepest_decline"):
-        return "steepest_decline", align_mod.AlignConfig.gap_tau
+        return align_mod.AlignConfig(selection="steepest_decline")
     if value.startswith("gap:"):
-        return "fixed_gap", float(value.split(":", 1)[1])
+        return align_mod.AlignConfig(selection="fixed_gap", gap_tau=float(value.split(":", 1)[1]))
     raise click.BadParameter("selection must be 'steepest' or 'gap:<tau>'")
 
 
@@ -532,14 +543,15 @@ def _parse_selection(value: str) -> Tuple[str, float]:
 @click.option("--data-root", required=True, type=click.Path())
 @click.option("--sentences", "sentences_path", required=True, type=click.Path())
 @click.option("--out", "out_path", required=True, type=click.Path())
-@click.option("--beta", default=align_mod.AlignConfig.beta, show_default=True)
-@click.option("--selection", default="steepest", show_default=True)
+@click.option("--beta", default=align_mod.AlignConfig.beta, show_default=True,
+              callback=_checked(lambda v: align_mod.AlignConfig(beta=v).beta))
+@click.option("--selection", default="steepest", show_default=True,
+              callback=_checked(_parse_selection))
 @click.option("--seed", default=PipelineConfig.seed, show_default=True)
 @click.option("--trace-out", default=None, type=click.Path())
 def align_cmd(data_root, sentences_path, out_path, beta, selection, seed, trace_out):
     """Align segmented sentences with consecutive frame intervals."""
-    mode, tau = _parse_selection(selection)
-    config = align_mod.AlignConfig(beta=beta, selection=mode, gap_tau=tau)
+    config = dataclasses.replace(selection, beta=beta)
     bundle = ingest.load_bundle(data_root)
     sentences = ingest.load_sentences(sentences_path)
     aligned = {}
@@ -626,7 +638,8 @@ def ground(data_root, sentences_path, triplets_path, out_path):
 @click.option("--sentences", "sentences_path", required=True, type=click.Path())
 @click.option("--graphs", "graphs_path", required=True, type=click.Path())
 @click.option("--out", "out_path", required=True, type=click.Path())
-@click.option("--alpha", default=motion.MotionLabelConfig.alpha_percent, show_default=True)
+@click.option("--alpha", default=motion.MotionLabelConfig.alpha_percent, show_default=True,
+              callback=_checked(lambda v: motion.MotionLabelConfig(alpha_percent=v).alpha_percent))
 @click.option("--not-looking", type=click.Choice(motion.ENDPOINT_STRATEGIES),
               default=motion.MotionLabelConfig.strategy_not_looking, show_default=True)
 @click.option("--not-contacting", type=click.Choice(motion.ENDPOINT_STRATEGIES),
@@ -649,20 +662,25 @@ def plm(data_root, sentences_path, graphs_path, out_path, alpha, not_looking, no
     )
 
 
+def _k_values(value: str) -> Tuple[int, ...]:
+    """``--k 20,50`` as the ascending K tuple an ``EvalConfig`` accepts."""
+    return eval_mod.EvalConfig(k_values=tuple(sorted(int(k) for k in value.split(",")))).k_values
+
+
 @main.command(name="eval")
 @click.option("--gt", "gt_path", required=True, type=click.Path())
 @click.option("--pred", "pred_path", required=True, type=click.Path())
 @click.option("--k", "k_values", default=",".join(map(str, eval_mod.EvalConfig.k_values)),
-              show_default=True)
+              show_default=True, callback=_checked(_k_values))
 @click.option("--regime", type=click.Choice(eval_mod.REGIME_CHOICES),
               default=eval_mod.EvalConfig.regime, show_default=True)
 @click.option("--iou", "iou_threshold", default=eval_mod.EvalConfig.iou_threshold,
-              show_default=True)
+              show_default=True,
+              callback=_checked(lambda v: eval_mod.EvalConfig(iou_threshold=v).iou_threshold))
 @click.option("--json-out", default=None, type=click.Path())
 def eval_cmd(gt_path, pred_path, k_values, regime, iou_threshold, json_out):
     """Score predictions against ground truth with Recall@K."""
-    ks = tuple(sorted(int(k) for k in k_values.split(",")))
-    config = eval_mod.EvalConfig(k_values=ks, iou_threshold=iou_threshold, regime=regime)
+    config = eval_mod.EvalConfig(k_values=k_values, iou_threshold=iou_threshold, regime=regime)
     instances = build_eval_instances(
         ingest.load_scene_graphs(gt_path), ingest.load_scene_graphs(pred_path)
     )
@@ -675,7 +693,7 @@ def eval_cmd(gt_path, pred_path, k_values, regime, iou_threshold, json_out):
             json.dumps(payload, sort_keys=True, indent=1) + "\n", encoding="utf-8"
         )
     click.echo(json.dumps(payload, sort_keys=True, indent=1))
-    click.echo(format_recall_table(results, ks, config.regimes()))
+    click.echo(format_recall_table(results, k_values, config.regimes()))
 
 
 def build_eval_instances(

@@ -21,10 +21,6 @@ class DimensionMismatch(CapgraphError):
     pass
 
 
-class DuplicateVideoId(CapgraphError):
-    pass
-
-
 class IoFailure(CapgraphError):
     pass
 
@@ -34,10 +30,6 @@ class LlmTransport(CapgraphError):
 
 
 class NoGtFrames(CapgraphError):
-    pass
-
-
-class MissingTrace(CapgraphError):
     pass
 
 

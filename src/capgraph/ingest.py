@@ -24,7 +24,7 @@ import json
 import struct
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, TypeVar
 
 import numpy as np
 
@@ -38,15 +38,10 @@ from .core import (
     VideoManifest,
     triplet_sort_key,
 )
-from .errors import (
-    DimensionMismatch,
-    DuplicateVideoId,
-    IoFailure,
-    MalformedRecord,
-    MissingFile,
-)
+from .errors import DimensionMismatch, IoFailure, MalformedRecord, MissingFile
 
 _NLVE_MAGIC = b"NLVE"
+T = TypeVar("T")
 
 
 @dataclass
@@ -135,21 +130,38 @@ def _dump_line(record: dict) -> str:
     return json.dumps(record, sort_keys=True, separators=(",", ":"))
 
 
-def _read_ndjson(path) -> List[Tuple[int, dict]]:
+def json_object(value) -> dict:
+    """``value`` if it is a JSON object, else ``TypeError``."""
+    if not isinstance(value, dict):
+        raise TypeError(f"expected a JSON object, got {type(value).__name__}")
+    return value
+
+
+def read_records(path, what: str, decode: Callable[[dict], T]) -> Iterator[Tuple[int, T]]:
+    """Yield ``(line number, decode(record))`` for each non-blank NDJSON line.
+
+    Lines are decoded as they are read. A line that is not JSON, not a JSON
+    object, or that ``decode`` rejects raises ``MalformedRecord`` naming the
+    file and line.
+    """
     path = Path(path)
     if not path.exists():
         raise MissingFile(str(path))
-    out = []
     with open(path, "r", encoding="utf-8") as fh:
-        for i, line in enumerate(fh, start=1):
+        for line_no, line in enumerate(fh, start=1):
             line = line.strip()
             if not line:
                 continue
             try:
-                out.append((i, json.loads(line)))
-            except json.JSONDecodeError as e:
-                raise MalformedRecord(path, i, f"invalid JSON: {e.msg}") from e
-    return out
+                value = decode(json_object(json.loads(line)))
+            except (LookupError, TypeError, ValueError, OverflowError) as e:
+                reason = (
+                    f"invalid JSON: {e.msg}"
+                    if isinstance(e, json.JSONDecodeError)
+                    else f"bad {what} record: {e}"
+                )
+                raise MalformedRecord(path, line_no, reason) from e
+            yield line_no, value
 
 
 def _write_ndjson(lines: Iterable[str], path) -> None:
@@ -169,11 +181,6 @@ def write_record_lines(records: Iterable[dict], path) -> None:
     _write_ndjson((_dump_line(r) for r in records), path)
 
 
-def read_record_lines(path) -> List[dict]:
-    """Read NDJSON records, raising MalformedRecord with the line number."""
-    return [record for _, record in _read_ndjson(path)]
-
-
 # ---------------------------------------------------------------------------
 # Manifests
 
@@ -186,13 +193,9 @@ def write_manifests(manifests: Sequence[VideoManifest], path) -> None:
 def load_manifests(path) -> List[VideoManifest]:
     manifests = []
     seen = set()
-    for line_no, record in _read_ndjson(path):
-        try:
-            manifest = VideoManifest.from_dict(record)
-        except (KeyError, TypeError, ValueError) as e:
-            raise MalformedRecord(path, line_no, f"bad manifest record: {e}") from e
+    for line_no, manifest in read_records(path, "manifest", VideoManifest.from_dict):
         if manifest.video_id in seen:
-            raise DuplicateVideoId(manifest.video_id)
+            raise MalformedRecord(path, line_no, f"duplicate video id {manifest.video_id!r}")
         seen.add(manifest.video_id)
         manifests.append(manifest)
     manifests.sort(key=lambda m: m.video_id)
@@ -204,14 +207,11 @@ def load_manifests(path) -> List[VideoManifest]:
 
 
 def load_detections(path, confidence_floor: float) -> List[Detection]:
-    detections = []
-    for line_no, record in _read_ndjson(path):
-        try:
-            det = Detection.from_dict(record)
-        except (KeyError, TypeError, ValueError) as e:
-            raise MalformedRecord(path, line_no, f"bad detection record: {e}") from e
-        if det.confidence >= confidence_floor:
-            detections.append(det)
+    detections = [
+        det
+        for _, det in read_records(path, "detection", Detection.from_dict)
+        if det.confidence >= confidence_floor
+    ]
     detections.sort(key=_detection_order)
     return detections
 
@@ -276,12 +276,10 @@ def load_scene_graphs(path) -> List[SceneGraph]:
     """
     box = _shared_boxes()
     by_video: Dict[str, List[Triplet]] = {}
-    for line_no, record in _read_ndjson(path):
-        try:
-            video_id = str(record["video_id"])
-            triplet = Triplet.from_dict(record, box)
-        except (KeyError, TypeError, ValueError) as e:
-            raise MalformedRecord(path, line_no, f"bad graph record: {e}") from e
+    records = read_records(
+        path, "graph", lambda r: (str(r["video_id"]), Triplet.from_dict(r, box))
+    )
+    for line_no, (video_id, triplet) in records:
         if not triplet.is_localized:
             raise MalformedRecord(path, line_no, "graph triplet is not localized (null box)")
         by_video.setdefault(video_id, []).append(triplet)
@@ -307,12 +305,10 @@ def write_sentences(sentences_by_video: Dict[str, List[SegmentedSentence]], path
 
 def load_sentences(path) -> Dict[str, List[SegmentedSentence]]:
     out: Dict[str, List[SegmentedSentence]] = {}
-    for line_no, record in _read_ndjson(path):
-        try:
-            video_id = str(record["video_id"])
-            sentence = SegmentedSentence.from_dict(record)
-        except (KeyError, TypeError, ValueError) as e:
-            raise MalformedRecord(path, line_no, f"bad sentence record: {e}") from e
+    records = read_records(
+        path, "sentence", lambda r: (str(r["video_id"]), SegmentedSentence.from_dict(r))
+    )
+    for _, (video_id, sentence) in records:
         out.setdefault(video_id, []).append(sentence)
     for sentences in out.values():
         sentences.sort(key=lambda s: s.order_index)
@@ -338,18 +334,14 @@ def write_parsed_triplets(
 
 
 def load_parsed_triplets(path) -> List[Tuple[str, int, Triplet]]:
-    rows = []
-    for line_no, record in _read_ndjson(path):
-        try:
-            rows.append(
-                (
-                    str(record["video_id"]),
-                    int(record["order_index"]),
-                    Triplet.from_dict(record),
-                )
-            )
-        except (KeyError, TypeError, ValueError) as e:
-            raise MalformedRecord(path, line_no, f"bad parsed-triplet record: {e}") from e
+    rows = [
+        row
+        for _, row in read_records(
+            path,
+            "parsed-triplet",
+            lambda r: (str(r["video_id"]), int(r["order_index"]), Triplet.from_dict(r)),
+        )
+    ]
     rows.sort(key=lambda r: (r[0], r[1], r[2].classes()))
     return rows
 

@@ -183,12 +183,6 @@ class NegativeAssignment:
     selected: List[MotionCandidate]
     by_video: Dict[str, List[Triplet]]
 
-    def all_triplets(self) -> List[Triplet]:
-        out: List[Triplet] = []
-        for video_id in sorted(self.by_video):
-            out.extend(self.by_video[video_id])
-        return out
-
 
 def assign_negatives(
     candidates: Sequence[MotionCandidate], config: MotionLabelConfig

@@ -15,10 +15,10 @@ import re
 import warnings
 from collections import Counter
 from dataclasses import asdict, dataclass, field
-from functools import lru_cache
+from functools import lru_cache, partial
 from importlib import resources
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Collection, Dict, List, Optional, Sequence, Tuple
 
 from .core import Detection, Provenance, SegmentedSentence, Triplet, Vocabulary
 from .llm import ChatClient
@@ -294,21 +294,15 @@ MAPPING_PROMPT_TEMPLATE = (
 )
 
 
-def _map_entity(name: str, vocab: Vocabulary, lexicon: SynonymLexicon) -> Optional[str]:
+def _map_name(
+    name: str, classes: Collection[str], fallback: Callable[[str], Optional[str]]
+) -> Optional[str]:
+    """The normalized name if it is one of ``classes``, else ``fallback`` of it."""
     n = _normalize(name)
-    if n in vocab.entity_classes:
-        return n
-    return lexicon.entity_synonyms.get(n)
+    return n if n in classes else fallback(n)
 
 
-def _map_action(name: str, vocab: Vocabulary, lexicon: SynonymLexicon) -> Optional[str]:
-    n = _normalize(name)
-    if n in vocab.action_classes:
-        return n
-    return lexicon.action_synonyms.get(n)
-
-
-def _llm_map(name: str, classes: Sequence[str], client: ChatClient) -> Optional[str]:
+def _llm_map(name: str, classes: Collection[str], client: ChatClient) -> Optional[str]:
     prompt = MAPPING_PROMPT_TEMPLATE.format(name=_normalize(name), classes=", ".join(sorted(classes)))
     reply = _normalize(client.complete(prompt))
     if reply in classes:
@@ -333,20 +327,15 @@ def map_classes(
 
     if config.mapping == "lexicon":
         lexicon = _lexicon(config.lexicon_path)
-        subject = _map_entity(triplet.subject_class, vocab, lexicon)
-        predicate = _map_action(triplet.predicate_class, vocab, lexicon)
-        obj = _map_entity(triplet.object_class, vocab, lexicon)
+        entity, action = lexicon.entity_synonyms.get, lexicon.action_synonyms.get
     else:
         if client is None:
             raise ValueError("llm mapping requires a client")
-        entity_classes = sorted(vocab.entity_classes)
-        action_classes = sorted(vocab.action_classes)
-        n = _normalize(triplet.subject_class)
-        subject = n if n in vocab.entity_classes else _llm_map(n, entity_classes, client)
-        n = _normalize(triplet.predicate_class)
-        predicate = n if n in vocab.action_classes else _llm_map(n, action_classes, client)
-        n = _normalize(triplet.object_class)
-        obj = n if n in vocab.entity_classes else _llm_map(n, entity_classes, client)
+        entity = partial(_llm_map, classes=vocab.entity_classes, client=client)
+        action = partial(_llm_map, classes=vocab.action_classes, client=client)
+    subject = _map_name(triplet.subject_class, vocab.entity_classes, entity)
+    predicate = _map_name(triplet.predicate_class, vocab.action_classes, action)
+    obj = _map_name(triplet.object_class, vocab.entity_classes, entity)
 
     if subject is None or predicate is None or obj is None:
         if counters is not None:

@@ -16,7 +16,7 @@ from capgraph import parse as parse_mod
 from capgraph import segment as segment_mod
 from capgraph.cli import PipelineConfig, aggregate_stats, main, run_all
 from capgraph.core import BoundingBox, Detection, SegmentedSentence, Triplet, VideoManifest
-from capgraph.errors import LlmTransport, MissingTrace, StageError
+from capgraph.errors import LlmTransport, MissingFile, StageError
 from capgraph.evaluate import EvalConfig
 from capgraph.ingest import (
     load_scene_graphs,
@@ -420,6 +420,30 @@ class TestSelectionFlag:
         assert result.exit_code != 0
 
 
+class TestRejectedFlagValues:
+    @pytest.mark.parametrize("args, flag, shown", [
+        (["eval", "--k", "a"], "--k", "'a'"),
+        (["eval", "--k", "0"], "--k", "'0'"),
+        (["eval", "--iou", "1.5"], "--iou", "1.5"),
+        (["align", "--beta", "0"], "--beta", "got 0)"),
+        (["align", "--selection", "gap:abc"], "--selection", "'gap:abc'"),
+        (["plm", "--alpha", "0"], "--alpha", "got 0.0)"),
+    ])
+    def test_usage_error_names_the_value(self, tmp_path, args, flag, shown):
+        paths = {
+            "eval": ["--gt", "--pred"],
+            "align": ["--data-root", "--sentences", "--out"],
+            "plm": ["--data-root", "--sentences", "--graphs", "--out"],
+        }[args[0]]
+        required = [item for name in paths for item in (name, str(tmp_path / name[2:]))]
+        result = CliRunner().invoke(main, args + required)
+        assert result.exit_code == 2, result.output
+        assert isinstance(result.exception, SystemExit), result.exception
+        assert f"Invalid value for '{flag}'" in result.output
+        assert shown in result.output
+        assert "Traceback" not in result.output
+
+
 class TestSegmentCommand:
     def test_rule_fallback_mode_is_offline(self, data_root, tmp_path):
         runner = CliRunner()
@@ -484,8 +508,21 @@ class TestStats:
         assert combined["videos"] == single["videos"]
 
     def test_missing_trace(self, tmp_path):
-        with pytest.raises(MissingTrace):
+        with pytest.raises(MissingFile, match="absent.ndjson"):
             aggregate_stats([str(tmp_path / "absent.ndjson")])
+
+    @pytest.mark.parametrize("bad", [
+        '{"video_id": "v", "usage": {"input_tokens": "x"}}',
+        "[1,2]",
+        '{"video_id": "v", "sentences": [{"post_pruning_interval": [3]}]}',
+    ], ids=["token-count", "not-an-object", "short-interval"])
+    def test_bad_trace_record_exits_1_naming_file_and_line(self, tmp_path, bad):
+        trace = tmp_path / "trace.ndjson"
+        trace.write_text('{"video_id": "ok", "sentences": []}\n' + bad + "\n")
+        result = CliRunner().invoke(main, ["stats", str(trace)])
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit), result.exception
+        assert f"{trace}:2: " in result.output
 
     def test_histograms(self, data_root, cassette_dir, tmp_path):
         out = tmp_path / "out"
@@ -637,3 +674,18 @@ def test_package_serves_cli_names():
     assert capgraph.RunReport is cli.RunReport
     with pytest.raises(AttributeError, match="no_such_name"):
         capgraph.no_such_name
+
+
+def test_eval_number_too_large_exits_1_naming_file_and_line(tmp_path):
+    box = [0.0, 0.0, 10.0, 10.0]
+    record = {"video_id": "v", "subject_class": "person", "predicate_class": "holding",
+              "object_class": "cup/glass/bottle", "subject_box": box, "object_box": box,
+              "frame_index": 1, "score": "@HUGE@"}
+    gt = tmp_path / "gt.ndjson"
+    gt.write_text(json.dumps(dict(record, score=None)) + "\n")
+    pred = tmp_path / "pred.ndjson"
+    pred.write_text(json.dumps(record).replace('"@HUGE@"', "1" + "0" * 400) + "\n")
+    result = CliRunner().invoke(main, ["eval", "--gt", str(gt), "--pred", str(pred)])
+    assert result.exit_code == 1
+    assert isinstance(result.exception, SystemExit), result.exception
+    assert f"{pred}:1: bad graph record: " in result.output

@@ -4,6 +4,8 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from capgraph.core import (
     BoundingBox,
@@ -15,14 +17,15 @@ from capgraph.core import (
 )
 from capgraph.errors import (
     DimensionMismatch,
-    DuplicateVideoId,
     MalformedRecord,
     MissingFile,
 )
 from capgraph.ingest import (
     IngestConfig,
     load_bundle,
+    load_detections,
     load_manifests,
+    load_parsed_triplets,
     load_scene_graphs,
     load_sentences,
     read_embeddings,
@@ -216,8 +219,10 @@ class TestManifests:
         m = VideoManifest("v1", ("f1",), 3.0, "x").to_dict()
         path = tmp_path / "manifest.ndjson"
         path.write_text(json.dumps(m) + "\n" + json.dumps(m) + "\n")
-        with pytest.raises(DuplicateVideoId):
+        with pytest.raises(MalformedRecord) as info:
             load_manifests(path)
+        assert info.value.line_number == 2
+        assert "'v1'" in info.value.reason
 
     def test_empty_manifest_is_empty_bundle(self, tmp_path):
         (tmp_path / "manifest.ndjson").write_text("")
@@ -281,3 +286,100 @@ class TestBundleLoading:
     def test_missing_manifest(self, tmp_path):
         with pytest.raises(MissingFile):
             load_bundle(tmp_path / "nowhere")
+
+
+# One valid line per NDJSON loader; the reader must reject any line a loader
+# cannot decode with MalformedRecord naming the file and line.
+_VALID_LINES = {
+    "manifest": (load_manifests, {"video_id": "v", "frame_ids": ["f1", "f2"], "fps": 3.0,
+                                  "caption": "A person sits."}),
+    "detection": (lambda path: load_detections(path, 0.0),
+                  {"frame_index": 1, "entity_class": "person", "box": [0, 0, 2, 2],
+                   "confidence": 0.9}),
+    "graph": (load_scene_graphs, _graph_record(1, "holding", [0, 0, 2, 2], [3, 3, 5, 5], 0.9)),
+    "sentence": (load_sentences, {"video_id": "v", "order_index": 1, "text": "a",
+                                  "aligned_frames": [1, 2]}),
+    "parsed-triplet": (load_parsed_triplets, {"video_id": "v", "order_index": 1,
+                                              "subject_class": "person",
+                                              "predicate_class": "holding",
+                                              "object_class": "cup/glass/bottle"}),
+}
+
+_HUGE = "1" + "0" * 400  # an integer literal too large for a float
+
+
+def _with_raw(record: dict, key: str, raw: str, index=None) -> str:
+    """``record`` as one JSON line whose ``key`` (or its ``index``-th item) is ``raw``."""
+    record = json.loads(json.dumps(record))
+    if index is None:
+        record[key] = "@RAW@"
+    else:
+        record[key][index] = "@RAW@"
+    return json.dumps(record).replace('"@RAW@"', raw)
+
+
+class TestRecordReader:
+    @pytest.mark.parametrize("what, key, raw, index", [
+        ("graph", "score", _HUGE, None),
+        ("graph", "frame_index", "1e400", None),
+        ("graph", "subject_box", _HUGE, 2),
+        ("detection", "confidence", _HUGE, None),
+        ("manifest", "fps", _HUGE, None),
+        ("sentence", "order_index", "1e400", None),
+        ("parsed-triplet", "order_index", "1e400", None),
+    ], ids=lambda v: "1e400" if v == "1e400" else "10**400" if v == _HUGE else None)
+    def test_number_too_large_is_malformed(self, tmp_path, what, key, raw, index):
+        load, record = _VALID_LINES[what]
+        path = tmp_path / "records.ndjson"
+        path.write_text(json.dumps(record) + "\n\n" + _with_raw(record, key, raw, index) + "\n")
+        with pytest.raises(MalformedRecord) as err:
+            load(path)
+        assert err.value.line_number == 3
+        assert err.value.reason.startswith(f"bad {what} record: ")
+
+    @pytest.mark.parametrize("line", ["[1,2]", "5", '"s"', "null"])
+    @pytest.mark.parametrize("what", sorted(_VALID_LINES))
+    def test_line_that_is_not_an_object_is_malformed(self, tmp_path, what, line):
+        load, record = _VALID_LINES[what]
+        path = tmp_path / "records.ndjson"
+        path.write_text(json.dumps(record) + "\n" + line + "\n")
+        with pytest.raises(MalformedRecord) as err:
+            load(path)
+        assert err.value.line_number == 2
+        assert "expected a JSON object" in err.value.reason
+
+
+# Values a single field may take instead: edge cases first, then any JSON.
+_FIELD_VALUES = st.sampled_from([
+    10**400, -(10**400), float("inf"), float("-inf"), float("nan"),
+    [], [1], [1, 2, 3], {}, "", None, True,
+]) | st.recursive(
+    st.none() | st.booleans() | st.text(max_size=6) | st.integers()
+    | st.floats(allow_nan=True, allow_infinity=True),
+    lambda children: st.lists(children, max_size=5) | st.dictionaries(
+        st.text(max_size=3), children, max_size=4),
+    max_leaves=8,
+)
+_DELETED = object()
+
+
+@pytest.fixture(scope="module")
+def mutation_file(tmp_path_factory):
+    return tmp_path_factory.mktemp("mutations") / "records.ndjson"
+
+
+@pytest.mark.parametrize("what, key", [
+    (what, key) for what, (_, record) in sorted(_VALID_LINES.items()) for key in sorted(record)
+])
+@given(value=st.just(_DELETED) | _FIELD_VALUES)
+@settings(max_examples=60, deadline=None)
+def test_single_field_mutation_loads_or_is_malformed(mutation_file, what, key, value):
+    load, record = _VALID_LINES[what]
+    mutated = {k: v for k, v in record.items() if k != key}
+    if value is not _DELETED:
+        mutated[key] = value
+    mutation_file.write_text("\n" + json.dumps(mutated) + "\n")
+    try:
+        load(mutation_file)
+    except MalformedRecord as e:
+        assert e.line_number == 2

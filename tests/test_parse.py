@@ -139,6 +139,32 @@ class TestMapClasses:
         )
         assert out is not None and out.object_class == "sofa/couch"
 
+    def test_llm_mapping_asks_subject_predicate_object_in_order(self):
+        from capgraph.parse import MAPPING_PROMPT_TEMPLATE
+
+        class Recorder:
+            def __init__(self):
+                self.prompts = []
+
+            def complete(self, prompt):
+                self.prompts.append(prompt)
+                return "none"
+
+        client, counters = Recorder(), DiscardCounters()
+        out = map_classes(
+            Triplet("Man", "grabs  at", "person"), VOCAB,
+            ParseConfig(parser="rule", mapping="llm"), client=client, counters=counters,
+        )
+        assert out is None
+        entities = ", ".join(sorted(VOCAB.entity_classes))
+        actions = ", ".join(sorted(VOCAB.action_classes))
+        assert client.prompts == [
+            MAPPING_PROMPT_TEMPLATE.format(name="man", classes=entities),
+            MAPPING_PROMPT_TEMPLATE.format(name="grabs at", classes=actions),
+        ]
+        assert (counters.unmapped_subject, counters.unmapped_predicate,
+                counters.unmapped_object) == (1, 1, 0)
+
     def test_closed_vocabulary_invariant(self):
         candidates = [
             Triplet("man", "grab", "mug"),
