@@ -12,10 +12,11 @@ consecutive run of surviving candidates around its strongest frame.
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -25,6 +26,7 @@ from .errors import DimensionMismatch
 SELECTION_MODES = ("steepest_decline", "fixed_gap")
 KMEANS_MAX_ITERS = 100
 KMEANS_RESTARTS = 5
+KMEANS_TOL = 1e-6
 
 
 @dataclass
@@ -106,25 +108,25 @@ def choose_k(t_frames: int, beta: int) -> int:
     return min(max(math.ceil(t_frames / beta), 1), t_frames)
 
 
-def _kmeans_plusplus_init(rows: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
-    n = rows.shape[0]
-    centroids = np.empty((k, rows.shape[1]), dtype=np.float64)
-    first = int(rng.integers(0, n))
-    centroids[0] = rows[first]
-    closest = np.sum((rows - centroids[0]) ** 2, axis=1)
-    for i in range(1, k):
+def _kmeans_plusplus_init(
+    n: int, k: int, rng: np.random.Generator, row_distances: Callable[[int], np.ndarray]
+) -> List[int]:
+    """Indices of the ``k`` rows k-means++ seeds on; ``row_distances(i)`` is
+    the squared distance of every row to row ``i``."""
+    picks = [int(rng.integers(0, n))]
+    closest = row_distances(picks[0])
+    for _ in range(1, k):
         total = closest.sum()
         if total <= 0:
             idx = int(rng.integers(0, n))
         else:
-            probs = closest / total
-            idx = int(rng.choice(n, p=probs))
-        centroids[i] = rows[idx]
-        closest = np.minimum(closest, np.sum((rows - centroids[i]) ** 2, axis=1))
-    return centroids
+            idx = int(rng.choice(n, p=closest / total))
+        picks.append(idx)
+        closest = np.minimum(closest, row_distances(idx))
+    return picks
 
 
-def _lloyd(rows: np.ndarray, centroids: np.ndarray, max_iters: int, tol: float = 1e-6):
+def _lloyd(rows: np.ndarray, centroids: np.ndarray, max_iters: int, tol: float = KMEANS_TOL):
     k = centroids.shape[0]
     labels = np.zeros(rows.shape[0], dtype=np.int64)
     for _ in range(max_iters):
@@ -154,6 +156,68 @@ def _lloyd(rows: np.ndarray, centroids: np.ndarray, max_iters: int, tol: float =
     return centroids, labels, inertia
 
 
+def _sq_distances(rows: np.ndarray, centroids: np.ndarray) -> np.ndarray:
+    """(R, T, K) squared distances from each row to each restart's centroids.
+
+    The broadcast temporary is R*T*D elements when R <= K (one cluster column
+    at a time) and T*K*D otherwise (one restart at a time), so it never
+    exceeds the T*K*D tensor of ``_lloyd``. Each entry sums over D exactly as
+    ``_lloyd`` does, so the bits are equal.
+    """
+    r, k, _ = centroids.shape
+    out = np.empty((r, rows.shape[0], k))
+    if r <= k:
+        for c in range(k):
+            out[:, :, c] = np.add.reduce((rows - centroids[:, c, None, :]) ** 2, axis=2)
+    else:
+        for j in range(r):
+            out[j] = np.add.reduce((rows[:, None, :] - centroids[j]) ** 2, axis=2)
+    return out
+
+
+def _lloyd_lockstep(
+    rows: np.ndarray, centroids: np.ndarray, distances: np.ndarray, max_iters: int,
+    tol: float = KMEANS_TOL,
+) -> list:
+    """``_lloyd`` for R restarts at once, with the same bits per restart.
+
+    ``centroids`` is (R, K, D) and ``distances`` the (R, T, K) squared
+    distances to them. Each restart stops at its own convergence. A cluster
+    mean sums its rows one by one in frame order, as
+    ``rows[mask].mean(axis=0)`` does for D >= 2. A restart whose labels leave
+    a cluster empty continues in ``_lloyd``, which reseeds it. Returns
+    ``(centroids, labels, inertia)`` per restart, in restart order.
+    """
+    r, k, _ = centroids.shape
+    results: list = [None] * r
+    active = np.arange(r)
+    converged = np.zeros(r, dtype=bool)
+    for it in range(max_iters + 1):
+        labels = distances.argmin(axis=2)
+        # Converged on the last update, or out of iterations: _lloyd's epilogue.
+        ends = converged if it < max_iters else np.ones(active.size, dtype=bool)
+        if ends.any():
+            inertia = distances.min(axis=2).sum(axis=1)
+            for j in np.flatnonzero(ends):
+                results[active[j]] = (centroids[j], labels[j], float(inertia[j]))
+        slots = np.arange(active.size)[:, None]
+        counts = np.bincount((labels + k * slots).ravel(), minlength=active.size * k)
+        counts = counts.reshape(active.size, k)
+        go = counts.all(axis=1) & ~ends
+        for j in np.flatnonzero(~go & ~ends):
+            results[active[j]] = _lloyd(rows, centroids[j], max_iters - it, tol)
+        if not go.any():
+            return results
+        active, centroids, labels, counts = active[go], centroids[go], labels[go], counts[go]
+        sums = np.zeros(centroids.shape)
+        np.add.at(sums, (slots[: active.size], labels), rows)
+        moved = sums / counts[:, :, None]
+        converged = np.linalg.norm(moved - centroids, axis=2).max(axis=1) < tol
+        centroids = moved
+        distances = _sq_distances(rows, centroids)
+    return results
+
+
 def _compact_clusters(centroids: np.ndarray, labels: np.ndarray):
     """Drop clusters that ended empty (possible with duplicate rows) and
     renumber labels so the result never carries an empty cluster."""
@@ -170,6 +234,12 @@ def cluster_frames(
     k-means++ seeding from ``seed``, best of ``KMEANS_RESTARTS`` by
     inertia. If all rows are identical and K would exceed 1, the result
     degenerates to a single cluster with a warning.
+
+    The restarts run their Lloyd iterations in lockstep, and each row's
+    distance vector is computed once across all seedings and reused as the
+    first iteration's distances. The result is bit-for-bit the one of
+    running the restarts one after another. The largest temporary is
+    R*T*D elements (R restarts, T frames, D dims), or T*K*D when K < R.
     """
     rows = np.asarray(frame_embeds.rows, dtype=np.float64)
     t = rows.shape[0]
@@ -185,11 +255,23 @@ def cluster_frames(
             k=1, centroids=rows[:1].copy(), assignment={f: 0 for f in frames}
         )
 
+    @functools.cache
+    def row_distances(i: int) -> np.ndarray:
+        return np.add.reduce((rows - rows[i]) ** 2, axis=1)
+
+    picks = [
+        _kmeans_plusplus_init(t, k, np.random.default_rng([seed, restart]), row_distances)
+        for restart in range(KMEANS_RESTARTS)
+    ]
+    if rows.shape[1] > 1:
+        first = np.array([[row_distances(i) for i in p] for p in picks]).transpose(0, 2, 1)
+        runs = _lloyd_lockstep(rows, rows[picks], first, KMEANS_MAX_ITERS)
+    else:
+        # With D == 1 a cluster mean is a pairwise sum, not a sequential one.
+        runs = [_lloyd(rows, rows[p], KMEANS_MAX_ITERS) for p in picks]
+
     best = None
-    for restart in range(KMEANS_RESTARTS):
-        rng = np.random.default_rng([seed, restart])
-        init = _kmeans_plusplus_init(rows, k, rng)
-        centroids, labels, inertia = _lloyd(rows, init, KMEANS_MAX_ITERS)
+    for centroids, labels, inertia in runs:
         if best is None or inertia < best[0]:
             best = (inertia, centroids, labels)
 

@@ -252,10 +252,14 @@ def _process_video(
     bundle: ingest.DatasetBundle,
     config: PipelineConfig,
     vocab: Vocabulary,
+    replies: dict,
 ) -> VideoResult:
     """Segment, align and parse one video; grounding happens dataset-wide
-    after the optional open-vocabulary restriction."""
-    client = segment_mod.make_client(config.segmentation, config.cache_dir, config.offline)
+    after the optional open-vocabulary restriction. ``replies`` is the run's
+    shared memo of recorded chat replies; usage is still counted per video."""
+    client = segment_mod.make_client(
+        config.segmentation, config.cache_dir, config.offline, replies
+    )
     discards = parse_mod.DiscardCounters()
     sentences = _segment_video(manifest, config.segmentation, client)
     aligned, trace = _align_video(
@@ -304,8 +308,9 @@ def run_all(config: PipelineConfig) -> RunReport:
         manifests = sorted(bundle.manifests, key=lambda m: m.video_id)
 
         stage = "process"
+        replies: dict = {}
         results = _map_videos(
-            lambda m: _process_video(m, bundle, config, vocab),
+            lambda m: _process_video(m, bundle, config, vocab, replies),
             manifests,
             config.workers,
         )

@@ -140,28 +140,45 @@ def json_object(value) -> dict:
 def read_records(path, what: str, decode: Callable[[dict], T]) -> Iterator[Tuple[int, T]]:
     """Yield ``(line number, decode(record))`` for each non-blank NDJSON line.
 
-    Lines are decoded as they are read. A line that is not JSON, not a JSON
-    object, or that ``decode`` rejects raises ``MalformedRecord`` naming the
-    file and line.
+    Lines are decoded as they are read. A line that is not UTF-8, not JSON,
+    not a JSON object, or that ``decode`` rejects raises ``MalformedRecord``
+    naming the file and line.
     """
     path = Path(path)
     if not path.exists():
         raise MissingFile(str(path))
     with open(path, "r", encoding="utf-8") as fh:
+        try:
+            for line_no, line in enumerate(fh, start=1):
+                line = line.strip()
+                if not line:
+                    continue
+                try:
+                    value = decode(json_object(json.loads(line)))
+                except (LookupError, TypeError, ValueError, OverflowError, RecursionError) as e:
+                    reason = (
+                        f"invalid JSON: {e.msg}"
+                        if isinstance(e, json.JSONDecodeError)
+                        else f"bad {what} record: {e}"
+                    )
+                    raise MalformedRecord(path, line_no, reason) from e
+                yield line_no, value
+        except UnicodeDecodeError as e:
+            # Raised while reading ahead, so the line is found on a second pass.
+            line_no = _first_undecodable_line(path)
+            raise MalformedRecord(path, line_no, f"not UTF-8: {e.reason}") from e
+
+
+def _first_undecodable_line(path: Path) -> int:
+    """Number of the first line of ``path`` (counted as ``read_records``
+    counts them) that is not UTF-8, or 0 if every line is."""
+    with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
         for line_no, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
             try:
-                value = decode(json_object(json.loads(line)))
-            except (LookupError, TypeError, ValueError, OverflowError) as e:
-                reason = (
-                    f"invalid JSON: {e.msg}"
-                    if isinstance(e, json.JSONDecodeError)
-                    else f"bad {what} record: {e}"
-                )
-                raise MalformedRecord(path, line_no, reason) from e
-            yield line_no, value
+                line.encode("utf-8")
+            except UnicodeEncodeError:
+                return line_no
+    return 0
 
 
 def _write_ndjson(lines: Iterable[str], path) -> None:

@@ -86,6 +86,13 @@ class ChatClient:
     Token usage from every call, cached or live, accumulates on ``usage``.
     Threads may share a client: ``_lock`` guards only the counters, so calls
     do not wait on each other's network round trips.
+
+    ``replies``, when given, is a dict shared by the clients of one run that
+    maps a cache key to its recorded ``(response, input_tokens,
+    output_tokens)``, so each cache file is read at most once per run. Only
+    replies that passed ``_cache_read``'s checks or that this run recorded go
+    into it. Two threads that miss it at once both read the file, which is
+    harmless.
     """
 
     def __init__(
@@ -99,6 +106,7 @@ class ChatClient:
         input_price_per_million: float = DEFAULT_INPUT_PRICE_PER_MILLION,
         output_price_per_million: float = DEFAULT_OUTPUT_PRICE_PER_MILLION,
         timeout: float = 60.0,
+        replies: Optional[dict] = None,
     ):
         self.model_name = model_name
         self.endpoint = endpoint
@@ -109,6 +117,7 @@ class ChatClient:
         self.input_price_per_million = input_price_per_million
         self.output_price_per_million = output_price_per_million
         self.timeout = timeout
+        self.replies = replies
         self.usage = TokenUsage()
         self.network_calls = 0
         self._lock = threading.Lock()
@@ -132,6 +141,21 @@ class ChatClient:
         if not isinstance(record, dict) or not isinstance(record.get("response"), str):
             raise LlmTransport(f"{path}: corrupt cache file: no recorded response")
         return record
+
+    def _replay(self, key: str) -> Optional[tuple]:
+        """``(response, input_tokens, output_tokens)`` recorded for ``key``,
+        from ``replies`` or else from the cache file, or None on a miss."""
+        if self.replies is not None and key in self.replies:
+            return self.replies[key]
+        record = self._cache_read(key)
+        if record is None:
+            return None
+        reply = (
+            record["response"], record.get("input_tokens", 0), record.get("output_tokens", 0)
+        )
+        if self.replies is not None:
+            self.replies[key] = reply
+        return reply
 
     # -- transport ---------------------------------------------------------
 
@@ -170,10 +194,11 @@ class ChatClient:
 
     def complete(self, prompt: str) -> str:
         key = cache_key(self.model_name, prompt)
-        cached = self._cache_read(key)
-        if cached is not None:
-            self._account(cached.get("input_tokens", 0), cached.get("output_tokens", 0))
-            return cached["response"]
+        replayed = self._replay(key)
+        if replayed is not None:
+            text, input_tokens, output_tokens = replayed
+            self._account(input_tokens, output_tokens)
+            return text
         if self.offline:
             raise LlmTransport(f"offline mode and no cached response for key {key[:12]}…")
         payload = self._post(prompt)
@@ -188,6 +213,8 @@ class ChatClient:
             write_cassette(
                 self.cache_dir, self.model_name, prompt, text, input_tokens, output_tokens
             )
+            if self.replies is not None:
+                self.replies[key] = (text, input_tokens, output_tokens)
         self._account(input_tokens, output_tokens)
         return text
 

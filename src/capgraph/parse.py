@@ -21,6 +21,7 @@ from pathlib import Path
 from typing import Callable, Collection, Dict, List, Optional, Sequence, Tuple
 
 from .core import Detection, Provenance, SegmentedSentence, Triplet, Vocabulary
+from .errors import MalformedRecord
 from .llm import ChatClient
 
 PARSER_MODES = ("llm", "rule")
@@ -269,7 +270,10 @@ class SynonymLexicon:
 
     @classmethod
     def load(cls, path) -> "SynonymLexicon":
-        return cls.from_dict(json.loads(Path(path).read_text(encoding="utf-8")))
+        try:
+            return cls.from_dict(json.loads(Path(path).read_text(encoding="utf-8")))
+        except json.JSONDecodeError as e:
+            raise MalformedRecord(path, e.lineno, f"invalid JSON: {e.msg}") from e
 
     @classmethod
     def from_dict(cls, d: dict) -> "SynonymLexicon":

@@ -73,8 +73,12 @@ class SegmentConfig:
 
 
 def make_client(
-    config: SegmentConfig, cache_dir: Optional[str] = None, offline: bool = False
+    config: SegmentConfig,
+    cache_dir: Optional[str] = None,
+    offline: bool = False,
+    replies: Optional[dict] = None,
 ) -> ChatClient:
+    """A client with ``config``'s settings; see ``ChatClient`` for ``replies``."""
     return ChatClient(
         model_name=config.model_name,
         endpoint=config.endpoint,
@@ -84,6 +88,7 @@ def make_client(
         offline=offline,
         input_price_per_million=config.input_price_per_million,
         output_price_per_million=config.output_price_per_million,
+        replies=replies,
     )
 
 

@@ -1,9 +1,15 @@
+import tracemalloc
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from capgraph import align as align_mod
 from capgraph.align import (
+    KMEANS_MAX_ITERS,
+    KMEANS_RESTARTS,
     AlignConfig,
     choose_k,
     cluster_frames,
@@ -135,6 +141,159 @@ class TestClusterFrames:
         assert result.k <= 2
         assert all(members[c] for c in range(result.k))
         assert sorted(f for fs in members.values() for f in fs) == list(range(1, 7))
+
+
+# The restart-by-restart k-means that ``cluster_frames`` ran before its
+# restarts ran in lockstep, kept verbatim as the oracle for that rewrite.
+
+
+def _oracle_kmeans_plusplus_init(rows, k, rng):
+    n = rows.shape[0]
+    centroids = np.empty((k, rows.shape[1]), dtype=np.float64)
+    first = int(rng.integers(0, n))
+    centroids[0] = rows[first]
+    closest = np.sum((rows - centroids[0]) ** 2, axis=1)
+    for i in range(1, k):
+        total = closest.sum()
+        if total <= 0:
+            idx = int(rng.integers(0, n))
+        else:
+            probs = closest / total
+            idx = int(rng.choice(n, p=probs))
+        centroids[i] = rows[idx]
+        closest = np.minimum(closest, np.sum((rows - centroids[i]) ** 2, axis=1))
+    return centroids
+
+
+def _oracle_lloyd(rows, centroids, max_iters, tol=1e-6):
+    k = centroids.shape[0]
+    labels = np.zeros(rows.shape[0], dtype=np.int64)
+    for _ in range(max_iters):
+        distances = np.sum((rows[:, None, :] - centroids[None, :, :]) ** 2, axis=2)
+        labels = np.argmin(distances, axis=1)
+        new_centroids = centroids.copy()
+        per_point = distances[np.arange(rows.shape[0]), labels].copy()
+        for c in range(k):
+            mask = labels == c
+            if np.any(mask):
+                new_centroids[c] = rows[mask].mean(axis=0)
+            else:
+                farthest = int(np.argmax(per_point))
+                new_centroids[c] = rows[farthest]
+                labels[farthest] = c
+                per_point[farthest] = -np.inf
+        shift = float(np.max(np.linalg.norm(new_centroids - centroids, axis=1)))
+        centroids = new_centroids
+        if shift < tol:
+            break
+    distances = np.sum((rows[:, None, :] - centroids[None, :, :]) ** 2, axis=2)
+    labels = np.argmin(distances, axis=1)
+    inertia = float(distances[np.arange(rows.shape[0]), labels].sum())
+    return centroids, labels, inertia
+
+
+def _oracle_cluster(matrix, beta, seed):
+    """(k, centroids, labels) as the restart-by-restart code computed them."""
+    rows = np.asarray(matrix.rows, dtype=np.float64)
+    k = choose_k(rows.shape[0], beta)
+    if k > 1 and bool(np.all(rows == rows[0])):
+        return 1, rows[:1].copy(), np.zeros(rows.shape[0], dtype=np.int64)
+    best = None
+    for restart in range(KMEANS_RESTARTS):
+        rng = np.random.default_rng([seed, restart])
+        init = _oracle_kmeans_plusplus_init(rows, k, rng)
+        centroids, labels, inertia = _oracle_lloyd(rows, init, KMEANS_MAX_ITERS)
+        if best is None or inertia < best[0]:
+            best = (inertia, centroids, labels)
+    _, centroids, labels = best
+    occupied = sorted(set(int(c) for c in labels))
+    remap = {old: new for new, old in enumerate(occupied)}
+    return len(occupied), centroids[occupied], np.array([remap[int(c)] for c in labels])
+
+
+ROW_KINDS = ("gaussian", "duplicate", "near_tied", "tiny_perturbation")
+
+
+def _rows(kind, t, d, data_seed):
+    """Unit-normalised float32 frame rows of one kind."""
+    rng = np.random.default_rng(data_seed)
+    rows = rng.standard_normal((t, d))
+    if kind == "duplicate":
+        rows = rows[rng.integers(0, max(1, t // 3), size=t)]
+    elif kind == "near_tied":
+        rows = np.round(rows, 1)
+    elif kind == "tiny_perturbation":
+        rows = rng.standard_normal(d) + 1e-8 * rows
+    norms = np.linalg.norm(rows, axis=1, keepdims=True)
+    rows = rows / np.where(norms > 0, norms, 1.0)
+    return EmbeddingMatrix([f"f{i}" for i in range(t)], rows.astype(np.float32))
+
+
+def _assert_matches_oracle(matrix, beta, seed):
+    k, centroids, labels = _oracle_cluster(matrix, beta, seed)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        result = cluster_frames(matrix, AlignConfig(beta=beta), seed=seed)
+    assert result.k == k
+    assert result.assignment == {i + 1: int(c) for i, c in enumerate(labels)}
+    assert result.centroids.dtype == centroids.dtype
+    assert result.centroids.shape == centroids.shape
+    assert result.centroids.tobytes() == centroids.tobytes()
+
+
+class TestLockstepKMeans:
+    @given(
+        kind=st.sampled_from(ROW_KINDS),
+        t=st.integers(1, 40),
+        d=st.integers(1, 33),
+        beta=st.sampled_from([1, 2, 3, 4]),
+        seed=st.integers(0, 2**16),
+        data_seed=st.integers(0, 2**16),
+    )
+    @settings(max_examples=400, deadline=None)
+    def test_bitwise_equal_to_restart_by_restart_oracle(self, kind, t, d, beta, seed,
+                                                         data_seed):
+        _assert_matches_oracle(_rows(kind, t, d, data_seed), beta, seed)
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_empty_cluster_falls_back_to_the_reseed(self, seed, monkeypatch):
+        # Two distinct rows and K = 6: k-means++ seeds on duplicates, so the
+        # first iteration leaves clusters empty and the reseed path must run.
+        fallbacks = []
+        lloyd = align_mod._lloyd
+        monkeypatch.setattr(
+            align_mod, "_lloyd", lambda *a, **kw: fallbacks.append(1) or lloyd(*a, **kw)
+        )
+        rows = np.stack([_unit(0)] * 4 + [_unit(1)] * 2).astype(np.float32)
+        matrix = EmbeddingMatrix([f"f{i}" for i in range(6)], rows)
+        _assert_matches_oracle(matrix, beta=1, seed=seed)
+        assert fallbacks
+
+    def test_align_long_shape_matches_oracle(self):
+        _assert_matches_oracle(_rows("gaussian", 192, 64, 3), beta=4, seed=2)
+
+    def test_one_dimension_mean_is_a_pairwise_sum(self):
+        # With D == 1, numpy sums a cluster of 8 or more rows pairwise:
+        # 1 + 7 * 2**-53 is 1 + 3 * 2**-52 that way and 1 row by row.
+        rows = np.array([[1.0]] + [[2.0**-53]] * 7, dtype=np.float32)
+        matrix = EmbeddingMatrix([f"f{i}" for i in range(8)], rows)
+        _assert_matches_oracle(matrix, beta=8, seed=0)
+
+    def test_no_temporary_as_large_as_the_tkd_tensor(self):
+        # With K >= restarts the widest temporary is R*T*D; the
+        # restart-by-restart code built the T*K*D tensor, which alone is
+        # larger than this whole call may take.
+        t, d, beta = 96, 256, 4
+        matrix = _rows("gaussian", t, d, 0)
+        k = choose_k(t, beta)
+        assert k >= KMEANS_RESTARTS
+        tracemalloc.start()
+        try:
+            cluster_frames(matrix, AlignConfig(beta=beta), seed=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < t * k * d * 8
 
 
 class TestSelectClusters:

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import os
@@ -19,6 +20,7 @@ from capgraph.core import BoundingBox, Detection, SegmentedSentence, Triplet, Vi
 from capgraph.errors import LlmTransport, MissingFile, StageError
 from capgraph.evaluate import EvalConfig
 from capgraph.ingest import (
+    load_manifests,
     load_scene_graphs,
     write_detections,
     write_embeddings,
@@ -175,6 +177,78 @@ class TestRunAll:
             run_all(config)
         assert err.value.stage == "process"
         assert not (tmp_path / "out").exists() or not list((tmp_path / "out").iterdir())
+
+
+class TestReplyMemo:
+    """``run_all`` reads each cassette file at most once per call."""
+
+    @pytest.fixture
+    def shared(self, data_root, cassette_dir, tmp_path):
+        """The fixture with both videos captioned alike, so the second video
+        repeats the first one's three prompts, and a cassette copy to edit."""
+        root = tmp_path / "data"
+        shutil.copytree(data_root, root)
+        manifests = load_manifests(root / "manifest.ndjson")
+        write_manifests([dataclasses.replace(m, caption=manifests[0].caption)
+                         for m in manifests], root / "manifest.ndjson")
+        cassettes = tmp_path / "cassettes"
+        shutil.copytree(cassette_dir, cassettes)
+        return root, cassettes
+
+    @pytest.fixture
+    def reads(self, monkeypatch):
+        reads = []
+        cache_read = llm.ChatClient._cache_read
+        monkeypatch.setattr(llm.ChatClient, "_cache_read",
+                            lambda self, key: reads.append(key) or cache_read(self, key))
+        return reads
+
+    def _segment_cassette(self, root, cassettes):
+        """The segmentation prompt both videos send, and its cassette."""
+        prompt = segment_mod.build_prompt(load_manifests(root / "manifest.ndjson")[0].caption)
+        return prompt, cassettes / f"{llm.cache_key('gpt-3.5-turbo', prompt)}.json"
+
+    def _usage(self, out_dir):
+        lines = (out_dir / "trace.ndjson").read_text().splitlines()
+        return {r["video_id"]: r["usage"]["input_tokens"] for r in map(json.loads, lines)}
+
+    def test_each_file_read_once_and_usage_counted_per_call(self, shared, reads, tmp_path):
+        root, cassettes = shared
+        report = run_all(_config(root, cassettes, tmp_path / "out"))
+        assert len(reads) == len(set(reads)) == 3
+        assert report.usage.input_tokens == 2 * (680 + 150 + 150)
+        assert self._usage(tmp_path / "out") == {"kitchen01": 980, "kitchen02": 980}
+
+    def test_worker_pool_reads_each_file_at_most_once_per_video(self, shared, reads,
+                                                                 tmp_path):
+        root, cassettes = shared
+        config = _config(root, cassettes, tmp_path / "pool")
+        config.workers = 2
+        run_all(config)
+        run_all(_config(root, cassettes, tmp_path / "one"))
+        for name in ("sentences.ndjson", "trace.ndjson", "report.json"):
+            assert (tmp_path / "pool" / name).read_bytes() == \
+                (tmp_path / "one" / name).read_bytes(), name
+        assert len(set(reads)) == 3 and len(reads) <= 3 + 6
+
+    def test_next_run_reads_an_edited_file(self, shared, reads, tmp_path):
+        root, cassettes = shared
+        run_all(_config(root, cassettes, tmp_path / "a"))
+        prompt, path = self._segment_cassette(root, cassettes)
+        reply = json.loads(path.read_text())["response"]
+        llm.write_cassette(cassettes, "gpt-3.5-turbo", prompt, reply, 700, 45)
+        report = run_all(_config(root, cassettes, tmp_path / "b"))
+        assert len(reads) == 6 and len(set(reads)) == 3
+        assert report.usage.input_tokens == 2 * (700 + 150 + 150)
+
+    def test_corrupt_file_still_names_it(self, shared, tmp_path):
+        root, cassettes = shared
+        _, bad = self._segment_cassette(root, cassettes)
+        bad.write_text("{")
+        with pytest.raises(StageError) as err:
+            run_all(_config(root, cassettes, tmp_path / "out"))
+        assert isinstance(err.value.cause, LlmTransport)
+        assert str(bad) in str(err.value.cause)
 
 
 class TestPipelineConfig:
@@ -444,6 +518,31 @@ class TestRejectedFlagValues:
         assert "Traceback" not in result.output
 
 
+def _cli(*args, python_flags=()):
+    """Run ``python -m capgraph.cli`` with this package on the path."""
+    src = str(Path(capgraph.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    return subprocess.run(
+        [sys.executable, *python_flags, "-m", "capgraph.cli", *map(str, args)],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+
+
+class TestParseCommand:
+    def test_lexicon_that_is_not_json_exits_naming_it(self, tmp_path):
+        sentences = tmp_path / "sentences.ndjson"
+        write_sentences({"v": [SegmentedSentence(1, "A person holds a cup.", (1, 2))]},
+                        sentences)
+        lexicon = tmp_path / "bad.json"
+        lexicon.write_text("{bad")
+        result = _cli("parse", "--sentences", sentences, "--out", tmp_path / "t.ndjson",
+                      "--parser", "rule", "--lexicon-path", lexicon)
+        assert result.returncode in (1, 2), result.stderr
+        assert f"{lexicon}:1: invalid JSON" in result.stderr
+        assert "Traceback" not in result.stderr
+
+
 class TestSegmentCommand:
     def test_rule_fallback_mode_is_offline(self, data_root, tmp_path):
         runner = CliRunner()
@@ -655,13 +754,7 @@ class TestEvalCommand:
 def test_module_entry_point_runs_without_runtime_warning():
     # ``python -m capgraph.cli`` warns when importing the package has
     # already imported ``capgraph.cli``.
-    src = str(Path(capgraph.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        p for p in (src, os.environ.get("PYTHONPATH")) if p))
-    result = subprocess.run(
-        [sys.executable, "-W", "error::RuntimeWarning", "-m", "capgraph.cli", "--help"],
-        env=env, capture_output=True, text=True, timeout=60,
-    )
+    result = _cli("--help", python_flags=("-W", "error::RuntimeWarning"))
     assert result.returncode == 0, result.stderr
     assert "run-all" in result.stdout
 

@@ -348,6 +348,36 @@ class TestRecordReader:
         assert err.value.line_number == 2
         assert "expected a JSON object" in err.value.reason
 
+    def test_byte_that_is_not_utf8_is_malformed(self, tmp_path):
+        path = tmp_path / "graphs.ndjson"
+        path.write_bytes(b"\xff\n")
+        with pytest.raises(MalformedRecord) as err:
+            load_scene_graphs(path)
+        assert err.value.path == str(path)
+        assert err.value.line_number == 1
+        assert err.value.reason.startswith("not UTF-8")
+
+    @pytest.mark.parametrize("what", sorted(_VALID_LINES))
+    def test_undecodable_line_is_named_past_the_read_ahead(self, tmp_path, what):
+        # Text mode decodes a chunk ahead of the line being read; the
+        # reported line is still the first one that is not UTF-8, with a
+        # lone carriage return counted as a line break as text mode does.
+        load, record = _VALID_LINES[what]
+        line = json.dumps(record).encode("utf-8")
+        path = tmp_path / "records.ndjson"
+        path.write_bytes(line + b"\r" + b" \n" * 20_000 + line[:-1] + b"\xe9}\n")
+        with pytest.raises(MalformedRecord) as err:
+            load(path)
+        assert err.value.line_number == 20_002
+
+    def test_line_nested_deeper_than_the_recursion_limit_is_malformed(self, tmp_path):
+        path = tmp_path / "graphs.ndjson"
+        path.write_text("[" * 100_000 + "\n")
+        with pytest.raises(MalformedRecord) as err:
+            load_scene_graphs(path)
+        assert err.value.line_number == 1
+        assert err.value.reason.startswith("bad graph record: ")
+
 
 # Values a single field may take instead: edge cases first, then any JSON.
 _FIELD_VALUES = st.sampled_from([

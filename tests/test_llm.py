@@ -198,6 +198,95 @@ class TestCacheFiles:
         assert sorted(p.name for p in tmp_path.iterdir()) == [path.name]
 
 
+class TestReplyMemo:
+    def test_clients_sharing_a_memo_read_each_file_once(self, tmp_path, monkeypatch):
+        write_cassette(tmp_path, "m", "hello", "1. ok", 12, 4)
+        reads = []
+        read_text = llm.Path.read_text
+        monkeypatch.setattr(
+            llm.Path, "read_text",
+            lambda self, *a, **k: reads.append(self.name) or read_text(self, *a, **k),
+        )
+        replies = {}
+        first = ChatClient("m", cache_dir=tmp_path, offline=True, replies=replies)
+        second = ChatClient("m", cache_dir=tmp_path, offline=True, replies=replies)
+        assert [first.complete("hello"), second.complete("hello"), second.complete("hello")] \
+            == ["1. ok"] * 3
+        assert reads == [f"{cache_key('m', 'hello')}.json"]
+        assert replies == {cache_key("m", "hello"): ("1. ok", 12, 4)}
+        assert (first.usage.input_tokens, second.usage.input_tokens) == (12, 24)
+
+    def test_without_a_memo_every_call_reads_the_file(self, tmp_path):
+        path = write_cassette(tmp_path, "m", "hello", "first")
+        client = ChatClient("m", cache_dir=tmp_path, offline=True)
+        assert client.complete("hello") == "first"
+        write_cassette(tmp_path, "m", "hello", "second")
+        assert client.complete("hello") == "second"
+        path.unlink()
+        with pytest.raises(LlmTransport):
+            client.complete("hello")
+
+    def test_recorded_reply_enters_the_memo(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(llm.requests, "post",
+                            lambda *a, **k: FakeResponse(200, _ok_payload("fresh", 7, 2)))
+        replies = {}
+        client = ChatClient("m", endpoint="http://example/chat", cache_dir=tmp_path,
+                            replies=replies)
+        assert client.complete("new") == "fresh"
+        assert replies == {cache_key("m", "new"): ("fresh", 7, 2)}
+
+    def test_threads_sharing_a_memo_replay_every_reply_and_count_every_call(self, tmp_path):
+        prompts = [f"p{i}" for i in range(40)]
+        for i, prompt in enumerate(prompts):
+            write_cassette(tmp_path, "m", prompt, f"r{i}", i, 1)
+        replies, errors = {}, []
+        clients = [ChatClient("m", cache_dir=tmp_path, offline=True, replies=replies)
+                   for _ in range(4)]
+        calls = [0] * len(clients)
+        deadline = time.monotonic() + 1.0
+
+        def run(worker):
+            order = prompts[worker:] + prompts[:worker]
+            try:
+                while time.monotonic() < deadline:
+                    for prompt in order:
+                        if clients[worker].complete(prompt) != f"r{prompt[1:]}":
+                            errors.append((worker, prompt))
+                    calls[worker] += 1
+            except Exception as e:  # recorded for the assertion below
+                errors.append(e)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=run, args=(w,)) for w in range(len(clients))]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert errors == []
+        per_pass = sum(range(len(prompts)))
+        for client, passes in zip(clients, calls):
+            assert passes > 0
+            assert client.usage.input_tokens == passes * per_pass
+            assert client.usage.output_tokens == passes * len(prompts)
+        assert replies == {cache_key("m", p): (f"r{i}", i, 1) for i, p in enumerate(prompts)}
+
+    def test_miss_and_corrupt_file_stay_out_of_the_memo(self, tmp_path):
+        path = write_cassette(tmp_path, "m", "hello", "1. ok")
+        path.write_text("{")
+        replies = {}
+        client = ChatClient("m", cache_dir=tmp_path, offline=True, replies=replies)
+        with pytest.raises(LlmTransport, match=re.escape(str(path))):
+            client.complete("hello")
+        with pytest.raises(LlmTransport, match="offline mode"):
+            client.complete("never recorded")
+        assert replies == {}
+
+
 class TestTokenUsageSerialization:
     def test_round_trip(self):
         usage = TokenUsage(680, 45, 0.0004075)
