@@ -126,11 +126,29 @@ def _kmeans_plusplus_init(
     return picks
 
 
-def _lloyd(rows: np.ndarray, centroids: np.ndarray, max_iters: int, tol: float = KMEANS_TOL):
+def _sq_distances(rows: np.ndarray, centroids: np.ndarray) -> np.ndarray:
+    """(R, T, K) squared distances from each row to each restart's centroids.
+
+    One cluster column at a time, so the broadcast temporary is R*T*D
+    elements. Each entry sums its D squares with ``np.add.reduce`` over a
+    contiguous last axis, so its bits do not depend on R or K.
+    """
+    r, k, _ = centroids.shape
+    out = np.empty((r, rows.shape[0], k))
+    for c in range(k):
+        out[:, :, c] = np.add.reduce((rows - centroids[:, c, None, :]) ** 2, axis=2)
+    return out
+
+
+def _lloyd(
+    rows: np.ndarray, centroids: np.ndarray, distances: np.ndarray, max_iters: int,
+    tol: float = KMEANS_TOL,
+):
+    """Lloyd iterations for one restart from ``centroids``, whose (T, K)
+    squared distances are ``distances``. Returns ``(centroids, labels,
+    inertia)``."""
     k = centroids.shape[0]
-    labels = np.zeros(rows.shape[0], dtype=np.int64)
     for _ in range(max_iters):
-        distances = np.sum((rows[:, None, :] - centroids[None, :, :]) ** 2, axis=2)
         labels = np.argmin(distances, axis=1)
         new_centroids = centroids.copy()
         per_point = distances[np.arange(rows.shape[0]), labels].copy()
@@ -148,31 +166,12 @@ def _lloyd(rows: np.ndarray, centroids: np.ndarray, max_iters: int, tol: float =
                 per_point[farthest] = -np.inf
         shift = float(np.max(np.linalg.norm(new_centroids - centroids, axis=1)))
         centroids = new_centroids
+        distances = _sq_distances(rows, centroids[None])[0]
         if shift < tol:
             break
-    distances = np.sum((rows[:, None, :] - centroids[None, :, :]) ** 2, axis=2)
     labels = np.argmin(distances, axis=1)
     inertia = float(distances[np.arange(rows.shape[0]), labels].sum())
     return centroids, labels, inertia
-
-
-def _sq_distances(rows: np.ndarray, centroids: np.ndarray) -> np.ndarray:
-    """(R, T, K) squared distances from each row to each restart's centroids.
-
-    The broadcast temporary is R*T*D elements when R <= K (one cluster column
-    at a time) and T*K*D otherwise (one restart at a time), so it never
-    exceeds the T*K*D tensor of ``_lloyd``. Each entry sums over D exactly as
-    ``_lloyd`` does, so the bits are equal.
-    """
-    r, k, _ = centroids.shape
-    out = np.empty((r, rows.shape[0], k))
-    if r <= k:
-        for c in range(k):
-            out[:, :, c] = np.add.reduce((rows - centroids[:, c, None, :]) ** 2, axis=2)
-    else:
-        for j in range(r):
-            out[j] = np.add.reduce((rows[:, None, :] - centroids[j]) ** 2, axis=2)
-    return out
 
 
 def _lloyd_lockstep(
@@ -184,11 +183,12 @@ def _lloyd_lockstep(
     ``centroids`` is (R, K, D) and ``distances`` the (R, T, K) squared
     distances to them. Each restart stops at its own convergence. A cluster
     mean sums its rows one by one in frame order, as
-    ``rows[mask].mean(axis=0)`` does for D >= 2. A restart whose labels leave
-    a cluster empty continues in ``_lloyd``, which reseeds it. Returns
-    ``(centroids, labels, inertia)`` per restart, in restart order.
+    ``rows[mask].mean(axis=0)`` does for D >= 2. A restart continues in
+    ``_lloyd`` when its labels leave a cluster empty, which ``_lloyd``
+    reseeds, and from the start when D == 1, where ``mean`` sums pairwise.
+    Returns ``(centroids, labels, inertia)`` per restart, in restart order.
     """
-    r, k, _ = centroids.shape
+    r, k, d = centroids.shape
     results: list = [None] * r
     active = np.arange(r)
     converged = np.zeros(r, dtype=bool)
@@ -203,9 +203,9 @@ def _lloyd_lockstep(
         slots = np.arange(active.size)[:, None]
         counts = np.bincount((labels + k * slots).ravel(), minlength=active.size * k)
         counts = counts.reshape(active.size, k)
-        go = counts.all(axis=1) & ~ends
+        go = counts.all(axis=1) & ~ends & (d > 1)
         for j in np.flatnonzero(~go & ~ends):
-            results[active[j]] = _lloyd(rows, centroids[j], max_iters - it, tol)
+            results[active[j]] = _lloyd(rows, centroids[j], distances[j], max_iters - it, tol)
         if not go.any():
             return results
         active, centroids, labels, counts = active[go], centroids[go], labels[go], counts[go]
@@ -216,14 +216,6 @@ def _lloyd_lockstep(
         centroids = moved
         distances = _sq_distances(rows, centroids)
     return results
-
-
-def _compact_clusters(centroids: np.ndarray, labels: np.ndarray):
-    """Drop clusters that ended empty (possible with duplicate rows) and
-    renumber labels so the result never carries an empty cluster."""
-    occupied = sorted(set(int(c) for c in labels))
-    remap = {old: new for new, old in enumerate(occupied)}
-    return centroids[occupied], np.array([remap[int(c)] for c in labels], dtype=np.int64)
 
 
 def cluster_frames(
@@ -239,7 +231,7 @@ def cluster_frames(
     distance vector is computed once across all seedings and reused as the
     first iteration's distances. The result is bit-for-bit the one of
     running the restarts one after another. The largest temporary is
-    R*T*D elements (R restarts, T frames, D dims), or T*K*D when K < R.
+    R*T*D elements (R restarts, T frames, D dims).
     """
     rows = np.asarray(frame_embeds.rows, dtype=np.float64)
     t = rows.shape[0]
@@ -263,20 +255,14 @@ def cluster_frames(
         _kmeans_plusplus_init(t, k, np.random.default_rng([seed, restart]), row_distances)
         for restart in range(KMEANS_RESTARTS)
     ]
-    if rows.shape[1] > 1:
-        first = np.array([[row_distances(i) for i in p] for p in picks]).transpose(0, 2, 1)
-        runs = _lloyd_lockstep(rows, rows[picks], first, KMEANS_MAX_ITERS)
-    else:
-        # With D == 1 a cluster mean is a pairwise sum, not a sequential one.
-        runs = [_lloyd(rows, rows[p], KMEANS_MAX_ITERS) for p in picks]
-
-    best = None
-    for centroids, labels, inertia in runs:
-        if best is None or inertia < best[0]:
-            best = (inertia, centroids, labels)
-
-    _, centroids, labels = best
-    centroids, labels = _compact_clusters(centroids, labels)
+    first = np.array([[row_distances(i) for i in p] for p in picks]).transpose(0, 2, 1)
+    runs = _lloyd_lockstep(rows, rows[picks], first, KMEANS_MAX_ITERS)
+    # The first restart of least inertia wins.
+    centroids, labels, _ = min(runs, key=lambda run: run[2])
+    # Drop clusters that ended empty (possible with duplicate rows) and
+    # renumber the labels, so the result never carries an empty cluster.
+    occupied, labels = np.unique(labels, return_inverse=True)
+    centroids = centroids[occupied]
     assignment = {frame: int(labels[i]) for i, frame in enumerate(frames)}
     return ClusteringResult(k=centroids.shape[0], centroids=centroids, assignment=assignment)
 
@@ -287,13 +273,22 @@ def sort_clusters(similarities: Sequence[float]) -> List[int]:
     return [int(i) for i in np.argsort(-sims, kind="stable")]
 
 
-def steepest_gap(similarities: Sequence[float]) -> float:
-    """Size of the largest consecutive drop in the descending-sorted scores."""
-    sims = np.asarray(similarities, dtype=np.float64)
-    if sims.size < 2:
-        return 0.0
-    ordered = np.sort(sims)[::-1]
-    return float(np.max(ordered[:-1] - ordered[1:]))
+def _rank(sims: np.ndarray, selection: str, gap_tau: float) -> Tuple[List[int], int, float]:
+    """One descending sort of a sentence's centroid scores: the cluster order
+    (``sort_clusters``), the length of its prefix that ``selection`` keeps,
+    and the steepest consecutive drop (0.0 for fewer than two clusters)."""
+    order = sort_clusters(sims)
+    ordered = sims[order]
+    drops = ordered[:-1] - ordered[1:]
+    gap = float(drops.max()) if drops.size else 0.0
+    if len(order) == 1:
+        return order, 1, gap
+    if selection == "steepest_decline":
+        return order, int(np.argmax(drops)) + 1, gap
+    if selection == "fixed_gap":
+        exceeding = np.flatnonzero(drops > gap_tau)
+        return order, int(exceeding[0]) + 1 if exceeding.size else len(order), gap
+    raise ValueError(f"unknown selection mode {selection!r}")
 
 
 def select_clusters(
@@ -307,21 +302,8 @@ def select_clusters(
     consecutive drop (earliest wins ties); ``fixed_gap`` cuts before the first
     drop exceeding ``gap_tau``, keeping every cluster when no drop does.
     """
-    order = sort_clusters(similarities)
-    if len(order) == 1:
-        return order
-    sims = np.asarray(similarities, dtype=np.float64)
-    ordered_scores = sims[order]
-    drops = ordered_scores[:-1] - ordered_scores[1:]
-    if selection == "steepest_decline":
-        cut = int(np.argmax(drops))
-        return order[: cut + 1]
-    if selection == "fixed_gap":
-        exceeding = np.nonzero(drops > gap_tau)[0]
-        if exceeding.size == 0:
-            return order
-        return order[: int(exceeding[0]) + 1]
-    raise ValueError(f"unknown selection mode {selection!r}")
+    order, keep, _ = _rank(np.asarray(similarities, dtype=np.float64), selection, gap_tau)
+    return order[:keep]
 
 
 def prune_temporal(
@@ -384,17 +366,15 @@ def align_sentences(
     members = clustering.members()
     ordered = sorted(range(len(sentences)), key=lambda i: sentences[i].order_index)
 
-    sims_per_sentence: Dict[int, np.ndarray] = {}
+    ranked: Dict[int, Tuple[np.ndarray, List[int], int, float]] = {}
     candidates: List[Tuple[SegmentedSentence, Set[int]]] = []
-    selected_per_sentence: Dict[int, List[int]] = {}
     for i in ordered:
         sims = clustering.centroids @ np.asarray(sentence_embeds.rows[i], dtype=np.float64)
-        selected = select_clusters(sims, config.selection, config.gap_tau)
+        order, keep, gap = _rank(sims, config.selection, config.gap_tau)
         frames = set()
-        for cluster in selected:
+        for cluster in order[:keep]:
             frames.update(members[cluster])
-        sims_per_sentence[i] = sims
-        selected_per_sentence[i] = selected
+        ranked[i] = (sims, order, keep, gap)
         candidates.append((sentences[i], frames))
 
     pruned = prune_temporal(candidates)
@@ -402,7 +382,7 @@ def align_sentences(
     trace = AlignmentTrace(video_id=video_id, k=clustering.k)
     aligned: List[SegmentedSentence] = []
     for (sentence, pre_frames), (_, post_frames), i in zip(candidates, pruned, ordered):
-        sims = sims_per_sentence[i]
+        sims, order, keep, gap = ranked[i]
         interval: Optional[Tuple[int, int]] = None
         if post_frames:
             anchor = min(
@@ -415,9 +395,9 @@ def align_sentences(
             SentenceTrace(
                 order_index=sentence.order_index,
                 similarities=[float(s) for s in sims],
-                sorted_clusters=sort_clusters(sims),
-                selected_clusters=selected_per_sentence[i],
-                steepest_gap=steepest_gap(sims),
+                sorted_clusters=order,
+                selected_clusters=order[:keep],
+                steepest_gap=gap,
                 pre_pruning_frames=sorted(pre_frames),
                 post_pruning_interval=interval,
             )

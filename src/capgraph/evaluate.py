@@ -130,13 +130,6 @@ def _ranked_hits(
     return _greedy_match(top, instance.gt, iou_threshold)[0]
 
 
-def frame_recall(instance: EvalInstance, regime: str, k: int, iou_threshold: float) -> float:
-    """Fraction of this frame's ground truth hit by the top-K predictions."""
-    if not instance.gt:
-        raise ValueError("frame recall undefined without ground truth")
-    return sum(_ranked_hits(instance, regime, k, iou_threshold)) / len(instance.gt)
-
-
 def recall_at_k(
     instances: Sequence[EvalInstance], config: EvalConfig
 ) -> Dict[Tuple[str, int], float]:

@@ -136,10 +136,16 @@ class ChatClient:
             record = json.loads(path.read_text(encoding="utf-8"))
         except FileNotFoundError:
             return None
-        except ValueError as e:
+        except (ValueError, RecursionError) as e:
             raise LlmTransport(f"{path}: corrupt cache file: {e}") from e
         if not isinstance(record, dict) or not isinstance(record.get("response"), str):
             raise LlmTransport(f"{path}: corrupt cache file: no recorded response")
+        for name in ("input_tokens", "output_tokens"):
+            count = record.get(name, 0)
+            if isinstance(count, bool) or not isinstance(count, int) or count < 0:
+                raise LlmTransport(
+                    f"{path}: corrupt cache file: {name} {count!r} is not a non-negative integer"
+                )
         return record
 
     def _replay(self, key: str) -> Optional[tuple]:

@@ -21,7 +21,7 @@ from pathlib import Path
 from typing import Callable, Collection, Dict, List, Optional, Sequence, Tuple
 
 from .core import Detection, Provenance, SegmentedSentence, Triplet, Vocabulary
-from .errors import MalformedRecord
+from .errors import MalformedRecord, MissingFile
 from .llm import ChatClient
 
 PARSER_MODES = ("llm", "rule")
@@ -270,17 +270,28 @@ class SynonymLexicon:
 
     @classmethod
     def load(cls, path) -> "SynonymLexicon":
+        """The lexicon in the JSON file at ``path``. A file that is missing or
+        is not a lexicon raises an error naming it."""
         try:
             return cls.from_dict(json.loads(Path(path).read_text(encoding="utf-8")))
+        except FileNotFoundError as e:
+            raise MissingFile(str(path)) from e
         except json.JSONDecodeError as e:
             raise MalformedRecord(path, e.lineno, f"invalid JSON: {e.msg}") from e
+        except (TypeError, ValueError, RecursionError) as e:
+            raise MalformedRecord(path, 0, f"bad lexicon: {e}") from e
 
     @classmethod
     def from_dict(cls, d: dict) -> "SynonymLexicon":
-        return cls(
-            entity_synonyms={_normalize(k): v for k, v in d.get("entity_synonyms", {}).items()},
-            action_synonyms={_normalize(k): v for k, v in d.get("action_synonyms", {}).items()},
-        )
+        if not isinstance(d, dict):
+            raise TypeError(f"a lexicon must be a JSON object, got {type(d).__name__}")
+        tables = {}
+        for name in ("entity_synonyms", "action_synonyms"):
+            table = d.get(name, {})
+            if not isinstance(table, dict) or not all(isinstance(v, str) for v in table.values()):
+                raise TypeError(f"{name} must be an object mapping names to class names")
+            tables[name] = {_normalize(k): v for k, v in table.items()}
+        return cls(**tables)
 
 
 @lru_cache(maxsize=None)

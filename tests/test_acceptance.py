@@ -23,9 +23,9 @@ from capgraph.cli import PipelineConfig, main, run_all
 from capgraph.core import BoundingBox, EmbeddingMatrix, SegmentedSentence, box_iou
 from capgraph.llm import estimate_cost
 from capgraph.motion import GroundedPair, MotionCandidate, MotionLabelConfig, assign_negatives, giou
-from capgraph.evaluate import EvalConfig, frame_recall, recall_at_k
+from capgraph.evaluate import EvalConfig, recall_at_k
 
-from test_evaluate import _random_instances, oracle_recall
+from test_evaluate import _frame_recall, _random_instances, oracle_recall
 
 GOLDEN_CHECKSUMS = {
     "negatives.ndjson": "959989f5f8c88c143caf0106fd29fe73e80889244d30ff6a73514675a54e9e77",
@@ -138,8 +138,8 @@ def test_criterion_5_recall_oracle_equivalence():
         assert abs(value - oracle_recall(instances, regime, k, 0.5)) < 1e-12
     for inst in instances:
         for regime in ("with_constraint", "no_constraint"):
-            r20 = frame_recall(inst, regime, 20, 0.5)
-            r50 = frame_recall(inst, regime, 50, 0.5)
+            r20 = _frame_recall(inst, regime, 20)
+            r50 = _frame_recall(inst, regime, 50)
             assert r20 <= r50 + 1e-12
     _report("criterion 5: recall@K oracle equivalence (200 frames)", started, 5.0)
 

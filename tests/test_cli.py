@@ -542,6 +542,27 @@ class TestParseCommand:
         assert f"{lexicon}:1: invalid JSON" in result.stderr
         assert "Traceback" not in result.stderr
 
+    @pytest.mark.parametrize("content, reason", [
+        (None, ""),
+        ("[1, 2]", ":0: bad lexicon: a lexicon must be a JSON object"),
+        ('{"entity_synonyms": [1]}', ":0: bad lexicon: entity_synonyms must be an object"),
+        ('{"action_synonyms": "x"}', ":0: bad lexicon: action_synonyms must be an object"),
+        ('{"entity_synonyms": {"cup": 3}}', ":0: bad lexicon: entity_synonyms must be an object"),
+    ], ids=["missing", "list", "entity-list", "action-string", "class-not-a-string"])
+    def test_lexicon_that_is_missing_or_not_a_lexicon_exits_naming_it(self, tmp_path, content,
+                                                                       reason):
+        sentences = tmp_path / "sentences.ndjson"
+        write_sentences({"v": [SegmentedSentence(1, "A person holds a cup.", (1, 2))]},
+                        sentences)
+        lexicon = tmp_path / "lexicon.json"
+        if content is not None:
+            lexicon.write_text(content)
+        result = _cli("parse", "--sentences", sentences, "--out", tmp_path / "t.ndjson",
+                      "--parser", "rule", "--lexicon-path", lexicon)
+        assert result.returncode == 1, result.stderr
+        assert f"error: {lexicon}{reason}" in result.stderr
+        assert "Traceback" not in result.stderr
+
 
 class TestSegmentCommand:
     def test_rule_fallback_mode_is_offline(self, data_root, tmp_path):

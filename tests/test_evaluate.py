@@ -12,7 +12,6 @@ from capgraph.evaluate import (
     EvalConfig,
     EvalInstance,
     apply_constraint,
-    frame_recall,
     match_triplet,
     pseudo_label_quality,
     recall_at_k,
@@ -266,8 +265,13 @@ class TestRecall:
             if not inst.gt:
                 continue
             for regime in ("with_constraint", "no_constraint"):
-                values = [frame_recall(inst, regime, k, 0.5) for k in config.k_values]
+                values = [_frame_recall(inst, regime, k) for k in config.k_values]
                 assert values == sorted(values)
+
+
+def _frame_recall(instance, regime, k):
+    """One frame's recall at one K, through ``recall_at_k``."""
+    return recall_at_k([instance], EvalConfig(k_values=(k,), regime=regime))[(regime, k)]
 
 
 def _random_instances(rng, frames, max_preds=4, max_gt=3):
@@ -324,7 +328,7 @@ class TestExhaustiveSmallInstances:
                         inst = EvalInstance(1, list(gt), list(preds))
                         for regime in ("with_constraint", "no_constraint"):
                             for k in (1, 2, 4):
-                                got = frame_recall(inst, regime, k, 0.5)
+                                got = _frame_recall(inst, regime, k)
                                 want = oracle_frame_recall(list(gt), list(preds), regime, k, 0.5)
                                 assert got == pytest.approx(want, abs=1e-12)
                         checked += 1

@@ -157,6 +157,25 @@ class TestCacheFiles:
         with pytest.raises(LlmTransport, match=re.escape(str(path))):
             client.complete("hello")
 
+    def test_cassette_nested_past_the_recursion_limit_names_it(self, tmp_path):
+        path = write_cassette(tmp_path, "m", "hello", "1. ok")
+        path.write_text("[" * 100_000)
+        client = ChatClient("m", cache_dir=tmp_path, offline=True)
+        with pytest.raises(LlmTransport, match=re.escape(str(path))):
+            client.complete("hello")
+
+    @pytest.mark.parametrize("field", ["input_tokens", "output_tokens"])
+    @pytest.mark.parametrize("count", ["12", None, -3, 1.5, True])
+    def test_token_count_that_is_not_a_non_negative_integer_names_it(self, tmp_path, field,
+                                                                      count):
+        path = write_cassette(tmp_path, "m", "hello", "1. ok", 12, 4)
+        path.write_text(json.dumps(dict(json.loads(path.read_text()), **{field: count})))
+        client = ChatClient("m", cache_dir=tmp_path, offline=True, replies={})
+        with pytest.raises(LlmTransport, match=re.escape(str(path)) + f".*{field}"):
+            client.complete("hello")
+        assert client.replies == {}
+        assert client.usage == TokenUsage()
+
     def test_concurrent_writers_of_one_key(self, tmp_path):
         # Writers keep replacing one cassette while readers replay it: no
         # reader may see a partial file and no writer may lose its rename.
