@@ -31,8 +31,7 @@ from .core import (
     validate_manifest,
 )
 from .errors import CapgraphError, MalformedRecord, MissingFile, StageError
-from .llm import ChatClient, TokenUsage, estimate_cost
-from .llm import DEFAULT_INPUT_PRICE_PER_MILLION, DEFAULT_OUTPUT_PRICE_PER_MILLION
+from .llm import ChatClient, TokenUsage
 
 @dataclass
 class PipelineConfig:
@@ -188,9 +187,10 @@ def _open_vocabulary_cut(
     if config.mapping != "none" or not config.top_n_open_classes:
         return mapped_by_video
     pool = [t for mapped in mapped_by_video.values() for _, t in mapped]
-    kept = {id(t) for t in parse_mod.restrict_open_vocabulary(pool, config.top_n_open_classes)}
+    top = parse_mod.restrict_open_vocabulary(pool, config.top_n_open_classes)
+    kept = {t.predicate_class for t in top}
     return {
-        video_id: [(order, t) for order, t in mapped if id(t) in kept]
+        video_id: [(order, t) for order, t in mapped if t.predicate_class in kept]
         for video_id, mapped in mapped_by_video.items()
     }
 
@@ -235,8 +235,6 @@ def _negatives(
     candidates = motion.build_candidates(
         bundle.manifests, bundle.detections, graphs, runs, config
     )
-    if not candidates:
-        return candidates, motion.NegativeAssignment(selected=[], by_video={})
     return candidates, motion.assign_negatives(candidates, config)
 
 
@@ -305,16 +303,15 @@ def run_all(config: PipelineConfig) -> RunReport:
     stage = "load"
     try:
         bundle = ingest.load_bundle(config.data_root, config.ingest)
-        manifests = sorted(bundle.manifests, key=lambda m: m.video_id)
 
         stage = "process"
         replies: dict = {}
+        # In video-id order at any --workers: load_bundle sorts, _map_videos keeps order.
         results = _map_videos(
             lambda m: _process_video(m, bundle, config, vocab, replies),
-            manifests,
+            bundle.manifests,
             config.workers,
         )
-        results.sort(key=lambda r: r.video_id)
 
         stage = "ground"
         cut = _open_vocabulary_cut({r.video_id: r.mapped for r in results}, config.parsing)
@@ -399,18 +396,16 @@ def run_all(config: PipelineConfig) -> RunReport:
 # Statistics
 
 
-def aggregate_stats(
-    trace_paths: Sequence[str],
-    input_price: float = DEFAULT_INPUT_PRICE_PER_MILLION,
-    output_price: float = DEFAULT_OUTPUT_PRICE_PER_MILLION,
-) -> dict:
-    """Aggregate trace files into usage, cost and histogram statistics."""
+def aggregate_stats(trace_paths: Sequence[str]) -> dict:
+    """Aggregate trace files into usage, cost and histogram statistics.
+
+    Cost is the ``usage.estimated_cost`` each record holds, as its run priced
+    it with the run's configured prices.
+    """
 
     def decode(record: dict) -> tuple:
-        """(video id, usage with cost, sentence count, interval lengths, gap
-        buckets, discard counts) of one trace record."""
-        u = TokenUsage.from_dict(ingest.json_object(record.get("usage", {})))
-        cost = estimate_cost(u.input_tokens, u.output_tokens, input_price, output_price)
+        """(video id, usage, sentence count, interval lengths, gap buckets,
+        discard counts) of one trace record."""
         sentences = [ingest.json_object(s) for s in record.get("sentences", [])]
         intervals = [s["post_pruning_interval"] for s in sentences
                      if s.get("post_pruning_interval")]
@@ -418,7 +413,7 @@ def aggregate_stats(
         discards = ingest.json_object(record.get("discards", {}))
         return (
             str(record.get("video_id", "?")),
-            TokenUsage(u.input_tokens, u.output_tokens, cost),
+            TokenUsage.from_dict(ingest.json_object(record.get("usage", {}))),
             str(len(sentences)),
             [str(interval[1] - interval[0] + 1) for interval in intervals],
             [f"{round(float(gap), 1):.1f}" for gap in gaps],
@@ -772,13 +767,9 @@ def run_all_cmd(data_root, out_dir, cache_dir, config_path, seed, workers, offli
 
 @main.command()
 @click.argument("traces", nargs=-1, type=click.Path())
-@click.option("--input-price", default=DEFAULT_INPUT_PRICE_PER_MILLION, show_default=True,
-              help="Dollars per million input tokens.")
-@click.option("--output-price", default=DEFAULT_OUTPUT_PRICE_PER_MILLION, show_default=True,
-              help="Dollars per million output tokens.")
-def stats(traces, input_price, output_price):
+def stats(traces):
     """Aggregate trace files: token usage, cost per video, histograms."""
-    report = aggregate_stats(list(traces), input_price, output_price)
+    report = aggregate_stats(list(traces))
     click.echo(json.dumps(report, sort_keys=True, indent=1))
 
 

@@ -163,12 +163,6 @@ class Vocabulary:
         if not self.negative_classes <= self.action_classes:
             raise ValueError("negative_classes must be a subset of action_classes")
 
-    def partition_counts(self) -> Dict[str, int]:
-        counts = {b: 0 for b in _PARTITION_BUCKETS}
-        for bucket in self.action_partition.values():
-            counts[bucket] += 1
-        return counts
-
     @classmethod
     def from_dict(cls, d: dict) -> "Vocabulary":
         partition = dict(d["action_partition"])

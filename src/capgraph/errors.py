@@ -33,6 +33,14 @@ class NoGtFrames(CapgraphError):
     pass
 
 
+def read_failure(path, error: OSError) -> CapgraphError:
+    """The error for a file that could not be opened or read: ``MissingFile``
+    when ``path`` does not exist, else ``IoFailure`` naming it and the cause."""
+    if isinstance(error, FileNotFoundError):
+        return MissingFile(str(path))
+    return IoFailure(f"cannot read {path}: {error.strerror or error}")
+
+
 class StageError(CapgraphError):
     """Wraps the first fatal error of a pipeline stage with the stage name."""
 

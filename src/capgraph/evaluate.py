@@ -94,40 +94,31 @@ def _ranked(predictions: Sequence[Triplet]) -> List[Triplet]:
     )
 
 
-def _greedy_match(
-    predictions: Sequence[Triplet], gt: Sequence[Triplet], iou_threshold: float
-) -> Tuple[List[bool], List[bool]]:
-    """Match predictions in order, each to the first unconsumed ground truth
-    it hits; returns the per-prediction hits and the per-ground-truth flags.
+def _ranked_hits(
+    instance: EvalInstance, regime: str, k: int, iou_threshold: float
+) -> List[bool]:
+    """Per-prediction hits of the frame's top-K predictions under the regime.
 
-    A prediction can only hit ground truth of its own class triple, so each
-    one visits just that bucket, in ground-truth order.
+    Predictions are matched in rank order, each to the first unconsumed
+    ground truth it hits. A prediction can only hit ground truth of its own
+    class triple, so each one visits just that bucket, in ground-truth order.
+    Greedy matching is prefix-consistent: the first k' hits of a pass at K
+    are the hits of a pass at any k' <= K.
     """
+    gt = instance.gt
     by_class: Dict[Tuple[str, str, str], List[int]] = {}
     for gi, g in enumerate(gt):
         by_class.setdefault(g.classes(), []).append(gi)
     hits = []
     consumed = [False] * len(gt)
-    for pred in predictions:
+    for pred in _ranked(apply_constraint(instance.predictions, regime))[:k]:
         hit = False
         for gi in by_class.get(pred.classes(), ()):
             if not consumed[gi] and match_triplet(pred, gt[gi], iou_threshold):
                 consumed[gi] = hit = True
                 break
         hits.append(hit)
-    return hits, consumed
-
-
-def _ranked_hits(
-    instance: EvalInstance, regime: str, k: int, iou_threshold: float
-) -> List[bool]:
-    """Per-prediction hits of the frame's top-K predictions under the regime.
-
-    Greedy matching is prefix-consistent: the first k' hits of a pass at K
-    are the hits of a pass at any k' <= K.
-    """
-    top = _ranked(apply_constraint(instance.predictions, regime))[:k]
-    return _greedy_match(top, instance.gt, iou_threshold)[0]
+    return hits
 
 
 def recall_at_k(
@@ -163,35 +154,3 @@ def triplets_by_frame(graphs: Sequence[SceneGraph]) -> Dict[Tuple[str, int], Lis
             out.setdefault((graph.video_id, frame), []).extend(triplets)
     return out
 
-
-def pseudo_label_quality(
-    pseudo: Sequence[SceneGraph],
-    gt: Sequence[SceneGraph],
-    iou_threshold: float = 0.5,
-) -> Dict[str, Dict[str, float]]:
-    """Diagnostic per-predicate precision/recall of unscored pseudo-labels.
-
-    Pseudo-labels carry no scores, so each is treated as score 1.0 and
-    matched against ground truth of the same video and frame. Reported
-    separately from Recall@K.
-    """
-    pseudo_by_key, gt_by_key = triplets_by_frame(pseudo), triplets_by_frame(gt)
-    classes = sorted({t.predicate_class for ts in pseudo_by_key.values() for t in ts}
-                     | {t.predicate_class for ts in gt_by_key.values() for t in ts})
-    stats = {c: {"tp": 0, "fp": 0, "fn": 0} for c in classes}
-    for key in pseudo_by_key.keys() | gt_by_key.keys():
-        preds, frame_gt = pseudo_by_key.get(key, ()), gt_by_key.get(key, ())
-        hits, consumed = _greedy_match(preds, frame_gt, iou_threshold)
-        for p, hit in zip(preds, hits):
-            stats[p.predicate_class]["tp" if hit else "fp"] += 1
-        for g, used in zip(frame_gt, consumed):
-            if not used:
-                stats[g.predicate_class]["fn"] += 1
-
-    report = {}
-    for c in classes:
-        tp, fp, fn = stats[c]["tp"], stats[c]["fp"], stats[c]["fn"]
-        precision = tp / (tp + fp) if tp + fp else 0.0
-        recall = tp / (tp + fn) if tp + fn else 0.0
-        report[c] = {"precision": precision, "recall": recall, "support": tp + fn}
-    return report

@@ -38,7 +38,7 @@ from .core import (
     VideoManifest,
     triplet_sort_key,
 )
-from .errors import DimensionMismatch, IoFailure, MalformedRecord, MissingFile
+from .errors import DimensionMismatch, IoFailure, MalformedRecord, read_failure
 
 _NLVE_MAGIC = b"NLVE"
 T = TypeVar("T")
@@ -90,9 +90,10 @@ def write_embeddings(matrix: EmbeddingMatrix, path) -> None:
 
 def read_embeddings(path) -> EmbeddingMatrix:
     path = Path(path)
-    if not path.exists():
-        raise MissingFile(str(path))
-    data = path.read_bytes()
+    try:
+        data = path.read_bytes()
+    except OSError as e:
+        raise read_failure(path, e) from e
     view = memoryview(data)
     if data[:4] != _NLVE_MAGIC:
         raise MalformedRecord(path, 0, "bad magic bytes, not an NLVE file")
@@ -142,13 +143,12 @@ def read_records(path, what: str, decode: Callable[[dict], T]) -> Iterator[Tuple
 
     Lines are decoded as they are read. A line that is not UTF-8, not JSON,
     not a JSON object, or that ``decode`` rejects raises ``MalformedRecord``
-    naming the file and line.
+    naming the file and line; a file that cannot be opened or read raises
+    ``read_failure``'s error naming it.
     """
     path = Path(path)
-    if not path.exists():
-        raise MissingFile(str(path))
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
             for line_no, line in enumerate(fh, start=1):
                 line = line.strip()
                 if not line:
@@ -163,10 +163,12 @@ def read_records(path, what: str, decode: Callable[[dict], T]) -> Iterator[Tuple
                     )
                     raise MalformedRecord(path, line_no, reason) from e
                 yield line_no, value
-        except UnicodeDecodeError as e:
-            # Raised while reading ahead, so the line is found on a second pass.
-            line_no = _first_undecodable_line(path)
-            raise MalformedRecord(path, line_no, f"not UTF-8: {e.reason}") from e
+    except UnicodeDecodeError as e:
+        # Raised while reading ahead, so the line is found on a second pass.
+        line_no = _first_undecodable_line(path)
+        raise MalformedRecord(path, line_no, f"not UTF-8: {e.reason}") from e
+    except OSError as e:
+        raise read_failure(path, e) from e
 
 
 def _first_undecodable_line(path: Path) -> int:

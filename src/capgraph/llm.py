@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
 import tempfile
 import threading
@@ -26,6 +27,7 @@ API_KEY_ENV = "CAPGRAPH_API_KEY"
 
 DEFAULT_INPUT_PRICE_PER_MILLION = 0.5
 DEFAULT_OUTPUT_PRICE_PER_MILLION = 1.5
+REQUEST_TIMEOUT_S = 60.0
 
 
 @dataclass
@@ -35,8 +37,10 @@ class TokenUsage:
     estimated_cost: float = 0.0
 
     def __post_init__(self):
-        if self.input_tokens < 0 or self.output_tokens < 0 or self.estimated_cost < 0:
-            raise ValueError("token usage fields must be non-negative")
+        if self.input_tokens < 0 or self.output_tokens < 0 or not (
+            0 <= self.estimated_cost < math.inf
+        ):
+            raise ValueError("token usage fields must be non-negative and finite")
 
     def __add__(self, other: "TokenUsage") -> "TokenUsage":
         return TokenUsage(
@@ -105,7 +109,6 @@ class ChatClient:
         offline: bool = False,
         input_price_per_million: float = DEFAULT_INPUT_PRICE_PER_MILLION,
         output_price_per_million: float = DEFAULT_OUTPUT_PRICE_PER_MILLION,
-        timeout: float = 60.0,
         replies: Optional[dict] = None,
     ):
         self.model_name = model_name
@@ -116,7 +119,6 @@ class ChatClient:
         self.offline = offline
         self.input_price_per_million = input_price_per_million
         self.output_price_per_million = output_price_per_million
-        self.timeout = timeout
         self.replies = replies
         self.usage = TokenUsage()
         self.network_calls = 0
@@ -127,7 +129,8 @@ class ChatClient:
     def _cache_read(self, key: str) -> Optional[dict]:
         """The recorded reply for ``key``, or None on a miss.
 
-        A file that is not a recorded reply raises ``LlmTransport`` naming it.
+        A path that cannot be read or does not hold a recorded reply raises
+        ``LlmTransport`` naming it.
         """
         if self.cache_dir is None:
             return None
@@ -136,6 +139,8 @@ class ChatClient:
             record = json.loads(path.read_text(encoding="utf-8"))
         except FileNotFoundError:
             return None
+        except OSError as e:
+            raise LlmTransport(f"{path}: cannot read cache file: {e.strerror or e}") from e
         except (ValueError, RecursionError) as e:
             raise LlmTransport(f"{path}: corrupt cache file: {e}") from e
         if not isinstance(record, dict) or not isinstance(record.get("response"), str):
@@ -182,7 +187,7 @@ class ChatClient:
                 with self._lock:
                     self.network_calls += 1
                 response = requests.post(
-                    self.endpoint, json=body, headers=headers, timeout=self.timeout
+                    self.endpoint, json=body, headers=headers, timeout=REQUEST_TIMEOUT_S
                 )
                 if response.status_code in (429, 500, 502, 503, 504):
                     last_error = LlmTransport(f"HTTP {response.status_code}")

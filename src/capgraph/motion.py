@@ -12,7 +12,6 @@ negative classes on strategy-selected endpoint frames.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -191,11 +190,8 @@ def assign_negatives(
 
     The pool must span the entire dataset. Candidates sort ascending by
     motion score (ties: video id, run start, subject, object); the first
-    ceil(alpha% * pool) are selected.
+    ceil(alpha% * pool) are selected, so an empty pool selects none.
     """
-    if not candidates:
-        warnings.warn("empty motion-candidate pool; no negatives assigned", RuntimeWarning)
-        return NegativeAssignment(selected=[], by_video={})
     ordered = sorted(
         candidates,
         key=lambda c: (c.motion_score, c.video_id, c.run[0], c.subject_class, c.object_class),

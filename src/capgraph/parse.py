@@ -21,7 +21,7 @@ from pathlib import Path
 from typing import Callable, Collection, Dict, List, Optional, Sequence, Tuple
 
 from .core import Detection, Provenance, SegmentedSentence, Triplet, Vocabulary
-from .errors import MalformedRecord, MissingFile
+from .errors import MalformedRecord, read_failure
 from .llm import ChatClient
 
 PARSER_MODES = ("llm", "rule")
@@ -270,12 +270,12 @@ class SynonymLexicon:
 
     @classmethod
     def load(cls, path) -> "SynonymLexicon":
-        """The lexicon in the JSON file at ``path``. A file that is missing or
-        is not a lexicon raises an error naming it."""
+        """The lexicon in the JSON file at ``path``. A file that cannot be
+        read or is not a lexicon raises an error naming it."""
         try:
             return cls.from_dict(json.loads(Path(path).read_text(encoding="utf-8")))
-        except FileNotFoundError as e:
-            raise MissingFile(str(path)) from e
+        except OSError as e:
+            raise read_failure(path, e) from e
         except json.JSONDecodeError as e:
             raise MalformedRecord(path, e.lineno, f"invalid JSON: {e.msg}") from e
         except (TypeError, ValueError, RecursionError) as e:

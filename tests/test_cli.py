@@ -563,6 +563,20 @@ class TestParseCommand:
         assert f"error: {lexicon}{reason}" in result.stderr
         assert "Traceback" not in result.stderr
 
+    def test_lexicon_that_is_a_directory_exits_1_naming_it(self, tmp_path):
+        sentences = tmp_path / "sentences.ndjson"
+        write_sentences({"v": [SegmentedSentence(1, "A person holds a cup.", (1, 2))]},
+                        sentences)
+        lexicon = tmp_path / "lexicon.json"
+        lexicon.mkdir()
+        result = CliRunner().invoke(main, [
+            "parse", "--sentences", str(sentences), "--out", str(tmp_path / "t.ndjson"),
+            "--parser", "rule", "--lexicon-path", str(lexicon),
+        ])
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit), result.exception
+        assert f"error: cannot read {lexicon}: " in result.output
+
 
 class TestSegmentCommand:
     def test_rule_fallback_mode_is_offline(self, data_root, tmp_path):
@@ -607,6 +621,27 @@ class TestStats:
         expected = (980 / 1_000_000) * 0.5 + (85 / 1_000_000) * 1.5
         assert video["cost"] == pytest.approx(expected, abs=1e-12)
 
+    def test_cost_is_what_each_run_recorded_at_its_prices(self, data_root, cassette_dir,
+                                                           tmp_path):
+        out = tmp_path / "out"
+        config = _config(data_root, cassette_dir, out)
+        config.segmentation.input_price_per_million = 3.0
+        config.segmentation.output_price_per_million = 15.0
+        run_all(config)
+        trace = out / "trace.ndjson"
+        recorded = json.loads((out / "report.json").read_text())["token_usage"]
+        assert recorded["estimated_cost"] > 0
+        report = aggregate_stats([str(trace)])
+        assert report["token_usage"] == recorded
+        for line in trace.read_text().splitlines():
+            record = json.loads(line)
+            assert report["per_video"][record["video_id"]]["cost"] == (
+                record["usage"]["estimated_cost"]
+            )
+        result = CliRunner().invoke(main, ["stats", str(trace)])
+        assert result.exit_code == 0, result.output
+        assert json.loads(result.output)["token_usage"] == recorded
+
     def test_zero_traces_empty_report(self):
         runner = CliRunner()
         result = runner.invoke(main, ["stats"])
@@ -633,9 +668,11 @@ class TestStats:
 
     @pytest.mark.parametrize("bad", [
         '{"video_id": "v", "usage": {"input_tokens": "x"}}',
+        '{"video_id": "v", "usage": {"estimated_cost": NaN}}',
+        '{"video_id": "v", "usage": {"estimated_cost": Infinity}}',
         "[1,2]",
         '{"video_id": "v", "sentences": [{"post_pruning_interval": [3]}]}',
-    ], ids=["token-count", "not-an-object", "short-interval"])
+    ], ids=["token-count", "cost-nan", "cost-infinite", "not-an-object", "short-interval"])
     def test_bad_trace_record_exits_1_naming_file_and_line(self, tmp_path, bad):
         trace = tmp_path / "trace.ndjson"
         trace.write_text('{"video_id": "ok", "sentences": []}\n' + bad + "\n")
@@ -680,6 +717,14 @@ class TestValidateCommand:
         runner = CliRunner()
         result = runner.invoke(main, ["validate", "--data-root", str(root)])
         assert result.exit_code == 2
+
+    def test_manifest_that_is_a_directory_exits_2_naming_it(self, tmp_path):
+        manifest = tmp_path / "manifest.ndjson"
+        manifest.mkdir()
+        result = CliRunner().invoke(main, ["validate", "--data-root", str(tmp_path)])
+        assert result.exit_code == 2
+        assert isinstance(result.exception, SystemExit), result.exception
+        assert f"validation failure: cannot read {manifest}: " in result.output
 
 
 def _with_non_finite_value(data_root, root, name):
@@ -755,6 +800,16 @@ class TestEvalCommand:
         report = json.loads((tmp_path / "report.json").read_text())
         assert report["with_constraint/R@20"] == 0.5
         assert report["no_constraint/R@50"] == 0.5
+
+    def test_gt_that_is_a_directory_exits_1_naming_it(self, tmp_path):
+        gt = tmp_path / "gt"
+        gt.mkdir()
+        pred = tmp_path / "pred.ndjson"
+        pred.write_text("")
+        result = CliRunner().invoke(main, ["eval", "--gt", str(gt), "--pred", str(pred)])
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit), result.exception
+        assert f"error: cannot read {gt}: " in result.output
 
     def test_unlocalized_graph_triplet_exits_1_naming_file_and_line(self, tmp_path):
         box = [0.0, 0.0, 10.0, 10.0]

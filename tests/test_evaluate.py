@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from capgraph.core import BoundingBox, Provenance, SceneGraph, Triplet
+from capgraph.core import BoundingBox, Provenance, Triplet
 from capgraph.errors import NoGtFrames
 from capgraph.evaluate import (
     REGIMES,
@@ -13,7 +13,6 @@ from capgraph.evaluate import (
     EvalInstance,
     apply_constraint,
     match_triplet,
-    pseudo_label_quality,
     recall_at_k,
 )
 
@@ -379,39 +378,3 @@ class TestRecallOracleProperty:
         }
         assert got == want
 
-
-class TestPseudoLabelQuality:
-    def test_per_class_precision_recall(self):
-        gt = [
-            _gt("person", "sitting on", "sofa/couch", BOX_A, BOX_B),
-            _gt("person", "looking at", "television", BOX_A, BOX_B),
-        ]
-        pseudo = [
-            Triplet(
-                "person", "sitting on", "sofa/couch", BOX_A, BOX_B, 1,
-                provenance=Provenance.CAPTION,
-            ),
-            Triplet(
-                "person", "sitting on", "sofa/couch", BOX_A, _box(50, 50, 60, 60), 1,
-                provenance=Provenance.CAPTION,
-            ),
-        ]
-        report = pseudo_label_quality(
-            [SceneGraph.from_triplets("v", pseudo)], [SceneGraph.from_triplets("v", gt)]
-        )
-        assert report["sitting on"]["precision"] == 0.5
-        assert report["sitting on"]["recall"] == 1.0
-        assert report["looking at"]["recall"] == 0.0
-
-    def test_matches_within_one_video(self):
-        # Both videos have ground truth on frame 1; the pseudo-label of "a"
-        # overlaps only the ground truth of "b".
-        pseudo = Triplet("person", "holding", "cup/glass/bottle", BOX_A, BOX_B, 1,
-                         provenance=Provenance.CAPTION)
-        gt_a = _gt("person", "holding", "cup/glass/bottle", _box(50, 50, 60, 60), BOX_B)
-        gt_b = _gt("person", "holding", "cup/glass/bottle", BOX_A, BOX_B)
-        report = pseudo_label_quality(
-            [SceneGraph.from_triplets("a", [pseudo])],
-            [SceneGraph.from_triplets("a", [gt_a]), SceneGraph.from_triplets("b", [gt_b])],
-        )
-        assert report["holding"] == {"precision": 0.0, "recall": 0.0, "support": 2}

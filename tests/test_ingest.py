@@ -1,6 +1,7 @@
 import json
 import math
 import random
+import re
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from capgraph.core import (
 )
 from capgraph.errors import (
     DimensionMismatch,
+    IoFailure,
     MalformedRecord,
     MissingFile,
 )
@@ -73,6 +75,12 @@ class TestEmbeddingFiles:
     def test_missing_file(self, tmp_path):
         with pytest.raises(MissingFile):
             read_embeddings(tmp_path / "absent.nlve")
+
+    def test_directory_is_a_read_failure_naming_it(self, tmp_path):
+        path = tmp_path / "m.nlve"
+        path.mkdir()
+        with pytest.raises(IoFailure, match=re.escape(f"cannot read {path}: ")):
+            read_embeddings(path)
 
 
 class TestSceneGraphFiles:
@@ -369,6 +377,14 @@ class TestRecordReader:
         with pytest.raises(MalformedRecord) as err:
             load(path)
         assert err.value.line_number == 20_002
+
+    @pytest.mark.parametrize("what", sorted(_VALID_LINES))
+    def test_directory_is_a_read_failure_naming_it(self, tmp_path, what):
+        load, _ = _VALID_LINES[what]
+        path = tmp_path / "records.ndjson"
+        path.mkdir()
+        with pytest.raises(IoFailure, match=re.escape(f"cannot read {path}: ")):
+            load(path)
 
     def test_line_nested_deeper_than_the_recursion_limit_is_malformed(self, tmp_path):
         path = tmp_path / "graphs.ndjson"

@@ -157,6 +157,13 @@ class TestCacheFiles:
         with pytest.raises(LlmTransport, match=re.escape(str(path))):
             client.complete("hello")
 
+    def test_directory_at_a_cassette_path_names_it(self, tmp_path):
+        path = tmp_path / f"{cache_key('m', 'hello')}.json"
+        path.mkdir()
+        client = ChatClient("m", cache_dir=tmp_path, offline=True)
+        with pytest.raises(LlmTransport, match=re.escape(f"{path}: cannot read cache file")):
+            client.complete("hello")
+
     def test_cassette_nested_past_the_recursion_limit_names_it(self, tmp_path):
         path = write_cassette(tmp_path, "m", "hello", "1. ok")
         path.write_text("[" * 100_000)

@@ -1,4 +1,5 @@
 import math
+import warnings
 from fractions import Fraction
 
 import pytest
@@ -19,6 +20,7 @@ from capgraph.motion import (
     GroundedPair,
     MotionCandidate,
     MotionLabelConfig,
+    NegativeAssignment,
     assign_negatives,
     build_candidates,
     collect_unaligned_runs,
@@ -255,10 +257,11 @@ class TestAssignNegatives:
         assert [t.frame_index for t in triplets] == [4, 4]
         assert {t.predicate_class for t in triplets} == {"not looking at", "not contacting"}
 
-    def test_empty_pool_warns(self):
-        with pytest.warns(RuntimeWarning):
+    def test_empty_pool_gives_empty_assignment(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             out = assign_negatives([], MotionLabelConfig())
-        assert out.by_video == {}
+        assert out == NegativeAssignment(selected=[], by_video={})
 
     def test_strategy_variants(self):
         config = MotionLabelConfig(
