@@ -400,7 +400,8 @@ def aggregate_stats(trace_paths: Sequence[str]) -> dict:
     """Aggregate trace files into usage, cost and histogram statistics.
 
     Cost is the ``usage.estimated_cost`` each record holds, as its run priced
-    it with the run's configured prices.
+    it with the run's configured prices. A video id met in more than one
+    record (two runs passed together) sums its records in ``per_video``.
     """
 
     def decode(record: dict) -> tuple:
@@ -421,7 +422,7 @@ def aggregate_stats(trace_paths: Sequence[str]) -> dict:
         )
 
     videos = 0
-    per_video_cost = {}
+    per_video: Dict[str, TokenUsage] = {}
     usage = TokenUsage()
     sentences_hist, interval_hist, gap_hist, discards = Counter(), Counter(), Counter(), Counter()
     for path in trace_paths:
@@ -429,11 +430,7 @@ def aggregate_stats(trace_paths: Sequence[str]) -> dict:
             path, "trace", decode
         ):
             videos += 1
-            per_video_cost[video_id] = {
-                "input_tokens": u.input_tokens,
-                "output_tokens": u.output_tokens,
-                "cost": u.estimated_cost,
-            }
+            per_video[video_id] = per_video.get(video_id, TokenUsage()) + u
             usage = usage + u
             sentences_hist[sentence_count] += 1
             interval_hist.update(lengths)
@@ -443,7 +440,11 @@ def aggregate_stats(trace_paths: Sequence[str]) -> dict:
     return {
         "videos": videos,
         "token_usage": usage.to_dict(),
-        "per_video": {k: per_video_cost[k] for k in sorted(per_video_cost)},
+        "per_video": {
+            video_id: {"input_tokens": u.input_tokens, "output_tokens": u.output_tokens,
+                       "cost": u.estimated_cost}
+            for video_id, u in sorted(per_video.items())
+        },
         "histograms": {
             "sentences_per_caption": dict(sorted(sentences_hist.items())),
             "aligned_interval_lengths": dict(sorted(interval_hist.items())),

@@ -4,6 +4,12 @@ Frame indices are 1-based everywhere. Boxes are axis-aligned corner boxes
 (x1, y1, x2, y2) in pixels. Embedding rows are L2-normalized at ingestion so
 cosine similarity reduces to a dot product. All types here are immutable
 after construction and safe to share across threads.
+
+``BoundingBox`` and ``Triplet`` are tuples (``NamedTuple``), the others frozen
+dataclasses: the loaders build one of each per record, and a tuple costs a
+fraction of a frozen dataclass to construct. They compare and hash field by
+field as the dataclasses did, and, being tuples, also equal a plain tuple of
+the same values (``BoundingBox(0, 0, 1, 1) == (0, 0, 1, 1)``).
 """
 
 from __future__ import annotations
@@ -13,7 +19,7 @@ import math
 from dataclasses import dataclass, field
 from enum import Enum
 from importlib import resources
-from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -27,8 +33,7 @@ class Provenance(str, Enum):
     PREDICTION = "prediction"
 
 
-@dataclass(frozen=True)
-class BoundingBox:
+class BoundingBox(NamedTuple):
     """Axis-aligned box in xyxy pixel coordinates.
 
     Construction is permissive: degenerate or out-of-range boxes must remain
@@ -208,26 +213,54 @@ class SegmentedSentence:
         )
 
 
-@dataclass(frozen=True)
-class Triplet:
+class _TripletFields(NamedTuple):
+    subject_class: str
+    predicate_class: str
+    object_class: str
+    subject_box: Optional[BoundingBox]
+    object_box: Optional[BoundingBox]
+    frame_index: Optional[int]
+    score: Optional[float]
+    provenance: Provenance
+
+
+_PROVENANCE = {p.value: p for p in Provenance}
+
+
+def _provenance(value) -> Provenance:
+    try:
+        return _PROVENANCE[value]
+    except (KeyError, TypeError):  # not a known value: let Provenance say why
+        return Provenance(value)
+
+
+class Triplet(_TripletFields):
     """A subject/predicate/object with optional boxes, frame and score.
 
     A triplet is localized when both boxes are present, in which case
     ``frame_index`` is required.
     """
 
-    subject_class: str
-    predicate_class: str
-    object_class: str
-    subject_box: Optional[BoundingBox] = None
-    object_box: Optional[BoundingBox] = None
-    frame_index: Optional[int] = None
-    score: Optional[float] = None
-    provenance: Provenance = Provenance.CAPTION
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.is_localized and self.frame_index is None:
+    def __new__(
+        cls,
+        subject_class: str,
+        predicate_class: str,
+        object_class: str,
+        subject_box: Optional[BoundingBox] = None,
+        object_box: Optional[BoundingBox] = None,
+        frame_index: Optional[int] = None,
+        score: Optional[float] = None,
+        provenance: Provenance = Provenance.CAPTION,
+    ) -> "Triplet":
+        if subject_box is not None and object_box is not None and frame_index is None:
             raise ValueError("localized triplets require frame_index")
+        return tuple.__new__(
+            cls,
+            (subject_class, predicate_class, object_class, subject_box, object_box,
+             frame_index, score, provenance),
+        )
 
     @property
     def is_localized(self) -> bool:
@@ -256,15 +289,16 @@ class Triplet:
     ) -> "Triplet":
         """Build a triplet from its record; ``box`` turns a coordinate list
         into a box (a loader may pass one that shares equal boxes)."""
+        frame_index, score = d.get("frame_index"), d.get("score")
         return cls(
-            subject_class=str(d["subject_class"]),
-            predicate_class=str(d["predicate_class"]),
-            object_class=str(d["object_class"]),
-            subject_box=box(d["subject_box"]) if d.get("subject_box") else None,
-            object_box=box(d["object_box"]) if d.get("object_box") else None,
-            frame_index=int(d["frame_index"]) if d.get("frame_index") is not None else None,
-            score=float(d["score"]) if d.get("score") is not None else None,
-            provenance=Provenance(d.get("provenance", "caption")),
+            str(d["subject_class"]),
+            str(d["predicate_class"]),
+            str(d["object_class"]),
+            box(d["subject_box"]) if d.get("subject_box") else None,
+            box(d["object_box"]) if d.get("object_box") else None,
+            int(frame_index) if frame_index is not None else None,
+            float(score) if score is not None else None,
+            _provenance(d.get("provenance", "caption")),
         )
 
 
@@ -276,10 +310,10 @@ def triplet_sort_key(video_id: str, t: Triplet):
         t.subject_class,
         t.predicate_class,
         t.object_class,
-        t.subject_box.as_tuple() if t.subject_box else (),
-        t.object_box.as_tuple() if t.object_box else (),
+        t.subject_box or (),
+        t.object_box or (),
         t.score if t.score is not None else 0.0,
-        t.provenance.value,
+        t.provenance,
     )
 
 

@@ -73,12 +73,7 @@ def apply_constraint(predictions: Sequence[Triplet], regime: str) -> List[Triple
         raise ValueError(f"unknown regime {regime!r}")
     best: Dict[tuple, Tuple[float, int]] = {}
     for i, p in enumerate(predictions):
-        key = (
-            p.subject_box.as_tuple() if p.subject_box else None,
-            p.subject_class,
-            p.object_box.as_tuple() if p.object_box else None,
-            p.object_class,
-        )
+        key = (p.subject_box, p.subject_class, p.object_box, p.object_class)
         score = p.score if p.score is not None else 0.0
         if key not in best or score > best[key][0]:
             best[key] = (score, i)

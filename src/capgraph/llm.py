@@ -19,8 +19,6 @@ from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Optional
 
-import requests
-
 from .errors import LlmTransport
 
 API_KEY_ENV = "CAPGRAPH_API_KEY"
@@ -28,6 +26,21 @@ API_KEY_ENV = "CAPGRAPH_API_KEY"
 DEFAULT_INPUT_PRICE_PER_MILLION = 0.5
 DEFAULT_OUTPUT_PRICE_PER_MILLION = 1.5
 REQUEST_TIMEOUT_S = 60.0
+
+
+def _requests():
+    """The ``requests`` module, imported on the first network call: it is
+    slow to import, and replayed and offline runs never use it."""
+    import requests
+
+    return requests
+
+
+def __getattr__(name: str):
+    # ``llm.requests`` still names the module, for callers that patch it.
+    if name == "requests":
+        return _requests()
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 @dataclass
@@ -180,6 +193,7 @@ class ChatClient:
             "temperature": self.temperature,
             "messages": [{"role": "user", "content": prompt}],
         }
+        requests = _requests()
         last_error: Optional[Exception] = None
         for attempt in range(self.max_retries + 1):
             delay = min(2.0**attempt, 8.0)

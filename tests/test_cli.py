@@ -1,7 +1,9 @@
 import dataclasses
 import hashlib
 import json
+import math
 import os
+import random
 import shutil
 import struct
 import subprocess
@@ -662,6 +664,20 @@ class TestStats:
         assert combined["token_usage"] == single["token_usage"]
         assert combined["videos"] == single["videos"]
 
+    def test_per_video_sums_to_the_total_when_a_video_repeats(self, data_root, cassette_dir,
+                                                              tmp_path):
+        out = tmp_path / "out"
+        run_all(_config(data_root, cassette_dir, out))
+        trace = str(out / "trace.ndjson")
+        report = aggregate_stats([trace, trace])
+        assert report["videos"] == 2 * len(report["per_video"])
+        total, per_video = report["token_usage"], report["per_video"].values()
+        for name in ("input_tokens", "output_tokens"):
+            assert sum(video[name] for video in per_video) == total[name]
+        assert sum(video["cost"] for video in per_video) == pytest.approx(
+            total["estimated_cost"], abs=1e-9
+        )
+
     def test_missing_trace(self, tmp_path):
         with pytest.raises(MissingFile, match="absent.ndjson"):
             aggregate_stats([str(tmp_path / "absent.ndjson")])
@@ -800,6 +816,53 @@ class TestEvalCommand:
         report = json.loads((tmp_path / "report.json").read_text())
         assert report["with_constraint/R@20"] == 0.5
         assert report["no_constraint/R@50"] == 0.5
+
+    def test_nan_scores_and_signed_zero_boxes_pin_eval_json(self, tmp_path):
+        # NaN scores leave the score order partial, and a -0.0 box equals its
+        # 0.0 twin, so both the with_constraint groups and the ranking inside
+        # them are pinned here: "constrain, then rank" per regime writes
+        # these bytes, and ranking once for both regimes does not.
+        rng = random.Random(11)
+        boxes = [[-0.0, 0.0, 10.0, 10.0], [0.0, -0.0, 10.0, 10.0], [0.0, 0.0, 10.0, 10.0],
+                 [20.0, 0.0, 30.0, 10.0], [-0.0, 20.0, 10.0, 30.0], [1.0, 1.0, 11.0, 11.0]]
+        predicates = ["holding", "looking at", "touching"]
+        objects = ["cup/glass/bottle", "book"]
+
+        def line(frame, predicate, obj, subject_box, object_box, **extra):
+            return json.dumps({"video_id": f"v{frame % 3}", "subject_class": "person",
+                               "predicate_class": predicate, "object_class": obj,
+                               "subject_box": subject_box, "object_box": object_box,
+                               "frame_index": frame, **extra}) + "\n"
+
+        gt_lines, pred_lines = [], []
+        for frame in range(1, 61):
+            truths = [(rng.choice(predicates), rng.choice(objects), rng.choice(boxes),
+                       rng.choice(boxes)) for _ in range(rng.randint(1, 4))]
+            gt_lines += [line(frame, *truth, provenance="ground_truth") for truth in truths]
+            for _ in range(rng.randint(2, 10)):
+                predicate, obj, subject_box, object_box = rng.choice(truths)
+                if rng.random() < 0.5:
+                    predicate = rng.choice(predicates)
+                if rng.random() < 0.5:
+                    subject_box = rng.choice(boxes)
+                score = rng.choice([math.nan, math.nan, 0.5, -0.0, 0.0, round(rng.random(), 2)])
+                pred_lines.append(line(frame, predicate, obj, subject_box, object_box,
+                                       score=score, provenance="prediction"))
+        gt, pred, out = tmp_path / "gt.ndjson", tmp_path / "pred.ndjson", tmp_path / "eval.json"
+        gt.write_text("".join(gt_lines))
+        pred.write_text("".join(pred_lines))
+        assert "NaN" in pred.read_text() and "[-0.0," in pred.read_text()
+        result = CliRunner().invoke(main, ["eval", "--gt", str(gt), "--pred", str(pred),
+                                           "--k", "1,2,3", "--json-out", str(out)])
+        assert result.exit_code == 0, result.output
+        assert out.read_bytes() == (
+            b'{\n "no_constraint/R@1": 0.2222222222222222,\n'
+            b' "no_constraint/R@2": 0.37083333333333335,\n'
+            b' "no_constraint/R@3": 0.46527777777777773,\n'
+            b' "with_constraint/R@1": 0.21666666666666667,\n'
+            b' "with_constraint/R@2": 0.3777777777777777,\n'
+            b' "with_constraint/R@3": 0.4805555555555555\n}\n'
+        )
 
     def test_gt_that_is_a_directory_exits_1_naming_it(self, tmp_path):
         gt = tmp_path / "gt"

@@ -1,3 +1,4 @@
+import pickle
 from collections import Counter
 
 import numpy as np
@@ -83,12 +84,90 @@ class TestVocabulary:
 class TestTriplet:
     def test_localized_requires_frame(self):
         box = BoundingBox(0, 0, 1, 1)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^localized triplets require frame_index$"):
             Triplet("person", "holding", "cup/glass/bottle", box, box)
+        with pytest.raises(ValueError, match="^localized triplets require frame_index$"):
+            Triplet.from_dict({"subject_class": "person", "predicate_class": "holding",
+                               "object_class": "cup", "subject_box": [0, 0, 1, 1],
+                               "object_box": [0, 0, 1, 1]})
 
     def test_unlocalized_ok(self):
         t = Triplet("person", "holding", "cup")
         assert not t.is_localized
+
+
+class TestValueTypes:
+    """Boxes and triplets are immutable values: equal fields, equal and
+    hash-equal objects, and a pickle round trip keeps them."""
+
+    @staticmethod
+    def _values():
+        box = BoundingBox(0.0, 1.5, 2.0, 3.0)
+        triplet = Triplet("person", "holding", "cup", box, BoundingBox(-0.0, 0, 1, 1),
+                          frame_index=4, score=0.25, provenance=Provenance.PREDICTION)
+        return [box, triplet, Triplet("person", "holding", "cup")]
+
+    @pytest.mark.parametrize("index", [0, 1, 2], ids=["box", "triplet", "bare-triplet"])
+    def test_attributes_cannot_be_set(self, index):
+        value = self._values()[index]
+        with pytest.raises(AttributeError):
+            setattr(value, type(value)._fields[0], 1.0)
+        with pytest.raises(AttributeError):
+            value.extra = 1
+
+    @pytest.mark.parametrize("index", [0, 1, 2], ids=["box", "triplet", "bare-triplet"])
+    def test_equal_values_are_equal_and_hash_equal(self, index):
+        a, b = self._values()[index], self._values()[index]
+        assert a is not b
+        assert a == b and hash(a) == hash(b)
+        assert len({a, b}) == 1
+
+    @pytest.mark.parametrize("index", [0, 1, 2], ids=["box", "triplet", "bare-triplet"])
+    def test_pickle_round_trip(self, index):
+        value = self._values()[index]
+        restored = pickle.loads(pickle.dumps(value))
+        assert restored == value and type(restored) is type(value)
+
+    def test_fields_differ_values_differ(self):
+        box, triplet, _ = self._values()
+        assert box != BoundingBox(0.0, 1.5, 2.0, 3.5)
+        assert triplet != Triplet("person", "holding", "cup", box, triplet.object_box,
+                                  frame_index=4, score=0.25,
+                                  provenance=Provenance.GROUND_TRUTH)
+
+    def test_box_equals_the_plain_tuple_of_its_coordinates(self):
+        assert BoundingBox(0, 0, 1, 1) == (0, 0, 1, 1)
+        assert hash(BoundingBox(0.0, 0.0, 1.0, 1.0)) == hash((0.0, 0.0, 1.0, 1.0))
+
+    @pytest.mark.parametrize("bad, error, message", [
+        ([[1], 2, 3, 4], TypeError, "float() argument must be a string or a real number, "
+                                    "not 'list'"),
+        (5, TypeError, "cannot unpack non-iterable int object"),
+        ([1, 2, 3], ValueError, "not enough values to unpack (expected 4, got 3)"),
+        ("abcd", ValueError, "could not convert string to float: 'a'"),
+    ], ids=["nested", "scalar", "short", "string"])
+    def test_from_list_errors(self, bad, error, message):
+        with pytest.raises(error) as raised:
+            BoundingBox.from_list(bad)
+        assert str(raised.value) == message
+
+    @pytest.mark.parametrize("bad, message", [
+        ("bogus", "'bogus' is not a valid Provenance"),
+        ([1], "[1] is not a valid Provenance"),
+        (None, "None is not a valid Provenance"),
+    ], ids=["unknown", "unhashable", "null"])
+    def test_unknown_provenance_error(self, bad, message):
+        record = {"subject_class": "person", "predicate_class": "holding",
+                  "object_class": "cup", "provenance": bad}
+        with pytest.raises(ValueError) as raised:
+            Triplet.from_dict(record)
+        assert str(raised.value) == message
+
+    def test_from_dict_maps_every_provenance_to_its_member(self):
+        for member in Provenance:
+            record = {"subject_class": "a", "predicate_class": "b", "object_class": "c",
+                      "provenance": member.value}
+            assert Triplet.from_dict(record).provenance is member
 
 
 class TestSceneGraph:

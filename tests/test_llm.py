@@ -1,11 +1,14 @@
 import json
+import os
 import re
+import subprocess
 import sys
 import threading
 import time
 
 import pytest
 
+import capgraph
 import capgraph.llm as llm
 from capgraph.errors import LlmTransport
 from capgraph.llm import ChatClient, TokenUsage, cache_key, write_cassette
@@ -135,6 +138,26 @@ class TestTransport:
         client = ChatClient("m", cache_dir=tmp_path, offline=True)
         with pytest.raises(LlmTransport):
             client.complete("never recorded")
+
+
+class TestLazyRequests:
+    def test_importing_the_cli_leaves_requests_unimported(self):
+        package_root = os.path.dirname(os.path.dirname(capgraph.__file__))
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, (package_root, env.get("PYTHONPATH")))
+        )
+        code = "import sys, capgraph.cli; print('requests' in sys.modules)"
+        result = subprocess.run([sys.executable, "-c", code], env=env,
+                                capture_output=True, text=True, check=True)
+        assert result.stdout.strip() == "False"
+
+    def test_module_attribute_names_requests(self):
+        import requests
+
+        assert llm.requests is requests
+        with pytest.raises(AttributeError, match="no attribute 'nonexistent'"):
+            llm.nonexistent
 
 
 class TestCacheKey:
