@@ -8,15 +8,25 @@ the first drop exceeding a threshold instead. Candidate frames are the union
 of the selected clusters' members. Temporally impossible assignments are then
 pruned with a watermark sweep, and each sentence keeps the maximal
 consecutive run of surviving candidates around its strongest frame.
+
+``cluster_videos`` clusters many videos at once. Videos of one shape (T, D)
+run together in chunks: each of the R seeded restarts draws from one stream
+for the whole chunk, and the Lloyd iterations of every video and restart
+advance in lockstep. A video whose own stream would draw differently (fewer
+than K distinct rows) runs again alone. Every result is bit-for-bit the one
+of clustering the video alone, restart after restart. A video counts
+``T*max(R*D, R*K, T)`` elements: its rows repeated for every restart, their
+distances to the centroids, and its row-to-row distances. A chunk holds as
+many videos as fit in ``KMEANS_BATCH_ELEMENTS``, and at least one, so no
+array of a chunk is larger than that budget or than one video's count.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 import warnings
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -27,6 +37,9 @@ SELECTION_MODES = ("steepest_decline", "fixed_gap")
 KMEANS_MAX_ITERS = 100
 KMEANS_RESTARTS = 5
 KMEANS_TOL = 1e-6
+# The float64 elements that a chunk of videos of one shape may hold in any
+# one array (see the module docstring).
+KMEANS_BATCH_ELEMENTS = 2**15
 
 
 @dataclass
@@ -108,35 +121,103 @@ def choose_k(t_frames: int, beta: int) -> int:
     return min(max(math.ceil(t_frames / beta), 1), t_frames)
 
 
-def _kmeans_plusplus_init(
-    n: int, k: int, rng: np.random.Generator, row_distances: Callable[[int], np.ndarray]
-) -> List[int]:
-    """Indices of the ``k`` rows k-means++ seeds on; ``row_distances(i)`` is
-    the squared distance of every row to row ``i``."""
-    picks = [int(rng.integers(0, n))]
-    closest = row_distances(picks[0])
-    for _ in range(1, k):
-        total = closest.sum()
-        if total <= 0:
-            idx = int(rng.integers(0, n))
+def _row_distances(rows: np.ndarray, new_v: np.ndarray, new_i: np.ndarray) -> np.ndarray:
+    """(N, T) squared distances from row ``new_i[n]`` of video ``new_v[n]``
+    to every row of that video in ``rows`` (V, T, D).
+
+    A block of rows at a time, so that their differences stay within
+    ``KMEANS_BATCH_ELEMENTS`` elements, or one row's T*D.
+    """
+    v, t, d = rows.shape
+    out = np.empty((len(new_v), t))
+    step = max(1, KMEANS_BATCH_ELEMENTS // max(1, t * d))
+    for lo in range(0, len(new_v), step):
+        videos, picked = new_v[lo : lo + step], new_i[lo : lo + step]
+        if v == 1:  # broadcast one video's rows rather than copy them
+            diff = rows - rows[0, picked][:, None]
         else:
-            idx = int(rng.choice(n, p=closest / total))
-        picks.append(idx)
-        closest = np.minimum(closest, row_distances(idx))
-    return picks
+            diff = rows[videos]
+            diff -= rows[videos, picked][:, None]
+        out[lo : lo + step] = np.add.reduce(np.square(diff, out=diff), axis=2)
+    return out
+
+
+def _kmeans_plusplus_init(
+    rows: np.ndarray, k: int, rngs: Sequence[np.random.Generator]
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """k-means++ seeding of the V videos of one shape in ``rows`` (V, T, D),
+    once per stream in ``rngs``; all V videos share each stream.
+
+    Returns the (R, V, K) picked row indices, the (R, V, T, K) squared
+    distances of every row to each pick, and a (V,) mask of the videos whose
+    own streams would have drawn differently. Every pick after the first is
+    ``rng.choice(T, p=closest / total)``, taken for all videos at once by the
+    inverse CDF that ``Generator.choice`` computes, from one ``rng.random()``.
+    A video whose ``total`` is 0 (fewer than K distinct rows) draws
+    ``rng.integers(0, T)`` instead; the stream does that when all its videos
+    do, and otherwise the mask marks the videos whose draws differ.
+    """
+    v, t, _ = rows.shape
+    videos = np.arange(v)
+    # Squared distances from each picked row to its video's rows, each
+    # computed once however many restarts pick the row.
+    pairs = np.empty((v, t, t))
+    known = np.zeros(v * t, dtype=bool)
+    picks = np.zeros((len(rngs), v, k), dtype=np.intp)
+    distances = np.empty((len(rngs), v, t, k))
+    diverged = np.zeros(v, dtype=bool)
+    draws = np.empty(len(rngs))
+    for j in range(k):
+        if j == 0:
+            picks[:, :, 0] = [[rng.integers(0, t)] for rng in rngs]
+        else:
+            total = closest.sum(axis=2)
+            if not np.isfinite(total).all():
+                # Generator.choice rejects such probabilities the same way.
+                raise ValueError("k-means++ seeding: frame distances are not finite")
+            zero = total <= 0
+            # A stream draws an integer when every video still on it has a
+            # zero total, else a choice, which moves its zero-total videos off.
+            integer = (zero | diverged).all(axis=1)
+            choice = ~integer[:, None]
+            diverged |= (zero & choice).any(axis=0)
+            drawn = ~zero & choice
+            for r, rng in enumerate(rngs):
+                if integer[r]:
+                    picks[r, :, j] = rng.integers(0, t)
+                else:
+                    draws[r] = rng.random()
+            cdf = np.cumsum(closest[drawn] / total[drawn, None], axis=1)
+            cdf /= cdf[:, -1:]
+            u = np.broadcast_to(draws[:, None], drawn.shape)[drawn]
+            picks[drawn, j] = (cdf <= u[:, None]).sum(axis=1)
+        idx = picks[:, :, j]
+        wanted = np.zeros(v * t, dtype=bool)
+        wanted[videos * t + idx] = True
+        new_v, new_i = np.divmod(np.flatnonzero(wanted & ~known), t)
+        known |= wanted
+        pairs[new_v, new_i] = _row_distances(rows, new_v, new_i)
+        column = pairs[videos, idx]
+        distances[..., j] = column
+        closest = column if j == 0 else np.minimum(closest, column)
+    return picks, distances, diverged
 
 
 def _sq_distances(rows: np.ndarray, centroids: np.ndarray) -> np.ndarray:
-    """(R, T, K) squared distances from each row to each restart's centroids.
+    """(B, T, K) squared distances from each batch element's rows to its
+    centroids: ``rows`` is (B, T, D), or (T, D) for all, ``centroids`` (B, K, D).
 
-    One cluster column at a time, so the broadcast temporary is R*T*D
-    elements. Each entry sums its D squares with ``np.add.reduce`` over a
-    contiguous last axis, so its bits do not depend on R or K.
+    One cluster column at a time, into one reused B*T*D buffer. Each entry
+    sums its D squares with ``np.add.reduce`` over a contiguous last axis, so
+    its bits do not depend on B or K.
     """
-    r, k, _ = centroids.shape
-    out = np.empty((r, rows.shape[0], k))
+    b, k, d = centroids.shape
+    t = rows.shape[-2]
+    out = np.empty((b, t, k))
+    diff = np.empty((b, t, d))
     for c in range(k):
-        out[:, :, c] = np.add.reduce((rows - centroids[:, c, None, :]) ** 2, axis=2)
+        np.subtract(rows, centroids[:, c, None, :], out=diff)
+        out[:, :, c] = np.add.reduce(np.square(diff, out=diff), axis=2)
     return out
 
 
@@ -174,24 +255,52 @@ def _lloyd(
     return centroids, labels, inertia
 
 
+def _cluster_means(rows: np.ndarray, cells: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """(C, D) means of the rows that ``cells`` (B, T) files under each of C
+    cells, of ``counts`` (C,) rows each; ``rows`` is (B, T, D), or (T, D)
+    for all B.
+
+    ``bincount`` adds its weights one by one in index order, from 0.0, so a
+    cell sums its rows in frame order. It takes a block of dims at a time,
+    so that its index and weights stay within ``KMEANS_BATCH_ELEMENTS``.
+    """
+    d = rows.shape[-1]
+    size = counts.size
+    sums = np.empty((size, d))
+    width = max(1, KMEANS_BATCH_ELEMENTS // cells.size)
+    for lo in range(0, d, width):
+        block = rows[..., lo : lo + width]
+        w = block.shape[-1]
+        index = (cells * w)[:, :, None] + np.arange(w)
+        # Shared rows repeat for every element; a broadcast view would be
+        # read-only, which bincount copies once more.
+        weights = (block if block.ndim == 3 else np.tile(block, (len(cells), 1))).ravel()
+        sums[:, lo : lo + w] = np.bincount(
+            index.ravel(), weights, minlength=size * w
+        ).reshape(size, w)
+    sums /= counts[:, None]
+    return sums
+
+
 def _lloyd_lockstep(
     rows: np.ndarray, centroids: np.ndarray, distances: np.ndarray, max_iters: int,
     tol: float = KMEANS_TOL,
 ) -> list:
-    """``_lloyd`` for R restarts at once, with the same bits per restart.
+    """``_lloyd`` for B batch elements at once, with the same bits per element.
 
-    ``centroids`` is (R, K, D) and ``distances`` the (R, T, K) squared
-    distances to them. Each restart stops at its own convergence. A cluster
-    mean sums its rows one by one in frame order, as
-    ``rows[mask].mean(axis=0)`` does for D >= 2. A restart continues in
-    ``_lloyd`` when its labels leave a cluster empty, which ``_lloyd``
-    reseeds, and from the start when D == 1, where ``mean`` sums pairwise.
-    Returns ``(centroids, labels, inertia)`` per restart, in restart order.
+    ``rows`` is (B, T, D), or (T, D) for all, ``centroids`` (B, K, D) and
+    ``distances`` the (B, T, K) squared distances between them. Each element
+    stops at its own convergence. A cluster mean sums its rows one by one in
+    frame order, as ``rows[mask].mean(axis=0)`` does for D >= 2. An element
+    continues in ``_lloyd`` when its labels leave a cluster empty, which
+    ``_lloyd`` reseeds, and from the start when D == 1, where ``mean`` sums
+    pairwise. Returns ``(centroids, labels, inertia)`` per element, in batch
+    order.
     """
-    r, k, d = centroids.shape
-    results: list = [None] * r
-    active = np.arange(r)
-    converged = np.zeros(r, dtype=bool)
+    b, k, d = centroids.shape
+    results: list = [None] * b
+    active = np.arange(b)
+    converged = np.zeros(b, dtype=bool)
     for it in range(max_iters + 1):
         labels = distances.argmin(axis=2)
         # Converged on the last update, or out of iterations: _lloyd's epilogue.
@@ -201,70 +310,112 @@ def _lloyd_lockstep(
             for j in np.flatnonzero(ends):
                 results[active[j]] = (centroids[j], labels[j], float(inertia[j]))
         slots = np.arange(active.size)[:, None]
-        counts = np.bincount((labels + k * slots).ravel(), minlength=active.size * k)
-        counts = counts.reshape(active.size, k)
+        cells = labels + k * slots
+        counts = np.bincount(cells.ravel(), minlength=active.size * k).reshape(active.size, k)
         go = counts.all(axis=1) & ~ends & (d > 1)
         for j in np.flatnonzero(~go & ~ends):
-            results[active[j]] = _lloyd(rows, centroids[j], distances[j], max_iters - it, tol)
+            own = rows[j] if rows.ndim == 3 else rows
+            results[active[j]] = _lloyd(own, centroids[j], distances[j], max_iters - it, tol)
         if not go.any():
             return results
-        active, centroids, labels, counts = active[go], centroids[go], labels[go], counts[go]
-        sums = np.zeros(centroids.shape)
-        np.add.at(sums, (slots[: active.size], labels), rows)
-        moved = sums / counts[:, :, None]
+        if not go.all():
+            active, centroids, counts = active[go], centroids[go], counts[go]
+            cells = labels[go] + k * slots[: active.size]
+            if rows.ndim == 3:
+                rows = rows[go]
+        moved = _cluster_means(rows, cells, counts.ravel()).reshape(centroids.shape)
         converged = np.linalg.norm(moved - centroids, axis=2).max(axis=1) < tol
         centroids = moved
         distances = _sq_distances(rows, centroids)
     return results
 
 
-def cluster_frames(
-    frame_embeds: EmbeddingMatrix, config: AlignConfig, seed: int = 0
-) -> ClusteringResult:
-    """Deterministically cluster frame embeddings.
-
-    k-means++ seeding from ``seed``, best of ``KMEANS_RESTARTS`` by
-    inertia. If all rows are identical and K would exceed 1, the result
-    degenerates to a single cluster with a warning.
-
-    The restarts run their Lloyd iterations in lockstep, and each row's
-    distance vector is computed once across all seedings and reused as the
-    first iteration's distances. The result is bit-for-bit the one of
-    running the restarts one after another. The largest temporary is
-    R*T*D elements (R restarts, T frames, D dims).
-    """
-    rows = np.asarray(frame_embeds.rows, dtype=np.float64)
-    t = rows.shape[0]
-    k = choose_k(t, config.beta)
-    frames = list(range(1, t + 1))
-
-    if k > 1 and bool(np.all(rows == rows[0])):
+def _cluster_chunk(rows: np.ndarray, k: int, seed: int) -> List[ClusteringResult]:
+    """``cluster_frames`` of the V videos of one shape in ``rows`` (V, T, D),
+    in lockstep over videos and restarts."""
+    v, t, d = rows.shape
+    frames = range(1, t + 1)
+    results: List[Optional[ClusteringResult]] = [None] * v
+    identical = (rows == rows[:, :1]).all(axis=(1, 2)) if k > 1 else np.zeros(v, dtype=bool)
+    for i in np.flatnonzero(identical):
         warnings.warn(
             "all frame embeddings are identical; degenerating to a single cluster",
             RuntimeWarning,
         )
-        return ClusteringResult(
-            k=1, centroids=rows[:1].copy(), assignment={f: 0 for f in frames}
+        results[i] = ClusteringResult(
+            k=1, centroids=rows[i, :1].copy(), assignment=dict.fromkeys(frames, 0)
         )
+    live = np.flatnonzero(~identical)
+    if live.size < v:
+        rows = rows[live]
+    rngs = [np.random.default_rng([seed, restart]) for restart in range(KMEANS_RESTARTS)]
+    picks, first, diverged = _kmeans_plusplus_init(rows, k, rngs)
+    # A video whose streams left the chunk's runs again alone, where no
+    # other video can pull its streams elsewhere.
+    for j in np.flatnonzero(diverged):
+        results[live[j]] = _cluster_chunk(rows[j : j + 1], k, seed)[0]
+    if diverged.any():
+        keep = ~diverged
+        live, rows, picks, first = live[keep], rows[keep], picks[:, keep], first[:, keep]
+    # Batch element b is restart b // N of video b % N. The restarts of one
+    # video share its rows; a chunk of several repeats them per restart, in at
+    # most KMEANS_BATCH_ELEMENTS elements.
+    r, n = picks.shape[:2]
+    runs = _lloyd_lockstep(
+        rows[0] if n == 1 else np.tile(rows, (r, 1, 1)),
+        rows[np.arange(n)[:, None], picks].reshape(r * n, k, d),
+        first.reshape(r * n, t, k),
+        KMEANS_MAX_ITERS,
+    )
+    for j, i in enumerate(live):
+        # The first restart of least inertia wins.
+        centroids, labels, _ = min(runs[j::n], key=lambda run: run[2])
+        # Drop clusters that ended empty (possible with duplicate rows) and
+        # renumber the labels, so the result never carries an empty cluster.
+        occupied, labels = np.unique(labels, return_inverse=True)
+        centroids = centroids[occupied]
+        results[i] = ClusteringResult(
+            k=centroids.shape[0], centroids=centroids,
+            assignment=dict(zip(frames, labels.tolist())),
+        )
+    return results
 
-    @functools.cache
-    def row_distances(i: int) -> np.ndarray:
-        return np.add.reduce((rows - rows[i]) ** 2, axis=1)
 
-    picks = [
-        _kmeans_plusplus_init(t, k, np.random.default_rng([seed, restart]), row_distances)
-        for restart in range(KMEANS_RESTARTS)
-    ]
-    first = np.array([[row_distances(i) for i in p] for p in picks]).transpose(0, 2, 1)
-    runs = _lloyd_lockstep(rows, rows[picks], first, KMEANS_MAX_ITERS)
-    # The first restart of least inertia wins.
-    centroids, labels, _ = min(runs, key=lambda run: run[2])
-    # Drop clusters that ended empty (possible with duplicate rows) and
-    # renumber the labels, so the result never carries an empty cluster.
-    occupied, labels = np.unique(labels, return_inverse=True)
-    centroids = centroids[occupied]
-    assignment = {frame: int(labels[i]) for i, frame in enumerate(frames)}
-    return ClusteringResult(k=centroids.shape[0], centroids=centroids, assignment=assignment)
+def cluster_videos(
+    matrices: Sequence[EmbeddingMatrix], config: AlignConfig, seed: int = 0
+) -> List[ClusteringResult]:
+    """Deterministically cluster each video's frame embeddings.
+
+    k-means++ seeding from ``seed``, best of ``KMEANS_RESTARTS`` by inertia.
+    If all rows of a video are identical and K would exceed 1, its result
+    degenerates to a single cluster with a warning.
+
+    Videos of one shape run in chunks, as the module docstring describes;
+    each restart's first Lloyd distances are the ones its seeding computed.
+    Results come in the order of ``matrices``.
+    """
+    by_shape: Dict[Tuple[int, ...], List[int]] = {}
+    for i, matrix in enumerate(matrices):
+        by_shape.setdefault(matrix.rows.shape, []).append(i)
+    results: List[ClusteringResult] = [None] * len(matrices)  # type: ignore[list-item]
+    for (t, d), members in by_shape.items():
+        k = choose_k(t, config.beta)
+        per_video = t * max(KMEANS_RESTARTS * max(d, k), t)
+        per_chunk = max(1, KMEANS_BATCH_ELEMENTS // per_video)
+        for start in range(0, len(members), per_chunk):
+            chunk = members[start : start + per_chunk]
+            rows = np.stack([matrices[i].rows for i in chunk], dtype=np.float64)
+            for i, result in zip(chunk, _cluster_chunk(rows, k, seed)):
+                results[i] = result
+    return results
+
+
+def cluster_frames(
+    frame_embeds: EmbeddingMatrix, config: AlignConfig, seed: int = 0
+) -> ClusteringResult:
+    """``cluster_videos`` of one video: k-means++ seeding from ``seed``, best
+    of ``KMEANS_RESTARTS`` by inertia, the restarts in lockstep."""
+    return cluster_videos([frame_embeds], config, seed)[0]
 
 
 def sort_clusters(similarities: Sequence[float]) -> List[int]:

@@ -139,20 +139,33 @@ def _segment_video(
     )
 
 
+def _cluster_videos(
+    video_ids: Sequence[str], bundle: ingest.DatasetBundle, config: align_mod.AlignConfig,
+    seed: int,
+) -> Dict[str, align_mod.ClusteringResult]:
+    """Frame clusterings of the videos in ``video_ids`` that the bundle holds,
+    all in one ``cluster_videos`` call."""
+    known = [v for v in video_ids if v in bundle.embeddings]
+    matrices = [bundle.embeddings[v] for v in known]
+    return dict(zip(known, align_mod.cluster_videos(matrices, config, seed)))
+
+
 def _align_video(
     video_id: str,
     sentences: List[SegmentedSentence],
     bundle: ingest.DatasetBundle,
+    clusterings: Dict[str, align_mod.ClusteringResult],
     config: align_mod.AlignConfig,
-    seed: int,
 ) -> Tuple[List[SegmentedSentence], align_mod.AlignmentTrace]:
+    """Align one video's sentences on its frame clustering, which it takes
+    out of ``clusterings``, so each clustering is freed once used."""
     sentence_embeds = bundle.sentence_embeddings.get(video_id)
     if sentence_embeds is None:
         raise MissingFile(
             f"embeddings/{video_id}.sentences.nlve (produce sentence embeddings "
             "for the segmented captions, then re-run)"
         )
-    clustering = align_mod.cluster_frames(bundle.embeddings[video_id], config, seed)
+    clustering = clusterings.pop(video_id)
     return align_mod.align_sentences(
         sentences, sentence_embeds, clustering, config, video_id=video_id
     )
@@ -251,17 +264,19 @@ def _process_video(
     config: PipelineConfig,
     vocab: Vocabulary,
     replies: dict,
+    clusterings: Dict[str, align_mod.ClusteringResult],
 ) -> VideoResult:
     """Segment, align and parse one video; grounding happens dataset-wide
     after the optional open-vocabulary restriction. ``replies`` is the run's
-    shared memo of recorded chat replies; usage is still counted per video."""
+    shared memo of recorded chat replies; usage is still counted per video.
+    ``clusterings`` holds the frame clusterings of the videos not yet aligned."""
     client = segment_mod.make_client(
         config.segmentation, config.cache_dir, config.offline, replies
     )
     discards = parse_mod.DiscardCounters()
     sentences = _segment_video(manifest, config.segmentation, client)
     aligned, trace = _align_video(
-        manifest.video_id, sentences, bundle, config.alignment, config.seed
+        manifest.video_id, sentences, bundle, clusterings, config.alignment
     )
     extracted, mapped = _parse_sentences(aligned, vocab, config.parsing, client, discards)
     return VideoResult(
@@ -306,9 +321,12 @@ def run_all(config: PipelineConfig) -> RunReport:
 
         stage = "process"
         replies: dict = {}
+        clusterings = _cluster_videos(
+            [m.video_id for m in bundle.manifests], bundle, config.alignment, config.seed
+        )
         # In video-id order at any --workers: load_bundle sorts, _map_videos keeps order.
         results = _map_videos(
-            lambda m: _process_video(m, bundle, config, vocab, replies),
+            lambda m: _process_video(m, bundle, config, vocab, replies, clusterings),
             bundle.manifests,
             config.workers,
         )
@@ -555,11 +573,13 @@ def align_cmd(data_root, sentences_path, out_path, beta, selection, seed, trace_
     config = dataclasses.replace(selection, beta=beta)
     bundle = ingest.load_bundle(data_root)
     sentences = ingest.load_sentences(sentences_path)
+    video_ids = sorted(sentences)
+    clusterings = _cluster_videos(video_ids, bundle, config, seed)
     aligned = {}
     traces = []
-    for video_id in sorted(sentences):
+    for video_id in video_ids:
         aligned[video_id], trace = _align_video(
-            video_id, sentences[video_id], bundle, config, seed
+            video_id, sentences[video_id], bundle, clusterings, config
         )
         traces.append(trace)
     ingest.write_sentences(aligned, out_path)

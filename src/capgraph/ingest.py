@@ -236,7 +236,7 @@ def load_detections(path, confidence_floor: float) -> List[Detection]:
 
 
 def _detection_order(d: Detection) -> tuple:
-    return (d.frame_index, d.entity_class, d.box.as_tuple(), -d.confidence)
+    return (d.frame_index, d.entity_class, d.box, -d.confidence)
 
 
 def write_detections(detections: Sequence[Detection], path) -> None:

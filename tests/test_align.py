@@ -1,6 +1,7 @@
 import json
 import tracemalloc
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from capgraph.align import (
     ClusteringResult,
     choose_k,
     cluster_frames,
+    cluster_videos,
     align_sentences,
     prune_temporal,
     select_clusters,
@@ -227,16 +229,22 @@ def _rows(kind, t, d, data_seed):
         rows = np.round(rows, 1)
     elif kind == "tiny_perturbation":
         rows = rng.standard_normal(d) + 1e-8 * rows
+    elif kind == "identical":
+        rows = np.tile(rows[0], (t, 1))
     norms = np.linalg.norm(rows, axis=1, keepdims=True)
     rows = rows / np.where(norms > 0, norms, 1.0)
     return EmbeddingMatrix([f"f{i}" for i in range(t)], rows.astype(np.float32))
 
 
 def _assert_matches_oracle(matrix, beta, seed):
-    k, centroids, labels = _oracle_cluster(matrix, beta, seed)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
         result = cluster_frames(matrix, AlignConfig(beta=beta), seed=seed)
+    _assert_equals_oracle(result, matrix, beta, seed)
+
+
+def _assert_equals_oracle(result, matrix, beta, seed):
+    k, centroids, labels = _oracle_cluster(matrix, beta, seed)
     assert result.k == k
     assert result.assignment == {i + 1: int(c) for i, c in enumerate(labels)}
     assert result.centroids.dtype == centroids.dtype
@@ -321,6 +329,131 @@ class TestLockstepKMeans:
             tracemalloc.stop()
         assert fallbacks
         assert peak < t * k * d * 8
+
+
+def _spy_on_chunks(monkeypatch):
+    """Record the video count of every ``_cluster_chunk`` call."""
+    sizes = []
+    chunk = align_mod._cluster_chunk
+    monkeypatch.setattr(
+        align_mod, "_cluster_chunk", lambda rows, *a: sizes.append(len(rows)) or chunk(rows, *a)
+    )
+    return sizes
+
+
+class TestClusterVideos:
+    @given(
+        shapes=st.lists(
+            st.tuples(st.integers(1, 40), st.sampled_from([1, 2, 32])), min_size=1, max_size=3
+        ),
+        videos=st.lists(
+            st.tuples(
+                st.integers(0, 2), st.sampled_from(ROW_KINDS + ("identical",)),
+                st.integers(0, 2**16),
+            ),
+            min_size=1,
+            max_size=10,
+        ),
+        beta=st.sampled_from([1, 2, 3, 4]),
+        seed=st.integers(0, 2**16),
+        budget=st.sampled_from([1, 2**10, 2**13, align_mod.KMEANS_BATCH_ELEMENTS]),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_each_video_bitwise_equal_to_the_restart_by_restart_oracle(
+        self, shapes, videos, beta, seed, budget
+    ):
+        # Videos draw from at most three shapes, so shapes repeat and group;
+        # the smaller budgets split the groups into chunks of one or a few.
+        matrices = [
+            _rows(kind, *shapes[shape % len(shapes)], data_seed)
+            for shape, kind, data_seed in videos
+        ]
+        with mock.patch.object(align_mod, "KMEANS_BATCH_ELEMENTS", budget):
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", RuntimeWarning)
+                results = cluster_videos(matrices, AlignConfig(beta=beta), seed)
+        assert len(results) == len(matrices)
+        for matrix, result in zip(matrices, results):
+            _assert_equals_oracle(result, matrix, beta, seed)
+
+    def test_chunks_split_a_group_of_one_shape(self, monkeypatch):
+        # T=12, D=32, K=3: 2**15 // (5 * 12 * 32) = 17 videos a chunk.
+        sizes = _spy_on_chunks(monkeypatch)
+        matrices = [_rows("gaussian", 12, 32, s) for s in range(40)]
+        results = cluster_videos(matrices, AlignConfig(), seed=3)
+        assert sizes == [17, 17, 6]
+        for matrix, result in zip(matrices, results):
+            _assert_equals_oracle(result, matrix, 4, 3)
+
+    def test_a_duplicate_row_video_reruns_alone(self, monkeypatch):
+        # Two distinct rows and K = 3: once k-means++ has picked both, the
+        # duplicate video's total is 0 and it draws an integer, while the
+        # others draw a choice from the same stream. It must run again alone.
+        sizes = _spy_on_chunks(monkeypatch)
+        duplicate = EmbeddingMatrix(
+            [f"f{i}" for i in range(6)],
+            np.stack([_unit(0)] * 4 + [_unit(1)] * 2).astype(np.float32),
+        )
+        matrices = [_rows("gaussian", 6, DIM, 1), duplicate, _rows("gaussian", 6, DIM, 2)]
+        results = cluster_videos(matrices, AlignConfig(beta=2), seed=4)
+        assert sizes == [3, 1]
+        for matrix, result in zip(matrices, results):
+            _assert_equals_oracle(result, matrix, 2, 4)
+
+    def test_an_identical_video_degenerates_and_leaves_the_others(self):
+        matrices = [_rows("gaussian", 8, DIM, 1), _rows("identical", 8, DIM, 2),
+                    _rows("gaussian", 8, DIM, 3)]
+        with pytest.warns(RuntimeWarning, match="identical"):
+            results = cluster_videos(matrices, AlignConfig(beta=2), seed=5)
+        assert results[1].k == 1
+        assert set(results[1].assignment.values()) == {0}
+        for matrix, result in zip(matrices, results):
+            _assert_equals_oracle(result, matrix, 2, 5)
+
+    def test_results_keep_the_input_order_across_shapes(self):
+        shapes = [(12, 32), (5, 2), (12, 32), (1, 32), (5, 2), (12, 1)]
+        matrices = [_rows("gaussian", t, d, s) for s, (t, d) in enumerate(shapes)]
+        results = cluster_videos(matrices, AlignConfig(), seed=6)
+        for matrix, result in zip(matrices, results):
+            assert len(result.assignment) == len(matrix)
+            _assert_equals_oracle(result, matrix, 4, 6)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    def test_non_finite_rows_raise_value_error(self, bad):
+        # Generator.choice raised this for the restart-by-restart code.
+        rows = np.array(_rows("gaussian", 8, 4, 0).rows)
+        rows[3, 1] = bad
+        matrix = EmbeddingMatrix([f"f{i}" for i in range(8)], rows)
+        with pytest.raises(ValueError):
+            cluster_frames(matrix, AlignConfig(beta=4))
+        with pytest.raises(ValueError):
+            cluster_videos([_rows("gaussian", 8, 4, 1), matrix], AlignConfig(beta=4))
+
+    def test_memory_does_not_grow_with_the_number_of_videos(self):
+        # T=12, D=32 videos run in chunks of 17. What a call holds beyond its
+        # results is one chunk's working set: its rows repeated for every
+        # restart, one temporary of that size (squared differences or the
+        # bincount index) with numpy's broadcast buffer, and the centroids,
+        # sums and distances. Unchunked, 200 videos' repeated rows alone
+        # would take 200 * R*T*D*8 bytes (3 MiB).
+        t, d = 12, 32
+        matrices = [_rows("gaussian", t, d, s) for s in range(200)]
+        one_video = KMEANS_RESTARTS * t * d * 8
+
+        def held_beyond_results(n):
+            tracemalloc.start()
+            try:
+                results = cluster_videos(matrices[:n], AlignConfig(), seed=0)
+                held, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert len(results) == n
+            return peak - held
+
+        many, one_chunk = held_beyond_results(200), held_beyond_results(17)
+        assert many < one_chunk + one_video
+        assert many < 5 * align_mod.KMEANS_BATCH_ELEMENTS * 8 + one_video
 
 
 class TestSelectClusters:

@@ -14,6 +14,7 @@ import pytest
 from click.testing import CliRunner
 
 import capgraph
+from capgraph import align as align_mod
 from capgraph import llm
 from capgraph import parse as parse_mod
 from capgraph import segment as segment_mod
@@ -103,6 +104,22 @@ class TestRunAll:
             assert (tmp_path / "serial" / name).read_bytes() == (
                 tmp_path / "parallel" / name
             ).read_bytes()
+
+    @pytest.mark.parametrize("workers", [1, 4])
+    def test_all_videos_cluster_in_one_call(
+        self, data_root, cassette_dir, tmp_path, monkeypatch, workers
+    ):
+        calls = []
+        cluster_videos = align_mod.cluster_videos
+        monkeypatch.setattr(
+            align_mod, "cluster_videos",
+            lambda matrices, *a: calls.append(len(matrices)) or cluster_videos(matrices, *a),
+        )
+        monkeypatch.setattr(align_mod, "cluster_frames", None)
+        config = _config(data_root, cassette_dir, tmp_path / "out")
+        config.workers = workers
+        assert run_all(config).videos == 2
+        assert calls == [2]
 
     def test_open_vocabulary_run_keeps_unmapped_predicates(
         self, data_root, cassette_dir, tmp_path
@@ -377,6 +394,17 @@ class TestStageCommands:
         run_all(config)
         for name in ("sentences.ndjson", "scene_graphs.ndjson", "negatives.ndjson"):
             assert (out / name).read_bytes() == (reference / name).read_bytes(), name
+
+    def test_align_video_missing_from_manifest(self, data_root, tmp_path):
+        sentences = tmp_path / "raw.ndjson"
+        write_sentences({"absent": [SegmentedSentence(1, "A person waits.")]}, sentences)
+        result = CliRunner().invoke(main, [
+            "align", "--data-root", str(data_root), "--sentences", str(sentences),
+            "--out", str(tmp_path / "aligned.ndjson"),
+        ])
+        assert result.exit_code == 1
+        assert "embeddings/absent.sentences.nlve" in result.output
+        assert result.exception is None or isinstance(result.exception, SystemExit)
 
     def test_ground_video_missing_from_manifest(self, data_root, tmp_path):
         sentences = tmp_path / "sentences.ndjson"
