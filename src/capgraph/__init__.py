@@ -8,11 +8,9 @@ from .core import (
     SceneGraph,
     SegmentedSentence,
     Triplet,
-    ValidationReport,
     VideoManifest,
     Vocabulary,
     box_iou,
-    validate_manifest,
 )
 from .align import AlignConfig, choose_k, cluster_frames, prune_temporal, select_clusters
 from .evaluate import EvalConfig, EvalInstance, apply_constraint, match_triplet, recall_at_k

@@ -10,7 +10,9 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import os
 import sys
+import tempfile
 import time
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
@@ -23,13 +25,7 @@ import click
 from . import align as align_mod
 from . import evaluate as eval_mod
 from . import ingest, motion, parse as parse_mod, segment as segment_mod
-from .core import (
-    SceneGraph,
-    SegmentedSentence,
-    Triplet,
-    Vocabulary,
-    validate_manifest,
-)
+from .core import SceneGraph, SegmentedSentence, Triplet, Vocabulary
 from .errors import CapgraphError, MalformedRecord, MissingFile, StageError
 from .llm import ChatClient, TokenUsage
 
@@ -64,7 +60,8 @@ class PipelineConfig:
 def _from_plain(klass, data, prefix=""):
     """Build ``klass`` from JSON-shaped data. Nested dataclasses and scalar
     types come from the field defaults (null and None defaults are not
-    type-checked); unknown keys are rejected by their dotted name."""
+    type-checked, and a JSON boolean is no number); unknown keys are rejected
+    by their dotted name."""
     if not isinstance(data, dict):
         raise TypeError(f"{klass.__name__} must be a JSON object, got {data!r}")
     defaults = klass()
@@ -78,11 +75,20 @@ def _from_plain(klass, data, prefix=""):
             value = _from_plain(type(default), value, f"{key}.")
         elif default is not None and value is not None:
             expected = (int, float) if isinstance(default, float) else type(default)
-            if not isinstance(value, expected):
+            if not isinstance(value, expected) or (
+                isinstance(value, bool) and not isinstance(default, bool)
+            ):
                 raise TypeError(f"{klass.__name__}.{key} must be {type(default).__name__}, "
                                 f"got {value!r}")
         kwargs[key] = value
     return klass(**kwargs)
+
+
+# The files run_all writes, in the order it moves them into place: report.json
+# goes last, so it never describes outputs that are not yet in place.
+_RUN_OUTPUTS = (
+    "sentences.ndjson", "scene_graphs.ndjson", "negatives.ndjson", "trace.ndjson", "report.json"
+)
 
 
 @dataclass
@@ -301,20 +307,14 @@ def run_all(config: PipelineConfig) -> RunReport:
     """Run segment -> align -> parse -> ground -> negatives and write outputs.
 
     Equal config, seed and cached responses produce byte-identical output
-    files. The first fatal stage error is re-raised with its stage name and
-    any partially written outputs are removed.
+    files. The outputs are written into a staging directory inside
+    ``out_dir`` and moved into place only once all are written, ``report.json``
+    last, so a run that fails before then leaves ``out_dir`` as it was. The
+    first fatal stage error is re-raised with its stage name.
     """
     started = time.monotonic()
     vocab = Vocabulary.action_genome()
     out_dir = Path(config.out_dir)
-    written: List[Path] = []
-
-    def emit(name: str, writer) -> Path:
-        path = out_dir / name
-        writer(path)
-        written.append(path)
-        return path
-
     stage = "load"
     try:
         bundle = ingest.load_bundle(config.data_root, config.ingest)
@@ -369,42 +369,34 @@ def run_all(config: PipelineConfig) -> RunReport:
             report.usage = report.usage + r.usage
 
         out_dir.mkdir(parents=True, exist_ok=True)
-        emit(
-            "sentences.ndjson",
-            lambda p: ingest.write_sentences({r.video_id: r.sentences for r in results}, p),
-        )
-        emit(
-            "scene_graphs.ndjson",
-            lambda p: ingest.write_scene_graphs(
-                [graphs[r.video_id] for r in results], p
-            ),
-        )
-        emit(
-            "negatives.ndjson",
-            lambda p: ingest.write_scene_graphs(_negative_graphs(assignment), p),
-        )
-        trace_records = []
-        for r in results:
-            record = r.trace.to_dict()
-            record["usage"] = r.usage.to_dict()
-            record["discards"] = r.discards.to_dict()
-            trace_records.append(record)
-        emit("trace.ndjson", lambda p: ingest.write_record_lines(trace_records, p))
-        emit(
-            "report.json",
-            lambda p: p.write_text(
+        # Inside out_dir, so that each os.replace stays on one file system.
+        with tempfile.TemporaryDirectory(prefix=".staging-", dir=out_dir) as staging:
+            staged = Path(staging)
+            ingest.write_sentences(
+                {r.video_id: r.sentences for r in results}, staged / "sentences.ndjson"
+            )
+            ingest.write_scene_graphs(
+                [graphs[r.video_id] for r in results], staged / "scene_graphs.ndjson"
+            )
+            ingest.write_scene_graphs(
+                _negative_graphs(assignment), staged / "negatives.ndjson"
+            )
+            trace_records = []
+            for r in results:
+                record = r.trace.to_dict()
+                record["usage"] = r.usage.to_dict()
+                record["discards"] = r.discards.to_dict()
+                trace_records.append(record)
+            ingest.write_record_lines(trace_records, staged / "trace.ndjson")
+            (staged / "report.json").write_text(
                 json.dumps(report.to_dict(), sort_keys=True, indent=1) + "\n",
                 encoding="utf-8",
-            ),
-        )
+            )
+            for name in _RUN_OUTPUTS:
+                os.replace(staged / name, out_dir / name)
         report.wall_time_seconds = time.monotonic() - started
         return report
     except Exception as e:
-        for path in written:
-            try:
-                path.unlink()
-            except OSError:
-                pass
         if isinstance(e, StageError):
             raise
         raise StageError(stage, e) from e
@@ -525,7 +517,7 @@ def _load_pipeline_config(
         return PipelineConfig.from_dict(data)
     except json.JSONDecodeError as e:
         raise MalformedRecord(config_path, e.lineno, f"invalid JSON: {e.msg}") from e
-    except (TypeError, ValueError) as e:
+    except (TypeError, ValueError, RecursionError) as e:
         raise MalformedRecord(config_path, 0, f"bad pipeline config: {e}") from e
 
 
@@ -596,7 +588,8 @@ def align_cmd(data_root, sentences_path, out_path, beta, selection, seed, trace_
 @click.option("--mapping", type=click.Choice(parse_mod.MAPPING_MODES),
               default=parse_mod.ParseConfig.mapping, show_default=True)
 @click.option("--top-n", "top_n", default=parse_mod.ParseConfig.top_n_open_classes,
-              show_default=True)
+              show_default=True, callback=_checked(
+                  lambda v: parse_mod.ParseConfig(top_n_open_classes=v).top_n_open_classes))
 @click.option("--lexicon-path", default=None, type=click.Path())
 @click.option("--model", default=segment_mod.SegmentConfig.model_name)
 @click.option("--cache-dir", default=None, type=click.Path())
@@ -802,18 +795,6 @@ def validate(data_root):
         bundle = ingest.load_bundle(data_root)
     except CapgraphError as e:
         click.echo(f"validation failure: {e}", err=True)
-        sys.exit(2)
-    problems = []
-    for manifest in bundle.manifests:
-        report = validate_manifest(
-            manifest,
-            bundle.embeddings.get(manifest.video_id),
-            bundle.detections.get(manifest.video_id, []),
-        )
-        problems.extend(report.problems)
-    if problems:
-        for problem in problems:
-            click.echo(problem, err=True)
         sys.exit(2)
     click.echo(f"ok: {len(bundle.manifests)} videos")
 

@@ -37,8 +37,8 @@ class BoundingBox(NamedTuple):
     """Axis-aligned box in xyxy pixel coordinates.
 
     Construction is permissive: degenerate or out-of-range boxes must remain
-    representable so that validation can report them instead of crashing the
-    loader. Use ``is_valid()`` / ``validate_manifest`` to check invariants.
+    representable so that the loader can report them instead of crashing.
+    ``is_valid()`` checks the invariants.
     """
 
     x1: float
@@ -47,17 +47,13 @@ class BoundingBox(NamedTuple):
     y2: float
 
     def is_valid(self) -> bool:
-        coords = (self.x1, self.y1, self.x2, self.y2)
-        if not all(math.isfinite(c) for c in coords):
-            return False
-        return self.x1 < self.x2 and self.y1 < self.y2 and min(coords) >= 0
+        """Finite, non-negative corners with positive width and height."""
+        x1, y1, x2, y2 = self
+        return 0.0 <= x1 < x2 < math.inf and 0.0 <= y1 < y2 < math.inf
 
     @property
     def area(self) -> float:
         return max(0.0, self.x2 - self.x1) * max(0.0, self.y2 - self.y1)
-
-    def as_tuple(self) -> Tuple[float, float, float, float]:
-        return (self.x1, self.y1, self.x2, self.y2)
 
     def to_list(self) -> List[float]:
         return [self.x1, self.y1, self.x2, self.y2]
@@ -389,66 +385,3 @@ class EmbeddingMatrix:
     def is_normalized(self, tol: float = 1e-6) -> bool:
         norms = np.linalg.norm(self.rows, axis=1)
         return bool(np.all(np.abs(norms - 1.0) <= tol))
-
-
-@dataclass(frozen=True)
-class ValidationReport:
-    """Every violated invariant found in one video bundle; never raises."""
-
-    problems: Tuple[str, ...] = ()
-
-    @property
-    def ok(self) -> bool:
-        return not self.problems
-
-
-def validate_manifest(
-    manifest: VideoManifest,
-    frame_embeds: Optional[EmbeddingMatrix],
-    detections: Sequence[Detection],
-) -> ValidationReport:
-    """Check one video's manifest, embeddings and detections for consistency.
-
-    Returns a report listing every violated invariant; the report is empty
-    iff the bundle is consistent. Validation never aborts.
-    """
-    problems: List[str] = []
-    t = manifest.num_frames
-
-    if t == 0:
-        problems.append(f"video {manifest.video_id}: frame_ids is empty")
-    if len(set(manifest.frame_ids)) != t:
-        problems.append(f"video {manifest.video_id}: duplicate frame ids")
-    if not manifest.caption.strip():
-        problems.append(f"video {manifest.video_id}: caption is empty")
-    if not (math.isfinite(manifest.fps) and manifest.fps > 0):
-        problems.append(f"video {manifest.video_id}: fps must be positive")
-
-    if frame_embeds is None:
-        problems.append(f"video {manifest.video_id}: no embedding matrix")
-    else:
-        for i in range(len(frame_embeds), t):
-            problems.append(f"video {manifest.video_id}: missing embedding for frame {i + 1}")
-        if len(frame_embeds) > t:
-            problems.append(
-                f"video {manifest.video_id}: {len(frame_embeds) - t} extra embedding rows"
-            )
-        if not frame_embeds.is_normalized():
-            problems.append(f"video {manifest.video_id}: embedding rows not L2-normalized")
-        n = min(len(frame_embeds), t)
-        for i in range(n):
-            if frame_embeds.row_ids[i] != manifest.frame_ids[i]:
-                problems.append(
-                    f"video {manifest.video_id}: embedding row id mismatch at frame {i + 1}"
-                )
-
-    for d in detections:
-        where = f"video {manifest.video_id} frame {d.frame_index}"
-        if not 1 <= d.frame_index <= t:
-            problems.append(f"{where}: detection frame index out of range 1..{t}")
-        if not d.box.is_valid():
-            problems.append(f"{where}: degenerate box {d.box.as_tuple()} for {d.entity_class}")
-        if not (0.0 <= d.confidence <= 1.0):
-            problems.append(f"{where}: confidence {d.confidence} outside [0, 1]")
-
-    return ValidationReport(tuple(problems))

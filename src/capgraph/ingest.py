@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import io
 import json
+import math
 import struct
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -101,10 +102,13 @@ def read_embeddings(path) -> EmbeddingMatrix:
         dim, count = struct.unpack_from("<II", view, 4)
         offset = 12
         row_ids = []
-        for _ in range(count):
+        for index in range(count):
             (n,) = struct.unpack_from("<I", view, offset)
             offset += 4
-            row_ids.append(bytes(view[offset : offset + n]).decode("utf-8"))
+            try:
+                row_ids.append(bytes(view[offset : offset + n]).decode("utf-8"))
+            except UnicodeDecodeError as e:
+                raise MalformedRecord(path, 0, f"row {index} id is not UTF-8: {e.reason}") from e
             offset += n
         expected = count * dim * 4
         if len(data) - offset != expected:
@@ -209,10 +213,28 @@ def write_manifests(manifests: Sequence[VideoManifest], path) -> None:
     _write_ndjson((_dump_line(m.to_dict()) for m in ordered), path)
 
 
+def _checked_manifest(record: dict) -> VideoManifest:
+    """The manifest a record holds, if every stage can run on it: at least one
+    frame, no repeated frame id, a caption that is not blank and a positive,
+    finite fps. Otherwise raises ``ValueError`` naming the first that fails."""
+    manifest = VideoManifest.from_dict(record)
+    if not manifest.frame_ids:
+        raise ValueError("frame_ids is empty")
+    if len(set(manifest.frame_ids)) != manifest.num_frames:
+        raise ValueError("duplicate frame ids")
+    if not manifest.caption.strip():
+        raise ValueError("caption is empty")
+    if not 0.0 < manifest.fps < math.inf:
+        raise ValueError(f"fps {manifest.fps} is not a positive finite number")
+    return manifest
+
+
 def load_manifests(path) -> List[VideoManifest]:
+    """Manifests sorted by video id; a record ``_checked_manifest`` rejects, or
+    a repeated video id, raises ``MalformedRecord`` naming its line."""
     manifests = []
     seen = set()
-    for line_no, manifest in read_records(path, "manifest", VideoManifest.from_dict):
+    for line_no, manifest in read_records(path, "manifest", _checked_manifest):
         if manifest.video_id in seen:
             raise MalformedRecord(path, line_no, f"duplicate video id {manifest.video_id!r}")
         seen.add(manifest.video_id)
@@ -225,12 +247,31 @@ def load_manifests(path) -> List[VideoManifest]:
 # Detections
 
 
-def load_detections(path, confidence_floor: float) -> List[Detection]:
-    detections = [
-        det
-        for _, det in read_records(path, "detection", Detection.from_dict)
-        if det.confidence >= confidence_floor
-    ]
+def load_detections(path, confidence_floor: float, num_frames: int) -> List[Detection]:
+    """One video's detections at or above ``confidence_floor``, sorted.
+
+    A kept detection must lie on a frame in 1..``num_frames`` and have a valid
+    box and a confidence in [0, 1]; one that does not raises
+    ``MalformedRecord`` naming its line. Detections under the floor (a NaN
+    confidence is under any floor) are dropped unchecked.
+    """
+
+    def kept(record: dict) -> Optional[Detection]:
+        det = Detection.from_dict(record)
+        if not det.confidence >= confidence_floor:
+            return None
+        if not 1 <= det.frame_index <= num_frames:
+            raise ValueError(f"frame_index {det.frame_index} is outside 1..{num_frames}")
+        if not det.box.is_valid():
+            raise ValueError(
+                f"box {det.box.to_list()} of {det.entity_class!r} is not finite, "
+                "non-negative and of positive width and height"
+            )
+        if not 0.0 <= det.confidence <= 1.0:
+            raise ValueError(f"confidence {det.confidence} is outside [0, 1]")
+        return det
+
+    detections = [det for _, det in read_records(path, "detection", kept) if det is not None]
     detections.sort(key=_detection_order)
     return detections
 
@@ -369,11 +410,40 @@ def load_parsed_triplets(path) -> List[Tuple[str, int, Triplet]]:
 # Bundle loading
 
 
-def load_bundle(root, config: Optional[IngestConfig] = None) -> DatasetBundle:
-    """Load a dataset root into memory.
+def _check_frame_rows(path, matrix: EmbeddingMatrix, manifest: VideoManifest) -> None:
+    """Raise ``MalformedRecord`` naming ``path`` unless the normalized frame
+    embeddings hold one unit row per frame, with the manifest's frame ids in
+    order."""
+    if len(matrix) != manifest.num_frames:
+        raise MalformedRecord(
+            path, 0, f"{len(matrix)} rows for the {manifest.num_frames} frames of "
+            f"video {manifest.video_id!r}"
+        )
+    if matrix.row_ids != manifest.frame_ids:
+        index = next(i for i, (a, b) in enumerate(zip(matrix.row_ids, manifest.frame_ids))
+                     if a != b)
+        raise MalformedRecord(
+            path, 0, f"row id {matrix.row_ids[index]!r} is not the id of frame "
+            f"{index + 1}, {manifest.frame_ids[index]!r}"
+        )
+    if not matrix.is_normalized():
+        norms = np.linalg.norm(matrix.rows, axis=1)
+        row_id = matrix.row_ids[int(np.argmax(np.abs(norms - 1.0)))]
+        raise MalformedRecord(
+            path, 0, f"row {row_id!r} cannot be L2-normalized: its float32 length is zero, "
+            "or too small or too large to compute"
+        )
 
-    Detections below the confidence floor are dropped. Line order inside the
-    input files never affects the result.
+
+def load_bundle(root, config: Optional[IngestConfig] = None) -> DatasetBundle:
+    """Load a dataset root into memory, or raise the first error that names
+    the file (and line) that breaks an invariant.
+
+    Beyond each record's own checks (``load_manifests``, ``read_embeddings``,
+    ``load_detections``), each video's frame embeddings must hold one unit
+    row per frame with the manifest's frame ids in order. Detections below the
+    confidence floor are dropped. Line order inside the input files never
+    affects the result.
     """
     config = config or IngestConfig()
     root = Path(root)
@@ -386,6 +456,7 @@ def load_bundle(root, config: Optional[IngestConfig] = None) -> DatasetBundle:
         matrix = read_embeddings(frames_path).normalized()
         if matrix.dim <= 0:
             raise DimensionMismatch(f"{frames_path}: dimension must be positive")
+        _check_frame_rows(frames_path, matrix, manifest)
         bundle.embeddings[video_id] = matrix
 
         sentences_path = root / "embeddings" / f"{video_id}.sentences.nlve"
@@ -398,6 +469,7 @@ def load_bundle(root, config: Optional[IngestConfig] = None) -> DatasetBundle:
             bundle.sentence_embeddings[video_id] = sent
 
         bundle.detections[video_id] = load_detections(
-            root / "detections" / f"{video_id}.ndjson", config.confidence_floor
+            root / "detections" / f"{video_id}.ndjson", config.confidence_floor,
+            manifest.num_frames,
         )
     return bundle

@@ -40,6 +40,8 @@ class ParseConfig:
             raise ValueError(f"unknown parser {self.parser!r}")
         if self.mapping not in MAPPING_MODES:
             raise ValueError(f"unknown mapping mode {self.mapping!r}")
+        if self.top_n_open_classes is not None and self.top_n_open_classes < 0:
+            raise ValueError("top_n_open_classes must be >= 0 (0 or null: no cut)")
 
 
 @dataclass

@@ -15,12 +15,12 @@ from click.testing import CliRunner
 
 import capgraph
 from capgraph import align as align_mod
-from capgraph import llm
+from capgraph import cli, ingest, llm
 from capgraph import parse as parse_mod
 from capgraph import segment as segment_mod
 from capgraph.cli import PipelineConfig, aggregate_stats, main, run_all
 from capgraph.core import BoundingBox, Detection, SegmentedSentence, Triplet, VideoManifest
-from capgraph.errors import LlmTransport, MissingFile, StageError
+from capgraph.errors import IoFailure, LlmTransport, MissingFile, StageError
 from capgraph.evaluate import EvalConfig
 from capgraph.ingest import (
     load_manifests,
@@ -196,6 +196,22 @@ class TestRunAll:
             run_all(config)
         assert err.value.stage == "process"
         assert not (tmp_path / "out").exists() or not list((tmp_path / "out").iterdir())
+
+    def test_failed_write_leaves_the_previous_outputs(self, data_root, cassette_dir, tmp_path,
+                                                      monkeypatch):
+        out = tmp_path / "out"
+        run_all(_config(data_root, cassette_dir, out))
+        before = {path.name: path.read_bytes() for path in out.iterdir()}
+        assert sorted(before) == sorted(cli._RUN_OUTPUTS)
+
+        def fail(records, path):
+            raise IoFailure(f"cannot write {path}: no space left on device")
+
+        monkeypatch.setattr(ingest, "write_record_lines", fail)
+        with pytest.raises(StageError) as err:
+            run_all(_config(data_root, cassette_dir, out, seed=3))
+        assert err.value.stage == "write"
+        assert {path.name: path.read_bytes() for path in out.iterdir()} == before
 
 
 class TestReplyMemo:
@@ -447,8 +463,12 @@ class TestConfigFile:
 
     @pytest.mark.parametrize(
         "text",
-        ['{"seed": 3', '{"alignment": {"betaa": 3}}', '{"seeed": 3}', '{"offline": "false"}'],
-        ids=["malformed-json", "unknown-section-key", "unknown-top-level-key", "wrong-type"],
+        ['{"seed": 3', '{"alignment": {"betaa": 3}}', '{"seeed": 3}', '{"offline": "false"}',
+         '{"seed": true}', '{"motion": {"alpha_percent": true}}',
+         '{"parsing": {"top_n_open_classes": -1}}',
+         '{"seed": ' + "[" * 100_000 + "]" * 100_000 + "}"],
+        ids=["malformed-json", "unknown-section-key", "unknown-top-level-key", "wrong-type",
+             "boolean-for-int", "boolean-for-float", "negative-top-n", "deeper-than-recursion"],
     )
     def test_bad_config_file_exits_1_naming_it(self, tmp_path, text):
         config_path = tmp_path / "pipeline.json"
@@ -459,8 +479,6 @@ class TestConfigFile:
         assert result.exit_code == 1
         assert isinstance(result.exception, SystemExit), result.exception
         assert str(config_path) in result.output
-
-
     @pytest.mark.parametrize(
         "text, key",
         [
@@ -532,12 +550,14 @@ class TestRejectedFlagValues:
         (["align", "--beta", "0"], "--beta", "got 0)"),
         (["align", "--selection", "gap:abc"], "--selection", "'gap:abc'"),
         (["plm", "--alpha", "0"], "--alpha", "got 0.0)"),
+        (["parse", "--top-n", "-1"], "--top-n", "got -1)"),
     ])
     def test_usage_error_names_the_value(self, tmp_path, args, flag, shown):
         paths = {
             "eval": ["--gt", "--pred"],
             "align": ["--data-root", "--sentences", "--out"],
             "plm": ["--data-root", "--sentences", "--graphs", "--out"],
+            "parse": ["--sentences", "--out"],
         }[args[0]]
         required = [item for name in paths for item in (name, str(tmp_path / name[2:]))]
         result = CliRunner().invoke(main, args + required)
@@ -638,6 +658,21 @@ class TestSegmentCommand:
         assert (tmp_path / "manifest-only.ndjson").read_bytes() == (
             tmp_path / "full.ndjson"
         ).read_bytes()
+
+
+    def test_blank_caption_exits_1_naming_the_manifest_line(self, data_root, tmp_path):
+        root = tmp_path / "data"
+        root.mkdir()
+        manifest = root / "manifest.ndjson"
+        lines = (data_root / "manifest.ndjson").read_text().splitlines()
+        lines[0] = json.dumps(dict(json.loads(lines[0]), caption="  "))
+        manifest.write_text("\n".join(lines) + "\n")
+        result = CliRunner().invoke(main, ["segment", "--data-root", str(root),
+                                           "--out", str(tmp_path / "s.ndjson"),
+                                           "--tcs-mode", "rule_fallback"])
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit), result.exception
+        assert f"{manifest}:1: bad manifest record: caption is empty" in result.output
 
 
 class TestStats:

@@ -64,12 +64,12 @@ def oracle_constraint(preds, regime):
         return list(preds)
     survivors = []
     for i, p in enumerate(preds):
-        key = (p.subject_box.as_tuple(), p.subject_class, p.object_box.as_tuple(), p.object_class)
+        key = (tuple(p.subject_box), p.subject_class, tuple(p.object_box), p.object_class)
         beaten = False
         for j, q in enumerate(preds):
             qkey = (
-                q.subject_box.as_tuple(), q.subject_class,
-                q.object_box.as_tuple(), q.object_class,
+                tuple(q.subject_box), q.subject_class,
+                tuple(q.object_box), q.object_class,
             )
             if qkey != key or j == i:
                 continue

@@ -2,6 +2,7 @@ import json
 import math
 import random
 import re
+import struct
 
 import numpy as np
 import pytest
@@ -31,6 +32,7 @@ from capgraph.ingest import (
     load_scene_graphs,
     load_sentences,
     read_embeddings,
+    write_detections,
     write_embeddings,
     write_manifests,
     write_scene_graphs,
@@ -71,6 +73,15 @@ class TestEmbeddingFiles:
         path.write_bytes(data[: len(data) - 256 * 4])  # row truncated to 256 floats
         with pytest.raises(DimensionMismatch):
             read_embeddings(path)
+
+    def test_row_id_that_is_not_utf8_is_malformed_naming_its_index(self, tmp_path):
+        path = tmp_path / "m.nlve"
+        path.write_bytes(b"NLVE" + struct.pack("<II", 1, 2) + struct.pack("<I", 1) + b"a"
+                         + struct.pack("<I", 2) + b"\xff\xfe" + struct.pack("<2f", 1.0, 1.0))
+        with pytest.raises(MalformedRecord) as err:
+            read_embeddings(path)
+        assert (err.value.path, err.value.line_number) == (str(path), 0)
+        assert err.value.reason.startswith("row 1 id is not UTF-8: ")
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(MissingFile):
@@ -181,7 +192,7 @@ class TestSharedBoxes:
             t.object_box for t in triplets[2:4]
         ]
         assert all(b is person_boxes[0] for b in person_boxes)
-        assert person_boxes[0].as_tuple() == tuple(self.PERSON)
+        assert tuple(person_boxes[0]) == tuple(self.PERSON)
         assert triplets[0].object_box is triplets[1].object_box
         signs = [math.copysign(1.0, t.subject_box.x1) for t in triplets[2:]]
         assert signs == [1.0, -1.0, -1.0, 1.0]
@@ -210,7 +221,7 @@ class TestDetections:
         ]
         path = tmp_path / "d.ndjson"
         write_detections(dets, path)
-        assert load_detections(path, confidence_floor=0.0) == dets
+        assert load_detections(path, confidence_floor=0.0, num_frames=2) == dets
 
 
 class TestManifests:
@@ -296,12 +307,124 @@ class TestBundleLoading:
             load_bundle(tmp_path / "nowhere")
 
 
+def _write_dataset(root, t=8, rows=None, row_ids=None, detections=(), **manifest):
+    """One video ``v`` of ``t`` frames: unit frame rows (or ``rows``), the
+    manifest's frame ids (or ``row_ids``) and the given detections."""
+    record = dict({"video_id": "v", "frame_ids": [f"f{i}" for i in range(1, t + 1)],
+                   "fps": 3.0, "caption": "A person waves."}, **manifest)
+    (root / "manifest.ndjson").parent.mkdir(parents=True, exist_ok=True)
+    (root / "manifest.ndjson").write_text(json.dumps(record) + "\n")
+    if rows is None:
+        rows = np.zeros((len(record["frame_ids"]), 4), dtype=np.float32)
+        rows[:, 0] = 1.0
+    ids = list(record["frame_ids"] if row_ids is None else row_ids)
+    write_embeddings(EmbeddingMatrix(ids, rows), root / "embeddings" / "v.frames.nlve")
+    write_detections(list(detections), root / "detections" / "v.ndjson")
+    return root
+
+
+class TestDatasetGate:
+    """``load_bundle`` rejects a dataset no stage can run on, naming the file
+    and, for manifest and detection records, the line."""
+
+    def test_consistent_bundle_loads(self, tmp_path):
+        det = Detection(1, "person", _box(0, 0, 5, 5), 0.9)
+        bundle = load_bundle(_write_dataset(tmp_path, t=8, detections=[det]))
+        assert [m.num_frames for m in bundle.manifests] == [8]
+        assert bundle.detections["v"] == [det]
+
+    @pytest.mark.parametrize("rows", [7, 9, 0])
+    def test_row_count_must_equal_frame_count(self, tmp_path, rows):
+        root = tmp_path
+        _write_dataset(root, t=8, rows=np.ones((rows, 4), dtype=np.float32),
+                       row_ids=[f"f{i}" for i in range(1, rows + 1)])
+        with pytest.raises(MalformedRecord) as err:
+            load_bundle(root)
+        assert err.value.path == str(root / "embeddings" / "v.frames.nlve")
+        assert err.value.reason == f"{rows} rows for the 8 frames of video 'v'"
+
+    def test_row_ids_must_be_the_frame_ids_in_order(self, tmp_path):
+        _write_dataset(tmp_path, t=3, row_ids=["f1", "f3", "f2"])
+        with pytest.raises(MalformedRecord) as err:
+            load_bundle(tmp_path)
+        assert err.value.reason == "row id 'f3' is not the id of frame 2, 'f2'"
+
+    def test_all_zero_row_cannot_be_normalized(self, tmp_path):
+        rows = np.ones((4, 4), dtype=np.float32)
+        rows[2] = 0.0
+        _write_dataset(tmp_path, t=4, rows=rows)
+        with pytest.raises(MalformedRecord) as err:
+            load_bundle(tmp_path)
+        assert err.value.path == str(tmp_path / "embeddings" / "v.frames.nlve")
+        assert err.value.reason.startswith("row 'f3' cannot be L2-normalized")
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_non_finite_frame_row_is_malformed(self, tmp_path, value):
+        rows = np.ones((8, 4), dtype=np.float32)
+        rows[3, 0] = value
+        _write_dataset(tmp_path, t=8, rows=rows)
+        with pytest.raises(MalformedRecord) as err:
+            load_bundle(tmp_path)
+        assert err.value.path == str(tmp_path / "embeddings" / "v.frames.nlve")
+        assert err.value.reason == "row 'f4' holds a non-finite value"
+
+    @pytest.mark.parametrize("field, value, reason", [
+        ("caption", "  ", "caption is empty"),
+        ("frame_ids", [], "frame_ids is empty"),
+        ("frame_ids", ["f1", "f2", "f1"], "duplicate frame ids"),
+        ("fps", 0, "fps 0.0 is not a positive finite number"),
+        ("fps", -3.0, "fps -3.0 is not a positive finite number"),
+        ("fps", float("nan"), "fps nan is not a positive finite number"),
+        ("fps", float("inf"), "fps inf is not a positive finite number"),
+    ], ids=["blank-caption", "no-frames", "duplicate-frame-id", "fps-zero", "fps-negative",
+            "fps-nan", "fps-inf"])
+    def test_manifest_field_is_malformed_at_its_line(self, tmp_path, field, value, reason):
+        _write_dataset(tmp_path, t=3, **{field: value})
+        with pytest.raises(MalformedRecord) as err:
+            load_bundle(tmp_path)
+        assert (err.value.path, err.value.line_number) == (str(tmp_path / "manifest.ndjson"), 1)
+        assert err.value.reason == f"bad manifest record: {reason}"
+
+    def test_garbage_manifest_is_malformed_not_a_crash(self, tmp_path):
+        (tmp_path / "manifest.ndjson").write_text(
+            json.dumps({"video_id": "v", "frame_ids": [], "fps": float("nan"), "caption": ""})
+            + "\n"
+        )
+        with pytest.raises(MalformedRecord) as err:
+            load_bundle(tmp_path)
+        assert err.value.line_number == 1
+
+    @pytest.mark.parametrize("det, reason", [
+        (Detection(1, "person", _box(5, 0, 5, 5), 0.9),
+         "box [5.0, 0.0, 5.0, 5.0] of 'person' is not finite, non-negative and of positive width "
+         "and height"),
+        (Detection(9, "person", _box(0, 0, 5, 5), 0.9), "frame_index 9 is outside 1..4"),
+        (Detection(0, "person", _box(0, 0, 5, 5), 0.9), "frame_index 0 is outside 1..4"),
+        (Detection(1, "person", _box(0, 0, 5, 5), 1.5), "confidence 1.5 is outside [0, 1]"),
+    ], ids=["degenerate-box", "frame-past-the-end", "frame-zero", "confidence-above-one"])
+    def test_kept_detection_is_malformed_at_its_line(self, tmp_path, det, reason):
+        good = Detection(1, "person", _box(0, 0, 5, 5), 0.9)
+        path = tmp_path / "detections" / "v.ndjson"
+        _write_dataset(tmp_path, t=4)
+        path.write_text(json.dumps(good.to_dict()) + "\n" + json.dumps(det.to_dict()) + "\n")
+        with pytest.raises(MalformedRecord) as err:
+            load_bundle(tmp_path)
+        assert (err.value.path, err.value.line_number) == (str(path), 2)
+        assert err.value.reason == f"bad detection record: {reason}"
+
+    def test_detection_under_the_floor_is_not_checked(self, tmp_path):
+        below = [Detection(9, "person", _box(5, 0, 5, 5), 0.1),
+                 Detection(1, "person", _box(0, 0, 1, 1), float("nan"))]
+        _write_dataset(tmp_path, t=4, detections=below)
+        assert load_bundle(tmp_path).detections["v"] == []
+
+
 # One valid line per NDJSON loader; the reader must reject any line a loader
 # cannot decode with MalformedRecord naming the file and line.
 _VALID_LINES = {
     "manifest": (load_manifests, {"video_id": "v", "frame_ids": ["f1", "f2"], "fps": 3.0,
                                   "caption": "A person sits."}),
-    "detection": (lambda path: load_detections(path, 0.0),
+    "detection": (lambda path: load_detections(path, 0.0, 2),
                   {"frame_index": 1, "entity_class": "person", "box": [0, 0, 2, 2],
                    "confidence": 0.9}),
     "graph": (load_scene_graphs, _graph_record(1, "holding", [0, 0, 2, 2], [3, 3, 5, 5], 0.9)),

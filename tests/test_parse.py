@@ -191,6 +191,15 @@ class TestOpenVocabularyRestriction:
         assert distinct == {"opening", "closing"}
         assert len(distinct) <= 2
 
+    @pytest.mark.parametrize("top_n", [0, None, 1, 500])
+    def test_zero_null_and_positive_are_accepted(self, top_n):
+        assert ParseConfig(top_n_open_classes=top_n).top_n_open_classes == top_n
+
+    def test_negative_top_n_is_rejected(self):
+        # A negative slice bound would keep all but the least frequent predicates.
+        with pytest.raises(ValueError, match="top_n_open_classes must be >= 0"):
+            ParseConfig(top_n_open_classes=-1)
+
 
 def _det(frame, cls, box, conf):
     return Detection(frame, cls, BoundingBox(*box), conf)
@@ -254,11 +263,11 @@ class TestGrounding:
             _det(2, "person", (0, 0, 10, 20), 0.9),
             _det(2, "table", (5, 5, 25, 25), 0.8),
         ]
-        det_boxes = {d.box.as_tuple() for d in dets}
+        det_boxes = {tuple(d.box) for d in dets}
         out = ground_triplets([Triplet("person", "in front of", "table")], (2, 2), dets)
         for g in out:
-            assert g.subject_box.as_tuple() in det_boxes
-            assert g.object_box.as_tuple() in det_boxes
+            assert tuple(g.subject_box) in det_boxes
+            assert tuple(g.object_box) in det_boxes
 
 
 class TestCoreferenceCountDirection:
