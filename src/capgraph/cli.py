@@ -26,7 +26,7 @@ from . import align as align_mod
 from . import evaluate as eval_mod
 from . import ingest, motion, parse as parse_mod, segment as segment_mod
 from .core import SceneGraph, SegmentedSentence, Triplet, Vocabulary
-from .errors import CapgraphError, MalformedRecord, MissingFile, StageError
+from .errors import CapgraphError, IoFailure, MalformedRecord, MissingFile, StageError
 from .llm import ChatClient, TokenUsage
 
 @dataclass
@@ -85,7 +85,7 @@ def _from_plain(klass, data, prefix=""):
 
 
 # The files run_all writes, in the order it moves them into place: report.json
-# goes last, so it never describes outputs that are not yet in place.
+# goes last, so it never describes outputs that are not all in place.
 _RUN_OUTPUTS = (
     "sentences.ndjson", "scene_graphs.ndjson", "negatives.ndjson", "trace.ndjson", "report.json"
 )
@@ -164,13 +164,28 @@ def _align_video(
     config: align_mod.AlignConfig,
 ) -> Tuple[List[SegmentedSentence], align_mod.AlignmentTrace]:
     """Align one video's sentences on its frame clustering, which it takes
-    out of ``clusterings``, so each clustering is freed once used."""
+    out of ``clusterings``, so each clustering is freed once used.
+
+    The sentence embeddings must hold one row per sentence, in order: row
+    *i*'s id is sentence *i*'s order index. Otherwise ``MalformedRecord``
+    names the file."""
+    path = f"embeddings/{video_id}.sentences.nlve"
     sentence_embeds = bundle.sentence_embeddings.get(video_id)
     if sentence_embeds is None:
         raise MissingFile(
-            f"embeddings/{video_id}.sentences.nlve (produce sentence embeddings "
-            "for the segmented captions, then re-run)"
+            f"{path} (produce sentence embeddings for the segmented captions, then re-run)"
         )
+    if len(sentence_embeds) != len(sentences):
+        raise MalformedRecord(
+            path, 0, f"{len(sentence_embeds)} rows for the {len(sentences)} sentences of "
+            f"video {video_id!r}"
+        )
+    for index, (row_id, sentence) in enumerate(zip(sentence_embeds.row_ids, sentences)):
+        if row_id != str(sentence.order_index):
+            raise MalformedRecord(
+                path, 0, f"row id {row_id!r} is not the order index of sentence "
+                f"{index + 1}, '{sentence.order_index}'"
+            )
     clustering = clusterings.pop(video_id)
     return align_mod.align_sentences(
         sentences, sentence_embeds, clustering, config, video_id=video_id
@@ -308,9 +323,11 @@ def run_all(config: PipelineConfig) -> RunReport:
 
     Equal config, seed and cached responses produce byte-identical output
     files. The outputs are written into a staging directory inside
-    ``out_dir`` and moved into place only once all are written, ``report.json``
-    last, so a run that fails before then leaves ``out_dir`` as it was. The
-    first fatal stage error is re-raised with its stage name.
+    ``out_dir`` and moved into place only once all are written, so a run that
+    fails before then leaves ``out_dir`` as it was. ``report.json`` marks a
+    complete run: the previous one is removed before the first move and the
+    new one moved in last, so a failed move leaves no report. The first fatal
+    stage error is re-raised with its stage name.
     """
     started = time.monotonic()
     vocab = Vocabulary.action_genome()
@@ -392,8 +409,14 @@ def run_all(config: PipelineConfig) -> RunReport:
                 json.dumps(report.to_dict(), sort_keys=True, indent=1) + "\n",
                 encoding="utf-8",
             )
-            for name in _RUN_OUTPUTS:
-                os.replace(staged / name, out_dir / name)
+            try:
+                dest = out_dir / "report.json"
+                dest.unlink(missing_ok=True)
+                for name in _RUN_OUTPUTS:
+                    dest = out_dir / name
+                    os.replace(staged / name, dest)
+            except OSError as e:
+                raise IoFailure(f"cannot write {dest}: {e.strerror or e}") from e
         report.wall_time_seconds = time.monotonic() - started
         return report
     except Exception as e:

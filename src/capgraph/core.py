@@ -108,6 +108,11 @@ class Detection:
         )
 
 
+# One video's detections as ``ingest.grounding_table`` ranks them: frame index
+# -> entity class -> the boxes of the class's best one or two, best first.
+GroundingTable = Dict[int, Dict[str, Tuple[BoundingBox, ...]]]
+
+
 @dataclass(frozen=True)
 class VideoManifest:
     """A video: its id, ordered frame ids (length T), fps and caption."""
@@ -378,10 +383,14 @@ class EmbeddingMatrix:
         return self.row_ids == other.row_ids and np.array_equal(self.rows, other.rows)
 
     def normalized(self) -> "EmbeddingMatrix":
-        norms = np.linalg.norm(self.rows, axis=1, keepdims=True)
+        # A float32 length that overflows is an infinite norm, so the row is
+        # not normalized and the loader names it; numpy need not warn first.
+        with np.errstate(over="ignore"):
+            norms = np.linalg.norm(self.rows, axis=1, keepdims=True)
         safe = np.where(norms > 0, norms, 1.0)
         return EmbeddingMatrix(self.row_ids, self.rows / safe)
 
     def is_normalized(self, tol: float = 1e-6) -> bool:
-        norms = np.linalg.norm(self.rows, axis=1)
+        with np.errstate(over="ignore"):
+            norms = np.linalg.norm(self.rows, axis=1)
         return bool(np.all(np.abs(norms - 1.0) <= tol))

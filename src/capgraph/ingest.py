@@ -33,6 +33,7 @@ from .core import (
     BoundingBox,
     Detection,
     EmbeddingMatrix,
+    GroundingTable,
     SceneGraph,
     SegmentedSentence,
     Triplet,
@@ -59,7 +60,7 @@ class DatasetBundle:
     manifests: List[VideoManifest] = field(default_factory=list)
     embeddings: Dict[str, EmbeddingMatrix] = field(default_factory=dict)
     sentence_embeddings: Dict[str, EmbeddingMatrix] = field(default_factory=dict)
-    detections: Dict[str, List[Detection]] = field(default_factory=dict)
+    detections: Dict[str, GroundingTable] = field(default_factory=dict)
 
     def manifest_for(self, video_id: str) -> VideoManifest:
         for m in self.manifests:
@@ -280,6 +281,26 @@ def _detection_order(d: Detection) -> tuple:
     return (d.frame_index, d.entity_class, d.box, -d.confidence)
 
 
+def grounding_table(detections: Iterable[Detection]) -> GroundingTable:
+    """One video's detections as the table ``parse.ground_pair`` reads: for
+    each frame and entity class, the boxes of the class's best two detections
+    on the frame (or its one), best first. Higher confidence ranks first, then
+    larger area, then earlier in ``detections``; no role takes a third.
+    """
+    groups: Dict[Tuple[int, str], List[Detection]] = {}
+    for det in detections:
+        groups.setdefault((det.frame_index, det.entity_class), []).append(det)
+    table: GroundingTable = {}
+    for (frame, entity_class), group in groups.items():
+        if len(group) == 1:  # the common case, kept off the sort
+            boxes = (group[0].box,)
+        else:
+            group.sort(key=lambda d: (-d.confidence, -d.box.area))  # stable: ties keep order
+            boxes = (group[0].box, group[1].box)
+        table.setdefault(frame, {})[entity_class] = boxes
+    return table
+
+
 def write_detections(detections: Sequence[Detection], path) -> None:
     ordered = sorted(detections, key=_detection_order)
     _write_ndjson((_dump_line(d.to_dict()) for d in ordered), path)
@@ -442,8 +463,9 @@ def load_bundle(root, config: Optional[IngestConfig] = None) -> DatasetBundle:
     Beyond each record's own checks (``load_manifests``, ``read_embeddings``,
     ``load_detections``), each video's frame embeddings must hold one unit
     row per frame with the manifest's frame ids in order. Detections below the
-    confidence floor are dropped. Line order inside the input files never
-    affects the result.
+    confidence floor are dropped, and each video's kept detections are held as
+    its ``grounding_table``, ties ranked in ``load_detections``' order. Line
+    order inside the input files never affects the result.
     """
     config = config or IngestConfig()
     root = Path(root)
@@ -468,8 +490,8 @@ def load_bundle(root, config: Optional[IngestConfig] = None) -> DatasetBundle:
                 )
             bundle.sentence_embeddings[video_id] = sent
 
-        bundle.detections[video_id] = load_detections(
+        bundle.detections[video_id] = grounding_table(load_detections(
             root / "detections" / f"{video_id}.ndjson", config.confidence_floor,
             manifest.num_frames,
-        )
+        ))
     return bundle

@@ -17,14 +17,15 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from .core import (
     BoundingBox,
-    Detection,
+    GroundingTable,
     Provenance,
     SceneGraph,
     SegmentedSentence,
     Triplet,
     VideoManifest,
+    box_intersection_area,
 )
-from .parse import detections_by_frame, ground_pair
+from .parse import ground_pair
 
 ENDPOINT_STRATEGIES = ("start", "end", "start_and_end")
 NEGATIVE_CLASS_NAMES = ("not looking at", "not contacting")
@@ -80,9 +81,7 @@ def giou(a: BoundingBox, b: BoundingBox) -> float:
     ``union == 0`` the IoU term is 1 for coinciding boxes and 0 otherwise, and
     with ``hull == 0`` the dead-area term is 0.
     """
-    inter_w = min(a.x2, b.x2) - max(a.x1, b.x1)
-    inter_h = min(a.y2, b.y2) - max(a.y1, b.y1)
-    inter = max(0.0, inter_w) * max(0.0, inter_h)
+    inter = box_intersection_area(a, b)
     union = a.area + b.area - inter
     hull = (max(a.x2, b.x2) - min(a.x1, b.x1)) * (max(a.y2, b.y2) - min(a.y1, b.y1))
     iou = inter / union if union else float(a == b)
@@ -117,7 +116,7 @@ def collect_unaligned_runs(
 
 def build_candidates(
     manifests: Sequence[VideoManifest],
-    detections: Dict[str, Sequence[Detection]],
+    detections: Dict[str, GroundingTable],
     graphs: Dict[str, SceneGraph],
     runs_by_video: Dict[str, Sequence[Tuple[int, int]]],
     config: MotionLabelConfig,
@@ -135,17 +134,17 @@ def build_candidates(
         if graph is None:
             continue
         object_classes = sorted(graph.object_classes())
-        by_frame = detections_by_frame(detections.get(video_id, []))
+        table = detections.get(video_id, {})
         for lo, hi in runs_by_video.get(video_id, []):
             for object_class in object_classes:
-                start = ground_pair(by_frame.get(lo, []), SUBJECT_CLASS, object_class)
+                start = ground_pair(table.get(lo, {}), SUBJECT_CLASS, object_class)
                 if start is None:
                     continue
-                end = ground_pair(by_frame.get(hi, []), SUBJECT_CLASS, object_class)
+                end = ground_pair(table.get(hi, {}), SUBJECT_CLASS, object_class)
                 if end is None:
                     continue
-                start_pair = GroundedPair(start[0].box, start[1].box)
-                end_pair = GroundedPair(end[0].box, end[1].box)
+                start_pair = GroundedPair(*start)
+                end_pair = GroundedPair(*end)
                 candidates.append(
                     MotionCandidate(
                         video_id=video_id,

@@ -4,8 +4,8 @@ Triplets come from either a chat-model parser (cached like segmentation) or a
 dependency-free rule parser that pattern-matches subject-verb-object per
 clause. Classes are then mapped into the target vocabulary through a shipped
 synonym lexicon, through the chat model, or left untouched for open-vocabulary
-runs. Grounding picks, per aligned frame, the highest-confidence detection of
-the matching entity class for each role.
+runs. Grounding looks each role up, per aligned frame, in the video's
+grounding table, which holds the best detections of each entity class.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from importlib import resources
 from pathlib import Path
 from typing import Callable, Collection, Dict, List, Optional, Sequence, Tuple
 
-from .core import Detection, Provenance, SegmentedSentence, Triplet, Vocabulary
+from .core import BoundingBox, GroundingTable, Provenance, SegmentedSentence, Triplet, Vocabulary
 from .errors import MalformedRecord, read_failure
 from .llm import ChatClient
 
@@ -378,79 +378,50 @@ def restrict_open_vocabulary(triplets: Sequence[Triplet], top_n: int) -> List[Tr
 # Grounding
 
 
-def detections_by_frame(detections: Sequence[Detection]) -> Dict[int, List[Detection]]:
-    """Detections grouped by frame index, record order kept within a frame."""
-    by_frame: Dict[int, List[Detection]] = {}
-    for det in detections:
-        by_frame.setdefault(det.frame_index, []).append(det)
-    return by_frame
-
-
-def _best_detection(
-    frame_detections: Sequence[Detection],
-    entity_class: str,
-    exclude: Optional[Detection] = None,
-) -> Optional[Detection]:
-    best = None
-    best_key = None
-    for order, det in enumerate(frame_detections):
-        if det.entity_class != entity_class or det is exclude:
-            continue
-        key = (-det.confidence, -det.box.area, order)
-        if best_key is None or key < best_key:
-            best, best_key = det, key
-    return best
-
-
 def ground_pair(
-    frame_detections: Sequence[Detection], subject_class: str, object_class: str
-) -> Optional[Tuple[Detection, Detection]]:
-    """The subject and object detections of one frame, or None if either is missing.
+    frame: Dict[str, Tuple[BoundingBox, ...]], subject_class: str, object_class: str
+) -> Optional[Tuple[BoundingBox, BoundingBox]]:
+    """The subject and object boxes of one frame of a grounding table, or None
+    if either role is missing.
 
-    Each role takes the highest-confidence detection of its class (ties:
-    larger box, then earlier record); when the classes coincide the object
-    must be a second, distinct detection.
+    Each role takes the first box of its class (``ingest.grounding_table``
+    ranks them); when the classes coincide the object takes the second.
     """
-    subject = _best_detection(frame_detections, subject_class)
-    if subject is None:
+    subjects = frame.get(subject_class, ())
+    objects = subjects[1:] if object_class == subject_class else frame.get(object_class, ())
+    if not subjects or not objects:
         return None
-    exclude = subject if object_class == subject_class else None
-    obj = _best_detection(frame_detections, object_class, exclude=exclude)
-    if obj is None:
-        return None
-    return subject, obj
+    return subjects[0], objects[0]
 
 
 def ground_triplets(
     triplets: Sequence[Triplet],
     aligned_frames: Optional[Tuple[int, int]],
-    detections: Sequence[Detection],
+    table: GroundingTable,
 ) -> List[Triplet]:
     """Localize triplets on every frame of the aligned interval.
 
-    Each triplet's roles are grounded per frame with ``ground_pair``; frames
-    missing either role produce nothing.
+    Each triplet's roles are grounded per frame of the video's grounding
+    table with ``ground_pair``; frames missing either role produce nothing.
     """
     if aligned_frames is None:
         return []
-    by_frame = detections_by_frame(detections)
-
     lo, hi = aligned_frames
     grounded: List[Triplet] = []
     for frame in range(lo, hi + 1):
-        frame_dets = by_frame.get(frame, [])
+        boxes = table.get(frame, {})
         for t in triplets:
-            pair = ground_pair(frame_dets, t.subject_class, t.object_class)
+            pair = ground_pair(boxes, t.subject_class, t.object_class)
             if pair is None:
                 continue
-            subject, obj = pair
+            subject_box, object_box = pair
             grounded.append(
                 Triplet(
                     subject_class=t.subject_class,
                     predicate_class=t.predicate_class,
                     object_class=t.object_class,
-                    subject_box=subject.box,
-                    object_box=obj.box,
+                    subject_box=subject_box,
+                    object_box=object_box,
                     frame_index=frame,
                     provenance=Provenance.CAPTION,
                 )

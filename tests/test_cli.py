@@ -19,7 +19,14 @@ from capgraph import cli, ingest, llm
 from capgraph import parse as parse_mod
 from capgraph import segment as segment_mod
 from capgraph.cli import PipelineConfig, aggregate_stats, main, run_all
-from capgraph.core import BoundingBox, Detection, SegmentedSentence, Triplet, VideoManifest
+from capgraph.core import (
+    BoundingBox,
+    Detection,
+    EmbeddingMatrix,
+    SegmentedSentence,
+    Triplet,
+    VideoManifest,
+)
 from capgraph.errors import IoFailure, LlmTransport, MissingFile, StageError
 from capgraph.evaluate import EvalConfig
 from capgraph.ingest import (
@@ -212,6 +219,23 @@ class TestRunAll:
             run_all(_config(data_root, cassette_dir, out, seed=3))
         assert err.value.stage == "write"
         assert {path.name: path.read_bytes() for path in out.iterdir()} == before
+
+    def test_failed_move_leaves_no_report_and_names_the_destination(
+        self, data_root, cassette_dir, tmp_path
+    ):
+        # report.json marks a complete run, so a move that fails part-way must
+        # not leave the previous run's report beside the new outputs.
+        out = tmp_path / "out"
+        run_all(_config(data_root, cassette_dir, out))
+        (out / "trace.ndjson").unlink()
+        (out / "trace.ndjson").mkdir()
+        with pytest.raises(StageError) as err:
+            run_all(_config(data_root, cassette_dir, out, seed=3))
+        assert err.value.stage == "write"
+        assert isinstance(err.value.cause, IoFailure)
+        assert str(err.value.cause).startswith(f"cannot write {out / 'trace.ndjson'}: ")
+        assert not (out / "report.json").exists()
+        assert not [p for p in out.iterdir() if p.name.startswith(".staging-")]
 
 
 class TestReplyMemo:
@@ -834,6 +858,64 @@ class TestNonFiniteEmbeddings:
         assert isinstance(result.exception, SystemExit), result.exception
         assert str(path) in result.output and "non-finite" in result.output
         assert not (tmp_path / "out" / "trace.ndjson").exists()
+
+
+def _with_sentence_rows(data_root, root, row_ids):
+    """Copy of the fixture whose ``kitchen01.sentences.nlve`` holds the given
+    row ids over its rows in reverse order, repeated as needed."""
+    shutil.copytree(data_root, root)
+    path = root / "embeddings" / "kitchen01.sentences.nlve"
+    rows = ingest.read_embeddings(path).rows[::-1]
+    write_embeddings(
+        EmbeddingMatrix(row_ids, [rows[i % len(rows)] for i in range(len(row_ids))]), path
+    )
+
+
+class TestSentenceEmbeddingRows:
+    """The rows of ``<video>.sentences.nlve`` must be the segmented sentences,
+    in order: a named error in ``run-all`` and ``align``, not a quiet
+    misalignment. ``validate`` does not segment, so it passes them."""
+
+    CASES = [
+        (["b", "a"], "row id 'b' is not the order index of sentence 1, '1'"),
+        (["2", "1"], "row id '2' is not the order index of sentence 1, '1'"),
+        (["1"], "1 rows for the 2 sentences of video 'kitchen01'"),
+        (["1", "2", "3"], "3 rows for the 2 sentences of video 'kitchen01'"),
+    ]
+    IDS = ["letters", "reversed", "one-row", "three-rows"]
+
+    @pytest.mark.parametrize("row_ids, reason", CASES, ids=IDS)
+    def test_run_all_exits_1_naming_the_file(self, data_root, cassette_dir, tmp_path,
+                                             row_ids, reason):
+        _with_sentence_rows(data_root, tmp_path / "data", row_ids)
+        result = CliRunner().invoke(
+            main,
+            ["run-all", "--data-root", str(tmp_path / "data"), "--out-dir", str(tmp_path / "out"),
+             "--cache-dir", str(cassette_dir), "--offline"],
+        )
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit), result.exception
+        assert f"embeddings/kitchen01.sentences.nlve:0: {reason}" in result.output
+        assert not (tmp_path / "out" / "report.json").exists()
+
+    @pytest.mark.parametrize("row_ids, reason", CASES, ids=IDS)
+    def test_align_exits_1_naming_the_file(self, data_root, tmp_path, row_ids, reason):
+        _with_sentence_rows(data_root, tmp_path / "data", row_ids)
+        sentences = tmp_path / "raw.ndjson"
+        write_sentences({"kitchen01": [SegmentedSentence(1, "A person sits."),
+                                       SegmentedSentence(2, "The person stands.")]}, sentences)
+        result = CliRunner().invoke(main, [
+            "align", "--data-root", str(tmp_path / "data"), "--sentences", str(sentences),
+            "--out", str(tmp_path / "aligned.ndjson"),
+        ])
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit), result.exception
+        assert f"embeddings/kitchen01.sentences.nlve:0: {reason}" in result.output
+
+    def test_validate_passes_them(self, data_root, tmp_path):
+        _with_sentence_rows(data_root, tmp_path / "data", ["b", "a"])
+        result = CliRunner().invoke(main, ["validate", "--data-root", str(tmp_path / "data")])
+        assert result.exit_code == 0, result.output
 
 
 class TestEvalCommand:

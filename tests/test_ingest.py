@@ -268,15 +268,16 @@ class TestBundleLoading:
         assert len(bundle.embeddings["kitchen02"]) == 12
 
     def test_confidence_floor_drops_detection(self, data_root):
-        # One fixture detection sits at confidence 0.15, under the 0.2 floor.
+        # One fixture detection, a floor on frame 5, sits at confidence 0.15,
+        # under the 0.2 floor; the cup at 0.40 on frame 1 stays.
         bundle = load_bundle(data_root)
         v1 = bundle.detections["kitchen01"]
-        assert all(d.confidence >= 0.2 for d in v1)
-        assert not any(d.entity_class == "floor" for d in v1)
+        assert not any("floor" in by_class for by_class in v1.values())
+        assert v1[1]["cup/glass/bottle"] == (_box(55, 60, 75, 90), _box(100, 60, 120, 90))
 
     def test_custom_floor_keeps_it(self, data_root):
         bundle = load_bundle(data_root, IngestConfig(confidence_floor=0.1))
-        assert any(d.entity_class == "floor" for d in bundle.detections["kitchen01"])
+        assert bundle.detections["kitchen01"][5]["floor"] == (_box(0, 140, 240, 160),)
 
     def test_detection_order_insensitive(self, data_root, tmp_path):
         src = (data_root / "detections" / "kitchen01.ndjson").read_text().splitlines()
@@ -331,7 +332,7 @@ class TestDatasetGate:
         det = Detection(1, "person", _box(0, 0, 5, 5), 0.9)
         bundle = load_bundle(_write_dataset(tmp_path, t=8, detections=[det]))
         assert [m.num_frames for m in bundle.manifests] == [8]
-        assert bundle.detections["v"] == [det]
+        assert bundle.detections["v"] == {1: {"person": (det.box,)}}
 
     @pytest.mark.parametrize("rows", [7, 9, 0])
     def test_row_count_must_equal_frame_count(self, tmp_path, rows):
@@ -357,6 +358,16 @@ class TestDatasetGate:
             load_bundle(tmp_path)
         assert err.value.path == str(tmp_path / "embeddings" / "v.frames.nlve")
         assert err.value.reason.startswith("row 'f3' cannot be L2-normalized")
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_row_whose_length_overflows_is_malformed_without_a_warning(self, tmp_path):
+        rows = np.ones((4, 4), dtype=np.float32)
+        rows[1] = 1e30
+        _write_dataset(tmp_path, t=4, rows=rows)
+        with pytest.raises(MalformedRecord) as err:
+            load_bundle(tmp_path)
+        assert err.value.path == str(tmp_path / "embeddings" / "v.frames.nlve")
+        assert err.value.reason.startswith("row 'f2' cannot be L2-normalized")
 
     @pytest.mark.parametrize("value", [float("nan"), float("inf")])
     def test_non_finite_frame_row_is_malformed(self, tmp_path, value):
@@ -416,7 +427,7 @@ class TestDatasetGate:
         below = [Detection(9, "person", _box(5, 0, 5, 5), 0.1),
                  Detection(1, "person", _box(0, 0, 1, 1), float("nan"))]
         _write_dataset(tmp_path, t=4, detections=below)
-        assert load_bundle(tmp_path).detections["v"] == []
+        assert load_bundle(tmp_path).detections["v"] == {}
 
 
 # One valid line per NDJSON loader; the reader must reject any line a loader

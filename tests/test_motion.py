@@ -16,6 +16,7 @@ from capgraph.core import (
     VideoManifest,
     box_iou,
 )
+from capgraph.ingest import grounding_table
 from capgraph.motion import (
     GroundedPair,
     MotionCandidate,
@@ -143,7 +144,8 @@ class TestBuildCandidates:
         dets = _pair_dets("v", [5, 8], [10, 0], sofa)
         graphs = {"v": _graph_with_object("v", "sofa/couch")}
         out = build_candidates(
-            [manifest], {"v": dets}, graphs, {"v": [(5, 8)]}, MotionLabelConfig()
+            [manifest], {"v": grounding_table(dets)}, graphs, {"v": [(5, 8)]},
+            MotionLabelConfig(),
         )
         assert len(out) == 1
         candidate = out[0]
@@ -157,7 +159,8 @@ class TestBuildCandidates:
         dets = _pair_dets("v", [5, 8], [10, 0], _box(100, 80, 160, 150), "cup/glass/bottle")
         graphs = {"v": _graph_with_object("v", "sofa/couch")}
         out = build_candidates(
-            [manifest], {"v": dets}, graphs, {"v": [(5, 8)]}, MotionLabelConfig()
+            [manifest], {"v": grounding_table(dets)}, graphs, {"v": [(5, 8)]},
+            MotionLabelConfig(),
         )
         assert out == []
 
@@ -167,7 +170,8 @@ class TestBuildCandidates:
         dets = _pair_dets("v", [4], [10], sofa)
         graphs = {"v": _graph_with_object("v", "sofa/couch")}
         out = build_candidates(
-            [manifest], {"v": dets}, graphs, {"v": [(4, 4)]}, MotionLabelConfig()
+            [manifest], {"v": grounding_table(dets)}, graphs, {"v": [(4, 4)]},
+            MotionLabelConfig(),
         )
         assert len(out) == 1
         assert out[0].motion_score == 0.0
@@ -178,7 +182,8 @@ class TestBuildCandidates:
         dets = _pair_dets("v", [5], [10], sofa)  # nothing detected at frame 8
         graphs = {"v": _graph_with_object("v", "sofa/couch")}
         out = build_candidates(
-            [manifest], {"v": dets}, graphs, {"v": [(5, 8)]}, MotionLabelConfig()
+            [manifest], {"v": grounding_table(dets)}, graphs, {"v": [(5, 8)]},
+            MotionLabelConfig(),
         )
         assert out == []
 
@@ -194,14 +199,15 @@ class TestBuildCandidates:
         ]
         triplets = [Triplet("person", "holding", "cup/glass/bottle"),
                     Triplet("person", "looking at", "person")]
-        grounded = ground_triplets(triplets, (1, 1), dets)
+        table = grounding_table(dets)
+        grounded = ground_triplets(triplets, (1, 1), table)
         by_object = {t.object_class: (t.subject_box, t.object_box) for t in grounded}
         assert by_object == {
             "cup/glass/bottle": (_box(0, 0, 10, 20), _box(20, 5, 28, 13)),
             "person": (_box(0, 0, 10, 20), _box(50, 0, 60, 20)),
         }
         out = build_candidates(
-            [_manifest("v", 2)], {"v": dets}, {"v": SceneGraph.from_triplets("v", grounded)},
+            [_manifest("v", 2)], {"v": table}, {"v": SceneGraph.from_triplets("v", grounded)},
             {"v": [(1, 1)]}, MotionLabelConfig(),
         )
         assert {c.object_class: (c.start_pair.subject_box, c.start_pair.object_box)

@@ -1,11 +1,17 @@
+from typing import Optional, Sequence, Tuple
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from capgraph.core import BoundingBox, Detection, SegmentedSentence, Triplet, Vocabulary
+from capgraph.ingest import grounding_table
 from capgraph.llm import ChatClient, write_cassette
 from capgraph.parse import (
     DiscardCounters,
     ParseConfig,
     build_parse_prompt,
+    ground_pair,
     ground_triplets,
     map_classes,
     parse_triplets,
@@ -214,7 +220,7 @@ class TestGrounding:
             _det(4, "cup/glass/bottle", (12, 5, 16, 9), 0.7),
         ]
         t = Triplet("person", "carrying", "cup/glass/bottle")
-        out = ground_triplets([t], (3, 4), dets)
+        out = ground_triplets([t], (3, 4), grounding_table(dets))
         # Oracle: scan each frame by hand; both frames have both classes.
         assert [g.frame_index for g in out] == [3, 4]
         assert all(g.is_localized for g in out)
@@ -223,7 +229,7 @@ class TestGrounding:
     def test_missing_object_no_triplet(self):
         dets = [_det(1, "person", (0, 0, 10, 20), 0.9)]
         t = Triplet("person", "carrying", "cup/glass/bottle")
-        assert ground_triplets([t], (1, 1), dets) == []
+        assert ground_triplets([t], (1, 1), grounding_table(dets)) == []
 
     def test_argmax_confidence(self):
         dets = [
@@ -232,7 +238,7 @@ class TestGrounding:
             _det(1, "cup/glass/bottle", (30, 5, 34, 9), 0.9),
         ]
         t = Triplet("person", "carrying", "cup/glass/bottle")
-        out = ground_triplets([t], (1, 1), dets)
+        out = ground_triplets([t], (1, 1), grounding_table(dets))
         assert out[0].object_box == BoundingBox(30, 5, 34, 9)
 
     def test_confidence_tie_larger_area_wins(self):
@@ -242,21 +248,21 @@ class TestGrounding:
             _det(1, "dish", (20, 5, 30, 15), 0.5),
         ]
         t = Triplet("person", "holding", "dish")
-        out = ground_triplets([t], (1, 1), dets)
+        out = ground_triplets([t], (1, 1), grounding_table(dets))
         assert out[0].object_box == BoundingBox(20, 5, 30, 15)
 
     def test_same_class_needs_distinct_detections(self):
         only_one = [_det(1, "person", (0, 0, 10, 20), 0.9)]
         t = Triplet("person", "looking at", "person")
-        assert ground_triplets([t], (1, 1), only_one) == []
+        assert ground_triplets([t], (1, 1), grounding_table(only_one)) == []
         two = only_one + [_det(1, "person", (30, 0, 40, 20), 0.8)]
-        out = ground_triplets([t], (1, 1), two)
+        out = ground_triplets([t], (1, 1), grounding_table(two))
         assert len(out) == 1
         assert out[0].subject_box != out[0].object_box
 
     def test_empty_interval(self):
         t = Triplet("person", "carrying", "cup/glass/bottle")
-        assert ground_triplets([t], None, []) == []
+        assert ground_triplets([t], None, {}) == []
 
     def test_boxes_verbatim_from_detections(self):
         dets = [
@@ -264,10 +270,88 @@ class TestGrounding:
             _det(2, "table", (5, 5, 25, 25), 0.8),
         ]
         det_boxes = {tuple(d.box) for d in dets}
-        out = ground_triplets([Triplet("person", "in front of", "table")], (2, 2), dets)
+        out = ground_triplets(
+            [Triplet("person", "in front of", "table")], (2, 2), grounding_table(dets)
+        )
         for g in out:
             assert tuple(g.subject_box) in det_boxes
             assert tuple(g.object_box) in det_boxes
+
+
+# The list scan grounding ran before the grounding table, kept verbatim as the
+# oracle (``ground_pair`` renamed ``_scan_ground_pair``).
+def _best_detection(
+    frame_detections: Sequence[Detection],
+    entity_class: str,
+    exclude: Optional[Detection] = None,
+) -> Optional[Detection]:
+    best = None
+    best_key = None
+    for order, det in enumerate(frame_detections):
+        if det.entity_class != entity_class or det is exclude:
+            continue
+        key = (-det.confidence, -det.box.area, order)
+        if best_key is None or key < best_key:
+            best, best_key = det, key
+    return best
+
+
+def _scan_ground_pair(
+    frame_detections: Sequence[Detection], subject_class: str, object_class: str
+) -> Optional[Tuple[Detection, Detection]]:
+    """The subject and object detections of one frame, or None if either is missing.
+
+    Each role takes the highest-confidence detection of its class (ties:
+    larger box, then earlier record); when the classes coincide the object
+    must be a second, distinct detection.
+    """
+    subject = _best_detection(frame_detections, subject_class)
+    if subject is None:
+        return None
+    exclude = subject if object_class == subject_class else None
+    obj = _best_detection(frame_detections, object_class, exclude=exclude)
+    if obj is None:
+        return None
+    return subject, obj
+
+
+_CLASSES = ("person", "cup", "dish")
+# Few values, so that equal confidences, equal areas and duplicate boxes are
+# common; both signs of zero, which compare equal but are written apart.
+_corner = st.sampled_from([0.0, -0.0, 1.0, 2.5])
+_extent = st.sampled_from([1.0, 1.5, 4.0])
+_kept_detection = st.builds(
+    lambda frame, cls, x1, y1, w, h, conf: Detection(
+        frame, cls, BoundingBox(x1, y1, x1 + w, y1 + h), conf
+    ),
+    st.integers(1, 3), st.sampled_from(_CLASSES), _corner, _corner, _extent, _extent,
+    st.sampled_from([0.2, 0.5, 0.9, 1.0]) | st.floats(0.2, 1.0),
+)
+
+
+class TestGroundingTableMatchesTheListScan:
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(_kept_detection, max_size=12))
+    def test_every_role_takes_the_box_the_scan_picked(self, dets):
+        table = grounding_table(dets)
+        for frame in (1, 2, 3):
+            frame_dets = [d for d in dets if d.frame_index == frame]
+            for subject_class in _CLASSES + ("sofa",):
+                for object_class in _CLASSES + ("sofa",):
+                    want = _scan_ground_pair(frame_dets, subject_class, object_class)
+                    got = ground_pair(table.get(frame, {}), subject_class, object_class)
+                    if want is None:
+                        assert got is None
+                    else:
+                        # The very box objects, so -0.0 never stands in for 0.0.
+                        assert got[0] is want[0].box and got[1] is want[1].box
+
+    def test_a_class_with_one_detection_grounds_no_same_class_pair(self):
+        det = _det(1, "person", (0, 0, 10, 20), 0.9)
+        table = grounding_table([det])
+        assert table == {1: {"person": (det.box,)}}
+        assert ground_pair(table[1], "person", "person") is None
+        assert _scan_ground_pair([det], "person", "person") is None
 
 
 class TestCoreferenceCountDirection:
