@@ -15,10 +15,10 @@ for the whole chunk, and the Lloyd iterations of every video and restart
 advance in lockstep. A video whose own stream would draw differently (fewer
 than K distinct rows) runs again alone. Every result is bit-for-bit the one
 of clustering the video alone, restart after restart. A video counts
-``T*max(R*D, R*K, T)`` elements: its rows repeated for every restart, their
-distances to the centroids, and its row-to-row distances. A chunk holds as
-many videos as fit in ``KMEANS_BATCH_ELEMENTS``, and at least one, so no
-array of a chunk is larger than that budget or than one video's count.
+``T*R*max(D, K)`` elements: its rows repeated for every restart, and their
+distances to the centroids. A chunk holds as many videos as fit in
+``KMEANS_BATCH_ELEMENTS``, and at least one, so no array of a chunk is larger
+than that budget or than one video's count.
 """
 
 from __future__ import annotations
@@ -121,27 +121,6 @@ def choose_k(t_frames: int, beta: int) -> int:
     return min(max(math.ceil(t_frames / beta), 1), t_frames)
 
 
-def _row_distances(rows: np.ndarray, new_v: np.ndarray, new_i: np.ndarray) -> np.ndarray:
-    """(N, T) squared distances from row ``new_i[n]`` of video ``new_v[n]``
-    to every row of that video in ``rows`` (V, T, D).
-
-    A block of rows at a time, so that their differences stay within
-    ``KMEANS_BATCH_ELEMENTS`` elements, or one row's T*D.
-    """
-    v, t, d = rows.shape
-    out = np.empty((len(new_v), t))
-    step = max(1, KMEANS_BATCH_ELEMENTS // max(1, t * d))
-    for lo in range(0, len(new_v), step):
-        videos, picked = new_v[lo : lo + step], new_i[lo : lo + step]
-        if v == 1:  # broadcast one video's rows rather than copy them
-            diff = rows - rows[0, picked][:, None]
-        else:
-            diff = rows[videos]
-            diff -= rows[videos, picked][:, None]
-        out[lo : lo + step] = np.add.reduce(np.square(diff, out=diff), axis=2)
-    return out
-
-
 def _kmeans_plusplus_init(
     rows: np.ndarray, k: int, rngs: Sequence[np.random.Generator]
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -156,13 +135,12 @@ def _kmeans_plusplus_init(
     A video whose ``total`` is 0 (fewer than K distinct rows) draws
     ``rng.integers(0, T)`` instead; the stream does that when all its videos
     do, and otherwise the mask marks the videos whose draws differ.
+
+    Step j's distances are ``_sq_distances`` from each video's rows to its R
+    picks, taken as centroids: within a video's ``T*R*max(D, K)`` elements.
     """
     v, t, _ = rows.shape
     videos = np.arange(v)
-    # Squared distances from each picked row to its video's rows, each
-    # computed once however many restarts pick the row.
-    pairs = np.empty((v, t, t))
-    known = np.zeros(v * t, dtype=bool)
     picks = np.zeros((len(rngs), v, k), dtype=np.intp)
     distances = np.empty((len(rngs), v, t, k))
     diverged = np.zeros(v, dtype=bool)
@@ -191,13 +169,7 @@ def _kmeans_plusplus_init(
             cdf /= cdf[:, -1:]
             u = np.broadcast_to(draws[:, None], drawn.shape)[drawn]
             picks[drawn, j] = (cdf <= u[:, None]).sum(axis=1)
-        idx = picks[:, :, j]
-        wanted = np.zeros(v * t, dtype=bool)
-        wanted[videos * t + idx] = True
-        new_v, new_i = np.divmod(np.flatnonzero(wanted & ~known), t)
-        known |= wanted
-        pairs[new_v, new_i] = _row_distances(rows, new_v, new_i)
-        column = pairs[videos, idx]
+        column = np.moveaxis(_sq_distances(rows, rows[videos[:, None], picks[:, :, j].T]), 2, 0)
         distances[..., j] = column
         closest = column if j == 0 else np.minimum(closest, column)
     return picks, distances, diverged
@@ -400,7 +372,7 @@ def cluster_videos(
     results: List[ClusteringResult] = [None] * len(matrices)  # type: ignore[list-item]
     for (t, d), members in by_shape.items():
         k = choose_k(t, config.beta)
-        per_video = t * max(KMEANS_RESTARTS * max(d, k), t)
+        per_video = t * KMEANS_RESTARTS * max(d, k)
         per_chunk = max(1, KMEANS_BATCH_ELEMENTS // per_video)
         for start in range(0, len(members), per_chunk):
             chunk = members[start : start + per_chunk]

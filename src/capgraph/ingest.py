@@ -431,6 +431,18 @@ def load_parsed_triplets(path) -> List[Tuple[str, int, Triplet]]:
 # Bundle loading
 
 
+def _check_unit_rows(path, matrix: EmbeddingMatrix) -> None:
+    """Raise ``MalformedRecord`` naming ``path`` and the row of the normalized
+    ``matrix`` farthest from unit length, unless every row is a unit vector."""
+    if not matrix.is_normalized():
+        norms = np.linalg.norm(matrix.rows, axis=1)
+        row_id = matrix.row_ids[int(np.argmax(np.abs(norms - 1.0)))]
+        raise MalformedRecord(
+            path, 0, f"row {row_id!r} cannot be L2-normalized: its float32 length is zero, "
+            "or too small or too large to compute"
+        )
+
+
 def _check_frame_rows(path, matrix: EmbeddingMatrix, manifest: VideoManifest) -> None:
     """Raise ``MalformedRecord`` naming ``path`` unless the normalized frame
     embeddings hold one unit row per frame, with the manifest's frame ids in
@@ -447,13 +459,7 @@ def _check_frame_rows(path, matrix: EmbeddingMatrix, manifest: VideoManifest) ->
             path, 0, f"row id {matrix.row_ids[index]!r} is not the id of frame "
             f"{index + 1}, {manifest.frame_ids[index]!r}"
         )
-    if not matrix.is_normalized():
-        norms = np.linalg.norm(matrix.rows, axis=1)
-        row_id = matrix.row_ids[int(np.argmax(np.abs(norms - 1.0)))]
-        raise MalformedRecord(
-            path, 0, f"row {row_id!r} cannot be L2-normalized: its float32 length is zero, "
-            "or too small or too large to compute"
-        )
+    _check_unit_rows(path, matrix)
 
 
 def load_bundle(root, config: Optional[IngestConfig] = None) -> DatasetBundle:
@@ -462,7 +468,8 @@ def load_bundle(root, config: Optional[IngestConfig] = None) -> DatasetBundle:
 
     Beyond each record's own checks (``load_manifests``, ``read_embeddings``,
     ``load_detections``), each video's frame embeddings must hold one unit
-    row per frame with the manifest's frame ids in order. Detections below the
+    row per frame with the manifest's frame ids in order, and its sentence
+    embeddings, if any, unit rows of the frames' dimension. Detections below the
     confidence floor are dropped, and each video's kept detections are held as
     its ``grounding_table``, ties ranked in ``load_detections``' order. Line
     order inside the input files never affects the result.
@@ -488,6 +495,7 @@ def load_bundle(root, config: Optional[IngestConfig] = None) -> DatasetBundle:
                 raise DimensionMismatch(
                     f"{sentences_path}: sentence dim {sent.dim} != frame dim {matrix.dim}"
                 )
+            _check_unit_rows(sentences_path, sent)
             bundle.sentence_embeddings[video_id] = sent
 
         bundle.detections[video_id] = grounding_table(load_detections(

@@ -306,6 +306,20 @@ class TestLockstepKMeans:
             tracemalloc.stop()
         assert peak < t * k * d * 8
 
+    def test_no_temporary_as_large_as_the_row_to_row_distances(self):
+        # Seeding measures each pick against its video's rows as it is
+        # drawn; a T*T table of row-to-row distances alone is larger than
+        # this whole call may take.
+        t, d, beta = 1000, 4, 100
+        matrix = _rows("gaussian", t, d, 0)
+        tracemalloc.start()
+        try:
+            cluster_frames(matrix, AlignConfig(beta=beta), seed=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < t * t * 8
+
     def test_reseed_path_stays_below_the_tkd_tensor(self, monkeypatch):
         # Three distinct rows and K = 24: the restarts leave clusters empty
         # and finish in _lloyd, whose distances also come one cluster column

@@ -273,6 +273,15 @@ def _zero_first_frame_row(root: Path) -> Path:
     return path
 
 
+def _zero_second_sentence_row(root: Path) -> Path:
+    path = root / "embeddings" / "kitchen01.sentences.nlve"
+    matrix = ingest.read_embeddings(path)
+    rows = matrix.rows.copy()
+    rows[1] = 0.0
+    ingest.write_embeddings(EmbeddingMatrix(matrix.row_ids, rows), path)
+    return path
+
+
 def _no_frame_rows(root: Path) -> Path:
     path = root / "embeddings" / "kitchen01.frames.nlve"
     dim = ingest.read_embeddings(path).dim
@@ -289,8 +298,9 @@ def _undecodable_row_id(root: Path) -> Path:
 
 
 @pytest.mark.parametrize("mutate", [
-    _invert_first_box, _zero_first_frame_row, _no_frame_rows, _undecodable_row_id,
-], ids=["inverted-box", "all-zero-row", "no-rows", "row-id-not-utf8"])
+    _invert_first_box, _zero_first_frame_row, _zero_second_sentence_row, _no_frame_rows,
+    _undecodable_row_id,
+], ids=["inverted-box", "all-zero-row", "all-zero-sentence-row", "no-rows", "row-id-not-utf8"])
 def test_validate_exits_2_and_run_all_exits_1_naming_the_file(data_root, cassette_dir,
                                                               tmp_path, mutate):
     root = tmp_path / "data"

@@ -359,6 +359,17 @@ class TestDatasetGate:
         assert err.value.path == str(tmp_path / "embeddings" / "v.frames.nlve")
         assert err.value.reason.startswith("row 'f3' cannot be L2-normalized")
 
+    def test_all_zero_sentence_row_cannot_be_normalized(self, tmp_path):
+        _write_dataset(tmp_path, t=4)
+        rows = np.zeros((3, 4), dtype=np.float32)
+        rows[[0, 2], 1] = 1.0
+        path = tmp_path / "embeddings" / "v.sentences.nlve"
+        write_embeddings(EmbeddingMatrix(["1", "2", "3"], rows), path)
+        with pytest.raises(MalformedRecord) as err:
+            load_bundle(tmp_path)
+        assert err.value.path == str(path)
+        assert err.value.reason.startswith("row '2' cannot be L2-normalized")
+
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_row_whose_length_overflows_is_malformed_without_a_warning(self, tmp_path):
         rows = np.ones((4, 4), dtype=np.float32)
