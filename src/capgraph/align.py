@@ -12,7 +12,9 @@ consecutive run of surviving candidates around its strongest frame.
 ``cluster_videos`` clusters many videos at once. Videos of one shape (T, D)
 run together in chunks: each of the R seeded restarts draws from one stream
 for the whole chunk, and the Lloyd iterations of every video and restart
-advance in lockstep. A video whose own stream would draw differently (fewer
+advance in lockstep, in one loop. A restart whose labels leave a cluster
+empty, or every restart when D == 1, takes that one update alone and stays
+in the lockstep. A video whose own stream would draw differently (fewer
 than K distinct rows) runs again alone. Every result is bit-for-bit the one
 of clustering the video alone, restart after restart. A video counts
 ``T*R*max(D, K)`` elements: its rows repeated for every restart, and their
@@ -193,44 +195,10 @@ def _sq_distances(rows: np.ndarray, centroids: np.ndarray) -> np.ndarray:
     return out
 
 
-def _lloyd(
-    rows: np.ndarray, centroids: np.ndarray, distances: np.ndarray, max_iters: int,
-    tol: float = KMEANS_TOL,
-):
-    """Lloyd iterations for one restart from ``centroids``, whose (T, K)
-    squared distances are ``distances``. Returns ``(centroids, labels,
-    inertia)``."""
-    k = centroids.shape[0]
-    for _ in range(max_iters):
-        labels = np.argmin(distances, axis=1)
-        new_centroids = centroids.copy()
-        per_point = distances[np.arange(rows.shape[0]), labels].copy()
-        for c in range(k):
-            mask = labels == c
-            if np.any(mask):
-                new_centroids[c] = rows[mask].mean(axis=0)
-            else:
-                # Reseed an empty cluster at the point farthest from its
-                # current centroid; consume the point so two empty clusters
-                # never grab the same row.
-                farthest = int(np.argmax(per_point))
-                new_centroids[c] = rows[farthest]
-                labels[farthest] = c
-                per_point[farthest] = -np.inf
-        shift = float(np.max(np.linalg.norm(new_centroids - centroids, axis=1)))
-        centroids = new_centroids
-        distances = _sq_distances(rows, centroids[None])[0]
-        if shift < tol:
-            break
-    labels = np.argmin(distances, axis=1)
-    inertia = float(distances[np.arange(rows.shape[0]), labels].sum())
-    return centroids, labels, inertia
-
-
 def _cluster_means(rows: np.ndarray, cells: np.ndarray, counts: np.ndarray) -> np.ndarray:
     """(C, D) means of the rows that ``cells`` (B, T) files under each of C
     cells, of ``counts`` (C,) rows each; ``rows`` is (B, T, D), or (T, D)
-    for all B.
+    for all B. An empty cell's mean is 0, never a 0/0.
 
     ``bincount`` adds its weights one by one in index order, from 0.0, so a
     cell sums its rows in frame order. It takes a block of dims at a time,
@@ -250,23 +218,51 @@ def _cluster_means(rows: np.ndarray, cells: np.ndarray, counts: np.ndarray) -> n
         sums[:, lo : lo + w] = np.bincount(
             index.ravel(), weights, minlength=size * w
         ).reshape(size, w)
-    sums /= counts[:, None]
+    sums /= np.maximum(counts, 1)[:, None]
     return sums
+
+
+def _lloyd_update(rows: np.ndarray, distances: np.ndarray, labels: np.ndarray) -> np.ndarray:
+    """One Lloyd update of one restart: the (K, D) means ``rows[mask].mean(axis=0)``
+    of the rows (T, D) that ``labels`` files under each cluster, from the
+    (T, K) squared ``distances`` that gave the labels.
+
+    An empty cluster is reseeded at the row farthest from its centroid, which
+    it takes from that row's cluster; a taken row is not taken again, so two
+    empty clusters never grab the same row.
+    """
+    moved = np.empty((distances.shape[1], rows.shape[1]))
+    labels = labels.copy()
+    per_point = distances[np.arange(rows.shape[0]), labels]
+    for c in range(moved.shape[0]):
+        mask = labels == c
+        if mask.any():
+            moved[c] = rows[mask].mean(axis=0)
+        else:
+            farthest = int(np.argmax(per_point))
+            moved[c] = rows[farthest]
+            labels[farthest] = c
+            per_point[farthest] = -np.inf
+    return moved
 
 
 def _lloyd_lockstep(
     rows: np.ndarray, centroids: np.ndarray, distances: np.ndarray, max_iters: int,
     tol: float = KMEANS_TOL,
 ) -> list:
-    """``_lloyd`` for B batch elements at once, with the same bits per element.
+    """Lloyd iterations of B batch elements at once, each with the bits of
+    running it alone.
 
     ``rows`` is (B, T, D), or (T, D) for all, ``centroids`` (B, K, D) and
-    ``distances`` the (B, T, K) squared distances between them. Each element
-    stops at its own convergence. A cluster mean sums its rows one by one in
-    frame order, as ``rows[mask].mean(axis=0)`` does for D >= 2. An element
-    continues in ``_lloyd`` when its labels leave a cluster empty, which
-    ``_lloyd`` reseeds, and from the start when D == 1, where ``mean`` sums
-    pairwise. Returns ``(centroids, labels, inertia)`` per element, in batch
+    ``distances`` the (B, T, K) squared distances between them. An element
+    ends once an update moves no centroid by ``tol``, or after ``max_iters``
+    updates, and leaves the batch. A cluster mean sums its rows one by one in
+    frame order, as ``rows[mask].mean(axis=0)`` does for D >= 2, and
+    ``_sq_distances`` does not depend on the batch, so the batch changes no
+    bit. An element whose labels leave a cluster empty takes that one update
+    from ``_lloyd_update``, which reseeds the cluster, and so does every
+    element when D == 1, where ``mean`` sums pairwise; either way it stays in
+    the batch. Returns ``(centroids, labels, inertia)`` per element, in batch
     order.
     """
     b, k, d = centroids.shape
@@ -275,27 +271,25 @@ def _lloyd_lockstep(
     converged = np.zeros(b, dtype=bool)
     for it in range(max_iters + 1):
         labels = distances.argmin(axis=2)
-        # Converged on the last update, or out of iterations: _lloyd's epilogue.
-        ends = converged if it < max_iters else np.ones(active.size, dtype=bool)
+        ends = converged | (it == max_iters)
         if ends.any():
             inertia = distances.min(axis=2).sum(axis=1)
             for j in np.flatnonzero(ends):
                 results[active[j]] = (centroids[j], labels[j], float(inertia[j]))
-        slots = np.arange(active.size)[:, None]
-        cells = labels + k * slots
-        counts = np.bincount(cells.ravel(), minlength=active.size * k).reshape(active.size, k)
-        go = counts.all(axis=1) & ~ends & (d > 1)
-        for j in np.flatnonzero(~go & ~ends):
-            own = rows[j] if rows.ndim == 3 else rows
-            results[active[j]] = _lloyd(own, centroids[j], distances[j], max_iters - it, tol)
-        if not go.any():
-            return results
-        if not go.all():
-            active, centroids, counts = active[go], centroids[go], counts[go]
-            cells = labels[go] + k * slots[: active.size]
+            keep = ~ends
+            active, centroids, distances, labels = (
+                active[keep], centroids[keep], distances[keep], labels[keep]
+            )
             if rows.ndim == 3:
-                rows = rows[go]
+                rows = rows[keep]
+        if not active.size:
+            break
+        cells = labels + k * np.arange(active.size)[:, None]
+        counts = np.bincount(cells.ravel(), minlength=active.size * k).reshape(active.size, k)
         moved = _cluster_means(rows, cells, counts.ravel()).reshape(centroids.shape)
+        for j in np.flatnonzero(~counts.all(axis=1) | (d == 1)):
+            own = rows[j] if rows.ndim == 3 else rows
+            moved[j] = _lloyd_update(own, distances[j], labels[j])
         converged = np.linalg.norm(moved - centroids, axis=2).max(axis=1) < tol
         centroids = moved
         distances = _sq_distances(rows, centroids)

@@ -45,7 +45,9 @@ MARKER_SEMANTICS = {
 
 _MARKER_RE = re.compile(r"\b(" + "|".join(MARKER_SEMANTICS) + r")\b", re.IGNORECASE)
 _TERMINATOR_RE = re.compile(r"[.!?]+")
-_NUMBERED_LINE_RE = re.compile(r"^\s*\d+\s*[.):\-]\s*(.+?)\s*$")
+# A numbered item starts with a character that is not whitespace, so a blank
+# item ("2. \t") is not an item, as a line without a number is not one.
+_NUMBERED_LINE_RE = re.compile(r"^\s*\d+\s*[.):\-]\s*(\S.*?)\s*$")
 
 SEGMENT_MODES = ("llm", "rule_fallback")
 

@@ -1,3 +1,4 @@
+import contextlib
 import json
 import tracemalloc
 import warnings
@@ -236,9 +237,20 @@ def _rows(kind, t, d, data_seed):
     return EmbeddingMatrix([f"f{i}" for i in range(t)], rows.astype(np.float32))
 
 
-def _assert_matches_oracle(matrix, beta, seed):
+@contextlib.contextmanager
+def _only_the_identical_frames_warning():
+    """Ignore the identical-frames warning and turn every other
+    ``RuntimeWarning`` (a 0/0 in the cluster means, say) into an error."""
     with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
+        warnings.simplefilter("error", RuntimeWarning)
+        warnings.filterwarnings(
+            "ignore", "all frame embeddings are identical", RuntimeWarning
+        )
+        yield
+
+
+def _assert_matches_oracle(matrix, beta, seed):
+    with _only_the_identical_frames_warning():
         result = cluster_frames(matrix, AlignConfig(beta=beta), seed=seed)
     _assert_equals_oracle(result, matrix, beta, seed)
 
@@ -270,15 +282,15 @@ class TestLockstepKMeans:
     def test_empty_cluster_falls_back_to_the_reseed(self, seed, monkeypatch):
         # Two distinct rows and K = 6: k-means++ seeds on duplicates, so the
         # first iteration leaves clusters empty and the reseed path must run.
-        fallbacks = []
-        lloyd = align_mod._lloyd
+        reseeds = []
+        update = align_mod._lloyd_update
         monkeypatch.setattr(
-            align_mod, "_lloyd", lambda *a, **kw: fallbacks.append(1) or lloyd(*a, **kw)
+            align_mod, "_lloyd_update", lambda *a, **kw: reseeds.append(1) or update(*a, **kw)
         )
         rows = np.stack([_unit(0)] * 4 + [_unit(1)] * 2).astype(np.float32)
         matrix = EmbeddingMatrix([f"f{i}" for i in range(6)], rows)
         _assert_matches_oracle(matrix, beta=1, seed=seed)
-        assert fallbacks
+        assert reseeds
 
     def test_align_long_shape_matches_oracle(self):
         _assert_matches_oracle(_rows("gaussian", 192, 64, 3), beta=4, seed=2)
@@ -321,19 +333,19 @@ class TestLockstepKMeans:
         assert peak < t * t * 8
 
     def test_reseed_path_stays_below_the_tkd_tensor(self, monkeypatch):
-        # Three distinct rows and K = 24: the restarts leave clusters empty
-        # and finish in _lloyd, whose distances also come one cluster column
-        # at a time.
+        # Three distinct rows and K = 24: the restarts leave clusters empty,
+        # and _lloyd_update takes those updates on one restart's T*D rows;
+        # the lockstep's distances come one cluster column at a time.
         t, d, beta = 96, 256, 4
         base = np.random.default_rng(0).standard_normal((3, d))
         base /= np.linalg.norm(base, axis=1, keepdims=True)
         rows = base[np.arange(t) % 3].astype(np.float32)
         matrix = EmbeddingMatrix([f"f{i}" for i in range(t)], rows)
         k = choose_k(t, beta)
-        fallbacks = []
-        lloyd = align_mod._lloyd
+        reseeds = []
+        update = align_mod._lloyd_update
         monkeypatch.setattr(
-            align_mod, "_lloyd", lambda *a, **kw: fallbacks.append(1) or lloyd(*a, **kw)
+            align_mod, "_lloyd_update", lambda *a, **kw: reseeds.append(1) or update(*a, **kw)
         )
         tracemalloc.start()
         try:
@@ -341,7 +353,7 @@ class TestLockstepKMeans:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert fallbacks
+        assert reseeds
         assert peak < t * k * d * 8
 
 
@@ -383,8 +395,7 @@ class TestClusterVideos:
             for shape, kind, data_seed in videos
         ]
         with mock.patch.object(align_mod, "KMEANS_BATCH_ELEMENTS", budget):
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", RuntimeWarning)
+            with _only_the_identical_frames_warning():
                 results = cluster_videos(matrices, AlignConfig(beta=beta), seed)
         assert len(results) == len(matrices)
         for matrix, result in zip(matrices, results):

@@ -38,6 +38,7 @@ from capgraph.ingest import (
     write_parsed_triplets,
     write_sentences,
 )
+from fixture_builder import MODEL, SEGMENT_TOKENS, V1_CAPTION, V1_SEGMENT_REPLY
 
 
 def _config(data_root, cassette_dir, out_dir, seed=7):
@@ -75,6 +76,18 @@ class TestRunAll:
             "sentences.ndjson", "scene_graphs.ndjson", "negatives.ndjson",
             "trace.ndjson", "report.json",
         ):
+            assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+
+    def test_blank_numbered_item_is_not_a_sentence(self, data_root, cassette_dir, tmp_path):
+        # A blank item in kitchen01's segmentation reply adds no sentence, so
+        # the two embedding rows still match and the outputs do not move.
+        cassettes = tmp_path / "cassettes"
+        shutil.copytree(cassette_dir, cassettes)
+        llm.write_cassette(cassettes, MODEL, segment_mod.build_prompt(V1_CAPTION),
+                           V1_SEGMENT_REPLY + "\n3. \t", *SEGMENT_TOKENS)
+        run_all(_config(data_root, cassette_dir, tmp_path / "a"))
+        run_all(_config(data_root, cassettes, tmp_path / "b"))
+        for name in cli._RUN_OUTPUTS:
             assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
 
     def test_skip_negatives(self, data_root, cassette_dir, tmp_path):

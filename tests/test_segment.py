@@ -1,3 +1,5 @@
+import warnings
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -57,6 +59,10 @@ class TestNumberedListParsing:
 
     def test_not_a_list(self):
         assert parse_numbered_list("The caption cannot be split.") == []
+
+    def test_blank_item_is_not_an_item(self):
+        reply = "1. The person holds a cup.\n2. \t"
+        assert parse_numbered_list(reply) == ["The person holds a cup."]
 
 
 class TestSegmentCaption:
@@ -203,3 +209,34 @@ class TestTokenUsage:
 
     def test_cost_zero(self):
         assert estimate_cost(0, 0) == 0.0
+
+
+class _Replies:
+    """A client that answers every prompt with one reply."""
+
+    def __init__(self, reply):
+        self.reply = reply
+
+    def complete(self, prompt):
+        return self.reply
+
+
+_NUMBERED_REPLIES = st.lists(
+    st.tuples(
+        st.integers(0, 20),
+        st.sampled_from(".):-"),
+        st.text(alphabet=" \t\u00a0\u2003\x0b\x0cab.", max_size=6),
+    ),
+    max_size=5,
+).map(lambda items: "\n".join(f"{n}{sep}{body}" for n, sep, body in items))
+
+
+@given(st.one_of(st.text(), _NUMBERED_REPLIES), st.one_of(st.none(), st.integers(1, 3)))
+@settings(max_examples=200, deadline=None)
+def test_property_no_reply_yields_a_blank_sentence(reply, max_sentences):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        out = segment_caption("A person waves.", SegmentConfig(), client=_Replies(reply),
+                              max_sentences=max_sentences)
+    assert out
+    assert all(s.text.strip() for s in out)
