@@ -25,7 +25,7 @@ import click
 from . import align as align_mod
 from . import evaluate as eval_mod
 from . import ingest, motion, parse as parse_mod, segment as segment_mod
-from .core import SceneGraph, SegmentedSentence, Triplet, Vocabulary
+from .core import FrameTriplets, SceneGraph, SegmentedSentence, Triplet, Vocabulary
 from .errors import CapgraphError, IoFailure, MalformedRecord, MissingFile, StageError
 from .llm import ChatClient, TokenUsage
 
@@ -718,8 +718,8 @@ def _k_values(value: str) -> Tuple[int, ...]:
 def eval_cmd(gt_path, pred_path, k_values, regime, iou_threshold, json_out):
     """Score predictions against ground truth with Recall@K."""
     config = eval_mod.EvalConfig(k_values=k_values, iou_threshold=iou_threshold, regime=regime)
-    instances = build_eval_instances(
-        ingest.load_scene_graphs(gt_path), ingest.load_scene_graphs(pred_path)
+    instances = eval_mod.pair_frames(
+        ingest.load_frame_triplets(gt_path), ingest.load_frame_triplets(pred_path)
     )
     results = eval_mod.recall_at_k(instances, config)
     payload = {
@@ -736,18 +736,17 @@ def eval_cmd(gt_path, pred_path, k_values, regime, iou_threshold, json_out):
 def build_eval_instances(
     gt_graphs: Sequence[SceneGraph], pred_graphs: Sequence[SceneGraph]
 ) -> List[eval_mod.EvalInstance]:
-    preds_by_key = eval_mod.triplets_by_frame(pred_graphs)
-    instances = []
-    for graph in sorted(gt_graphs, key=lambda g: g.video_id):
-        for frame in sorted(graph.per_frame):
-            instances.append(
-                eval_mod.EvalInstance(
-                    frame_index=frame,
-                    gt=list(graph.per_frame[frame]),
-                    predictions=preds_by_key.get((graph.video_id, frame), []),
-                )
-            )
-    return instances
+    """``eval``'s instances from loaded graphs: ``pair_frames`` over their
+    frames. Graphs that share a video id share its frames."""
+
+    def frames(graphs: Sequence[SceneGraph]) -> FrameTriplets:
+        out: FrameTriplets = {}
+        for graph in graphs:
+            for frame, triplets in graph.per_frame.items():
+                out.setdefault((graph.video_id, frame), []).extend(triplets)
+        return out
+
+    return eval_mod.pair_frames(frames(gt_graphs), frames(pred_graphs))
 
 
 def format_recall_table(results, k_values, regimes) -> str:

@@ -18,6 +18,7 @@ import json
 import math
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import partial
 from importlib import resources
 from typing import Callable, Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
@@ -61,7 +62,7 @@ class BoundingBox(NamedTuple):
     @classmethod
     def from_list(cls, values: Sequence[float]) -> "BoundingBox":
         x1, y1, x2, y2 = values
-        return cls(float(x1), float(y1), float(x2), float(y2))
+        return tuple.__new__(cls, (float(x1), float(y1), float(x2), float(y2)))
 
 
 def box_intersection_area(a: BoundingBox, b: BoundingBox) -> float:
@@ -289,33 +290,46 @@ class Triplet(_TripletFields):
         box: Callable[[Sequence[float]], BoundingBox] = BoundingBox.from_list,
     ) -> "Triplet":
         """Build a triplet from its record; ``box`` turns a coordinate list
-        into a box (a loader may pass one that shares equal boxes)."""
-        frame_index, score = d.get("frame_index"), d.get("score")
-        return cls(
+        into a box (a loader may pass one that shares equal boxes). Fields
+        convert in order, so the result, or the error, is ``Triplet(...)``'s.
+        """
+        get = d.get
+        subject_box, object_box = get("subject_box"), get("object_box")
+        frame_index, score = get("frame_index"), get("score")
+        fields = (
             str(d["subject_class"]),
             str(d["predicate_class"]),
             str(d["object_class"]),
-            box(d["subject_box"]) if d.get("subject_box") else None,
-            box(d["object_box"]) if d.get("object_box") else None,
+            box(subject_box) if subject_box else None,
+            box(object_box) if object_box else None,
             int(frame_index) if frame_index is not None else None,
             float(score) if score is not None else None,
-            _provenance(d.get("provenance", "caption")),
+            _provenance(get("provenance", "caption")),
         )
+        if frame_index is None and subject_box and object_box:
+            raise ValueError("localized triplets require frame_index")
+        return tuple.__new__(cls, fields)
 
 
 def triplet_sort_key(video_id: str, t: Triplet):
     """Stable total order used for deterministic serialization."""
+    subject, predicate, obj, subject_box, object_box, frame, score, provenance = t
     return (
         video_id,
-        t.frame_index if t.frame_index is not None else 0,
-        t.subject_class,
-        t.predicate_class,
-        t.object_class,
-        t.subject_box or (),
-        t.object_box or (),
-        t.score if t.score is not None else 0.0,
-        t.provenance,
+        frame if frame is not None else 0,
+        subject,
+        predicate,
+        obj,
+        subject_box or (),
+        object_box or (),
+        score if score is not None else 0.0,
+        provenance,
     )
+
+
+# A graph file's triplets by frame: (video id, frame index) -> the frame's
+# triplets, as ``ingest.load_frame_triplets`` reads them.
+FrameTriplets = Dict[Tuple[str, int], List[Triplet]]
 
 
 @dataclass(frozen=True)
@@ -348,10 +362,22 @@ class SceneGraph:
 
     @classmethod
     def from_triplets(cls, video_id: str, triplets: Sequence[Triplet]) -> "SceneGraph":
-        per_frame: Dict[int, List[Triplet]] = {}
-        for t in sorted(triplets, key=lambda t: triplet_sort_key(video_id, t)):
-            per_frame.setdefault(t.frame_index, []).append(t)
+        per_frame = sorted_frames(video_id, triplets)
         return cls(video_id=video_id, per_frame={f: tuple(ts) for f, ts in per_frame.items()})
+
+
+def sorted_frames(video_id: str, triplets: Sequence[Triplet]) -> Dict[int, List[Triplet]]:
+    """One video's triplets by frame index, in frame order, each frame in
+    ``triplet_sort_key`` order.
+
+    The video's triplets are sorted as one list, then split by frame: with
+    NaN scores the key is only a partial order, so sorting each frame on its
+    own could order a frame differently.
+    """
+    per_frame: Dict[int, List[Triplet]] = {}
+    for t in sorted(triplets, key=partial(triplet_sort_key, video_id)):
+        per_frame.setdefault(t.frame_index, []).append(t)
+    return per_frame
 
 
 class EmbeddingMatrix:

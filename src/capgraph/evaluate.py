@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Sequence, Tuple
 
-from .core import SceneGraph, Triplet, box_iou
+from .core import FrameTriplets, Triplet, box_iou
 from .errors import NoGtFrames
 
 REGIMES = ("with_constraint", "no_constraint")
@@ -32,6 +32,8 @@ class EvalConfig:
             raise ValueError("k_values must be positive")
         if tuple(sorted(self.k_values)) != tuple(self.k_values):
             raise ValueError("k_values must be sorted ascending")
+        if len(set(self.k_values)) != len(self.k_values):
+            raise ValueError("k_values must not repeat")
         if not 0.0 < self.iou_threshold < 1.0:
             raise ValueError("iou_threshold must lie in (0, 1)")
         if self.regime not in REGIME_CHOICES:
@@ -52,8 +54,10 @@ class EvalInstance:
 
 def match_triplet(pred: Triplet, gt: Triplet, iou_threshold: float) -> bool:
     """Class-exact match with both box IoUs strictly above the threshold."""
-    if pred.classes() != gt.classes():
-        return False
+    return pred.classes() == gt.classes() and _boxes_match(pred, gt, iou_threshold)
+
+
+def _boxes_match(pred: Triplet, gt: Triplet, iou_threshold: float) -> bool:
     return (
         box_iou(pred.subject_box, gt.subject_box) > iou_threshold
         and box_iou(pred.object_box, gt.object_box) > iou_threshold
@@ -72,10 +76,12 @@ def apply_constraint(predictions: Sequence[Triplet], regime: str) -> List[Triple
     if regime != "with_constraint":
         raise ValueError(f"unknown regime {regime!r}")
     best: Dict[tuple, Tuple[float, int]] = {}
-    for i, p in enumerate(predictions):
-        key = (p.subject_box, p.subject_class, p.object_box, p.object_class)
-        score = p.score if p.score is not None else 0.0
-        if key not in best or score > best[key][0]:
+    for i, (subject, _, obj, subject_box, object_box, _, score, _) in enumerate(predictions):
+        key = (subject_box, subject, object_box, obj)
+        if score is None:
+            score = 0.0
+        found = best.get(key)
+        if found is None or score > found[0]:
             best[key] = (score, i)
     keep = {i for _, i in best.values()}
     return [p for i, p in enumerate(predictions) if i in keep]
@@ -89,31 +95,35 @@ def _ranked(predictions: Sequence[Triplet]) -> List[Triplet]:
     )
 
 
-def _ranked_hits(
-    instance: EvalInstance, regime: str, k: int, iou_threshold: float
-) -> List[bool]:
-    """Per-prediction hits of the frame's top-K predictions under the regime.
+def _frame_hits(
+    instance: EvalInstance, regimes: Sequence[str], k: int, iou_threshold: float
+) -> List[List[bool]]:
+    """Per-prediction hits of the frame's top-K predictions, one list per regime.
 
     Predictions are matched in rank order, each to the first unconsumed
     ground truth it hits. A prediction can only hit ground truth of its own
-    class triple, so each one visits just that bucket, in ground-truth order.
-    Greedy matching is prefix-consistent: the first k' hits of a pass at K
-    are the hits of a pass at any k' <= K.
+    class triple, so each one visits just that bucket, in ground-truth order,
+    and only its boxes are compared. The buckets are built once for all
+    regimes. Greedy matching is prefix-consistent: the first k' hits of a
+    pass at K are the hits of a pass at any k' <= K.
     """
     gt = instance.gt
     by_class: Dict[Tuple[str, str, str], List[int]] = {}
     for gi, g in enumerate(gt):
         by_class.setdefault(g.classes(), []).append(gi)
-    hits = []
-    consumed = [False] * len(gt)
-    for pred in _ranked(apply_constraint(instance.predictions, regime))[:k]:
-        hit = False
-        for gi in by_class.get(pred.classes(), ()):
-            if not consumed[gi] and match_triplet(pred, gt[gi], iou_threshold):
-                consumed[gi] = hit = True
-                break
-        hits.append(hit)
-    return hits
+    all_hits = []
+    for regime in regimes:
+        hits = []
+        consumed = [False] * len(gt)
+        for pred in _ranked(apply_constraint(instance.predictions, regime))[:k]:
+            hit = False
+            for gi in by_class.get(pred[:3], ()):  # pred[:3]: its class triple
+                if not consumed[gi] and _boxes_match(pred, gt[gi], iou_threshold):
+                    consumed[gi] = hit = True
+                    break
+            hits.append(hit)
+        all_hits.append(hits)
+    return all_hits
 
 
 def recall_at_k(
@@ -128,24 +138,20 @@ def recall_at_k(
     scored = [inst for inst in instances if inst.gt]
     if not scored:
         raise NoGtFrames("no frames with ground-truth triplets")
-    ks, k_max = config.k_values, max(config.k_values)
-    results: Dict[Tuple[str, int], float] = {}
-    for regime in config.regimes():
-        totals = [0.0] * len(ks)
-        for inst in scored:
-            hits = _ranked_hits(inst, regime, k_max, config.iou_threshold)
-            for i, k in enumerate(ks):
-                totals[i] += sum(hits[:k]) / len(inst.gt)
-        for k, total in zip(ks, totals):
-            results[(regime, k)] = total / len(scored)
-    return results
+    regimes, k_max = config.regimes(), max(config.k_values)
+    totals = {(regime, k): 0.0 for regime in regimes for k in config.k_values}
+    for inst in scored:
+        for regime, hits in zip(regimes, _frame_hits(inst, regimes, k_max, config.iou_threshold)):
+            for k in config.k_values:
+                totals[regime, k] += sum(hits[:k]) / len(inst.gt)
+    return {key: total / len(scored) for key, total in totals.items()}
 
 
-def triplets_by_frame(graphs: Sequence[SceneGraph]) -> Dict[Tuple[str, int], List[Triplet]]:
-    """The graphs' triplets keyed by (video id, frame index)."""
-    out: Dict[Tuple[str, int], List[Triplet]] = {}
-    for graph in graphs:
-        for frame, triplets in graph.per_frame.items():
-            out.setdefault((graph.video_id, frame), []).extend(triplets)
-    return out
-
+def pair_frames(gt: FrameTriplets, predictions: FrameTriplets) -> List[EvalInstance]:
+    """One instance per ground-truth frame, in (video id, frame index) order,
+    holding the frame's ground truth and its predictions (none if the
+    predictions lack the frame). The instances take the maps' lists."""
+    return [
+        EvalInstance(frame, gt[video_id, frame], predictions.get((video_id, frame), []))
+        for video_id, frame in sorted(gt)
+    ]

@@ -588,6 +588,7 @@ class TestRejectedFlagValues:
         (["align", "--selection", "gap:abc"], "--selection", "'gap:abc'"),
         (["plm", "--alpha", "0"], "--alpha", "got 0.0)"),
         (["parse", "--top-n", "-1"], "--top-n", "got -1)"),
+        (["eval", "--k", "20,20"], "--k", "'20,20'"),
     ])
     def test_usage_error_names_the_value(self, tmp_path, args, flag, shown):
         paths = {
