@@ -1,35 +1,45 @@
-"""Pseudo-localized video scene graphs from captions, plus a Recall@K evaluator."""
+"""Pseudo-localized video scene graphs from captions, plus a Recall@K evaluator.
 
-from .core import (
-    BoundingBox,
-    Detection,
-    EmbeddingMatrix,
-    Provenance,
-    SceneGraph,
-    SegmentedSentence,
-    Triplet,
-    VideoManifest,
-    Vocabulary,
-    box_iou,
-)
-from .align import AlignConfig, choose_k, cluster_frames, prune_temporal, select_clusters
-from .evaluate import EvalConfig, EvalInstance, apply_constraint, match_triplet, recall_at_k
-from .ingest import DatasetBundle, IngestConfig, load_bundle, write_scene_graphs
-from .llm import ChatClient, TokenUsage, estimate_cost
-from .motion import MotionLabelConfig, assign_negatives, build_candidates, giou
-from .parse import ParseConfig, ground_triplets, map_classes, parse_triplets
-from .segment import SegmentConfig, build_prompt, rule_fallback_segment, segment_caption
+Importing the package loads none of its modules: each name below loads its
+module on first use, so ``capgraph eval`` never loads numpy, which only
+``align``, the pipeline and the embedding code need.
+"""
+
+import importlib
 
 __version__ = "0.1.0"
 
-_CLI_NAMES = ("PipelineConfig", "RunReport", "run_all")
+# Each exported name and the module it is defined in.
+_EXPORTS = {
+    name: module
+    for module, names in {
+        "core": ("BoundingBox", "Detection", "EmbeddingMatrix", "Provenance", "SceneGraph",
+                 "SegmentedSentence", "Triplet", "VideoManifest", "Vocabulary", "box_iou"),
+        "config": ("AlignConfig",),
+        "align": ("choose_k", "cluster_frames", "prune_temporal", "select_clusters"),
+        "evaluate": ("EvalConfig", "EvalInstance", "apply_constraint", "match_triplet",
+                     "recall_at_k"),
+        "ingest": ("DatasetBundle", "IngestConfig", "load_bundle", "write_scene_graphs"),
+        "llm": ("ChatClient", "TokenUsage", "estimate_cost"),
+        "motion": ("MotionLabelConfig", "assign_negatives", "build_candidates", "giou"),
+        "parse": ("ParseConfig", "ground_triplets", "map_classes", "parse_triplets"),
+        "segment": ("SegmentConfig", "build_prompt", "rule_fallback_segment", "segment_caption"),
+        "pipeline": ("PipelineConfig", "RunReport", "run_all"),
+    }.items()
+    for name in names
+}
+
+__all__ = sorted(_EXPORTS)
 
 
 def __getattr__(name):
-    # The CLI names load ``.cli`` (and click) on first use, so that
-    # ``python -m capgraph.cli`` does not find the module imported already.
-    if name in _CLI_NAMES:
-        from . import cli
+    module = _EXPORTS.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{module}", __name__), name)
+    globals()[name] = value
+    return value
 
-        return getattr(cli, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+def __dir__():
+    return sorted(set(globals()) | set(_EXPORTS))

@@ -32,33 +32,17 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
+# SELECTION_MODES is re-exported.
+from .config import DEFAULT_SEED, SELECTION_MODES, AlignConfig  # noqa: F401
 from .core import EmbeddingMatrix, SegmentedSentence
 from .errors import DimensionMismatch
 
-SELECTION_MODES = ("steepest_decline", "fixed_gap")
 KMEANS_MAX_ITERS = 100
 KMEANS_RESTARTS = 5
 KMEANS_TOL = 1e-6
 # The float64 elements that a chunk of videos of one shape may hold in any
 # one array (see the module docstring).
 KMEANS_BATCH_ELEMENTS = 2**15
-
-
-@dataclass
-class AlignConfig:
-    """Alignment hyperparameters. ``beta`` divides the frame count to pick K."""
-
-    beta: int = 4
-    selection: str = "steepest_decline"
-    gap_tau: float = 0.2
-
-    def __post_init__(self):
-        if self.beta < 1:
-            raise ValueError("beta must be >= 1")
-        if self.selection not in SELECTION_MODES:
-            raise ValueError(f"unknown selection mode {self.selection!r}")
-        if self.selection == "fixed_gap" and not (0.0 < self.gap_tau < 1.0):
-            raise ValueError("gap_tau must lie in (0, 1)")
 
 
 @dataclass
@@ -348,7 +332,7 @@ def _cluster_chunk(rows: np.ndarray, k: int, seed: int) -> List[ClusteringResult
 
 
 def cluster_videos(
-    matrices: Sequence[EmbeddingMatrix], config: AlignConfig, seed: int = 0
+    matrices: Sequence[EmbeddingMatrix], config: AlignConfig, seed: int = DEFAULT_SEED
 ) -> List[ClusteringResult]:
     """Deterministically cluster each video's frame embeddings.
 
@@ -377,7 +361,7 @@ def cluster_videos(
 
 
 def cluster_frames(
-    frame_embeds: EmbeddingMatrix, config: AlignConfig, seed: int = 0
+    frame_embeds: EmbeddingMatrix, config: AlignConfig, seed: int = DEFAULT_SEED
 ) -> ClusteringResult:
     """``cluster_videos`` of one video: k-means++ seeding from ``seed``, best
     of ``KMEANS_RESTARTS`` by inertia, the restarts in lockstep."""

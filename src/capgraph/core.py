@@ -20,9 +20,12 @@ from dataclasses import dataclass, field
 from enum import Enum
 from functools import partial
 from importlib import resources
-from typing import Callable, Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple
+from typing import (
+    TYPE_CHECKING, Callable, Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple,
+)
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 
 class Provenance(str, Enum):
@@ -384,10 +387,13 @@ class EmbeddingMatrix:
     """A dense block of row vectors keyed by string row ids.
 
     Rows share one dimensionality. After ingestion rows are expected to be
-    L2-normalized (within 1e-6); ``normalized()`` enforces that.
+    L2-normalized (within 1e-6); ``normalized()`` enforces that. numpy is
+    imported where it runs, so that loading this module does not load it.
     """
 
     def __init__(self, row_ids: Sequence[str], rows: np.ndarray):
+        import numpy as np
+
         rows = np.asarray(rows, dtype=np.float32)
         if rows.ndim != 2:
             raise ValueError("rows must be a 2-D array")
@@ -406,9 +412,13 @@ class EmbeddingMatrix:
     def __eq__(self, other) -> bool:
         if not isinstance(other, EmbeddingMatrix):
             return NotImplemented
+        import numpy as np
+
         return self.row_ids == other.row_ids and np.array_equal(self.rows, other.rows)
 
     def normalized(self) -> "EmbeddingMatrix":
+        import numpy as np
+
         # A float32 length that overflows is an infinite norm, so the row is
         # not normalized and the loader names it; numpy need not warn first.
         with np.errstate(over="ignore"):
@@ -417,6 +427,8 @@ class EmbeddingMatrix:
         return EmbeddingMatrix(self.row_ids, self.rows / safe)
 
     def is_normalized(self, tol: float = 1e-6) -> bool:
+        import numpy as np
+
         with np.errstate(over="ignore"):
             norms = np.linalg.norm(self.rows, axis=1)
         return bool(np.all(np.abs(norms - 1.0) <= tol))

@@ -10,7 +10,9 @@ Dataset layout under a root directory:
 
 NLVE binary layout: magic bytes ``NLVE``, little-endian u32 dim, u32 row
 count, then each row id as u32 byte length + UTF-8 bytes, then all rows as
-little-endian float32, row-major. Every value must be finite.
+little-endian float32, row-major. Every value must be finite. The functions
+that read and write it import numpy where they run, so that ``eval`` and
+``stats``, which read only NDJSON, never load it.
 
 Scene graph NDJSON: one triplet per line with its video id and frame index,
 sorted by ``triplet_sort_key`` (video id, frame index, classes, boxes, score,
@@ -33,8 +35,6 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, TypeVar
-
-import numpy as np
 
 from .core import (
     BoundingBox,
@@ -83,8 +83,9 @@ class DatasetBundle:
 
 
 def write_embeddings(matrix: EmbeddingMatrix, path) -> None:
+    import numpy as np
+
     path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
     buf = io.BytesIO()
     buf.write(_NLVE_MAGIC)
     buf.write(struct.pack("<II", matrix.dim, len(matrix)))
@@ -94,12 +95,15 @@ def write_embeddings(matrix: EmbeddingMatrix, path) -> None:
         buf.write(raw)
     buf.write(np.ascontiguousarray(matrix.rows, dtype="<f4").tobytes())
     try:
+        path.parent.mkdir(parents=True, exist_ok=True)
         path.write_bytes(buf.getvalue())
     except OSError as e:
         raise IoFailure(f"cannot write {path}: {e}") from e
 
 
 def read_embeddings(path) -> EmbeddingMatrix:
+    import numpy as np
+
     path = Path(path)
     try:
         data = path.read_bytes()
@@ -211,8 +215,8 @@ def _first_undecodable_line(path: Path) -> int:
 
 def _write_ndjson(lines: Iterable[str], path) -> None:
     path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
     try:
+        path.parent.mkdir(parents=True, exist_ok=True)
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
             for line in lines:
                 fh.write(line)
@@ -488,6 +492,8 @@ def _check_unit_rows(path, matrix: EmbeddingMatrix) -> None:
     """Raise ``MalformedRecord`` naming ``path`` and the row of the normalized
     ``matrix`` farthest from unit length, unless every row is a unit vector."""
     if not matrix.is_normalized():
+        import numpy as np
+
         norms = np.linalg.norm(matrix.rows, axis=1)
         row_id = matrix.row_ids[int(np.argmax(np.abs(norms - 1.0)))]
         raise MalformedRecord(

@@ -19,10 +19,11 @@ from capgraph.align import (
     select_clusters,
     sort_clusters,
 )
-from capgraph.cli import PipelineConfig, main, run_all
+from capgraph.cli import main
 from capgraph.core import BoundingBox, EmbeddingMatrix, SegmentedSentence, box_iou
 from capgraph.llm import estimate_cost
 from capgraph.motion import GroundedPair, MotionCandidate, MotionLabelConfig, assign_negatives, giou
+from capgraph.pipeline import PipelineConfig, run_all
 from capgraph.evaluate import EvalConfig, recall_at_k
 
 from test_evaluate import _frame_recall, _random_instances, oracle_recall

@@ -15,10 +15,10 @@ from click.testing import CliRunner
 
 import capgraph
 from capgraph import align as align_mod
-from capgraph import cli, ingest, llm
+from capgraph import cli, ingest, llm, pipeline
 from capgraph import parse as parse_mod
 from capgraph import segment as segment_mod
-from capgraph.cli import PipelineConfig, aggregate_stats, main, run_all
+from capgraph.cli import aggregate_stats, main
 from capgraph.core import (
     BoundingBox,
     Detection,
@@ -38,6 +38,7 @@ from capgraph.ingest import (
     write_parsed_triplets,
     write_sentences,
 )
+from capgraph.pipeline import PipelineConfig, run_all
 from fixture_builder import MODEL, SEGMENT_TOKENS, V1_CAPTION, V1_SEGMENT_REPLY
 
 
@@ -87,7 +88,7 @@ class TestRunAll:
                            V1_SEGMENT_REPLY + "\n3. \t", *SEGMENT_TOKENS)
         run_all(_config(data_root, cassette_dir, tmp_path / "a"))
         run_all(_config(data_root, cassettes, tmp_path / "b"))
-        for name in cli._RUN_OUTPUTS:
+        for name in pipeline._RUN_OUTPUTS:
             assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
 
     def test_skip_negatives(self, data_root, cassette_dir, tmp_path):
@@ -222,7 +223,7 @@ class TestRunAll:
         out = tmp_path / "out"
         run_all(_config(data_root, cassette_dir, out))
         before = {path.name: path.read_bytes() for path in out.iterdir()}
-        assert sorted(before) == sorted(cli._RUN_OUTPUTS)
+        assert sorted(before) == sorted(pipeline._RUN_OUTPUTS)
 
         def fail(records, path):
             raise IoFailure(f"cannot write {path}: no space left on device")
@@ -249,6 +250,30 @@ class TestRunAll:
         assert str(err.value.cause).startswith(f"cannot write {out / 'trace.ndjson'}: ")
         assert not (out / "report.json").exists()
         assert not [p for p in out.iterdir() if p.name.startswith(".staging-")]
+
+
+class TestOutputUnderAFile:
+    """An output path whose parent is a file is an ``IoFailure`` naming it."""
+
+    def test_stage_command_exits_1_naming_the_output(self, tmp_path):
+        sentences = tmp_path / "sentences.ndjson"
+        write_sentences({"v": [SegmentedSentence(1, "A person holds a cup.", (1, 2))]},
+                        sentences)
+        (tmp_path / "file").write_text("")
+        out = tmp_path / "file" / "t.ndjson"
+        result = CliRunner().invoke(main, ["parse", "--sentences", str(sentences),
+                                           "--out", str(out), "--parser", "rule"])
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit), result.exception
+        assert f"error: cannot write {out}: " in result.output
+
+    def test_run_all_out_dir_that_is_a_file_names_it(self, data_root, cassette_dir, tmp_path):
+        out = tmp_path / "file"
+        out.write_text("")
+        with pytest.raises(StageError) as err:
+            run_all(_config(data_root, cassette_dir, out))
+        assert err.value.stage == "write"
+        assert str(err.value.cause).startswith(f"cannot write {out}: ")
 
 
 class TestReplyMemo:
@@ -1032,6 +1057,25 @@ class TestEvalCommand:
         assert result.exit_code == 1
         assert isinstance(result.exception, SystemExit), result.exception
         assert f"error: cannot read {gt}: " in result.output
+
+    @pytest.mark.parametrize("where", ["directory", "missing-parent"])
+    def test_json_out_that_cannot_be_written_exits_1_naming_it(self, tmp_path, where):
+        record = {"video_id": "v", "subject_class": "person", "predicate_class": "holding",
+                  "object_class": "cup/glass/bottle", "subject_box": [0, 0, 10, 10],
+                  "object_box": [0, 0, 10, 10], "frame_index": 1}
+        gt, pred = tmp_path / "gt.ndjson", tmp_path / "pred.ndjson"
+        gt.write_text(json.dumps(record) + "\n")
+        pred.write_text(json.dumps(dict(record, score=0.9)) + "\n")
+        out = tmp_path / "eval.json"
+        if where == "directory":
+            out.mkdir()
+        else:
+            out = tmp_path / "absent" / "eval.json"
+        result = CliRunner().invoke(main, ["eval", "--gt", str(gt), "--pred", str(pred),
+                                           "--json-out", str(out)])
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit), result.exception
+        assert f"error: cannot write {out}: " in result.output
 
     def test_unlocalized_graph_triplet_exits_1_naming_file_and_line(self, tmp_path):
         box = [0.0, 0.0, 10.0, 10.0]

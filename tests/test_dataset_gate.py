@@ -23,7 +23,7 @@ from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from capgraph import cli, ingest
+from capgraph import ingest, pipeline
 from capgraph.cli import main
 from capgraph.core import Detection, EmbeddingMatrix, VideoManifest
 from capgraph.errors import CapgraphError
@@ -247,7 +247,7 @@ def test_run_all_writes_outputs_exactly_when_validate_accepts(data_root, cassett
         assert validate.exit_code == (0 if accepted else 2), validate.output
         assert run.exit_code == (0 if accepted else 1), run.output
         written = sorted(os.listdir(out)) if out.exists() else []
-        assert written == (sorted(cli._RUN_OUTPUTS) if accepted else [])
+        assert written == (sorted(pipeline._RUN_OUTPUTS) if accepted else [])
 
 
 # ---------------------------------------------------------------------------

@@ -40,6 +40,7 @@ from capgraph.ingest import (
     write_detections,
     write_embeddings,
     write_manifests,
+    write_record_lines,
     write_scene_graphs,
     write_sentences,
 )
@@ -97,6 +98,18 @@ class TestEmbeddingFiles:
         path.mkdir()
         with pytest.raises(IoFailure, match=re.escape(f"cannot read {path}: ")):
             read_embeddings(path)
+
+
+@pytest.mark.parametrize("write", [
+    lambda path: write_record_lines([{"a": 1}], path),
+    lambda path: write_embeddings(EmbeddingMatrix(["r"], np.ones((1, 2), np.float32)), path),
+], ids=["ndjson", "nlve"])
+@pytest.mark.parametrize("under", ["file", "file/sub"])
+def test_output_under_a_file_is_a_write_failure_naming_it(tmp_path, write, under):
+    (tmp_path / "file").write_text("")
+    path = tmp_path / under / "out"
+    with pytest.raises(IoFailure, match=re.escape(f"cannot write {path}: ")):
+        write(path)
 
 
 class TestSceneGraphFiles:
