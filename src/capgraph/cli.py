@@ -216,6 +216,9 @@ def align_cmd(data_root, sentences_path, out_path, beta, selection, seed, trace_
     bundle = ingest.load_bundle(data_root)
     sentences = ingest.load_sentences(sentences_path)
     video_ids = sorted(sentences)
+    for video_id in video_ids:
+        if video_id not in bundle.embeddings:
+            raise CapgraphError(f"{sentences_path}: video {video_id!r} is not in the manifest")
     clusterings = cluster_videos(video_ids, bundle, config, seed)
     aligned = {}
     traces = []

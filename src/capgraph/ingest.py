@@ -274,7 +274,7 @@ def load_manifests(path) -> List[VideoManifest]:
 
 
 def load_detections(path, confidence_floor: float, num_frames: int) -> List[Detection]:
-    """One video's detections at or above ``confidence_floor``, sorted.
+    """One video's detections at or above ``confidence_floor``, in file order.
 
     A kept detection must lie on a frame in 1..``num_frames`` and have a valid
     box and a confidence in [0, 1]; one that does not raises
@@ -297,9 +297,7 @@ def load_detections(path, confidence_floor: float, num_frames: int) -> List[Dete
             raise ValueError(f"confidence {det.confidence} is outside [0, 1]")
         return det
 
-    detections = [det for _, det in read_records(path, "detection", kept) if det is not None]
-    detections.sort(key=_detection_order)
-    return detections
+    return [det for _, det in read_records(path, "detection", kept) if det is not None]
 
 
 def _detection_order(d: Detection) -> tuple:
@@ -310,7 +308,10 @@ def grounding_table(detections: Iterable[Detection]) -> GroundingTable:
     """One video's detections as the table ``parse.ground_pair`` reads: for
     each frame and entity class, the boxes of the class's best two detections
     on the frame (or its one), best first. Higher confidence ranks first, then
-    larger area, then earlier in ``detections``; no role takes a third.
+    larger area, then the lower box; no role takes a third. Detections tied
+    on all three have equal boxes, which keep their order in ``detections``:
+    the table depends on that order only where such boxes differ in the sign
+    of a zero coordinate (``-0.0 == 0.0``).
     """
     groups: Dict[Tuple[int, str], List[Detection]] = {}
     for det in detections:
@@ -320,7 +321,7 @@ def grounding_table(detections: Iterable[Detection]) -> GroundingTable:
         if len(group) == 1:  # the common case, kept off the sort
             boxes = (group[0].box,)
         else:
-            group.sort(key=lambda d: (-d.confidence, -d.box.area))  # stable: ties keep order
+            group.sort(key=lambda d: (-d.confidence, -d.box.area, d.box))
             boxes = (group[0].box, group[1].box)
         table.setdefault(frame, {})[entity_class] = boxes
     return table
@@ -530,8 +531,9 @@ def load_bundle(root, config: Optional[IngestConfig] = None) -> DatasetBundle:
     row per frame with the manifest's frame ids in order, and its sentence
     embeddings, if any, unit rows of the frames' dimension. Detections below the
     confidence floor are dropped, and each video's kept detections are held as
-    its ``grounding_table``, ties ranked in ``load_detections``' order. Line
-    order inside the input files never affects the result.
+    its ``grounding_table``, which ranks them by one key of their own. Line
+    order inside the input files affects the result only in the one tie
+    ``grounding_table`` leaves open.
     """
     config = config or IngestConfig()
     root = Path(root)

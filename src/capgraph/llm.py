@@ -104,12 +104,12 @@ class ChatClient:
     Threads may share a client: ``_lock`` guards only the counters, so calls
     do not wait on each other's network round trips.
 
-    ``replies``, when given, is a dict shared by the clients of one run that
-    maps a cache key to its recorded ``(response, input_tokens,
-    output_tokens)``, so each cache file is read at most once per run. Only
-    replies that passed ``_cache_read``'s checks or that this run recorded go
-    into it. Two threads that miss it at once both read the file, which is
-    harmless.
+    ``replies`` maps a cache key to its recorded ``(response, input_tokens,
+    output_tokens)``, so each cache file is read at most once per memo. A
+    client given none keeps its own; the clients of one run share one dict.
+    Only replies that passed ``_cache_read``'s checks, or that a client
+    recorded into the cache, go into it. Two threads that miss it at once
+    both read the file, which is harmless.
     """
 
     def __init__(
@@ -132,7 +132,7 @@ class ChatClient:
         self.offline = offline
         self.input_price_per_million = input_price_per_million
         self.output_price_per_million = output_price_per_million
-        self.replies = replies
+        self.replies = {} if replies is None else replies
         self.usage = TokenUsage()
         self.network_calls = 0
         self._lock = threading.Lock()
@@ -169,7 +169,7 @@ class ChatClient:
     def _replay(self, key: str) -> Optional[tuple]:
         """``(response, input_tokens, output_tokens)`` recorded for ``key``,
         from ``replies`` or else from the cache file, or None on a miss."""
-        if self.replies is not None and key in self.replies:
+        if key in self.replies:
             return self.replies[key]
         record = self._cache_read(key)
         if record is None:
@@ -177,8 +177,7 @@ class ChatClient:
         reply = (
             record["response"], record.get("input_tokens", 0), record.get("output_tokens", 0)
         )
-        if self.replies is not None:
-            self.replies[key] = reply
+        self.replies[key] = reply
         return reply
 
     # -- transport ---------------------------------------------------------
@@ -238,8 +237,7 @@ class ChatClient:
             write_cassette(
                 self.cache_dir, self.model_name, prompt, text, input_tokens, output_tokens
             )
-            if self.replies is not None:
-                self.replies[key] = (text, input_tokens, output_tokens)
+            self.replies[key] = (text, input_tokens, output_tokens)
         self._account(input_tokens, output_tokens)
         return text
 

@@ -49,23 +49,21 @@ class MotionLabelConfig:
 
 
 @dataclass(frozen=True)
-class GroundedPair:
-    subject_box: BoundingBox
-    object_box: BoundingBox
-
-
-@dataclass(frozen=True)
 class MotionCandidate:
-    """One (subject, object, unaligned run) with endpoint GIoUs and boxes."""
+    """One (person, object, unaligned run) with endpoint GIoUs and boxes.
+
+    The subject is always ``SUBJECT_CLASS``. ``start_pair`` and ``end_pair``
+    are the ``(subject box, object box)`` that ``parse.ground_pair`` returns
+    for the run's start and end frames.
+    """
 
     video_id: str
-    subject_class: str
     object_class: str
     run: Tuple[int, int]
     g_start: float
     g_end: float
-    start_pair: GroundedPair
-    end_pair: GroundedPair
+    start_pair: Tuple[BoundingBox, BoundingBox]
+    end_pair: Tuple[BoundingBox, BoundingBox]
 
     @property
     def motion_score(self) -> float:
@@ -143,18 +141,15 @@ def build_candidates(
                 end = ground_pair(table.get(hi, {}), SUBJECT_CLASS, object_class)
                 if end is None:
                     continue
-                start_pair = GroundedPair(*start)
-                end_pair = GroundedPair(*end)
                 candidates.append(
                     MotionCandidate(
                         video_id=video_id,
-                        subject_class=SUBJECT_CLASS,
                         object_class=object_class,
                         run=(lo, hi),
-                        g_start=giou(start_pair.subject_box, start_pair.object_box),
-                        g_end=giou(end_pair.subject_box, end_pair.object_box),
-                        start_pair=start_pair,
-                        end_pair=end_pair,
+                        g_start=giou(*start),
+                        g_end=giou(*end),
+                        start_pair=start,
+                        end_pair=end,
                     )
                 )
     return candidates
@@ -188,12 +183,11 @@ def assign_negatives(
     """Emit negative-class triplets for the top alpha percent of the pool.
 
     The pool must span the entire dataset. Candidates sort ascending by
-    motion score (ties: video id, run start, subject, object); the first
+    motion score (ties: video id, run start, object); the first
     ceil(alpha% * pool) are selected, so an empty pool selects none.
     """
     ordered = sorted(
-        candidates,
-        key=lambda c: (c.motion_score, c.video_id, c.run[0], c.subject_class, c.object_class),
+        candidates, key=lambda c: (c.motion_score, c.video_id, c.run[0], c.object_class)
     )
     selected = ordered[: selection_count(config.alpha_percent, len(ordered))]
 
@@ -206,14 +200,14 @@ def assign_negatives(
             (not_contacting, config.strategy_not_contacting),
         ):
             for frame in _strategy_frames(strategy, candidate.run):
-                pair = pairs[frame]
+                subject_box, object_box = pairs[frame]
                 by_video.setdefault(candidate.video_id, []).append(
                     Triplet(
-                        subject_class=candidate.subject_class,
+                        subject_class=SUBJECT_CLASS,
                         predicate_class=predicate,
                         object_class=candidate.object_class,
-                        subject_box=pair.subject_box,
-                        object_box=pair.object_box,
+                        subject_box=subject_box,
+                        object_box=object_box,
                         frame_index=frame,
                         provenance=Provenance.NEGATIVE_PSEUDO,
                     )

@@ -148,11 +148,10 @@ def cluster_videos(
     video_ids: Sequence[str], bundle: ingest.DatasetBundle, config: align_mod.AlignConfig,
     seed: int,
 ) -> Dict[str, align_mod.ClusteringResult]:
-    """Frame clusterings of the videos in ``video_ids`` that the bundle holds,
+    """Frame clusterings of the videos in ``video_ids``, each in the bundle,
     all in one ``align.cluster_videos`` call."""
-    known = [v for v in video_ids if v in bundle.embeddings]
-    matrices = [bundle.embeddings[v] for v in known]
-    return dict(zip(known, align_mod.cluster_videos(matrices, config, seed)))
+    matrices = [bundle.embeddings[v] for v in video_ids]
+    return dict(zip(video_ids, align_mod.cluster_videos(matrices, config, seed)))
 
 
 def align_video(

@@ -22,7 +22,7 @@ from capgraph.align import (
 from capgraph.cli import main
 from capgraph.core import BoundingBox, EmbeddingMatrix, SegmentedSentence, box_iou
 from capgraph.llm import estimate_cost
-from capgraph.motion import GroundedPair, MotionCandidate, MotionLabelConfig, assign_negatives, giou
+from capgraph.motion import MotionCandidate, MotionLabelConfig, assign_negatives, giou
 from capgraph.pipeline import PipelineConfig, run_all
 from capgraph.evaluate import EvalConfig, recall_at_k
 
@@ -109,10 +109,10 @@ def test_criterion_3_giou_property_suite():
 
 def test_criterion_4_negative_selection():
     started = time.perf_counter()
-    pair = GroundedPair(BoundingBox(0, 0, 10, 10), BoundingBox(30, 0, 40, 10))
+    pair = (BoundingBox(0, 0, 10, 10), BoundingBox(30, 0, 40, 10))
     pool = [
         MotionCandidate(
-            video_id=f"v{i:02d}", subject_class="person", object_class="table",
+            video_id=f"v{i:02d}", object_class="table",
             run=(5, 8), g_start=0.0, g_end=(i - 12) / 16,
             start_pair=pair, end_pair=pair,
         )

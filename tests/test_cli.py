@@ -481,8 +481,28 @@ class TestStageCommands:
             "--out", str(tmp_path / "aligned.ndjson"),
         ])
         assert result.exit_code == 1
-        assert "embeddings/absent.sentences.nlve" in result.output
+        assert f"{sentences}: video 'absent' is not in the manifest" in result.output
         assert result.exception is None or isinstance(result.exception, SystemExit)
+
+    def test_align_rejects_a_video_outside_the_manifest_before_clustering(
+        self, data_root, tmp_path, monkeypatch
+    ):
+        # kitchen01's sentences copied under the unknown id "ghost": kitchen01
+        # could align, but the unknown video stops the command before clustering.
+        sentences = tmp_path / "raw.ndjson"
+        items = [SegmentedSentence(1, "A person sits."),
+                 SegmentedSentence(2, "The person stands.")]
+        write_sentences({"kitchen01": items, "ghost": items}, sentences)
+        calls = []
+        monkeypatch.setattr(align_mod, "cluster_videos", lambda *a: calls.append(a) or [])
+        result = CliRunner().invoke(main, [
+            "align", "--data-root", str(data_root), "--sentences", str(sentences),
+            "--out", str(tmp_path / "aligned.ndjson"),
+        ])
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit), result.exception
+        assert f"{sentences}: video 'ghost' is not in the manifest" in result.output
+        assert calls == []
 
     def test_ground_video_missing_from_manifest(self, data_root, tmp_path):
         sentences = tmp_path / "sentences.ndjson"

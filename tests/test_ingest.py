@@ -669,7 +669,9 @@ def _record_files(draw):
     """The bytes of a short NDJSON file of awkward, random and valid lines."""
     line = (
         _AWKWARD_LINES
-        | _JUNK.map(lambda s: s.encode("utf-8"))
+        # A lone surrogate has no UTF-8 form; "surrogatepass" writes it as the
+        # bytes a reader must reject as not UTF-8.
+        | _JUNK.map(lambda s: s.encode("utf-8", "surrogatepass"))
         | st.dictionaries(_JUNK, _JSON_VALUES, max_size=3).map(
             lambda d: json.dumps(d).encode("utf-8"))
         | st.just(b"[" * (sys.getrecursionlimit() + 1))  # deeper than the limit

@@ -248,14 +248,19 @@ class TestCacheFiles:
 
 
 class TestReplyMemo:
-    def test_clients_sharing_a_memo_read_each_file_once(self, tmp_path, monkeypatch):
-        write_cassette(tmp_path, "m", "hello", "1. ok", 12, 4)
+    @pytest.fixture
+    def reads(self, monkeypatch):
+        """Names of the files the clients read, one entry per read."""
         reads = []
         read_text = llm.Path.read_text
         monkeypatch.setattr(
             llm.Path, "read_text",
             lambda self, *a, **k: reads.append(self.name) or read_text(self, *a, **k),
         )
+        return reads
+
+    def test_clients_sharing_a_memo_read_each_file_once(self, tmp_path, reads):
+        write_cassette(tmp_path, "m", "hello", "1. ok", 12, 4)
         replies = {}
         first = ChatClient("m", cache_dir=tmp_path, offline=True, replies=replies)
         second = ChatClient("m", cache_dir=tmp_path, offline=True, replies=replies)
@@ -265,15 +270,16 @@ class TestReplyMemo:
         assert replies == {cache_key("m", "hello"): ("1. ok", 12, 4)}
         assert (first.usage.input_tokens, second.usage.input_tokens) == (12, 24)
 
-    def test_without_a_memo_every_call_reads_the_file(self, tmp_path):
-        path = write_cassette(tmp_path, "m", "hello", "first")
+    def test_a_client_given_no_memo_reads_each_file_once(self, tmp_path, reads):
+        path = write_cassette(tmp_path, "m", "hello", "first", 12, 4)
         client = ChatClient("m", cache_dir=tmp_path, offline=True)
-        assert client.complete("hello") == "first"
+        assert [client.complete("hello"), client.complete("hello")] == ["first"] * 2
+        assert reads == [path.name]
+        assert client.usage.input_tokens == 24
+        # The memo is the client's own: a new client reads the edited file.
         write_cassette(tmp_path, "m", "hello", "second")
-        assert client.complete("hello") == "second"
-        path.unlink()
-        with pytest.raises(LlmTransport):
-            client.complete("hello")
+        assert client.complete("hello") == "first"
+        assert ChatClient("m", cache_dir=tmp_path, offline=True).complete("hello") == "second"
 
     def test_recorded_reply_enters_the_memo(self, tmp_path, monkeypatch):
         monkeypatch.setattr(llm.requests, "post",

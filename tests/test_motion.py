@@ -18,7 +18,6 @@ from capgraph.core import (
 )
 from capgraph.ingest import grounding_table
 from capgraph.motion import (
-    GroundedPair,
     MotionCandidate,
     MotionLabelConfig,
     NegativeAssignment,
@@ -210,15 +209,13 @@ class TestBuildCandidates:
             [_manifest("v", 2)], {"v": table}, {"v": SceneGraph.from_triplets("v", grounded)},
             {"v": [(1, 1)]}, MotionLabelConfig(),
         )
-        assert {c.object_class: (c.start_pair.subject_box, c.start_pair.object_box)
-                for c in out} == by_object
+        assert {c.object_class: c.start_pair for c in out} == by_object
 
 
 def _candidate(video_id, score, run=(5, 8), object_class="sofa/couch"):
-    pair = GroundedPair(_box(0, 0, 10, 10), _box(20, 0, 30, 10))
+    pair = (_box(0, 0, 10, 10), _box(20, 0, 30, 10))
     return MotionCandidate(
         video_id=video_id,
-        subject_class="person",
         object_class=object_class,
         run=run,
         g_start=0.0,

@@ -278,8 +278,9 @@ class TestGrounding:
             assert tuple(g.object_box) in det_boxes
 
 
-# The list scan grounding ran before the grounding table, kept verbatim as the
-# oracle (``ground_pair`` renamed ``_scan_ground_pair``).
+# The list scan grounding ran before the grounding table, kept as the oracle
+# (``ground_pair`` renamed ``_scan_ground_pair``), with the tie key the table
+# ranks by: the lower box comes before the record order.
 def _best_detection(
     frame_detections: Sequence[Detection],
     entity_class: str,
@@ -290,7 +291,7 @@ def _best_detection(
     for order, det in enumerate(frame_detections):
         if det.entity_class != entity_class or det is exclude:
             continue
-        key = (-det.confidence, -det.box.area, order)
+        key = (-det.confidence, -det.box.area, det.box, order)
         if best_key is None or key < best_key:
             best, best_key = det, key
     return best
@@ -302,8 +303,8 @@ def _scan_ground_pair(
     """The subject and object detections of one frame, or None if either is missing.
 
     Each role takes the highest-confidence detection of its class (ties:
-    larger box, then earlier record); when the classes coincide the object
-    must be a second, distinct detection.
+    larger box, then the lower box, then earlier record); when the classes
+    coincide the object must be a second, distinct detection.
     """
     subject = _best_detection(frame_detections, subject_class)
     if subject is None:
@@ -352,6 +353,36 @@ class TestGroundingTableMatchesTheListScan:
         assert table == {1: {"person": (det.box,)}}
         assert ground_pair(table[1], "person", "person") is None
         assert _scan_ground_pair([det], "person", "person") is None
+
+
+# One object per box value and no -0.0 corner: boxes that compare equal are
+# then the same object, so the one tie the rank key leaves to input order
+# cannot show.
+_POOL_BOXES = tuple(
+    BoundingBox(x1, y1, x1 + w, y1 + h)
+    for x1 in (0.0, 1.0, 2.5) for y1 in (0.0, 1.0, 2.5) for w in (1.0, 2.0) for h in (1.0, 2.0)
+)
+_pooled_detection = st.builds(
+    Detection, st.integers(1, 3), st.sampled_from(_CLASSES), st.sampled_from(_POOL_BOXES),
+    st.sampled_from([0.2, 0.5, 0.9, 1.0]),
+)
+
+
+class TestGroundingTableIgnoresInputOrder:
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(_pooled_detection, max_size=12), st.data())
+    def test_any_permutation_gives_the_same_table_and_box_objects(self, dets, data):
+        table = grounding_table(dets)
+        shuffled = grounding_table(data.draw(st.permutations(dets)))
+        assert shuffled == table
+        for frame, by_class in table.items():
+            for entity_class, boxes in by_class.items():
+                assert all(a is b for a, b in zip(shuffled[frame][entity_class], boxes))
+
+    def test_equal_confidence_and_area_rank_the_lower_box_first(self):
+        a = _det(1, "cup", (0, 0, 2, 1), 0.5)
+        b = _det(1, "cup", (0, 0, 1, 2), 0.5)
+        assert grounding_table([a, b]) == grounding_table([b, a]) == {1: {"cup": (b.box, a.box)}}
 
 
 class TestCoreferenceCountDirection:
