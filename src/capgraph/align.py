@@ -14,13 +14,13 @@ run together in chunks: each of the R seeded restarts draws from one stream
 for the whole chunk, and the Lloyd iterations of every video and restart
 advance in lockstep, in one loop. A restart whose labels leave a cluster
 empty, or every restart when D == 1, takes that one update alone and stays
-in the lockstep. A video whose own stream would draw differently (fewer
-than K distinct rows) runs again alone. Every result is bit-for-bit the one
-of clustering the video alone, restart after restart. A video counts
-``T*R*max(D, K)`` elements: its rows repeated for every restart, and their
-distances to the centroids. A chunk holds as many videos as fit in
-``KMEANS_BATCH_ELEMENTS``, and at least one, so no array of a chunk is larger
-than that budget or than one video's count.
+in the lockstep. A chunk that holds a video of fewer than K distinct rows,
+whose own streams would draw differently, clusters its videos one by one.
+Every result is bit-for-bit the one of clustering the video alone, restart
+after restart. A video counts ``T*R*max(D, K)`` elements: its rows repeated
+for every restart, and their distances to the centroids. A chunk holds as
+many videos as fit in ``KMEANS_BATCH_ELEMENTS``, and at least one, so no
+array of a chunk is larger than that budget or than one video's count.
 """
 
 from __future__ import annotations
@@ -109,18 +109,18 @@ def choose_k(t_frames: int, beta: int) -> int:
 
 def _kmeans_plusplus_init(
     rows: np.ndarray, k: int, rngs: Sequence[np.random.Generator]
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+) -> Optional[Tuple[np.ndarray, np.ndarray]]:
     """k-means++ seeding of the V videos of one shape in ``rows`` (V, T, D),
     once per stream in ``rngs``; all V videos share each stream.
 
-    Returns the (R, V, K) picked row indices, the (R, V, T, K) squared
-    distances of every row to each pick, and a (V,) mask of the videos whose
-    own streams would have drawn differently. Every pick after the first is
+    Returns the (R, V, K) picked row indices and the (R, V, T, K) squared
+    distances of every row to each pick. Every pick after the first is
     ``rng.choice(T, p=closest / total)``, taken for all videos at once by the
     inverse CDF that ``Generator.choice`` computes, from one ``rng.random()``.
-    A video whose ``total`` is 0 (fewer than K distinct rows) draws
-    ``rng.integers(0, T)`` instead; the stream does that when all its videos
-    do, and otherwise the mask marks the videos whose draws differ.
+    A choice never lands on a row equal to an earlier pick, so ``total`` is 0
+    at step j only for a video of at most j distinct rows, which then draws
+    ``rng.integers(0, T)``. Its streams would part from the other videos', so
+    with V > 1 the first zero total returns None instead.
 
     Step j's distances are ``_sq_distances`` from each video's rows to its R
     picks, taken as centroids: within a video's ``T*R*max(D, K)`` elements.
@@ -129,7 +129,6 @@ def _kmeans_plusplus_init(
     videos = np.arange(v)
     picks = np.zeros((len(rngs), v, k), dtype=np.intp)
     distances = np.empty((len(rngs), v, t, k))
-    diverged = np.zeros(v, dtype=bool)
     draws = np.empty(len(rngs))
     for j in range(k):
         if j == 0:
@@ -139,18 +138,14 @@ def _kmeans_plusplus_init(
             if not np.isfinite(total).all():
                 # Generator.choice rejects such probabilities the same way.
                 raise ValueError("k-means++ seeding: frame distances are not finite")
-            zero = total <= 0
-            # A stream draws an integer when every video still on it has a
-            # zero total, else a choice, which moves its zero-total videos off.
-            integer = (zero | diverged).all(axis=1)
-            choice = ~integer[:, None]
-            diverged |= (zero & choice).any(axis=0)
-            drawn = ~zero & choice
+            drawn = total > 0
+            if v > 1 and not drawn.all():
+                return None
             for r, rng in enumerate(rngs):
-                if integer[r]:
-                    picks[r, :, j] = rng.integers(0, t)
-                else:
+                if drawn[r, 0]:  # with V > 1, every total is positive here
                     draws[r] = rng.random()
+                else:
+                    picks[r, :, j] = rng.integers(0, t)
             cdf = np.cumsum(closest[drawn] / total[drawn, None], axis=1)
             cdf /= cdf[:, -1:]
             u = np.broadcast_to(draws[:, None], drawn.shape)[drawn]
@@ -158,7 +153,7 @@ def _kmeans_plusplus_init(
         column = np.moveaxis(_sq_distances(rows, rows[videos[:, None], picks[:, :, j].T]), 2, 0)
         distances[..., j] = column
         closest = column if j == 0 else np.minimum(closest, column)
-    return picks, distances, diverged
+    return picks, distances
 
 
 def _sq_distances(rows: np.ndarray, centroids: np.ndarray) -> np.ndarray:
@@ -282,52 +277,44 @@ def _lloyd_lockstep(
 
 def _cluster_chunk(rows: np.ndarray, k: int, seed: int) -> List[ClusteringResult]:
     """``cluster_frames`` of the V videos of one shape in ``rows`` (V, T, D),
-    in lockstep over videos and restarts."""
+    in lockstep over videos and restarts. A chunk whose seeding returns None
+    clusters each video alone, where no other video shares its streams."""
     v, t, d = rows.shape
     frames = range(1, t + 1)
-    results: List[Optional[ClusteringResult]] = [None] * v
-    identical = (rows == rows[:, :1]).all(axis=(1, 2)) if k > 1 else np.zeros(v, dtype=bool)
-    for i in np.flatnonzero(identical):
+    if v == 1 and k > 1 and (rows == rows[:, :1]).all():
         warnings.warn(
             "all frame embeddings are identical; degenerating to a single cluster",
             RuntimeWarning,
         )
-        results[i] = ClusteringResult(
-            k=1, centroids=rows[i, :1].copy(), assignment=dict.fromkeys(frames, 0)
-        )
-    live = np.flatnonzero(~identical)
-    if live.size < v:
-        rows = rows[live]
+        return [ClusteringResult(k=1, centroids=rows[0, :1].copy(),
+                                 assignment=dict.fromkeys(frames, 0))]
     rngs = [np.random.default_rng([seed, restart]) for restart in range(KMEANS_RESTARTS)]
-    picks, first, diverged = _kmeans_plusplus_init(rows, k, rngs)
-    # A video whose streams left the chunk's runs again alone, where no
-    # other video can pull its streams elsewhere.
-    for j in np.flatnonzero(diverged):
-        results[live[j]] = _cluster_chunk(rows[j : j + 1], k, seed)[0]
-    if diverged.any():
-        keep = ~diverged
-        live, rows, picks, first = live[keep], rows[keep], picks[:, keep], first[:, keep]
-    # Batch element b is restart b // N of video b % N. The restarts of one
+    seeded = _kmeans_plusplus_init(rows, k, rngs)
+    if seeded is None:
+        return [_cluster_chunk(rows[i : i + 1], k, seed)[0] for i in range(v)]
+    picks, first = seeded
+    # Batch element b is restart b // V of video b % V. The restarts of one
     # video share its rows; a chunk of several repeats them per restart, in at
     # most KMEANS_BATCH_ELEMENTS elements.
-    r, n = picks.shape[:2]
+    r = len(rngs)
     runs = _lloyd_lockstep(
-        rows[0] if n == 1 else np.tile(rows, (r, 1, 1)),
-        rows[np.arange(n)[:, None], picks].reshape(r * n, k, d),
-        first.reshape(r * n, t, k),
+        rows[0] if v == 1 else np.tile(rows, (r, 1, 1)),
+        rows[np.arange(v)[:, None], picks].reshape(r * v, k, d),
+        first.reshape(r * v, t, k),
         KMEANS_MAX_ITERS,
     )
-    for j, i in enumerate(live):
+    results = []
+    for i in range(v):
         # The first restart of least inertia wins.
-        centroids, labels, _ = min(runs[j::n], key=lambda run: run[2])
+        centroids, labels, _ = min(runs[i::v], key=lambda run: run[2])
         # Drop clusters that ended empty (possible with duplicate rows) and
         # renumber the labels, so the result never carries an empty cluster.
         occupied, labels = np.unique(labels, return_inverse=True)
         centroids = centroids[occupied]
-        results[i] = ClusteringResult(
+        results.append(ClusteringResult(
             k=centroids.shape[0], centroids=centroids,
             assignment=dict(zip(frames, labels.tolist())),
-        )
+        ))
     return results
 
 

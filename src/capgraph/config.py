@@ -1,9 +1,9 @@
 """The alignment settings, kept free of numpy.
 
-The command line reads ``AlignConfig.beta`` and ``DEFAULT_SEED`` for its
-``--beta`` and ``--seed`` defaults when it loads, and ``capgraph eval``,
-``stats`` and ``--help`` never load numpy, so these live apart from ``align``,
-which re-exports ``AlignConfig`` and ``SELECTION_MODES``.
+The command line reads ``AlignConfig.beta``, ``DEFAULT_SEED`` and
+``check_seed`` for its ``--beta`` and ``--seed`` flags when it loads, and
+``capgraph eval``, ``stats`` and ``--help`` never load numpy, so these live
+apart from ``align``, which re-exports ``AlignConfig`` and ``SELECTION_MODES``.
 """
 
 from __future__ import annotations
@@ -13,6 +13,14 @@ from dataclasses import dataclass
 SELECTION_MODES = ("steepest_decline", "fixed_gap")
 # The k-means seed of ``PipelineConfig``, ``capgraph align`` and ``align``.
 DEFAULT_SEED = 0
+
+
+def check_seed(seed: int) -> int:
+    """``seed`` if numpy can seed a generator with it, that is if it is not
+    negative; ``PipelineConfig`` and both ``--seed`` flags check it here."""
+    if seed < 0:
+        raise ValueError("seed must be >= 0")
+    return seed
 
 
 @dataclass

@@ -308,10 +308,9 @@ def grounding_table(detections: Iterable[Detection]) -> GroundingTable:
     """One video's detections as the table ``parse.ground_pair`` reads: for
     each frame and entity class, the boxes of the class's best two detections
     on the frame (or its one), best first. Higher confidence ranks first, then
-    larger area, then the lower box; no role takes a third. Detections tied
-    on all three have equal boxes, which keep their order in ``detections``:
-    the table depends on that order only where such boxes differ in the sign
-    of a zero coordinate (``-0.0 == 0.0``).
+    larger area, then the lower box, with a ``-0.0`` corner below ``0.0``
+    (which compare equal); no role takes a third. The table never depends on
+    the order of ``detections``.
     """
     groups: Dict[Tuple[int, str], List[Detection]] = {}
     for det in detections:
@@ -321,7 +320,11 @@ def grounding_table(detections: Iterable[Detection]) -> GroundingTable:
         if len(group) == 1:  # the common case, kept off the sort
             boxes = (group[0].box,)
         else:
-            group.sort(key=lambda d: (-d.confidence, -d.box.area, d.box))
+            group.sort(key=lambda d: (
+                -d.confidence, -d.box.area, d.box,
+                # Boxes tied on the above differ at most in the sign of a zero.
+                [math.copysign(1.0, c) for c in d.box] if 0.0 in d.box else [],
+            ))
             boxes = (group[0].box, group[1].box)
         table.setdefault(frame, {})[entity_class] = boxes
     return table
@@ -531,9 +534,8 @@ def load_bundle(root, config: Optional[IngestConfig] = None) -> DatasetBundle:
     row per frame with the manifest's frame ids in order, and its sentence
     embeddings, if any, unit rows of the frames' dimension. Detections below the
     confidence floor are dropped, and each video's kept detections are held as
-    its ``grounding_table``, which ranks them by one key of their own. Line
-    order inside the input files affects the result only in the one tie
-    ``grounding_table`` leaves open.
+    its ``grounding_table``, which ranks them by one key of their own, so
+    line order inside the input files never affects the result.
     """
     config = config or IngestConfig()
     root = Path(root)

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import json
 import re
-import warnings
 from collections import Counter
 from dataclasses import asdict, dataclass, field
 from functools import lru_cache, partial
@@ -231,7 +230,8 @@ def parse_triplets(
 ) -> List[Triplet]:
     """Extract zero or more unlocalized triplets from one sentence.
 
-    An unparseable chat reply degrades to an empty list with a warning.
+    An unparseable chat reply degrades to an empty list, counted in
+    ``counters.unparseable``.
     """
     if not sentence.text.strip():
         raise ValueError("sentence text must be non-empty")
@@ -241,10 +241,7 @@ def parse_triplets(
         raise ValueError("llm parser requires a client")
     try:
         return _llm_parse(sentence.text, client)
-    except ValueError as e:
-        warnings.warn(
-            f"unparseable triplet reply for {sentence.text[:50]!r}: {e}", RuntimeWarning
-        )
+    except ValueError:
         if counters is not None:
             counters.unparseable += 1
         return []

@@ -13,7 +13,6 @@ import dataclasses
 import json
 import os
 import tempfile
-import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -22,7 +21,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from . import align as align_mod
 from . import evaluate as eval_mod
 from . import ingest, motion, parse as parse_mod, segment as segment_mod
-from .config import DEFAULT_SEED
+from .config import DEFAULT_SEED, check_seed
 from .core import FrameTriplets, SceneGraph, SegmentedSentence, Triplet, Vocabulary
 from .errors import CapgraphError, IoFailure, MalformedRecord, MissingFile, StageError
 from .llm import ChatClient, TokenUsage
@@ -45,6 +44,9 @@ class PipelineConfig:
     alignment: align_mod.AlignConfig = field(default_factory=align_mod.AlignConfig)
     parsing: parse_mod.ParseConfig = field(default_factory=parse_mod.ParseConfig)
     motion: motion.MotionLabelConfig = field(default_factory=motion.MotionLabelConfig)
+
+    def __post_init__(self):
+        check_seed(self.seed)
 
     def to_dict(self) -> dict:
         return dataclasses.asdict(self)
@@ -103,12 +105,8 @@ class VideoResult:
 
 @dataclass
 class RunReport:
-    """Per-stage counts for one pipeline run.
-
-    ``wall_time_seconds`` is informational and intentionally left out of the
-    serialized report so equal inputs always produce byte-identical outputs;
-    ``usage`` is written as ``token_usage``.
-    """
+    """Per-stage counts for one pipeline run; ``usage`` is written as
+    ``token_usage``."""
 
     videos: int = 0
     sentences: int = 0
@@ -119,11 +117,9 @@ class RunReport:
     motion_candidates: int = 0
     negatives: int = 0
     usage: TokenUsage = field(default_factory=TokenUsage)
-    wall_time_seconds: float = 0.0
 
     def to_dict(self) -> dict:
         d = dataclasses.asdict(self)
-        del d["wall_time_seconds"]
         d["token_usage"] = d.pop("usage")
         return d
 
@@ -327,7 +323,6 @@ def run_all(config: PipelineConfig) -> RunReport:
     new one moved in last, so a failed move leaves no report. The first fatal
     stage error is re-raised with its stage name.
     """
-    started = time.monotonic()
     vocab = Vocabulary.action_genome()
     out_dir = Path(config.out_dir)
     stage = "load"
@@ -418,7 +413,6 @@ def run_all(config: PipelineConfig) -> RunReport:
                     os.replace(staged / name, dest)
             except OSError as e:
                 raise IoFailure(f"cannot write {dest}: {e.strerror or e}") from e
-        report.wall_time_seconds = time.monotonic() - started
         return report
     except Exception as e:
         if isinstance(e, StageError):

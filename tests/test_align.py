@@ -239,14 +239,15 @@ def _rows(kind, t, d, data_seed):
 
 @contextlib.contextmanager
 def _only_the_identical_frames_warning():
-    """Ignore the identical-frames warning and turn every other
-    ``RuntimeWarning`` (a 0/0 in the cluster means, say) into an error."""
-    with warnings.catch_warnings():
+    """Record the identical-frames warnings, into the list it yields, and
+    turn every other ``RuntimeWarning`` (a 0/0 in the cluster means, say)
+    into an error."""
+    with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("error", RuntimeWarning)
         warnings.filterwarnings(
-            "ignore", "all frame embeddings are identical", RuntimeWarning
+            "always", "all frame embeddings are identical", RuntimeWarning
         )
-        yield
+        yield caught
 
 
 def _assert_matches_oracle(matrix, beta, seed):
@@ -395,11 +396,17 @@ class TestClusterVideos:
             for shape, kind, data_seed in videos
         ]
         with mock.patch.object(align_mod, "KMEANS_BATCH_ELEMENTS", budget):
-            with _only_the_identical_frames_warning():
+            with _only_the_identical_frames_warning() as caught:
                 results = cluster_videos(matrices, AlignConfig(beta=beta), seed)
         assert len(results) == len(matrices)
         for matrix, result in zip(matrices, results):
             _assert_equals_oracle(result, matrix, beta, seed)
+        # One warning per identical video with K > 1, however its chunk ran.
+        identical = sum(
+            choose_k(len(m), beta) > 1 and bool(np.all(np.asarray(m.rows) == m.rows[0]))
+            for m in matrices
+        )
+        assert sum(w.category is RuntimeWarning for w in caught) == identical
 
     def test_chunks_split_a_group_of_one_shape(self, monkeypatch):
         # T=12, D=32, K=3: 2**15 // (5 * 12 * 32) = 17 videos a chunk.
@@ -410,10 +417,11 @@ class TestClusterVideos:
         for matrix, result in zip(matrices, results):
             _assert_equals_oracle(result, matrix, 4, 3)
 
-    def test_a_duplicate_row_video_reruns_alone(self, monkeypatch):
+    def test_a_chunk_with_a_duplicate_row_video_runs_video_by_video(self, monkeypatch):
         # Two distinct rows and K = 3: once k-means++ has picked both, the
         # duplicate video's total is 0 and it draws an integer, while the
-        # others draw a choice from the same stream. It must run again alone.
+        # others draw a choice from the same stream. So the chunk clusters
+        # each of its videos alone.
         sizes = _spy_on_chunks(monkeypatch)
         duplicate = EmbeddingMatrix(
             [f"f{i}" for i in range(6)],
@@ -421,7 +429,7 @@ class TestClusterVideos:
         )
         matrices = [_rows("gaussian", 6, DIM, 1), duplicate, _rows("gaussian", 6, DIM, 2)]
         results = cluster_videos(matrices, AlignConfig(beta=2), seed=4)
-        assert sizes == [3, 1]
+        assert sizes == [3, 1, 1, 1]
         for matrix, result in zip(matrices, results):
             _assert_equals_oracle(result, matrix, 2, 4)
 

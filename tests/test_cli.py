@@ -4,6 +4,7 @@ import json
 import math
 import os
 import random
+import re
 import shutil
 import struct
 import subprocess
@@ -411,6 +412,7 @@ class TestRunAllCli:
         )
         assert result.exit_code == 0, result.output
         assert (tmp_path / "out" / "scene_graphs.ndjson").exists()
+        assert re.fullmatch(r"wall time: \d+\.\d\ds\n", result.stderr)
 
     def test_cli_failure_exit_code(self, data_root, tmp_path):
         runner = CliRunner()
@@ -547,10 +549,11 @@ class TestConfigFile:
         "text",
         ['{"seed": 3', '{"alignment": {"betaa": 3}}', '{"seeed": 3}', '{"offline": "false"}',
          '{"seed": true}', '{"motion": {"alpha_percent": true}}',
-         '{"parsing": {"top_n_open_classes": -1}}',
+         '{"parsing": {"top_n_open_classes": -1}}', '{"seed": -1}',
          '{"seed": ' + "[" * 100_000 + "]" * 100_000 + "}"],
         ids=["malformed-json", "unknown-section-key", "unknown-top-level-key", "wrong-type",
-             "boolean-for-int", "boolean-for-float", "negative-top-n", "deeper-than-recursion"],
+             "boolean-for-int", "boolean-for-float", "negative-top-n", "negative-seed",
+             "deeper-than-recursion"],
     )
     def test_bad_config_file_exits_1_naming_it(self, tmp_path, text):
         config_path = tmp_path / "pipeline.json"
@@ -634,6 +637,8 @@ class TestRejectedFlagValues:
         (["plm", "--alpha", "0"], "--alpha", "got 0.0)"),
         (["parse", "--top-n", "-1"], "--top-n", "got -1)"),
         (["eval", "--k", "20,20"], "--k", "'20,20'"),
+        (["align", "--seed", "-1"], "--seed", "got -1)"),
+        (["run-all", "--seed", "-1"], "--seed", "got -1)"),
     ])
     def test_usage_error_names_the_value(self, tmp_path, args, flag, shown):
         paths = {
@@ -641,6 +646,7 @@ class TestRejectedFlagValues:
             "align": ["--data-root", "--sentences", "--out"],
             "plm": ["--data-root", "--sentences", "--graphs", "--out"],
             "parse": ["--sentences", "--out"],
+            "run-all": ["--data-root", "--out-dir"],
         }[args[0]]
         required = [item for name in paths for item in (name, str(tmp_path / name[2:]))]
         result = CliRunner().invoke(main, args + required)

@@ -1,3 +1,5 @@
+import math
+import warnings
 from typing import Optional, Sequence, Tuple
 
 import pytest
@@ -90,11 +92,12 @@ class TestLlmParser:
         )
         assert out == []
 
-    def test_unparseable_reply_warns_and_empties(self, tmp_path):
+    def test_unparseable_reply_is_counted_and_empties(self, tmp_path):
         text = "A person does a thing."
         write_cassette(tmp_path, MODEL, build_parse_prompt(text), "no structure here", 5, 2)
         counters = DiscardCounters()
-        with pytest.warns(RuntimeWarning):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             out = parse_triplets(
                 _sentence(text), ParseConfig(parser="llm"),
                 client=_offline_client(tmp_path), counters=counters,
@@ -280,7 +283,8 @@ class TestGrounding:
 
 # The list scan grounding ran before the grounding table, kept as the oracle
 # (``ground_pair`` renamed ``_scan_ground_pair``), with the tie key the table
-# ranks by: the lower box comes before the record order.
+# ranks by: the lower box, then the signs of its corners (-0.0 first), come
+# before the record order.
 def _best_detection(
     frame_detections: Sequence[Detection],
     entity_class: str,
@@ -291,7 +295,8 @@ def _best_detection(
     for order, det in enumerate(frame_detections):
         if det.entity_class != entity_class or det is exclude:
             continue
-        key = (-det.confidence, -det.box.area, det.box, order)
+        signs = tuple(math.copysign(1.0, c) for c in det.box)
+        key = (-det.confidence, -det.box.area, det.box, signs, order)
         if best_key is None or key < best_key:
             best, best_key = det, key
     return best
@@ -303,7 +308,7 @@ def _scan_ground_pair(
     """The subject and object detections of one frame, or None if either is missing.
 
     Each role takes the highest-confidence detection of its class (ties:
-    larger box, then the lower box, then earlier record); when the classes
+    larger box, then the lower box, -0.0 below 0.0, then earlier record); when the classes
     coincide the object must be a second, distinct detection.
     """
     subject = _best_detection(frame_detections, subject_class)
@@ -355,12 +360,12 @@ class TestGroundingTableMatchesTheListScan:
         assert _scan_ground_pair([det], "person", "person") is None
 
 
-# One object per box value and no -0.0 corner: boxes that compare equal are
-# then the same object, so the one tie the rank key leaves to input order
-# cannot show.
+# One object per box's bits, -0.0 corners included: boxes that compare equal
+# but differ in the sign of a zero are distinct objects, and the table must
+# pick the same one from any input order.
 _POOL_BOXES = tuple(
     BoundingBox(x1, y1, x1 + w, y1 + h)
-    for x1 in (0.0, 1.0, 2.5) for y1 in (0.0, 1.0, 2.5) for w in (1.0, 2.0) for h in (1.0, 2.0)
+    for x1 in (0.0, -0.0, 1.0) for y1 in (0.0, -0.0, 1.0) for w in (1.0, 2.0) for h in (1.0, 2.0)
 )
 _pooled_detection = st.builds(
     Detection, st.integers(1, 3), st.sampled_from(_CLASSES), st.sampled_from(_POOL_BOXES),
@@ -370,7 +375,7 @@ _pooled_detection = st.builds(
 
 class TestGroundingTableIgnoresInputOrder:
     @settings(max_examples=200, deadline=None)
-    @given(st.lists(_pooled_detection, max_size=12), st.data())
+    @given(st.lists(_pooled_detection, max_size=16), st.data())
     def test_any_permutation_gives_the_same_table_and_box_objects(self, dets, data):
         table = grounding_table(dets)
         shuffled = grounding_table(data.draw(st.permutations(dets)))
@@ -383,6 +388,13 @@ class TestGroundingTableIgnoresInputOrder:
         a = _det(1, "cup", (0, 0, 2, 1), 0.5)
         b = _det(1, "cup", (0, 0, 1, 2), 0.5)
         assert grounding_table([a, b]) == grounding_table([b, a]) == {1: {"cup": (b.box, a.box)}}
+
+    def test_boxes_equal_but_for_the_sign_of_a_zero_rank_minus_zero_first(self):
+        a = _det(1, "cup", (0.0, 0, 1, 1), 0.5)
+        b = _det(1, "cup", (-0.0, 0, 1, 1), 0.5)
+        for dets in ([a, b], [b, a]):
+            first, second = grounding_table(dets)[1]["cup"]
+            assert first is b.box and second is a.box
 
 
 class TestCoreferenceCountDirection:

@@ -88,8 +88,7 @@ def _recording(replies: _Replies):
     mapping_mode=st.sampled_from(["llm", "lexicon"]),
 )
 @settings(max_examples=100, deadline=None)
-# The two degradations a bad reply causes; they are expected here.
-@pytest.mark.filterwarnings("ignore:unparseable triplet reply:RuntimeWarning")
+# The degradation a bad segmentation reply causes; it is expected here.
 @pytest.mark.filterwarnings("ignore:segmentation reply was not a numbered list:RuntimeWarning")
 def test_run_all_exits_0_or_names_the_video(data_root, segment, parse, mapping,
                                             mapping_mode):
