@@ -355,10 +355,13 @@ def _k_values(value: str) -> Tuple[int, ...]:
 def eval_cmd(gt_path, pred_path, k_values, regime, iou_threshold, json_out):
     """Score predictions against ground truth with Recall@K."""
     config = eval_mod.EvalConfig(k_values=k_values, iou_threshold=iou_threshold, regime=regime)
-    instances = eval_mod.pair_frames(
-        ingest.load_frame_triplets(gt_path), ingest.load_frame_triplets(pred_path)
-    )
-    results = eval_mod.recall_at_k(instances, config)
+    # Every loaded triplet lives until scoring ends and holds no cycle, so the
+    # collector stays paused through pairing and scoring, not just the reads.
+    with ingest._cyclic_gc_paused():
+        instances = eval_mod.pair_frames(
+            ingest.load_frame_triplets(gt_path), ingest.load_frame_triplets(pred_path)
+        )
+        results = eval_mod.recall_at_k(instances, config)
     payload = {
         f"{regime_name}/R@{k}": value for (regime_name, k), value in sorted(results.items())
     }
@@ -387,6 +390,13 @@ def format_recall_table(results, k_values, regimes) -> str:
     return header_line + "\n" + value_line
 
 
+def _workers(value: Optional[int]) -> Optional[int]:
+    """``--workers`` if ``PipelineConfig`` accepts it; None keeps the file's value."""
+    from .pipeline import PipelineConfig
+
+    return value if value is None else PipelineConfig(workers=value).workers
+
+
 @main.command(name="run-all")
 @click.option("--data-root", default=None, type=click.Path())
 @click.option("--out-dir", default=None, type=click.Path())
@@ -395,7 +405,7 @@ def format_recall_table(results, k_values, regimes) -> str:
               type=click.Path(exists=True, dir_okay=False))
 @click.option("--seed", default=None, type=int,
               callback=_checked(lambda v: v if v is None else check_seed(v)))
-@click.option("--workers", default=None, type=int)
+@click.option("--workers", default=None, type=int, callback=_checked(_workers))
 @click.option("--offline", is_flag=True, default=False)
 @click.option("--skip-plm", is_flag=True, default=False)
 @click.option("--parser", default=None, type=click.Choice(parse_mod.PARSER_MODES))

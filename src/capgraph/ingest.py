@@ -61,6 +61,10 @@ class IngestConfig:
 
     confidence_floor: float = 0.2
 
+    def __post_init__(self):
+        if not 0.0 <= self.confidence_floor <= 1.0:
+            raise ValueError("confidence_floor must lie in [0, 1]")
+
 
 @dataclass
 class DatasetBundle:

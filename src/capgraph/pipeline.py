@@ -13,6 +13,7 @@ import dataclasses
 import json
 import os
 import tempfile
+import typing
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -47,6 +48,8 @@ class PipelineConfig:
 
     def __post_init__(self):
         check_seed(self.seed)
+        if self.workers < 1:
+            raise ValueError("workers must be >= 1")
 
     def to_dict(self) -> dict:
         return dataclasses.asdict(self)
@@ -59,28 +62,26 @@ class PipelineConfig:
 
 
 def _from_plain(klass, data, prefix=""):
-    """Build ``klass`` from JSON-shaped data. Nested dataclasses and scalar
-    types come from the field defaults (null and None defaults are not
-    type-checked, and a JSON boolean is no number); unknown keys are rejected
-    by their dotted name."""
+    """Build ``klass`` from JSON-shaped data. Each value must have its
+    field's annotated type: an int is a float, a JSON boolean is no number,
+    and null is taken only by an ``Optional`` field. Sections are nested
+    dataclasses; unknown keys are rejected by their dotted name."""
     if not isinstance(data, dict):
         raise TypeError(f"{klass.__name__} must be a JSON object, got {data!r}")
-    defaults = klass()
+    hints = typing.get_type_hints(klass)
     names = {f.name for f in dataclasses.fields(klass)}
     kwargs = {}
     for key, value in data.items():
         if key not in names:
             raise TypeError(f"unknown key {prefix + key!r}")
-        default = getattr(defaults, key, None)
-        if dataclasses.is_dataclass(default):
-            value = _from_plain(type(default), value, f"{key}.")
-        elif default is not None and value is not None:
-            expected = (int, float) if isinstance(default, float) else type(default)
-            if not isinstance(value, expected) or (
-                isinstance(value, bool) and not isinstance(default, bool)
-            ):
-                raise TypeError(f"{klass.__name__}.{key} must be {type(default).__name__}, "
-                                f"got {value!r}")
+        # Optional[str] is Union[str, None]: its args are (str, NoneType).
+        kind, *none = typing.get_args(hints[key]) or (hints[key],)
+        if dataclasses.is_dataclass(kind):
+            value = _from_plain(kind, value, f"{key}.")
+        elif not (value is None and none):
+            expected = (int, float) if kind is float else kind
+            if not isinstance(value, expected) or (isinstance(value, bool) and kind is not bool):
+                raise TypeError(f"{klass.__name__}.{key} must be {kind.__name__}, got {value!r}")
         kwargs[key] = value
     return klass(**kwargs)
 
@@ -306,7 +307,8 @@ def _process_video(
 
 
 def _map_videos(fn, manifests, workers: int):
-    if workers <= 1:
+    workers = max(1, min(workers, len(manifests)))
+    if workers == 1:
         return [fn(m) for m in manifests]
     with ThreadPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(fn, manifests))
@@ -321,12 +323,15 @@ def run_all(config: PipelineConfig) -> RunReport:
     fails before then leaves ``out_dir`` as it was. ``report.json`` marks a
     complete run: the previous one is removed before the first move and the
     new one moved in last, so a failed move leaves no report. The first fatal
-    stage error is re-raised with its stage name.
+    stage error is re-raised with its stage name. Before any file is read,
+    ``config`` passes the gate a config file passes, so a field changed after
+    the config was built is checked too.
     """
     vocab = Vocabulary.action_genome()
     out_dir = Path(config.out_dir)
     stage = "load"
     try:
+        PipelineConfig.from_dict(config.to_dict())
         bundle = ingest.load_bundle(config.data_root, config.ingest)
 
         stage = "process"

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import re
+import sys
 import warnings
 from dataclasses import dataclass
 from functools import lru_cache
@@ -66,8 +67,9 @@ class SegmentConfig:
     output_price_per_million: float = DEFAULT_OUTPUT_PRICE_PER_MILLION
 
     def __post_init__(self):
-        if self.temperature < 0:
-            raise ValueError("temperature must be >= 0")
+        for name in ("temperature", "input_price_per_million", "output_price_per_million"):
+            if not 0 <= getattr(self, name) <= sys.float_info.max:
+                raise ValueError(f"{name} must be finite and >= 0")
         if self.max_retries < 0:
             raise ValueError("max_retries must be >= 0")
         if self.mode not in SEGMENT_MODES:

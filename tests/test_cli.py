@@ -1,4 +1,5 @@
 import dataclasses
+import gc
 import hashlib
 import json
 import math
@@ -209,6 +210,40 @@ class TestRunAll:
         assert isinstance(err.value.cause, LlmTransport)
         assert "offline mode" in str(err.value.cause)
         assert posts == []
+
+    @pytest.mark.parametrize("section, name, value, shown", [
+        (None, "seed", -1, "seed must be >= 0"),
+        (None, "workers", 0, "workers must be >= 1"),
+        (None, "cache_dir", 5, "PipelineConfig.cache_dir must be str, got 5"),
+        ("ingest", "confidence_floor", math.nan, "confidence_floor must lie in [0, 1]"),
+        ("segmentation", "input_price_per_million", -1.0,
+         "input_price_per_million must be finite and >= 0"),
+    ], ids=["seed", "workers", "cache_dir", "confidence_floor", "price"])
+    def test_setting_changed_after_construction_is_rejected_before_loading(
+        self, data_root, cassette_dir, tmp_path, monkeypatch, section, name, value, shown
+    ):
+        config = _config(data_root, cassette_dir, tmp_path / "out")
+        setattr(getattr(config, section) if section else config, name, value)
+        loads = []
+        monkeypatch.setattr(ingest, "load_bundle", lambda *args: loads.append(args))
+        with pytest.raises(StageError) as err:
+            run_all(config)
+        assert str(err.value) == f"stage 'load' failed: {shown}"
+        assert loads == []
+
+    def test_worker_threads_are_bounded_by_the_video_count(
+        self, data_root, cassette_dir, tmp_path, monkeypatch
+    ):
+        # A pool starts a thread per task, at most: two here, whatever it records.
+        pools = []
+        pool = pipeline.ThreadPoolExecutor
+        monkeypatch.setattr(pipeline, "ThreadPoolExecutor",
+                            lambda max_workers: pools.append(max_workers) or pool(max_workers))
+        for workers in (1, 2, 64):
+            config = _config(data_root, cassette_dir, tmp_path / f"out{workers}")
+            config.workers = workers
+            run_all(config)
+        assert pools == [2, 2]
 
     def test_fatal_stage_error_removes_outputs(self, data_root, tmp_path):
         # No cassettes recorded: offline segmentation must fail and leave
@@ -546,16 +581,34 @@ class TestConfigFile:
         assert report["grounded_triplets"] == 22
 
     @pytest.mark.parametrize(
-        "text",
-        ['{"seed": 3', '{"alignment": {"betaa": 3}}', '{"seeed": 3}', '{"offline": "false"}',
-         '{"seed": true}', '{"motion": {"alpha_percent": true}}',
-         '{"parsing": {"top_n_open_classes": -1}}', '{"seed": -1}',
-         '{"seed": ' + "[" * 100_000 + "]" * 100_000 + "}"],
+        "text, shown",
+        [('{"seed": 3', ":1: invalid JSON: "),
+         ('{"alignment": {"betaa": 3}}', "unknown key 'alignment.betaa'"),
+         ('{"seeed": 3}', "unknown key 'seeed'"),
+         ('{"offline": "false"}', "PipelineConfig.offline must be bool"),
+         ('{"seed": true}', "PipelineConfig.seed must be int"),
+         ('{"motion": {"alpha_percent": true}}', "MotionLabelConfig.alpha_percent must be float"),
+         ('{"parsing": {"top_n_open_classes": -1}}', "top_n_open_classes must be >= 0"),
+         ('{"seed": -1}', ":0: bad pipeline config: seed must be >= 0"),
+         ('{"seed": ' + "[" * 100_000 + "]" * 100_000 + "}", "maximum recursion depth"),
+         ('{"ingest": {"confidence_floor": NaN}}', "confidence_floor must lie in [0, 1]"),
+         ('{"ingest": {"confidence_floor": 5}}', "confidence_floor must lie in [0, 1]"),
+         ('{"workers": 0}', "workers must be >= 1"),
+         ('{"workers": -3}', "workers must be >= 1"),
+         ('{"segmentation": {"input_price_per_million": -1.0}}',
+          "input_price_per_million must be finite and >= 0"),
+         ('{"segmentation": {"output_price_per_million": 1' + "0" * 400 + '}}',
+          "output_price_per_million must be finite and >= 0"),
+         ('{"segmentation": {"temperature": NaN}}', "temperature must be finite and >= 0"),
+         ('{"cache_dir": 5}', "PipelineConfig.cache_dir must be str, got 5"),
+         ('{"parsing": {"lexicon_path": 5}}', "ParseConfig.lexicon_path must be str, got 5")],
         ids=["malformed-json", "unknown-section-key", "unknown-top-level-key", "wrong-type",
              "boolean-for-int", "boolean-for-float", "negative-top-n", "negative-seed",
-             "deeper-than-recursion"],
+             "deeper-than-recursion", "nan-confidence-floor", "confidence-floor-above-1",
+             "zero-workers", "negative-workers", "negative-price", "price-past-float-range",
+             "nan-temperature", "cache-dir-not-a-string", "lexicon-path-not-a-string"],
     )
-    def test_bad_config_file_exits_1_naming_it(self, tmp_path, text):
+    def test_bad_config_file_exits_1_naming_it(self, tmp_path, text, shown):
         config_path = tmp_path / "pipeline.json"
         config_path.write_text(text)
         result = CliRunner().invoke(
@@ -563,7 +616,9 @@ class TestConfigFile:
         )
         assert result.exit_code == 1
         assert isinstance(result.exception, SystemExit), result.exception
-        assert str(config_path) in result.output
+        assert f"error: {config_path}:" in result.output
+        assert shown in result.output
+
     @pytest.mark.parametrize(
         "text, key",
         [
@@ -639,6 +694,7 @@ class TestRejectedFlagValues:
         (["eval", "--k", "20,20"], "--k", "'20,20'"),
         (["align", "--seed", "-1"], "--seed", "got -1)"),
         (["run-all", "--seed", "-1"], "--seed", "got -1)"),
+        (["run-all", "--workers", "0"], "--workers", "workers must be >= 1 (got 0)"),
     ])
     def test_usage_error_names_the_value(self, tmp_path, args, flag, shown):
         paths = {
@@ -983,6 +1039,12 @@ class TestSentenceEmbeddingRows:
         assert result.exit_code == 0, result.output
 
 
+# One localized graph line; as a prediction it takes a score.
+EVAL_RECORD = {"video_id": "v", "subject_class": "person", "predicate_class": "holding",
+               "object_class": "cup/glass/bottle", "subject_box": [0, 0, 10, 10],
+               "object_box": [0, 0, 10, 10], "frame_index": 1}
+
+
 class TestEvalCommand:
     def test_table_and_json(self, tmp_path):
         from capgraph.core import Provenance, SceneGraph, Triplet
@@ -1086,12 +1148,9 @@ class TestEvalCommand:
 
     @pytest.mark.parametrize("where", ["directory", "missing-parent"])
     def test_json_out_that_cannot_be_written_exits_1_naming_it(self, tmp_path, where):
-        record = {"video_id": "v", "subject_class": "person", "predicate_class": "holding",
-                  "object_class": "cup/glass/bottle", "subject_box": [0, 0, 10, 10],
-                  "object_box": [0, 0, 10, 10], "frame_index": 1}
         gt, pred = tmp_path / "gt.ndjson", tmp_path / "pred.ndjson"
-        gt.write_text(json.dumps(record) + "\n")
-        pred.write_text(json.dumps(dict(record, score=0.9)) + "\n")
+        gt.write_text(json.dumps(EVAL_RECORD) + "\n")
+        pred.write_text(json.dumps(dict(EVAL_RECORD, score=0.9)) + "\n")
         out = tmp_path / "eval.json"
         if where == "directory":
             out.mkdir()
@@ -1104,19 +1163,46 @@ class TestEvalCommand:
         assert f"error: cannot write {out}: " in result.output
 
     def test_unlocalized_graph_triplet_exits_1_naming_file_and_line(self, tmp_path):
-        box = [0.0, 0.0, 10.0, 10.0]
-        localized = {"video_id": "v", "subject_class": "person", "predicate_class": "holding",
-                     "object_class": "cup/glass/bottle", "subject_box": box,
-                     "object_box": box, "frame_index": 1}
         gt = tmp_path / "gt.ndjson"
-        gt.write_text(json.dumps(localized) + "\n"
-                      + json.dumps(dict(localized, subject_box=None, object_box=None)) + "\n")
+        gt.write_text(json.dumps(EVAL_RECORD) + "\n"
+                      + json.dumps(dict(EVAL_RECORD, subject_box=None, object_box=None)) + "\n")
         pred = tmp_path / "pred.ndjson"
-        pred.write_text(json.dumps(dict(localized, score=0.9)) + "\n")
+        pred.write_text(json.dumps(dict(EVAL_RECORD, score=0.9)) + "\n")
         result = CliRunner().invoke(main, ["eval", "--gt", str(gt), "--pred", str(pred)])
         assert result.exit_code == 1
         assert isinstance(result.exception, SystemExit), result.exception
         assert f"{gt}:2:" in result.output
+
+    @pytest.mark.parametrize("line, reason", [
+        (b"\xff", "not UTF-8"),
+        (("\ufeff" + json.dumps(EVAL_RECORD)).encode(), "invalid JSON: Unexpected UTF-8 BOM"),
+    ], ids=["not-utf8", "bom"])
+    def test_undecodable_prediction_line_exits_1_naming_file_and_line(self, tmp_path, line,
+                                                                      reason):
+        gt, pred = tmp_path / "gt.ndjson", tmp_path / "pred.ndjson"
+        gt.write_text(json.dumps(EVAL_RECORD) + "\n")
+        pred.write_bytes(line + b"\n")
+        result = _cli("eval", "--gt", gt, "--pred", pred)
+        assert result.returncode == 1, result.stderr
+        assert f"error: {pred}:1: {reason}" in result.stderr
+        assert "Traceback" not in result.stderr
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    def test_collector_stays_paused_through_scoring(self, tmp_path, monkeypatch, enabled):
+        gt, pred = tmp_path / "gt.ndjson", tmp_path / "pred.ndjson"
+        gt.write_text(json.dumps(EVAL_RECORD) + "\n")
+        pred.write_text(json.dumps(dict(EVAL_RECORD, score=0.9)) + "\n")
+        scoring = []
+        recall_at_k = cli.eval_mod.recall_at_k
+        monkeypatch.setattr(cli.eval_mod, "recall_at_k",
+                            lambda *a: scoring.append(gc.isenabled()) or recall_at_k(*a))
+        was_enabled = gc.isenabled()
+        (gc.enable if enabled else gc.disable)()
+        try:
+            result = CliRunner().invoke(main, ["eval", "--gt", str(gt), "--pred", str(pred)])
+            assert (result.exit_code, scoring, gc.isenabled()) == (0, [False], enabled)
+        finally:
+            (gc.enable if was_enabled else gc.disable)()
 
 
 def test_module_entry_point_runs_without_runtime_warning():
@@ -1138,14 +1224,11 @@ def test_package_serves_cli_names():
 
 
 def test_eval_number_too_large_exits_1_naming_file_and_line(tmp_path):
-    box = [0.0, 0.0, 10.0, 10.0]
-    record = {"video_id": "v", "subject_class": "person", "predicate_class": "holding",
-              "object_class": "cup/glass/bottle", "subject_box": box, "object_box": box,
-              "frame_index": 1, "score": "@HUGE@"}
     gt = tmp_path / "gt.ndjson"
-    gt.write_text(json.dumps(dict(record, score=None)) + "\n")
+    gt.write_text(json.dumps(EVAL_RECORD) + "\n")
     pred = tmp_path / "pred.ndjson"
-    pred.write_text(json.dumps(record).replace('"@HUGE@"', "1" + "0" * 400) + "\n")
+    pred.write_text(json.dumps(dict(EVAL_RECORD, score="@HUGE@"))
+                    .replace('"@HUGE@"', "1" + "0" * 400) + "\n")
     result = CliRunner().invoke(main, ["eval", "--gt", str(gt), "--pred", str(pred)])
     assert result.exit_code == 1
     assert isinstance(result.exception, SystemExit), result.exception

@@ -80,6 +80,12 @@ def test_eval_leaves_the_pipeline_unloaded(data_root, run_out, tmp_path):
     assert json.loads((tmp_path / "eval.json").read_text())
 
 
+def test_eval_leaves_requests_unimported(data_root, run_out):
+    code = _command("eval", "--gt", data_root / "gt" / "kitchen01.ndjson",
+                    "--pred", run_out / "scene_graphs.ndjson")
+    assert _loaded_after(code + "assert 'requests' not in sys.modules\n") == []
+
+
 def test_stats_leaves_the_pipeline_unloaded(run_out):
     assert _loaded_after(_command("stats", run_out / "trace.ndjson")) == []
 
