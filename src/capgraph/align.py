@@ -26,7 +26,6 @@ array of a chunk is larger than that budget or than one video's count.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
@@ -225,32 +224,29 @@ def _lloyd_update(rows: np.ndarray, distances: np.ndarray, labels: np.ndarray) -
     return moved
 
 
-def _lloyd_lockstep(
-    rows: np.ndarray, centroids: np.ndarray, distances: np.ndarray, max_iters: int,
-    tol: float = KMEANS_TOL,
-) -> list:
+def _lloyd_lockstep(rows: np.ndarray, centroids: np.ndarray, distances: np.ndarray) -> list:
     """Lloyd iterations of B batch elements at once, each with the bits of
     running it alone.
 
     ``rows`` is (B, T, D), or (T, D) for all, ``centroids`` (B, K, D) and
     ``distances`` the (B, T, K) squared distances between them. An element
-    ends once an update moves no centroid by ``tol``, or after ``max_iters``
-    updates, and leaves the batch. A cluster mean sums its rows one by one in
-    frame order, as ``rows[mask].mean(axis=0)`` does for D >= 2, and
-    ``_sq_distances`` does not depend on the batch, so the batch changes no
-    bit. An element whose labels leave a cluster empty takes that one update
-    from ``_lloyd_update``, which reseeds the cluster, and so does every
-    element when D == 1, where ``mean`` sums pairwise; either way it stays in
-    the batch. Returns ``(centroids, labels, inertia)`` per element, in batch
-    order.
+    ends once an update moves no centroid by ``KMEANS_TOL``, or after
+    ``KMEANS_MAX_ITERS`` updates, and leaves the batch. A cluster mean sums
+    its rows one by one in frame order, as ``rows[mask].mean(axis=0)`` does
+    for D >= 2, and ``_sq_distances`` does not depend on the batch, so the
+    batch changes no bit. An element whose labels leave a cluster empty
+    takes that one update from ``_lloyd_update``, which reseeds the cluster,
+    and so does every element when D == 1, where ``mean`` sums pairwise;
+    either way it stays in the batch. Returns ``(centroids, labels,
+    inertia)`` per element, in batch order.
     """
     b, k, d = centroids.shape
     results: list = [None] * b
     active = np.arange(b)
     converged = np.zeros(b, dtype=bool)
-    for it in range(max_iters + 1):
+    for it in range(KMEANS_MAX_ITERS + 1):
         labels = distances.argmin(axis=2)
-        ends = converged | (it == max_iters)
+        ends = converged | (it == KMEANS_MAX_ITERS)
         if ends.any():
             inertia = distances.min(axis=2).sum(axis=1)
             for j in np.flatnonzero(ends):
@@ -269,7 +265,7 @@ def _lloyd_lockstep(
         for j in np.flatnonzero(~counts.all(axis=1) | (d == 1)):
             own = rows[j] if rows.ndim == 3 else rows
             moved[j] = _lloyd_update(own, distances[j], labels[j])
-        converged = np.linalg.norm(moved - centroids, axis=2).max(axis=1) < tol
+        converged = np.linalg.norm(moved - centroids, axis=2).max(axis=1) < KMEANS_TOL
         centroids = moved
         distances = _sq_distances(rows, centroids)
     return results
@@ -280,14 +276,6 @@ def _cluster_chunk(rows: np.ndarray, k: int, seed: int) -> List[ClusteringResult
     in lockstep over videos and restarts. A chunk whose seeding returns None
     clusters each video alone, where no other video shares its streams."""
     v, t, d = rows.shape
-    frames = range(1, t + 1)
-    if v == 1 and k > 1 and (rows == rows[:, :1]).all():
-        warnings.warn(
-            "all frame embeddings are identical; degenerating to a single cluster",
-            RuntimeWarning,
-        )
-        return [ClusteringResult(k=1, centroids=rows[0, :1].copy(),
-                                 assignment=dict.fromkeys(frames, 0))]
     rngs = [np.random.default_rng([seed, restart]) for restart in range(KMEANS_RESTARTS)]
     seeded = _kmeans_plusplus_init(rows, k, rngs)
     if seeded is None:
@@ -301,7 +289,6 @@ def _cluster_chunk(rows: np.ndarray, k: int, seed: int) -> List[ClusteringResult
         rows[0] if v == 1 else np.tile(rows, (r, 1, 1)),
         rows[np.arange(v)[:, None], picks].reshape(r * v, k, d),
         first.reshape(r * v, t, k),
-        KMEANS_MAX_ITERS,
     )
     results = []
     for i in range(v):
@@ -313,7 +300,7 @@ def _cluster_chunk(rows: np.ndarray, k: int, seed: int) -> List[ClusteringResult
         centroids = centroids[occupied]
         results.append(ClusteringResult(
             k=centroids.shape[0], centroids=centroids,
-            assignment=dict(zip(frames, labels.tolist())),
+            assignment=dict(zip(range(1, t + 1), labels.tolist())),
         ))
     return results
 
@@ -324,8 +311,8 @@ def cluster_videos(
     """Deterministically cluster each video's frame embeddings.
 
     k-means++ seeding from ``seed``, best of ``KMEANS_RESTARTS`` by inertia.
-    If all rows of a video are identical and K would exceed 1, its result
-    degenerates to a single cluster with a warning.
+    Clusters that end empty are dropped, so a video whose rows are all
+    identical ends with one cluster, its centroid that row, and no warning.
 
     Videos of one shape run in chunks, as the module docstring describes;
     each restart's first Lloyd distances are the ones its seeding computed.

@@ -36,5 +36,5 @@ class AlignConfig:
             raise ValueError("beta must be >= 1")
         if self.selection not in SELECTION_MODES:
             raise ValueError(f"unknown selection mode {self.selection!r}")
-        if self.selection == "fixed_gap" and not (0.0 < self.gap_tau < 1.0):
+        if not 0.0 < self.gap_tau < 1.0:
             raise ValueError("gap_tau must lie in (0, 1)")

@@ -137,7 +137,7 @@ def read_embeddings(path) -> EmbeddingMatrix:
         rows = np.frombuffer(data, dtype="<f4", count=count * dim, offset=offset)
     except struct.error as e:
         raise MalformedRecord(path, 0, f"truncated NLVE file: {e}") from e
-    rows = rows.reshape(count, dim) if count else np.zeros((0, dim), dtype=np.float32)
+    rows = rows.reshape(count, dim)
     finite = np.isfinite(rows).all(axis=1)
     if not finite.all():
         row_id = row_ids[int(np.argmin(finite))]
@@ -449,12 +449,23 @@ def write_sentences(sentences_by_video: Dict[str, List[SegmentedSentence]], path
     _write_ndjson(lines, path)
 
 
+def _checked_sentence(record: dict) -> Tuple[str, SegmentedSentence]:
+    """The video id and sentence a record holds, if its text is not blank and
+    its frames, if aligned, are ``1 <= lo <= hi``; else ``ValueError``."""
+    sentence = SegmentedSentence.from_dict(record)
+    if not sentence.text.strip():
+        raise ValueError("text is empty")
+    interval = sentence.aligned_frames
+    if interval and not 1 <= interval[0] <= interval[1]:
+        raise ValueError(f"aligned_frames {list(interval)} is not 1 <= lo <= hi")
+    return str(record["video_id"]), sentence
+
+
 def load_sentences(path) -> Dict[str, List[SegmentedSentence]]:
+    """Sentences by video id, in order; a record ``_checked_sentence``
+    rejects raises ``MalformedRecord`` naming its line."""
     out: Dict[str, List[SegmentedSentence]] = {}
-    records = read_records(
-        path, "sentence", lambda r: (str(r["video_id"]), SegmentedSentence.from_dict(r))
-    )
-    for _, (video_id, sentence) in records:
+    for _, (video_id, sentence) in read_records(path, "sentence", _checked_sentence):
         out.setdefault(video_id, []).append(sentence)
     for sentences in out.values():
         sentences.sort(key=lambda s: s.order_index)

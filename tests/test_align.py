@@ -1,7 +1,5 @@
-import contextlib
 import json
 import tracemalloc
-import warnings
 from unittest import mock
 
 import numpy as np
@@ -89,12 +87,14 @@ class TestChooseK:
 
 class TestClusterFrames:
     def test_identical_rows_degenerate(self):
+        # Every frame equal and K = 2: the emptied cluster is dropped, and no
+        # warning is raised (pytest turns a RuntimeWarning into an error).
         rows = np.tile(_unit(0), (4, 1)).astype(np.float32)
         matrix = EmbeddingMatrix([f"f{i}" for i in range(4)], rows)
-        with pytest.warns(RuntimeWarning):
-            result = cluster_frames(matrix, AlignConfig(beta=2), seed=1)
+        result = cluster_frames(matrix, AlignConfig(beta=2), seed=1)
         assert result.k == 1
         assert set(result.assignment.values()) == {0}
+        assert result.centroids.tobytes() == rows[:1].astype(np.float64).tobytes()
 
     def test_two_blobs_recovered(self):
         rng = np.random.default_rng(3)
@@ -202,8 +202,6 @@ def _oracle_cluster(matrix, beta, seed):
     """(k, centroids, labels) as the restart-by-restart code computed them."""
     rows = np.asarray(matrix.rows, dtype=np.float64)
     k = choose_k(rows.shape[0], beta)
-    if k > 1 and bool(np.all(rows == rows[0])):
-        return 1, rows[:1].copy(), np.zeros(rows.shape[0], dtype=np.int64)
     best = None
     for restart in range(KMEANS_RESTARTS):
         rng = np.random.default_rng([seed, restart])
@@ -217,7 +215,7 @@ def _oracle_cluster(matrix, beta, seed):
     return len(occupied), centroids[occupied], np.array([remap[int(c)] for c in labels])
 
 
-ROW_KINDS = ("gaussian", "duplicate", "near_tied", "tiny_perturbation")
+ROW_KINDS = ("gaussian", "duplicate", "near_tied", "tiny_perturbation", "identical")
 
 
 def _rows(kind, t, d, data_seed):
@@ -237,22 +235,8 @@ def _rows(kind, t, d, data_seed):
     return EmbeddingMatrix([f"f{i}" for i in range(t)], rows.astype(np.float32))
 
 
-@contextlib.contextmanager
-def _only_the_identical_frames_warning():
-    """Record the identical-frames warnings, into the list it yields, and
-    turn every other ``RuntimeWarning`` (a 0/0 in the cluster means, say)
-    into an error."""
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("error", RuntimeWarning)
-        warnings.filterwarnings(
-            "always", "all frame embeddings are identical", RuntimeWarning
-        )
-        yield caught
-
-
 def _assert_matches_oracle(matrix, beta, seed):
-    with _only_the_identical_frames_warning():
-        result = cluster_frames(matrix, AlignConfig(beta=beta), seed=seed)
+    result = cluster_frames(matrix, AlignConfig(beta=beta), seed=seed)
     _assert_equals_oracle(result, matrix, beta, seed)
 
 
@@ -375,7 +359,7 @@ class TestClusterVideos:
         ),
         videos=st.lists(
             st.tuples(
-                st.integers(0, 2), st.sampled_from(ROW_KINDS + ("identical",)),
+                st.integers(0, 2), st.sampled_from(ROW_KINDS),
                 st.integers(0, 2**16),
             ),
             min_size=1,
@@ -396,17 +380,10 @@ class TestClusterVideos:
             for shape, kind, data_seed in videos
         ]
         with mock.patch.object(align_mod, "KMEANS_BATCH_ELEMENTS", budget):
-            with _only_the_identical_frames_warning() as caught:
-                results = cluster_videos(matrices, AlignConfig(beta=beta), seed)
+            results = cluster_videos(matrices, AlignConfig(beta=beta), seed)
         assert len(results) == len(matrices)
         for matrix, result in zip(matrices, results):
             _assert_equals_oracle(result, matrix, beta, seed)
-        # One warning per identical video with K > 1, however its chunk ran.
-        identical = sum(
-            choose_k(len(m), beta) > 1 and bool(np.all(np.asarray(m.rows) == m.rows[0]))
-            for m in matrices
-        )
-        assert sum(w.category is RuntimeWarning for w in caught) == identical
 
     def test_chunks_split_a_group_of_one_shape(self, monkeypatch):
         # T=12, D=32, K=3: 2**15 // (5 * 12 * 32) = 17 videos a chunk.
@@ -436,10 +413,11 @@ class TestClusterVideos:
     def test_an_identical_video_degenerates_and_leaves_the_others(self):
         matrices = [_rows("gaussian", 8, DIM, 1), _rows("identical", 8, DIM, 2),
                     _rows("gaussian", 8, DIM, 3)]
-        with pytest.warns(RuntimeWarning, match="identical"):
-            results = cluster_videos(matrices, AlignConfig(beta=2), seed=5)
+        results = cluster_videos(matrices, AlignConfig(beta=2), seed=5)
         assert results[1].k == 1
         assert set(results[1].assignment.values()) == {0}
+        first = np.asarray(matrices[1].rows[:1], dtype=np.float64)
+        assert results[1].centroids.tobytes() == first.tobytes()
         for matrix, result in zip(matrices, results):
             _assert_equals_oracle(result, matrix, 2, 5)
 

