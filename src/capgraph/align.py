@@ -106,6 +106,12 @@ def choose_k(t_frames: int, beta: int) -> int:
     return min(max(math.ceil(t_frames / beta), 1), t_frames)
 
 
+def video_elements(t: int, d: int, beta: int) -> int:
+    """The elements a video of T frames of dimension D counts against a
+    chunk's ``KMEANS_BATCH_ELEMENTS`` (see the module docstring)."""
+    return t * KMEANS_RESTARTS * max(d, choose_k(t, beta))
+
+
 def _kmeans_plusplus_init(
     rows: np.ndarray, k: int, rngs: Sequence[np.random.Generator]
 ) -> Optional[Tuple[np.ndarray, np.ndarray]]:
@@ -324,8 +330,7 @@ def cluster_videos(
     results: List[ClusteringResult] = [None] * len(matrices)  # type: ignore[list-item]
     for (t, d), members in by_shape.items():
         k = choose_k(t, config.beta)
-        per_video = t * KMEANS_RESTARTS * max(d, k)
-        per_chunk = max(1, KMEANS_BATCH_ELEMENTS // per_video)
+        per_chunk = max(1, KMEANS_BATCH_ELEMENTS // video_elements(t, d, config.beta))
         for start in range(0, len(members), per_chunk):
             chunk = members[start : start + per_chunk]
             rows = np.stack([matrices[i].rows for i in chunk], dtype=np.float64)

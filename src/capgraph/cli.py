@@ -81,12 +81,18 @@ def aggregate_stats(trace_paths: Sequence[str]) -> dict:
     usage = TokenUsage()
     sentences_hist, interval_hist, gap_hist, discards = Counter(), Counter(), Counter(), Counter()
     for path in trace_paths:
-        for _, (video_id, u, sentence_count, lengths, gaps, counts) in ingest.read_records(
+        for line_no, (video_id, u, sentence_count, lengths, gaps, counts) in ingest.read_records(
             path, "trace", decode
         ):
             videos += 1
-            per_video[video_id] = per_video.get(video_id, TokenUsage()) + u
-            usage = usage + u
+            try:
+                per_video[video_id] = per_video.get(video_id, TokenUsage()) + u
+                usage = usage + u
+            except ValueError as e:  # TokenUsage rejects a cost sum that overflowed
+                raise MalformedRecord(
+                    path, line_no, "the estimated cost summed up to this record is too large "
+                    "for a float"
+                ) from e
             sentences_hist[sentence_count] += 1
             interval_hist.update(lengths)
             gap_hist.update(gaps)

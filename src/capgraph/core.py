@@ -210,11 +210,20 @@ class SegmentedSentence:
 
     @classmethod
     def from_dict(cls, d: dict) -> "SegmentedSentence":
+        """The sentence a record holds; its ``aligned_frames``, if present,
+        must be null or a list of exactly two integers, else ``ValueError``."""
         interval = d.get("aligned_frames")
+        if interval is not None and not (
+            isinstance(interval, list) and len(interval) == 2
+            and all(type(frame) is int for frame in interval)
+        ):
+            raise ValueError(
+                f"aligned_frames {json.dumps(interval)} is not null or two integers"
+            )
         return cls(
             order_index=int(d["order_index"]),
             text=str(d["text"]),
-            aligned_frames=(int(interval[0]), int(interval[1])) if interval else None,
+            aligned_frames=tuple(interval) if interval is not None else None,
         )
 
 

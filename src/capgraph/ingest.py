@@ -68,12 +68,28 @@ class IngestConfig:
 
 @dataclass
 class DatasetBundle:
-    """Everything loaded from one dataset root."""
+    """Everything loaded from one dataset root, or from one chunk of its
+    videos."""
 
     manifests: List[VideoManifest] = field(default_factory=list)
     embeddings: Dict[str, EmbeddingMatrix] = field(default_factory=dict)
     sentence_embeddings: Dict[str, EmbeddingMatrix] = field(default_factory=dict)
     detections: Dict[str, GroundingTable] = field(default_factory=dict)
+
+    def add(
+        self,
+        manifest: VideoManifest,
+        frames: EmbeddingMatrix,
+        sentences: Optional[EmbeddingMatrix],
+        table: GroundingTable,
+    ) -> None:
+        """Add one video's manifest and what ``load_video`` read for it."""
+        video_id = manifest.video_id
+        self.manifests.append(manifest)
+        self.embeddings[video_id] = frames
+        if sentences is not None:
+            self.sentence_embeddings[video_id] = sentences
+        self.detections[video_id] = table
 
     def manifest_for(self, video_id: str) -> VideoManifest:
         for m in self.manifests:
@@ -217,21 +233,54 @@ def _first_undecodable_line(path: Path) -> int:
     return 0
 
 
-def _write_ndjson(lines: Iterable[str], path) -> None:
-    path = Path(path)
-    try:
-        path.parent.mkdir(parents=True, exist_ok=True)
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
+class NdjsonWriter:
+    """An NDJSON file opened for writing and filled one batch of lines at a
+    time, so that a run can stream its outputs; closed at the end of its
+    ``with`` block. An ``OSError`` raises ``IoFailure`` naming the file."""
+
+    def __init__(self, path):
+        self.path = Path(path)
+        try:
+            self.path.parent.mkdir(parents=True, exist_ok=True)
+            self._fh = open(self.path, "w", encoding="utf-8", newline="\n")
+        except OSError as e:
+            raise self._failure(e) from e
+
+    def _failure(self, error: OSError) -> IoFailure:
+        return IoFailure(f"cannot write {self.path}: {error}")
+
+    def write(self, lines: Iterable[str]) -> None:
+        """Append ``lines``, each followed by a newline."""
+        try:
             for line in lines:
-                fh.write(line)
-                fh.write("\n")
-    except OSError as e:
-        raise IoFailure(f"cannot write {path}: {e}") from e
+                self._fh.write(line)
+                self._fh.write("\n")
+        except OSError as e:
+            raise self._failure(e) from e
+
+    def __enter__(self) -> "NdjsonWriter":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        try:
+            self._fh.close()
+        except OSError as e:
+            raise self._failure(e) from e
+
+
+def _write_ndjson(lines: Iterable[str], path) -> None:
+    with NdjsonWriter(path) as out:
+        out.write(lines)
+
+
+def record_lines(records: Iterable[dict]) -> Iterator[str]:
+    """Dict records as canonical NDJSON lines, in the given order."""
+    return (_dump_line(r) for r in records)
 
 
 def write_record_lines(records: Iterable[dict], path) -> None:
     """Write dict records as canonical NDJSON in the given order."""
-    _write_ndjson((_dump_line(r) for r in records), path)
+    _write_ndjson(record_lines(records), path)
 
 
 # ---------------------------------------------------------------------------
@@ -343,11 +392,11 @@ def write_detections(detections: Sequence[Detection], path) -> None:
 # Scene graphs (also used for pseudo-label and prediction files)
 
 
-def write_scene_graphs(graphs: Sequence[SceneGraph], path) -> None:
-    """Write graphs as NDJSON, one triplet per line, in a stable total order.
-
-    Equal input graphs produce byte-identical files.
-    """
+def scene_graph_lines(graphs: Sequence[SceneGraph]) -> List[str]:
+    """The graphs' triplets as NDJSON lines, one triplet a line, in a stable
+    total order: ``triplet_sort_key``, which orders by video id first, so the
+    lines of graphs of distinct videos, taken in video-id order, are the
+    lines of all of them."""
     rows: List[Tuple[tuple, str]] = []
     for graph in graphs:
         for t in graph.all_triplets():
@@ -355,7 +404,13 @@ def write_scene_graphs(graphs: Sequence[SceneGraph], path) -> None:
             record["video_id"] = graph.video_id
             rows.append((triplet_sort_key(graph.video_id, t), _dump_line(record)))
     rows.sort(key=lambda pair: pair[0])
-    _write_ndjson((line for _, line in rows), path)
+    return [line for _, line in rows]
+
+
+def write_scene_graphs(graphs: Sequence[SceneGraph], path) -> None:
+    """Write graphs as ``scene_graph_lines``: equal input graphs produce
+    byte-identical files."""
+    _write_ndjson(scene_graph_lines(graphs), path)
 
 
 def _shared_boxes() -> Callable[[Sequence[float]], BoundingBox]:
@@ -439,14 +494,20 @@ def load_scene_graphs(path) -> List[SceneGraph]:
 # Segmented sentences (intermediate artifact between stages)
 
 
+def sentence_lines(video_id: str, sentences: Sequence[SegmentedSentence]) -> Iterator[str]:
+    """One video's sentences as NDJSON lines, in order."""
+    for s in sorted(sentences, key=lambda s: s.order_index):
+        record = s.to_dict()
+        record["video_id"] = video_id
+        yield _dump_line(record)
+
+
 def write_sentences(sentences_by_video: Dict[str, List[SegmentedSentence]], path) -> None:
-    lines = []
-    for video_id in sorted(sentences_by_video):
-        for s in sorted(sentences_by_video[video_id], key=lambda s: s.order_index):
-            record = s.to_dict()
-            record["video_id"] = video_id
-            lines.append(_dump_line(record))
-    _write_ndjson(lines, path)
+    _write_ndjson(
+        (line for video_id in sorted(sentences_by_video)
+         for line in sentence_lines(video_id, sentences_by_video[video_id])),
+        path,
+    )
 
 
 def _checked_sentence(record: dict) -> Tuple[str, SegmentedSentence]:
@@ -540,44 +601,52 @@ def _check_frame_rows(path, matrix: EmbeddingMatrix, manifest: VideoManifest) ->
     _check_unit_rows(path, matrix)
 
 
-def load_bundle(root, config: Optional[IngestConfig] = None) -> DatasetBundle:
-    """Load a dataset root into memory, or raise the first error that names
-    the file (and line) that breaks an invariant.
+def load_video(
+    root, manifest: VideoManifest, config: IngestConfig
+) -> Tuple[EmbeddingMatrix, Optional[EmbeddingMatrix], GroundingTable]:
+    """One video's frame embeddings, its sentence embeddings (None if it has
+    no file) and its grounding table, read from the dataset ``root``, or the
+    first error that names the file (and line) that breaks an invariant.
 
-    Beyond each record's own checks (``load_manifests``, ``read_embeddings``,
-    ``load_detections``), each video's frame embeddings must hold one unit
-    row per frame with the manifest's frame ids in order, and its sentence
-    embeddings, if any, unit rows of the frames' dimension. Detections below the
-    confidence floor are dropped, and each video's kept detections are held as
-    its ``grounding_table``, which ranks them by one key of their own, so
-    line order inside the input files never affects the result.
+    Beyond each record's own checks (``read_embeddings``,
+    ``load_detections``), the frame embeddings must hold one unit row per
+    frame with the manifest's frame ids in order, and the sentence
+    embeddings unit rows of the frames' dimension. Detections below the
+    confidence floor are dropped, and the kept ones are held as the video's
+    ``grounding_table``, which ranks them by one key of their own, so line
+    order inside the input files never affects the result.
     """
-    config = config or IngestConfig()
     root = Path(root)
-    manifests = load_manifests(root / "manifest.ndjson")
+    video_id = manifest.video_id
+    frames_path = root / "embeddings" / f"{video_id}.frames.nlve"
+    frames = read_embeddings(frames_path).normalized()
+    if frames.dim <= 0:
+        raise DimensionMismatch(f"{frames_path}: dimension must be positive")
+    _check_frame_rows(frames_path, frames, manifest)
 
-    bundle = DatasetBundle(manifests=manifests)
-    for manifest in manifests:
-        video_id = manifest.video_id
-        frames_path = root / "embeddings" / f"{video_id}.frames.nlve"
-        matrix = read_embeddings(frames_path).normalized()
-        if matrix.dim <= 0:
-            raise DimensionMismatch(f"{frames_path}: dimension must be positive")
-        _check_frame_rows(frames_path, matrix, manifest)
-        bundle.embeddings[video_id] = matrix
+    sentences = None
+    sentences_path = root / "embeddings" / f"{video_id}.sentences.nlve"
+    if sentences_path.exists():
+        sentences = read_embeddings(sentences_path).normalized()
+        if sentences.dim != frames.dim:
+            raise DimensionMismatch(
+                f"{sentences_path}: sentence dim {sentences.dim} != frame dim {frames.dim}"
+            )
+        _check_unit_rows(sentences_path, sentences)
 
-        sentences_path = root / "embeddings" / f"{video_id}.sentences.nlve"
-        if sentences_path.exists():
-            sent = read_embeddings(sentences_path).normalized()
-            if sent.dim != matrix.dim:
-                raise DimensionMismatch(
-                    f"{sentences_path}: sentence dim {sent.dim} != frame dim {matrix.dim}"
-                )
-            _check_unit_rows(sentences_path, sent)
-            bundle.sentence_embeddings[video_id] = sent
+    table = grounding_table(load_detections(
+        root / "detections" / f"{video_id}.ndjson", config.confidence_floor,
+        manifest.num_frames,
+    ))
+    return frames, sentences, table
 
-        bundle.detections[video_id] = grounding_table(load_detections(
-            root / "detections" / f"{video_id}.ndjson", config.confidence_floor,
-            manifest.num_frames,
-        ))
+
+def load_bundle(root, config: Optional[IngestConfig] = None) -> DatasetBundle:
+    """Load a dataset root into memory: its manifests (``load_manifests``)
+    and each video's files (``load_video``), or raise the first error that
+    names the file (and line) that breaks an invariant."""
+    config = config or IngestConfig()
+    bundle = DatasetBundle()
+    for manifest in load_manifests(Path(root) / "manifest.ndjson"):
+        bundle.add(manifest, *load_video(root, manifest, config))
     return bundle

@@ -164,6 +164,17 @@ class ChatClient:
                 raise LlmTransport(
                     f"{path}: corrupt cache file: {name} {count!r} is not a non-negative integer"
                 )
+        try:
+            cost = estimate_cost(
+                record.get("input_tokens", 0), record.get("output_tokens", 0),
+                self.input_price_per_million, self.output_price_per_million,
+            )
+        except OverflowError:
+            cost = math.inf
+        if cost == math.inf:
+            raise LlmTransport(
+                f"{path}: corrupt cache file: its token counts are too large to price"
+            )
         return record
 
     def _replay(self, key: str) -> Optional[tuple]:

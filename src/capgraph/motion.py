@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .core import (
     BoundingBox,
@@ -112,6 +112,43 @@ def collect_unaligned_runs(
     return runs
 
 
+def video_candidates(
+    video_id: str,
+    object_classes: Iterable[str],
+    table: GroundingTable,
+    runs: Sequence[Tuple[int, int]],
+) -> List[MotionCandidate]:
+    """One video's motion candidates, run by run and object class by object
+    class, in sorted order.
+
+    ``object_classes`` are those of the video's own pseudo scene graph, and
+    a candidate exists only when both roles ground at both the run's start
+    and end frames. ``table`` needs only the rows of those frames.
+    """
+    candidates: List[MotionCandidate] = []
+    object_classes = sorted(object_classes)
+    for lo, hi in runs:
+        for object_class in object_classes:
+            start = ground_pair(table.get(lo, {}), SUBJECT_CLASS, object_class)
+            if start is None:
+                continue
+            end = ground_pair(table.get(hi, {}), SUBJECT_CLASS, object_class)
+            if end is None:
+                continue
+            candidates.append(
+                MotionCandidate(
+                    video_id=video_id,
+                    object_class=object_class,
+                    run=(lo, hi),
+                    g_start=giou(*start),
+                    g_end=giou(*end),
+                    start_pair=start,
+                    end_pair=end,
+                )
+            )
+    return candidates
+
+
 def build_candidates(
     manifests: Sequence[VideoManifest],
     detections: Dict[str, GroundingTable],
@@ -119,39 +156,17 @@ def build_candidates(
     runs_by_video: Dict[str, Sequence[Tuple[int, int]]],
     config: MotionLabelConfig,
 ) -> List[MotionCandidate]:
-    """Collect motion candidates across all videos.
-
-    Only object classes appearing in the video's own pseudo scene graph are
-    paired, and a candidate exists only when both roles ground at both the
-    run's start and end frames.
-    """
+    """``video_candidates`` of every video that has a graph, in video-id
+    order."""
     candidates: List[MotionCandidate] = []
     for manifest in sorted(manifests, key=lambda m: m.video_id):
         video_id = manifest.video_id
         graph = graphs.get(video_id)
-        if graph is None:
-            continue
-        object_classes = sorted(graph.object_classes())
-        table = detections.get(video_id, {})
-        for lo, hi in runs_by_video.get(video_id, []):
-            for object_class in object_classes:
-                start = ground_pair(table.get(lo, {}), SUBJECT_CLASS, object_class)
-                if start is None:
-                    continue
-                end = ground_pair(table.get(hi, {}), SUBJECT_CLASS, object_class)
-                if end is None:
-                    continue
-                candidates.append(
-                    MotionCandidate(
-                        video_id=video_id,
-                        object_class=object_class,
-                        run=(lo, hi),
-                        g_start=giou(*start),
-                        g_end=giou(*end),
-                        start_pair=start,
-                        end_pair=end,
-                    )
-                )
+        if graph is not None:
+            candidates.extend(video_candidates(
+                video_id, graph.object_classes(), detections.get(video_id, {}),
+                runs_by_video.get(video_id, []),
+            ))
     return candidates
 
 

@@ -12,12 +12,11 @@ from __future__ import annotations
 
 import json
 import re
-from collections import Counter
 from dataclasses import asdict, dataclass, field
 from functools import lru_cache, partial
 from importlib import resources
 from pathlib import Path
-from typing import Callable, Collection, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Collection, Dict, List, Mapping, Optional, Sequence, Set, Tuple
 
 from .core import BoundingBox, GroundingTable, Provenance, SegmentedSentence, Triplet, Vocabulary
 from .errors import MalformedRecord, read_failure
@@ -363,12 +362,11 @@ def map_classes(
     return Triplet(subject, predicate, obj, provenance=triplet.provenance)
 
 
-def restrict_open_vocabulary(triplets: Sequence[Triplet], top_n: int) -> List[Triplet]:
-    """Keep only the ``top_n`` most frequent predicate classes (ties by name)."""
-    counts = Counter(t.predicate_class for t in triplets)
+def top_predicates(counts: Mapping[str, int], top_n: int) -> Set[str]:
+    """The ``top_n`` most frequent of the counted predicate classes (ties by
+    name): the ones an open-vocabulary cut keeps."""
     ranked = sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))
-    kept = {name for name, _ in ranked[:top_n]}
-    return [t for t in triplets if t.predicate_class in kept]
+    return {name for name, _ in ranked[:top_n]}
 
 
 # ---------------------------------------------------------------------------

@@ -14,16 +14,20 @@ import json
 import os
 import tempfile
 import typing
+from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import ExitStack
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from . import align as align_mod
 from . import evaluate as eval_mod
 from . import ingest, motion, parse as parse_mod, segment as segment_mod
 from .config import DEFAULT_SEED, check_seed
-from .core import FrameTriplets, SceneGraph, SegmentedSentence, Triplet, Vocabulary
+from .core import (
+    FrameTriplets, SceneGraph, SegmentedSentence, Triplet, VideoManifest, Vocabulary,
+)
 from .errors import CapgraphError, IoFailure, MalformedRecord, MissingFile, StageError
 from .llm import ChatClient, TokenUsage
 
@@ -91,6 +95,8 @@ def _from_plain(klass, data, prefix=""):
 _RUN_OUTPUTS = (
     "sentences.ndjson", "scene_graphs.ndjson", "negatives.ndjson", "trace.ndjson", "report.json"
 )
+# The outputs run_all writes video by video as it goes.
+_STREAMED = ("sentences.ndjson", "scene_graphs.ndjson", "trace.ndjson")
 
 
 @dataclass
@@ -209,15 +215,23 @@ def parse_sentences(
     return extracted, mapped
 
 
+def _cuts_open_vocabulary(config: parse_mod.ParseConfig) -> bool:
+    """Whether ``config`` asks for the dataset-wide open-vocabulary cut: no
+    class mapping, and a ``top_n_open_classes`` that is neither 0 nor null."""
+    return config.mapping == "none" and bool(config.top_n_open_classes)
+
+
 def open_vocabulary_cut(
     mapped_by_video: Dict[str, List[Tuple[int, Triplet]]], config: parse_mod.ParseConfig
 ) -> Dict[str, List[Tuple[int, Triplet]]]:
-    """Dataset-wide predicate frequency cut for open-vocabulary runs."""
-    if config.mapping != "none" or not config.top_n_open_classes:
+    """Dataset-wide predicate frequency cut for open-vocabulary runs: the
+    triplets whose predicate is among ``parse.top_predicates`` of them all."""
+    if not _cuts_open_vocabulary(config):
         return mapped_by_video
-    pool = [t for mapped in mapped_by_video.values() for _, t in mapped]
-    top = parse_mod.restrict_open_vocabulary(pool, config.top_n_open_classes)
-    kept = {t.predicate_class for t in top}
+    kept = parse_mod.top_predicates(
+        Counter(t.predicate_class for mapped in mapped_by_video.values() for _, t in mapped),
+        config.top_n_open_classes,
+    )
     return {
         video_id: [(order, t) for order, t in mapped if t.predicate_class in kept]
         for video_id, mapped in mapped_by_video.items()
@@ -282,10 +296,10 @@ def _process_video(
     replies: dict,
     clusterings: Dict[str, align_mod.ClusteringResult],
 ) -> VideoResult:
-    """Segment, align and parse one video; grounding happens dataset-wide
-    after the optional open-vocabulary restriction. ``replies`` is the run's
-    shared memo of recorded chat replies; usage is still counted per video.
-    ``clusterings`` holds the frame clusterings of the videos not yet aligned."""
+    """Segment, align and parse one video of ``bundle``. ``replies`` is the
+    run's shared memo of recorded chat replies; usage is still counted per
+    video. ``clusterings`` holds the frame clusterings of the videos not yet
+    aligned."""
     client = segment_mod.make_client(
         config.segmentation, config.cache_dir, config.offline, replies
     )
@@ -306,123 +320,222 @@ def _process_video(
     )
 
 
-def _map_videos(fn, manifests, workers: int):
-    workers = max(1, min(workers, len(manifests)))
-    if workers == 1:
-        return [fn(m) for m in manifests]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, manifests))
+class _stage:
+    """``with _stage(name):`` re-raises an error of its block as a
+    ``StageError`` of stage ``name``, unless it is a ``StageError`` already.
+    A class, not a generator: a run enters a few of these for every video."""
+
+    def __init__(self, name: str):
+        self.name = name
+
+    def __enter__(self) -> None:
+        return None
+
+    def __exit__(self, kind, error, traceback) -> None:
+        if isinstance(error, Exception) and not isinstance(error, StageError):
+            raise StageError(self.name, error) from error
+
+
+def _load_chunks(
+    config: PipelineConfig, manifests: Sequence[VideoManifest]
+) -> Iterator[ingest.DatasetBundle]:
+    """The videos of ``manifests`` loaded (``ingest.load_video``) in chunks
+    of consecutive videos: as many as one ``align.cluster_videos`` chunk
+    admits under ``KMEANS_BATCH_ELEMENTS``, and at least one. A file that
+    fails to load stops the run at stage ``load``."""
+    chunk, elements = ingest.DatasetBundle(), 0
+    for manifest in manifests:
+        with _stage("load"):
+            frames, sentences, table = ingest.load_video(
+                config.data_root, manifest, config.ingest
+            )
+        size = align_mod.video_elements(*frames.rows.shape, config.alignment.beta)
+        if chunk.manifests and elements + size > align_mod.KMEANS_BATCH_ELEMENTS:
+            yield chunk
+            chunk, elements = ingest.DatasetBundle(), 0
+        chunk.add(manifest, frames, sentences, table)
+        elements += size
+    if chunk.manifests:
+        yield chunk
+
+
+def _process_chunk(
+    chunk: ingest.DatasetBundle,
+    config: PipelineConfig,
+    vocab: Vocabulary,
+    replies: dict,
+    pool: Optional[ThreadPoolExecutor],
+) -> List[VideoResult]:
+    """``_process_video`` of each video of ``chunk``, in order, on ``pool``
+    if there is one, after one ``cluster_videos`` call for the chunk."""
+    clusterings = cluster_videos(
+        [m.video_id for m in chunk.manifests], chunk, config.alignment, config.seed
+    )
+
+    def process(manifest):
+        return _process_video(manifest, chunk, config, vocab, replies, clusterings)
+
+    return list((pool.map if pool else map)(process, chunk.manifests))
+
+
+def _trace_record(result: VideoResult) -> dict:
+    record = result.trace.to_dict()
+    record["usage"] = result.usage.to_dict()
+    record["discards"] = result.discards.to_dict()
+    return record
+
+
+def _stream(config: PipelineConfig, manifests: Sequence[VideoManifest], staged: Path) -> RunReport:
+    """Run the pipeline over ``manifests`` one chunk at a time
+    (``_load_chunks``) and write the run's outputs into ``staged``.
+
+    Each video's sentence and trace lines are written once it is grounded,
+    and so are its scene-graph lines unless an open-vocabulary cut applies.
+    Across chunks only what the dataset-wide steps read is kept: the reply
+    memo, the report's counts, the motion candidates of each written graph,
+    and under a cut the mapped predicates' counts and each video's grounded
+    triplets with the grounding-table rows of its unaligned runs' endpoint
+    frames, which are written once the cut is known.
+    """
+    vocab = Vocabulary.action_genome()
+    replies: dict = {}
+    report = RunReport(videos=len(manifests))
+    predicates: Counter = Counter()
+    candidates: List[motion.MotionCandidate] = []
+    cut = _cuts_open_vocabulary(config.parsing)
+    held = []
+    workers = min(config.workers, len(manifests))
+    # Opening and closing the streamed files is the write stage; every step
+    # inside names its own.
+    with _stage("write"), ExitStack() as stack:
+        sentences_out, graphs_out, trace_out = (
+            stack.enter_context(ingest.NdjsonWriter(staged / name)) for name in _STREAMED
+        )
+        pool = None
+        if workers > 1:
+            pool = stack.enter_context(ThreadPoolExecutor(max_workers=workers))
+
+        def emit_graph(video_id: str, grounded: List[Triplet], runs, table) -> None:
+            graph = SceneGraph.from_triplets(video_id, grounded)
+            report.grounded_triplets += len(grounded)
+            with _stage("negatives"):
+                candidates.extend(
+                    motion.video_candidates(video_id, graph.object_classes(), table, runs)
+                )
+            with _stage("write"):
+                graphs_out.write(ingest.scene_graph_lines([graph]))
+
+        for chunk in _load_chunks(config, manifests):
+            with _stage("process"):
+                results = _process_chunk(chunk, config, vocab, replies, pool)
+            for manifest, r in zip(chunk.manifests, results):
+                with _stage("ground"):
+                    grounded = ground_video(
+                        r.video_id, r.mapped, r.sentences, chunk, source=config.data_root
+                    )
+                report.sentences += len(r.sentences)
+                report.triplets_extracted += len(r.extracted)
+                report.triplets_discarded += r.discards.total()
+                report.usage = report.usage + r.usage
+                predicates.update(t.predicate_class for _, t in r.mapped)
+                runs = (
+                    [] if config.skip_negatives
+                    else motion.collect_unaligned_runs(manifest, r.sentences)
+                )
+                table = chunk.detections[r.video_id]
+                if cut:
+                    rows = {f: table[f] for run in runs for f in run if f in table}
+                    held.append((r.video_id, grounded, runs, rows))
+                else:
+                    emit_graph(r.video_id, grounded, runs, table)
+                with _stage("write"):
+                    sentences_out.write(ingest.sentence_lines(r.video_id, r.sentences))
+                    trace_out.write(ingest.record_lines([_trace_record(r)]))
+            del chunk, results  # so that the next chunk loads without them
+
+        kept = set(predicates)
+        if cut:
+            kept = parse_mod.top_predicates(predicates, config.parsing.top_n_open_classes)
+        report.triplets_mapped = sum(predicates[predicate] for predicate in kept)
+        for video_id, grounded, runs, rows in held:
+            emit_graph(video_id, [t for t in grounded if t.predicate_class in kept], runs, rows)
+
+    with _stage("negatives"):
+        assignment = motion.assign_negatives(candidates, config.motion)
+    report.motion_candidates = len(candidates)
+    report.negatives = sum(len(ts) for ts in assignment.by_video.values())
+    with _stage("write"):
+        ingest.write_scene_graphs(negative_graphs(assignment), staged / "negatives.ndjson")
+        (staged / "report.json").write_text(
+            json.dumps(report.to_dict(), sort_keys=True, indent=1) + "\n", encoding="utf-8"
+        )
+    return report
+
+
+def _missing_dirs(path: Path) -> List[Path]:
+    """``path`` and its parents up to the first that exists, innermost first."""
+    missing = []
+    for directory in (path, *path.parents):
+        if directory.exists():
+            break
+        missing.append(directory)
+    return missing
 
 
 def run_all(config: PipelineConfig) -> RunReport:
     """Run segment -> align -> parse -> ground -> negatives and write outputs.
 
     Equal config, seed and cached responses produce byte-identical output
-    files. The outputs are written into a staging directory inside
-    ``out_dir`` and moved into place only once all are written, so a run that
-    fails before then leaves ``out_dir`` as it was. ``report.json`` marks a
-    complete run: the previous one is removed before the first move and the
-    new one moved in last, so a failed move leaves no report. The first fatal
-    stage error is re-raised with its stage name. Before any file is read,
-    ``config`` passes the gate a config file passes, so a field changed after
-    the config was built is checked too.
+    files. Before any file is read, ``config`` passes the gate a config file
+    passes, so a field changed after the config was built is checked too.
+    The run streams the dataset chunk by chunk (``_stream``), so a file of a
+    later video that fails to load stops it only once the videos before it
+    ran; ``capgraph validate`` checks every file up front.
+
+    The outputs are written into a staging directory inside ``out_dir`` and
+    moved into place only once all are written, so a failed run leaves
+    ``out_dir`` as it was, and removes it if the run created it.
+    ``report.json`` marks a complete run: the previous one is removed before
+    the first move and the new one moved in last, so a failed move leaves no
+    report. The first fatal error is raised as a ``StageError`` naming its
+    stage. The cyclic garbage collector is paused for the run: what the run
+    keeps holds no reference cycles.
     """
-    vocab = Vocabulary.action_genome()
     out_dir = Path(config.out_dir)
-    stage = "load"
+    made: List[Path] = []
     try:
-        PipelineConfig.from_dict(config.to_dict())
-        bundle = ingest.load_bundle(config.data_root, config.ingest)
-
-        stage = "process"
-        replies: dict = {}
-        clusterings = cluster_videos(
-            [m.video_id for m in bundle.manifests], bundle, config.alignment, config.seed
-        )
-        # In video-id order at any --workers: load_bundle sorts, _map_videos keeps order.
-        results = _map_videos(
-            lambda m: _process_video(m, bundle, config, vocab, replies, clusterings),
-            bundle.manifests,
-            config.workers,
-        )
-
-        stage = "ground"
-        cut = open_vocabulary_cut({r.video_id: r.mapped for r in results}, config.parsing)
-        for r in results:
-            r.mapped = cut[r.video_id]
-        grounded = {
-            r.video_id: ground_video(
-                r.video_id, r.mapped, r.sentences, bundle, source=config.data_root
-            )
-            for r in results
-        }
-
-        stage = "negatives"
-        graphs = {
-            r.video_id: SceneGraph.from_triplets(r.video_id, grounded[r.video_id])
-            for r in results
-        }
-        candidates: List[motion.MotionCandidate] = []
-        assignment = motion.NegativeAssignment(selected=[], by_video={})
-        if not config.skip_negatives:
-            candidates, assignment = motion_negatives(
-                bundle, {r.video_id: r.sentences for r in results}, graphs, config.motion
-            )
-
-        stage = "write"
-        report = RunReport(
-            videos=len(results),
-            sentences=sum(len(r.sentences) for r in results),
-            triplets_extracted=sum(len(r.extracted) for r in results),
-            triplets_mapped=sum(len(r.mapped) for r in results),
-            triplets_discarded=sum(r.discards.total() for r in results),
-            grounded_triplets=sum(len(g) for g in grounded.values()),
-            motion_candidates=len(candidates),
-            negatives=sum(len(ts) for ts in assignment.by_video.values()),
-        )
-        for r in results:
-            report.usage = report.usage + r.usage
-
-        try:
-            out_dir.mkdir(parents=True, exist_ok=True)
-        except OSError as e:
-            raise IoFailure(f"cannot write {out_dir}: {e.strerror or e}") from e
-        # Inside out_dir, so that each os.replace stays on one file system.
-        with tempfile.TemporaryDirectory(prefix=".staging-", dir=out_dir) as staging:
-            staged = Path(staging)
-            ingest.write_sentences(
-                {r.video_id: r.sentences for r in results}, staged / "sentences.ndjson"
-            )
-            ingest.write_scene_graphs(
-                [graphs[r.video_id] for r in results], staged / "scene_graphs.ndjson"
-            )
-            ingest.write_scene_graphs(
-                negative_graphs(assignment), staged / "negatives.ndjson"
-            )
-            trace_records = []
-            for r in results:
-                record = r.trace.to_dict()
-                record["usage"] = r.usage.to_dict()
-                record["discards"] = r.discards.to_dict()
-                trace_records.append(record)
-            ingest.write_record_lines(trace_records, staged / "trace.ndjson")
-            (staged / "report.json").write_text(
-                json.dumps(report.to_dict(), sort_keys=True, indent=1) + "\n",
-                encoding="utf-8",
-            )
-            try:
-                dest = out_dir / "report.json"
-                dest.unlink(missing_ok=True)
-                for name in _RUN_OUTPUTS:
-                    dest = out_dir / name
-                    os.replace(staged / name, dest)
-            except OSError as e:
-                raise IoFailure(f"cannot write {dest}: {e.strerror or e}") from e
+        with ingest._cyclic_gc_paused():
+            with _stage("load"):
+                PipelineConfig.from_dict(config.to_dict())
+                manifests = ingest.load_manifests(Path(config.data_root) / "manifest.ndjson")
+            with _stage("write"):
+                made = _missing_dirs(out_dir)
+                try:
+                    out_dir.mkdir(parents=True, exist_ok=True)
+                    # Inside out_dir, so that each os.replace stays on one file system.
+                    staging = tempfile.TemporaryDirectory(prefix=".staging-", dir=out_dir)
+                except OSError as e:
+                    raise IoFailure(f"cannot write {out_dir}: {e.strerror or e}") from e
+            with staging:
+                staged = Path(staging.name)
+                report = _stream(config, manifests, staged)
+                with _stage("write"):
+                    try:
+                        dest = out_dir / "report.json"
+                        dest.unlink(missing_ok=True)
+                        for name in _RUN_OUTPUTS:
+                            dest = out_dir / name
+                            os.replace(staged / name, dest)
+                    except OSError as e:
+                        raise IoFailure(f"cannot write {dest}: {e.strerror or e}") from e
         return report
-    except Exception as e:
-        if isinstance(e, StageError):
-            raise
-        raise StageError(stage, e) from e
+    except BaseException:
+        for directory in made:
+            try:
+                directory.rmdir()
+            except OSError:
+                break
+        raise
 
 
 def build_eval_instances(

@@ -225,7 +225,7 @@ class TestRunAll:
         config = _config(data_root, cassette_dir, tmp_path / "out")
         setattr(getattr(config, section) if section else config, name, value)
         loads = []
-        monkeypatch.setattr(ingest, "load_bundle", lambda *args: loads.append(args))
+        monkeypatch.setattr(ingest, "load_manifests", lambda *args: loads.append(args))
         with pytest.raises(StageError) as err:
             run_all(config)
         assert str(err.value) == f"stage 'load' failed: {shown}"
@@ -261,14 +261,47 @@ class TestRunAll:
         before = {path.name: path.read_bytes() for path in out.iterdir()}
         assert sorted(before) == sorted(pipeline._RUN_OUTPUTS)
 
-        def fail(records, path):
-            raise IoFailure(f"cannot write {path}: no space left on device")
+        # The first line the run writes into its staging directory fails.
+        def fail(writer, lines):
+            raise IoFailure(f"cannot write {writer.path}: no space left on device")
 
-        monkeypatch.setattr(ingest, "write_record_lines", fail)
+        monkeypatch.setattr(ingest.NdjsonWriter, "write", fail)
         with pytest.raises(StageError) as err:
             run_all(_config(data_root, cassette_dir, out, seed=3))
         assert err.value.stage == "write"
         assert {path.name: path.read_bytes() for path in out.iterdir()} == before
+
+    def test_cassette_token_count_too_large_to_price_exits_1_naming_it(
+        self, data_root, cassette_dir, tmp_path
+    ):
+        cassettes = tmp_path / "cassettes"
+        shutil.copytree(cassette_dir, cassettes)
+        path = llm.write_cassette(cassettes, MODEL, segment_mod.build_prompt(V1_CAPTION),
+                                  V1_SEGMENT_REPLY, 10**400, SEGMENT_TOKENS[1])
+        result = CliRunner().invoke(main, [
+            "run-all", "--data-root", str(data_root), "--out-dir", str(tmp_path / "out"),
+            "--cache-dir", str(cassettes), "--offline",
+        ])
+        assert result.exit_code == 1, result.output
+        assert isinstance(result.exception, SystemExit), result.exception
+        assert (f"{path}: corrupt cache file: its token counts are too large to price"
+                in result.output)
+        assert not (tmp_path / "out").exists()
+
+    def test_the_cyclic_gc_is_paused_for_the_run_and_restored(
+        self, data_root, cassette_dir, tmp_path, monkeypatch
+    ):
+        enabled = []
+        load_video = ingest.load_video
+        monkeypatch.setattr(ingest, "load_video",
+                            lambda *args: enabled.append(gc.isenabled()) or load_video(*args))
+        assert gc.isenabled()
+        run_all(_config(data_root, cassette_dir, tmp_path / "out"))
+        assert enabled == [False, False]
+        assert gc.isenabled()
+        with pytest.raises(StageError):
+            run_all(_config(data_root, tmp_path / "empty-cassettes", tmp_path / "failed"))
+        assert gc.isenabled()
 
     def test_failed_move_leaves_no_report_and_names_the_destination(
         self, data_root, cassette_dir, tmp_path
@@ -286,6 +319,85 @@ class TestRunAll:
         assert str(err.value.cause).startswith(f"cannot write {out / 'trace.ndjson'}: ")
         assert not (out / "report.json").exists()
         assert not [p for p in out.iterdir() if p.name.startswith(".staging-")]
+
+
+class TestOneVideoChunks:
+    """With ``KMEANS_BATCH_ELEMENTS`` at 1 every video is a chunk of its own,
+    so the run crosses a chunk boundary between the fixture's two videos."""
+
+    @pytest.fixture(autouse=True)
+    def one_video_chunks(self, monkeypatch):
+        monkeypatch.setattr(align_mod, "KMEANS_BATCH_ELEMENTS", 1)
+
+    def test_each_video_clusters_alone_and_the_goldens_hold(
+        self, data_root, cassette_dir, tmp_path, monkeypatch
+    ):
+        from test_acceptance import GOLDEN_CHECKSUMS
+
+        calls = []
+        cluster_videos = align_mod.cluster_videos
+        monkeypatch.setattr(
+            align_mod, "cluster_videos",
+            lambda matrices, *a: calls.append(len(matrices)) or cluster_videos(matrices, *a),
+        )
+        run_all(_config(data_root, cassette_dir, tmp_path / "out"))
+        assert calls == [1, 1]
+        digests = {
+            name: hashlib.sha256((tmp_path / "out" / name).read_bytes()).hexdigest()
+            for name in GOLDEN_CHECKSUMS
+        }
+        assert digests == GOLDEN_CHECKSUMS
+
+    def test_worker_pool_output_identical(self, data_root, cassette_dir, tmp_path):
+        run_all(_config(data_root, cassette_dir, tmp_path / "serial"))
+        parallel = _config(data_root, cassette_dir, tmp_path / "parallel")
+        parallel.workers = 4
+        run_all(parallel)
+        for name in pipeline._RUN_OUTPUTS:
+            assert (tmp_path / "serial" / name).read_bytes() == (
+                tmp_path / "parallel" / name
+            ).read_bytes()
+
+    @pytest.mark.parametrize("top_n", [1, 2, 500])
+    def test_open_vocabulary_cut_writes_what_one_chunk_writes(
+        self, data_root, cassette_dir, tmp_path, monkeypatch, top_n
+    ):
+        def run(out):
+            config = _config(data_root, cassette_dir, out)
+            config.parsing.mapping = "none"
+            config.parsing.top_n_open_classes = top_n
+            return run_all(config)
+
+        chunked = run(tmp_path / "chunked")
+        monkeypatch.setattr(align_mod, "KMEANS_BATCH_ELEMENTS", 2**15)
+        assert run(tmp_path / "whole") == chunked
+        for name in pipeline._RUN_OUTPUTS:
+            assert (tmp_path / "chunked" / name).read_bytes() == (
+                tmp_path / "whole" / name
+            ).read_bytes()
+
+    @pytest.mark.parametrize("previous", [False, True], ids=["no-out-dir", "previous-run"])
+    def test_bad_detections_in_the_last_video_exits_1_naming_the_file(
+        self, data_root, cassette_dir, tmp_path, previous
+    ):
+        root = tmp_path / "data"
+        shutil.copytree(data_root, root)
+        out = tmp_path / "out"
+        before = {}
+        if previous:
+            run_all(_config(root, cassette_dir, out))
+            before = {path.name: path.read_bytes() for path in out.iterdir()}
+        path = root / "detections" / "kitchen02.ndjson"
+        path.write_text(path.read_text() + "{not json\n")
+        result = CliRunner().invoke(main, [
+            "run-all", "--data-root", str(root), "--out-dir", str(out),
+            "--cache-dir", str(cassette_dir), "--offline",
+        ])
+        assert result.exit_code == 1, result.output
+        assert isinstance(result.exception, SystemExit), result.exception
+        assert f"stage 'load' failed: {path}:" in result.output
+        written = {p.name: p.read_bytes() for p in out.iterdir()} if out.exists() else {}
+        assert written == before
 
 
 class TestOutputUnderAFile:
@@ -765,7 +877,14 @@ class TestParseCommand:
         ({"text": "   "}, "text is empty"),
         ({"aligned_frames": [3, 1]}, "aligned_frames [3, 1] is not 1 <= lo <= hi"),
         ({"aligned_frames": [0, 2]}, "aligned_frames [0, 2] is not 1 <= lo <= hi"),
-    ], ids=["blank-text", "reversed-interval", "frame-0"])
+        ({"aligned_frames": [1, 2, 3]}, "aligned_frames [1, 2, 3] is not null or two integers"),
+        ({"aligned_frames": [2.7, 3.9]},
+         "aligned_frames [2.7, 3.9] is not null or two integers"),
+        ({"aligned_frames": [True, 2]}, "aligned_frames [true, 2] is not null or two integers"),
+        ({"aligned_frames": {"a": 1}}, 'aligned_frames {"a": 1} is not null or two integers'),
+        ({"aligned_frames": []}, "aligned_frames [] is not null or two integers"),
+    ], ids=["blank-text", "reversed-interval", "frame-0", "three-frames", "float-frames",
+            "boolean-frame", "object", "empty-list"])
     def test_sentence_no_stage_can_use_exits_1_naming_its_line(self, tmp_path, change, reason):
         sentences = tmp_path / "sentences.ndjson"
         write_sentences({"v": [SegmentedSentence(1, "A person holds a cup.", (1, 2)),
@@ -928,6 +1047,16 @@ class TestStats:
         assert result.exit_code == 1
         assert isinstance(result.exception, SystemExit), result.exception
         assert f"{trace}:2: " in result.output
+
+    def test_cost_sum_too_large_for_a_float_exits_1_naming_its_line(self, tmp_path):
+        trace = tmp_path / "trace.ndjson"
+        record = '{"video_id": "v", "usage": {"estimated_cost": 1.5e308}}'
+        trace.write_text(record + "\n" + record + "\n")
+        result = CliRunner().invoke(main, ["stats", str(trace)])
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit), result.exception
+        assert (f"{trace}:2: the estimated cost summed up to this record is too large "
+                "for a float") in result.output
 
     def test_histograms(self, data_root, cassette_dir, tmp_path):
         out = tmp_path / "out"

@@ -1,7 +1,8 @@
 """One definition of a valid dataset: ``validate`` and ``run-all`` agree.
 
 ``capgraph validate`` is ``load_bundle`` plus exit 2, and ``run-all`` loads
-through the same ``load_bundle``. The property below mutates the test fixture
+each video through the per-video loader that ``load_bundle`` loops over,
+``load_video``. The property below mutates the test fixture
 and checks both commands against an oracle: the per-video check that
 ``validate`` ran before the loader made these checks itself, kept verbatim
 (apart from ``tuple(d.box)`` for the removed ``as_tuple()``) over a loader

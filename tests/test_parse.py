@@ -1,5 +1,6 @@
 import math
 import warnings
+from collections import Counter
 from typing import Optional, Sequence, Tuple
 
 import pytest
@@ -17,7 +18,7 @@ from capgraph.parse import (
     ground_triplets,
     map_classes,
     parse_triplets,
-    restrict_open_vocabulary,
+    top_predicates,
 )
 from capgraph.segment import SegmentConfig, build_prompt, segment_caption
 
@@ -195,8 +196,7 @@ class TestOpenVocabularyRestriction:
         triplets = []
         for i, predicate in enumerate(["opening", "closing", "lifting", "spinning"]):
             triplets.extend([Triplet("person", predicate, "box")] * (4 - i))
-        kept = restrict_open_vocabulary(triplets, 2)
-        distinct = {t.predicate_class for t in kept}
+        distinct = top_predicates(Counter(t.predicate_class for t in triplets), 2)
         assert distinct == {"opening", "closing"}
         assert len(distinct) <= 2
 
