@@ -10,6 +10,7 @@ never import it.
 from __future__ import annotations
 
 import dataclasses
+import gc
 import json
 import os
 import tempfile
@@ -341,16 +342,20 @@ def _load_chunks(
 ) -> Iterator[ingest.DatasetBundle]:
     """The videos of ``manifests`` loaded (``ingest.load_video``) in chunks
     of consecutive videos: as many as one ``align.cluster_videos`` chunk
-    admits under ``KMEANS_BATCH_ELEMENTS``, and at least one. A file that
-    fails to load stops the run at stage ``load``."""
+    admits under ``KMEANS_BATCH_ELEMENTS``, and at least ``config.workers``,
+    so that every worker has a video. ``cluster_videos`` splits a larger
+    chunk into k-means chunks of its own. A file that fails to load stops
+    the run at stage ``load``."""
     chunk, elements = ingest.DatasetBundle(), 0
     for manifest in manifests:
         with _stage("load"):
             frames, sentences, table = ingest.load_video(
                 config.data_root, manifest, config.ingest
             )
-        size = align_mod.video_elements(*frames.rows.shape, config.alignment.beta)
-        if chunk.manifests and elements + size > align_mod.KMEANS_BATCH_ELEMENTS:
+        with _stage("process"):
+            size = align_mod.video_elements(*frames.rows.shape, config.alignment.beta)
+        full = len(chunk.manifests) >= config.workers
+        if full and elements + size > align_mod.KMEANS_BATCH_ELEMENTS:
             yield chunk
             chunk, elements = ingest.DatasetBundle(), 0
         chunk.add(manifest, frames, sentences, table)
@@ -359,23 +364,48 @@ def _load_chunks(
         yield chunk
 
 
-def _process_chunk(
-    chunk: ingest.DatasetBundle,
+def _processed_chunks(
     config: PipelineConfig,
+    manifests: Sequence[VideoManifest],
     vocab: Vocabulary,
     replies: dict,
     pool: Optional[ThreadPoolExecutor],
-) -> List[VideoResult]:
-    """``_process_video`` of each video of ``chunk``, in order, on ``pool``
-    if there is one, after one ``cluster_videos`` call for the chunk."""
-    clusterings = cluster_videos(
-        [m.video_id for m in chunk.manifests], chunk, config.alignment, config.seed
-    )
+) -> Iterator[Tuple[ingest.DatasetBundle, List[VideoResult]]]:
+    """Each chunk of ``_load_chunks`` with ``_process_video`` of its videos,
+    in order, after one ``cluster_videos`` call for the chunk.
 
-    def process(manifest):
-        return _process_video(manifest, chunk, config, vocab, replies, clusterings)
+    On ``pool`` a chunk's videos are submitted once it is clustered, and the
+    next chunk loads and clusters while they run, so the workers do not wait
+    at the end of each chunk; two chunks are held then, one otherwise."""
+    running = None
+    for chunk in _load_chunks(config, manifests):
+        with _stage("process"):
+            clusterings = cluster_videos(
+                [m.video_id for m in chunk.manifests], chunk, config.alignment, config.seed
+            )
+            args = (chunk, config, vocab, replies, clusterings)
+            if pool is None:
+                results = [_process_video(m, *args) for m in chunk.manifests]
+        if pool is None:
+            yield chunk, results
+            del results
+        else:
+            submitted = chunk, [pool.submit(_process_video, m, *args) for m in chunk.manifests]
+            if running:
+                yield _collected(*running)
+            running = submitted
+            del submitted
+        del chunk, clusterings, args  # so that the next chunk loads without them
+    if running:
+        yield _collected(*running)
 
-    return list((pool.map if pool else map)(process, chunk.manifests))
+
+def _collected(
+    chunk: ingest.DatasetBundle, futures
+) -> Tuple[ingest.DatasetBundle, List[VideoResult]]:
+    """``chunk`` with the results of its videos' ``futures``, in order."""
+    with _stage("process"):
+        return chunk, [future.result() for future in futures]
 
 
 def _trace_record(result: VideoResult) -> dict:
@@ -406,56 +436,61 @@ def _stream(config: PipelineConfig, manifests: Sequence[VideoManifest], staged: 
     held = []
     workers = min(config.workers, len(manifests))
     # Opening and closing the streamed files is the write stage; every step
-    # inside names its own.
+    # between them names its own stage.
     with _stage("write"), ExitStack() as stack:
         sentences_out, graphs_out, trace_out = (
             stack.enter_context(ingest.NdjsonWriter(staged / name)) for name in _STREAMED
         )
         pool = None
         if workers > 1:
-            pool = stack.enter_context(ThreadPoolExecutor(max_workers=workers))
+            pool = ThreadPoolExecutor(max_workers=workers)
+            # After an error, the videos not yet started are not run.
+            stack.callback(pool.shutdown, cancel_futures=True)
 
         def emit_graph(video_id: str, grounded: List[Triplet], runs, table) -> None:
-            graph = SceneGraph.from_triplets(video_id, grounded)
-            report.grounded_triplets += len(grounded)
             with _stage("negatives"):
+                graph = SceneGraph.from_triplets(video_id, grounded)
                 candidates.extend(
                     motion.video_candidates(video_id, graph.object_classes(), table, runs)
                 )
             with _stage("write"):
+                report.grounded_triplets += len(grounded)
                 graphs_out.write(ingest.scene_graph_lines([graph]))
 
-        for chunk in _load_chunks(config, manifests):
-            with _stage("process"):
-                results = _process_chunk(chunk, config, vocab, replies, pool)
+        for chunk, results in _processed_chunks(config, manifests, vocab, replies, pool):
             for manifest, r in zip(chunk.manifests, results):
                 with _stage("ground"):
                     grounded = ground_video(
                         r.video_id, r.mapped, r.sentences, chunk, source=config.data_root
                     )
-                report.sentences += len(r.sentences)
-                report.triplets_extracted += len(r.extracted)
-                report.triplets_discarded += r.discards.total()
-                report.usage = report.usage + r.usage
-                predicates.update(t.predicate_class for _, t in r.mapped)
-                runs = (
-                    [] if config.skip_negatives
-                    else motion.collect_unaligned_runs(manifest, r.sentences)
-                )
-                table = chunk.detections[r.video_id]
-                if cut:
-                    rows = {f: table[f] for run in runs for f in run if f in table}
-                    held.append((r.video_id, grounded, runs, rows))
-                else:
-                    emit_graph(r.video_id, grounded, runs, table)
                 with _stage("write"):
+                    report.sentences += len(r.sentences)
+                    report.triplets_extracted += len(r.extracted)
+                    report.triplets_discarded += r.discards.total()
+                    report.usage = report.usage + r.usage
+                    predicates.update(t.predicate_class for _, t in r.mapped)
                     sentences_out.write(ingest.sentence_lines(r.video_id, r.sentences))
                     trace_out.write(ingest.record_lines([_trace_record(r)]))
+                with _stage("negatives"):
+                    runs = (
+                        [] if config.skip_negatives
+                        else motion.collect_unaligned_runs(manifest, r.sentences)
+                    )
+                    table = chunk.detections[r.video_id]
+                    if cut:
+                        rows = {f: table[f] for run in runs for f in run if f in table}
+                        held.append((r.video_id, grounded, runs, rows))
+                if not cut:
+                    emit_graph(r.video_id, grounded, runs, table)
             del chunk, results  # so that the next chunk loads without them
+            # run_all pauses the cyclic GC; what the chunk left in reference
+            # cycles (a retried chat request's traceback, say) goes here.
+            gc.collect(0)
 
-        kept = set(predicates)
-        if cut:
-            kept = parse_mod.top_predicates(predicates, config.parsing.top_n_open_classes)
+        with _stage("ground"):
+            kept = set(predicates)
+            if cut:
+                kept = parse_mod.top_predicates(predicates, config.parsing.top_n_open_classes)
         report.triplets_mapped = sum(predicates[predicate] for predicate in kept)
         for video_id, grounded, runs, rows in held:
             emit_graph(video_id, [t for t in grounded if t.predicate_class in kept], runs, rows)
@@ -498,8 +533,9 @@ def run_all(config: PipelineConfig) -> RunReport:
     ``report.json`` marks a complete run: the previous one is removed before
     the first move and the new one moved in last, so a failed move leaves no
     report. The first fatal error is raised as a ``StageError`` naming its
-    stage. The cyclic garbage collector is paused for the run: what the run
-    keeps holds no reference cycles.
+    stage. The cyclic garbage collector is paused for the run, and collects
+    the youngest generation after each chunk, so cycles a chunk leaves do
+    not pile up over the run.
     """
     out_dir = Path(config.out_dir)
     made: List[Path] = []

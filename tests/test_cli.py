@@ -10,6 +10,8 @@ import shutil
 import struct
 import subprocess
 import sys
+import threading
+import weakref
 from pathlib import Path
 
 import pytest
@@ -18,6 +20,7 @@ from click.testing import CliRunner
 import capgraph
 from capgraph import align as align_mod
 from capgraph import cli, ingest, llm, pipeline
+from capgraph import motion as motion_mod
 from capgraph import parse as parse_mod
 from capgraph import segment as segment_mod
 from capgraph.cli import aggregate_stats, main
@@ -303,6 +306,23 @@ class TestRunAll:
             run_all(_config(data_root, tmp_path / "empty-cassettes", tmp_path / "failed"))
         assert gc.isenabled()
 
+    @pytest.mark.parametrize("step, stage", [
+        ((motion_mod, "collect_unaligned_runs"), "negatives"),
+        ((pipeline.SceneGraph, "from_triplets"), "negatives"),
+        ((align_mod, "video_elements"), "process"),
+    ], ids=["unaligned-runs", "scene-graph", "video-elements"])
+    def test_an_error_of_a_streamed_step_names_its_stage(
+        self, data_root, cassette_dir, tmp_path, monkeypatch, step, stage
+    ):
+        def fail(*args):
+            raise ValueError("boom")
+
+        monkeypatch.setattr(*step, fail)
+        with pytest.raises(StageError) as err:
+            run_all(_config(data_root, cassette_dir, tmp_path / "out"))
+        assert (err.value.stage, str(err.value.cause)) == (stage, "boom")
+        assert not (tmp_path / "out").exists()
+
     def test_failed_move_leaves_no_report_and_names_the_destination(
         self, data_root, cassette_dir, tmp_path
     ):
@@ -357,6 +377,116 @@ class TestOneVideoChunks:
             assert (tmp_path / "serial" / name).read_bytes() == (
                 tmp_path / "parallel" / name
             ).read_bytes()
+
+    @pytest.fixture
+    def four_videos(self, data_root, tmp_path):
+        """The fixture's two videos and a copy of each under a new id."""
+        root = tmp_path / "data"
+        shutil.copytree(data_root, root)
+        manifests = load_manifests(root / "manifest.ndjson")
+        copies = [dataclasses.replace(m, video_id=f"{m.video_id}-copy") for m in manifests]
+        write_manifests(manifests + copies, root / "manifest.ndjson")
+        for m, copy in zip(manifests, copies):
+            for kind in ("embeddings/{}.frames.nlve", "embeddings/{}.sentences.nlve",
+                         "detections/{}.ndjson"):
+                shutil.copy(root / kind.format(m.video_id), root / kind.format(copy.video_id))
+        return root, [m.video_id for m in manifests + copies]
+
+    def _serial_then_parallel(self, root, cassette_dir, tmp_path, patch, workers):
+        """Run at --workers 1, apply ``patch``, run at ``workers``, and check
+        that both runs write equal bytes."""
+        run_all(_config(root, cassette_dir, tmp_path / "serial"))
+        patch()
+        parallel = _config(root, cassette_dir, tmp_path / "parallel")
+        parallel.workers = workers
+        run_all(parallel)
+        for name in pipeline._RUN_OUTPUTS:
+            assert (tmp_path / "serial" / name).read_bytes() == (
+                tmp_path / "parallel" / name
+            ).read_bytes()
+
+    def test_workers_process_the_videos_of_a_chunk_at_once(
+        self, four_videos, cassette_dir, tmp_path, monkeypatch
+    ):
+        # Each k-means chunk holds one video, but a loaded chunk holds one
+        # video a worker: at --workers 3 the first three videos must be in
+        # _process_video together.
+        root, video_ids = four_videos
+        first_three = threading.Barrier(3, timeout=10)
+        process_video = pipeline._process_video
+
+        def process(manifest, *args):
+            if manifest.video_id in video_ids[:3]:
+                first_three.wait()
+            return process_video(manifest, *args)
+
+        self._serial_then_parallel(
+            root, cassette_dir, tmp_path, workers=3,
+            patch=lambda: monkeypatch.setattr(pipeline, "_process_video", process),
+        )
+
+    def test_workers_start_the_next_chunk_before_a_chunk_is_collected(
+        self, four_videos, cassette_dir, tmp_path, monkeypatch
+    ):
+        # At --workers 2 the four videos make two chunks of two. The first
+        # video finishes only once the last one has loaded, which happens
+        # only if the second chunk loads while the first one's videos run.
+        root, video_ids = four_videos
+        last_loaded = threading.Event()
+        load_video = ingest.load_video
+
+        def load(root, manifest, config):
+            if manifest.video_id == video_ids[-1]:
+                last_loaded.set()
+            return load_video(root, manifest, config)
+
+        process_video = pipeline._process_video
+
+        def process(manifest, *args):
+            if manifest.video_id == video_ids[0]:
+                assert last_loaded.wait(timeout=10)
+            return process_video(manifest, *args)
+
+        def patch():
+            monkeypatch.setattr(ingest, "load_video", load)
+            monkeypatch.setattr(pipeline, "_process_video", process)
+
+        self._serial_then_parallel(root, cassette_dir, tmp_path, patch=patch, workers=2)
+
+    def test_workers_at_a_short_switch_interval_write_serial_bytes(
+        self, four_videos, cassette_dir, tmp_path
+    ):
+        # At --workers 3 the chunks are the first three videos and the last
+        # one, which can run beside them; all share the run's reply memo.
+        root, _ = four_videos
+        interval = sys.getswitchinterval()
+        try:
+            self._serial_then_parallel(
+                root, cassette_dir, tmp_path, patch=lambda: sys.setswitchinterval(1e-6),
+                workers=3,
+            )
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_a_chunk_leaves_no_cycle_behind_for_the_next(
+        self, data_root, cassette_dir, tmp_path, monkeypatch
+    ):
+        class Node:
+            pass
+
+        cycles, seen = [], []
+        process_video = pipeline._process_video
+
+        def process(*args):
+            seen.append([ref() is None for ref in cycles])
+            node = Node()
+            node.self = node
+            cycles.append(weakref.ref(node))
+            return process_video(*args)
+
+        monkeypatch.setattr(pipeline, "_process_video", process)
+        run_all(_config(data_root, cassette_dir, tmp_path / "out"))
+        assert seen == [[], [True]]
 
     @pytest.mark.parametrize("top_n", [1, 2, 500])
     def test_open_vocabulary_cut_writes_what_one_chunk_writes(
