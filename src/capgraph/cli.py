@@ -217,7 +217,8 @@ def _parse_selection(value: str) -> AlignConfig:
 @click.option("--trace-out", default=None, type=click.Path())
 def align_cmd(data_root, sentences_path, out_path, beta, selection, seed, trace_out):
     """Align segmented sentences with consecutive frame intervals."""
-    from .pipeline import align_video, cluster_videos
+    from . import align as align_mod
+    from .pipeline import align_video
 
     config = dataclasses.replace(selection, beta=beta)
     bundle = ingest.load_bundle(data_root)
@@ -226,12 +227,14 @@ def align_cmd(data_root, sentences_path, out_path, beta, selection, seed, trace_
     for video_id in video_ids:
         if video_id not in bundle.embeddings:
             raise CapgraphError(f"{sentences_path}: video {video_id!r} is not in the manifest")
-    clusterings = cluster_videos(video_ids, bundle, config, seed)
+    clusterings = align_mod.cluster_videos(
+        [bundle.embeddings[v] for v in video_ids], config, seed
+    )
     aligned = {}
     traces = []
-    for video_id in video_ids:
+    for video_id, clustering in zip(video_ids, clusterings):
         aligned[video_id], trace = align_video(
-            video_id, sentences[video_id], bundle, clusterings, config
+            video_id, sentences[video_id], bundle, clustering, config
         )
         traces.append(trace)
     ingest.write_sentences(aligned, out_path)
@@ -256,7 +259,7 @@ def align_cmd(data_root, sentences_path, out_path, beta, selection, seed, trace_
 @click.option("--offline", is_flag=True, default=False)
 def parse_cmd(sentences_path, out_path, parser, mapping, top_n, lexicon_path, model, cache_dir, offline):
     """Extract triplets from sentences and map them into the vocabulary."""
-    from .pipeline import open_vocabulary_cut, parse_sentences
+    from .pipeline import kept_predicates, parse_sentences
 
     config = parse_mod.ParseConfig(
         parser=parser, mapping=mapping, lexicon_path=lexicon_path,
@@ -268,16 +271,13 @@ def parse_cmd(sentences_path, out_path, parser, mapping, top_n, lexicon_path, mo
     )
     counters = parse_mod.DiscardCounters()
     sentences = ingest.load_sentences(sentences_path)
-    mapped = {
-        video_id: parse_sentences(items, vocab, config, client, counters)[1]
-        for video_id, items in sorted(sentences.items())
-    }
-    mapped = open_vocabulary_cut(mapped, config)
     rows = [
         (video_id, order_index, t)
-        for video_id, items in mapped.items()
-        for order_index, t in items
+        for video_id, items in sorted(sentences.items())
+        for order_index, t in parse_sentences(items, vocab, config, client, counters)[1]
     ]
+    kept = kept_predicates(Counter(t.predicate_class for _, _, t in rows), config)
+    rows = [(video_id, order, t) for video_id, order, t in rows if t.predicate_class in kept]
     ingest.write_parsed_triplets(rows, out_path)
     click.echo(
         f"wrote {len(rows)} triplets ({counters.total()} discarded) to {out_path}"
@@ -324,7 +324,7 @@ def ground(data_root, sentences_path, triplets_path, out_path):
               default=motion.MotionLabelConfig.strategy_not_contacting, show_default=True)
 def plm(data_root, sentences_path, graphs_path, out_path, alpha, not_looking, not_contacting):
     """Assign negative-action pseudo-labels on unaligned frames."""
-    from .pipeline import motion_negatives, negative_graphs
+    from .pipeline import negative_graphs
 
     config = motion.MotionLabelConfig(
         alpha_percent=alpha,
@@ -334,7 +334,14 @@ def plm(data_root, sentences_path, graphs_path, out_path, alpha, not_looking, no
     bundle = ingest.load_bundle(data_root)
     sentences = ingest.load_sentences(sentences_path)
     graphs = {g.video_id: g for g in ingest.load_scene_graphs(graphs_path)}
-    candidates, assignment = motion_negatives(bundle, sentences, graphs, config)
+    runs = {
+        m.video_id: motion.collect_unaligned_runs(m, sentences.get(m.video_id, []))
+        for m in bundle.manifests
+    }
+    candidates = motion.build_candidates(
+        bundle.manifests, bundle.detections, graphs, runs, config
+    )
+    assignment = motion.assign_negatives(candidates, config)
     ingest.write_scene_graphs(negative_graphs(assignment), out_path)
     click.echo(
         f"selected {len(assignment.selected)} of {len(candidates)} candidates; "
@@ -457,12 +464,15 @@ def stats(traces):
 @click.option("--data-root", required=True, type=click.Path())
 def validate(data_root):
     """Check a dataset root; exit 2 when any invariant is violated."""
+    # One video at a time, as run-all loads them: nothing loaded is kept.
     try:
-        bundle = ingest.load_bundle(data_root)
+        manifests = ingest.load_manifests(Path(data_root) / "manifest.ndjson")
+        for manifest in manifests:
+            ingest.load_video(data_root, manifest, ingest.IngestConfig())
     except CapgraphError as e:
         click.echo(f"validation failure: {e}", err=True)
         sys.exit(2)
-    click.echo(f"ok: {len(bundle.manifests)} videos")
+    click.echo(f"ok: {len(manifests)} videos")
 
 
 if __name__ == "__main__":

@@ -232,7 +232,7 @@ class ChatClient:
         replayed = self._replay(key)
         if replayed is not None:
             text, input_tokens, output_tokens = replayed
-            self._account(input_tokens, output_tokens)
+            self._account(key, input_tokens, output_tokens)
             return text
         if self.offline:
             raise LlmTransport(f"offline mode and no cached response for key {key[:12]}…")
@@ -249,10 +249,13 @@ class ChatClient:
                 self.cache_dir, self.model_name, prompt, text, input_tokens, output_tokens
             )
             self.replies[key] = (text, input_tokens, output_tokens)
-        self._account(input_tokens, output_tokens)
+        self._account(key, input_tokens, output_tokens)
         return text
 
-    def _account(self, input_tokens: int, output_tokens: int) -> None:
+    def _account(self, key: str, input_tokens: int, output_tokens: int) -> None:
+        """Add one reply's tokens and cost to ``usage``. A cost sum too large
+        for a float raises ``LlmTransport`` naming the reply's cache file, or
+        its key when the client keeps no cache."""
         usage = TokenUsage(
             input_tokens,
             output_tokens,
@@ -264,7 +267,14 @@ class ChatClient:
             ),
         )
         with self._lock:
-            self.usage = self.usage + usage
+            try:
+                self.usage = self.usage + usage
+            except ValueError as e:  # TokenUsage rejects a cost sum that overflowed
+                where = self.cache_dir / f"{key}.json" if self.cache_dir else f"key {key[:12]}…"
+                raise LlmTransport(
+                    f"{where}: the estimated cost summed up to this reply is too large "
+                    "for a float"
+                ) from e
 
 
 def _retry_after(value: Optional[str], backoff: float) -> float:

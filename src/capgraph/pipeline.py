@@ -19,8 +19,9 @@ from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import ExitStack
 from dataclasses import dataclass, field
+from itertools import repeat
 from pathlib import Path
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, Iterator, List, Mapping, Optional, Sequence, Set, Tuple
 
 from . import align as align_mod
 from . import evaluate as eval_mod
@@ -148,25 +149,15 @@ def segment_video(
     )
 
 
-def cluster_videos(
-    video_ids: Sequence[str], bundle: ingest.DatasetBundle, config: align_mod.AlignConfig,
-    seed: int,
-) -> Dict[str, align_mod.ClusteringResult]:
-    """Frame clusterings of the videos in ``video_ids``, each in the bundle,
-    all in one ``align.cluster_videos`` call."""
-    matrices = [bundle.embeddings[v] for v in video_ids]
-    return dict(zip(video_ids, align_mod.cluster_videos(matrices, config, seed)))
-
-
 def align_video(
     video_id: str,
     sentences: List[SegmentedSentence],
     bundle: ingest.DatasetBundle,
-    clusterings: Dict[str, align_mod.ClusteringResult],
+    clustering: align_mod.ClusteringResult,
     config: align_mod.AlignConfig,
 ) -> Tuple[List[SegmentedSentence], align_mod.AlignmentTrace]:
-    """Align one video's sentences on its frame clustering, which it takes
-    out of ``clusterings``, so each clustering is freed once used.
+    """Align one video's sentences on ``clustering``, the clustering of its
+    frames (``align.cluster_videos``).
 
     The sentence embeddings must hold one row per sentence, in order: row
     *i*'s id is sentence *i*'s order index. Otherwise ``MalformedRecord``
@@ -188,7 +179,6 @@ def align_video(
                 path, 0, f"row id {row_id!r} is not the order index of sentence "
                 f"{index + 1}, '{sentence.order_index}'"
             )
-    clustering = clusterings.pop(video_id)
     return align_mod.align_sentences(
         sentences, sentence_embeds, clustering, config, video_id=video_id
     )
@@ -222,21 +212,13 @@ def _cuts_open_vocabulary(config: parse_mod.ParseConfig) -> bool:
     return config.mapping == "none" and bool(config.top_n_open_classes)
 
 
-def open_vocabulary_cut(
-    mapped_by_video: Dict[str, List[Tuple[int, Triplet]]], config: parse_mod.ParseConfig
-) -> Dict[str, List[Tuple[int, Triplet]]]:
-    """Dataset-wide predicate frequency cut for open-vocabulary runs: the
-    triplets whose predicate is among ``parse.top_predicates`` of them all."""
-    if not _cuts_open_vocabulary(config):
-        return mapped_by_video
-    kept = parse_mod.top_predicates(
-        Counter(t.predicate_class for mapped in mapped_by_video.values() for _, t in mapped),
-        config.top_n_open_classes,
-    )
-    return {
-        video_id: [(order, t) for order, t in mapped if t.predicate_class in kept]
-        for video_id, mapped in mapped_by_video.items()
-    }
+def kept_predicates(counts: Mapping[str, int], config: parse_mod.ParseConfig) -> Set[str]:
+    """The counted predicate classes that a run keeps: all of them, or under
+    the open-vocabulary cut the ``parse.top_predicates`` of them, so
+    ``counts`` must count the mapped triplets of the whole dataset."""
+    if _cuts_open_vocabulary(config):
+        return parse_mod.top_predicates(counts, config.top_n_open_classes)
+    return set(counts)
 
 
 def ground_video(
@@ -265,23 +247,6 @@ def ground_video(
     return grounded
 
 
-def motion_negatives(
-    bundle: ingest.DatasetBundle,
-    sentences: Dict[str, List[SegmentedSentence]],
-    graphs: Dict[str, SceneGraph],
-    config: motion.MotionLabelConfig,
-) -> Tuple[List[motion.MotionCandidate], motion.NegativeAssignment]:
-    """Motion candidates of the whole dataset and the negatives they earn."""
-    runs = {
-        m.video_id: motion.collect_unaligned_runs(m, sentences.get(m.video_id, []))
-        for m in bundle.manifests
-    }
-    candidates = motion.build_candidates(
-        bundle.manifests, bundle.detections, graphs, runs, config
-    )
-    return candidates, motion.assign_negatives(candidates, config)
-
-
 def negative_graphs(assignment: motion.NegativeAssignment) -> List[SceneGraph]:
     return [
         SceneGraph.from_triplets(video_id, triplets)
@@ -291,23 +256,22 @@ def negative_graphs(assignment: motion.NegativeAssignment) -> List[SceneGraph]:
 
 def _process_video(
     manifest,
+    clustering: align_mod.ClusteringResult,
     bundle: ingest.DatasetBundle,
     config: PipelineConfig,
     vocab: Vocabulary,
     replies: dict,
-    clusterings: Dict[str, align_mod.ClusteringResult],
 ) -> VideoResult:
-    """Segment, align and parse one video of ``bundle``. ``replies`` is the
-    run's shared memo of recorded chat replies; usage is still counted per
-    video. ``clusterings`` holds the frame clusterings of the videos not yet
-    aligned."""
+    """Segment, align and parse one video of ``bundle`` on ``clustering``, the
+    clustering of its frames. ``replies`` is the run's shared memo of recorded
+    chat replies; usage is still counted per video."""
     client = segment_mod.make_client(
         config.segmentation, config.cache_dir, config.offline, replies
     )
     discards = parse_mod.DiscardCounters()
     sentences = segment_video(manifest, config.segmentation, client)
     aligned, trace = align_video(
-        manifest.video_id, sentences, bundle, clusterings, config.alignment
+        manifest.video_id, sentences, bundle, clustering, config.alignment
     )
     extracted, mapped = parse_sentences(aligned, vocab, config.parsing, client, discards)
     return VideoResult(
@@ -364,48 +328,52 @@ def _load_chunks(
         yield chunk
 
 
+def _in_order(function: Callable, *iterables) -> Iterator:
+    """``map`` in the calling thread, each call made as its result is read.
+    A generator, not the builtin ``map``: a ``StopIteration`` raised by
+    ``function`` fails the read (PEP 479) instead of ending it early."""
+    return (function(*args) for args in zip(*iterables))
+
+
 def _processed_chunks(
     config: PipelineConfig,
     manifests: Sequence[VideoManifest],
     vocab: Vocabulary,
     replies: dict,
-    pool: Optional[ThreadPoolExecutor],
+    map_videos: Callable[..., Iterator[VideoResult]],
 ) -> Iterator[Tuple[ingest.DatasetBundle, List[VideoResult]]]:
     """Each chunk of ``_load_chunks`` with ``_process_video`` of its videos,
-    in order, after one ``cluster_videos`` call for the chunk.
+    in order.
 
-    On ``pool`` a chunk's videos are submitted once it is clustered, and the
-    next chunk loads and clusters while they run, so the workers do not wait
-    at the end of each chunk; two chunks are held then, one otherwise."""
+    A chunk is clustered in one ``align.cluster_videos`` call, and its videos
+    are then mapped with ``map_videos`` (``_in_order``, or a thread pool's
+    ``map``) over their manifests and clusterings. A chunk is collected only
+    once the next chunk has loaded and clustered, so the pool's workers take
+    the next chunk's videos without waiting at the end of each chunk; two
+    chunks are held at every ``--workers``."""
     running = None
     for chunk in _load_chunks(config, manifests):
         with _stage("process"):
-            clusterings = cluster_videos(
-                [m.video_id for m in chunk.manifests], chunk, config.alignment, config.seed
+            clusterings = align_mod.cluster_videos(
+                [chunk.embeddings[m.video_id] for m in chunk.manifests],
+                config.alignment, config.seed,
             )
-            args = (chunk, config, vocab, replies, clusterings)
-            if pool is None:
-                results = [_process_video(m, *args) for m in chunk.manifests]
-        if pool is None:
-            yield chunk, results
-            del results
-        else:
-            submitted = chunk, [pool.submit(_process_video, m, *args) for m in chunk.manifests]
-            if running:
-                yield _collected(*running)
-            running = submitted
-            del submitted
-        del chunk, clusterings, args  # so that the next chunk loads without them
+            shared = [repeat(arg) for arg in (chunk, config, vocab, replies)]
+            results = map_videos(_process_video, chunk.manifests, clusterings, *shared)
+        if running:
+            yield _collected(*running)
+        running = chunk, results
+        del chunk, clusterings, shared, results  # so that the next chunk loads without them
     if running:
         yield _collected(*running)
 
 
 def _collected(
-    chunk: ingest.DatasetBundle, futures
+    chunk: ingest.DatasetBundle, results: Iterator[VideoResult]
 ) -> Tuple[ingest.DatasetBundle, List[VideoResult]]:
-    """``chunk`` with the results of its videos' ``futures``, in order."""
+    """``chunk`` with its videos' ``results``, read under stage ``process``."""
     with _stage("process"):
-        return chunk, [future.result() for future in futures]
+        return chunk, list(results)
 
 
 def _trace_record(result: VideoResult) -> dict:
@@ -441,11 +409,12 @@ def _stream(config: PipelineConfig, manifests: Sequence[VideoManifest], staged: 
         sentences_out, graphs_out, trace_out = (
             stack.enter_context(ingest.NdjsonWriter(staged / name)) for name in _STREAMED
         )
-        pool = None
+        map_videos = _in_order
         if workers > 1:
             pool = ThreadPoolExecutor(max_workers=workers)
             # After an error, the videos not yet started are not run.
             stack.callback(pool.shutdown, cancel_futures=True)
+            map_videos = pool.map
 
         def emit_graph(video_id: str, grounded: List[Triplet], runs, table) -> None:
             with _stage("negatives"):
@@ -457,7 +426,7 @@ def _stream(config: PipelineConfig, manifests: Sequence[VideoManifest], staged: 
                 report.grounded_triplets += len(grounded)
                 graphs_out.write(ingest.scene_graph_lines([graph]))
 
-        for chunk, results in _processed_chunks(config, manifests, vocab, replies, pool):
+        for chunk, results in _processed_chunks(config, manifests, vocab, replies, map_videos):
             for manifest, r in zip(chunk.manifests, results):
                 with _stage("ground"):
                     grounded = ground_video(
@@ -467,7 +436,13 @@ def _stream(config: PipelineConfig, manifests: Sequence[VideoManifest], staged: 
                     report.sentences += len(r.sentences)
                     report.triplets_extracted += len(r.extracted)
                     report.triplets_discarded += r.discards.total()
-                    report.usage = report.usage + r.usage
+                    try:
+                        report.usage = report.usage + r.usage
+                    except ValueError as e:  # TokenUsage rejects a cost sum that overflowed
+                        raise CapgraphError(
+                            f"video {r.video_id!r}: the estimated cost summed up to this "
+                            "video is too large for a float"
+                        ) from e
                     predicates.update(t.predicate_class for _, t in r.mapped)
                     sentences_out.write(ingest.sentence_lines(r.video_id, r.sentences))
                     trace_out.write(ingest.record_lines([_trace_record(r)]))
@@ -488,9 +463,7 @@ def _stream(config: PipelineConfig, manifests: Sequence[VideoManifest], staged: 
             gc.collect(0)
 
         with _stage("ground"):
-            kept = set(predicates)
-            if cut:
-                kept = parse_mod.top_predicates(predicates, config.parsing.top_n_open_classes)
+            kept = kept_predicates(predicates, config.parsing)
         report.triplets_mapped = sum(predicates[predicate] for predicate in kept)
         for video_id, grounded, runs, rows in held:
             emit_graph(video_id, [t for t in grounded if t.predicate_class in kept], runs, rows)
@@ -524,8 +497,8 @@ def run_all(config: PipelineConfig) -> RunReport:
     files. Before any file is read, ``config`` passes the gate a config file
     passes, so a field changed after the config was built is checked too.
     The run streams the dataset chunk by chunk (``_stream``), so a file of a
-    later video that fails to load stops it only once the videos before it
-    ran; ``capgraph validate`` checks every file up front.
+    later video that fails to load stops it only once the chunks before the
+    previous one ran; ``capgraph validate`` checks every file up front.
 
     The outputs are written into a staging directory inside ``out_dir`` and
     moved into place only once all are written, so a failed run leaves

@@ -44,7 +44,9 @@ from capgraph.ingest import (
     write_sentences,
 )
 from capgraph.pipeline import PipelineConfig, run_all
-from fixture_builder import MODEL, SEGMENT_TOKENS, V1_CAPTION, V1_SEGMENT_REPLY
+from fixture_builder import (
+    MODEL, SEGMENT_TOKENS, V1_CAPTION, V1_SEGMENT_REPLY, V2_CAPTION, V2_SEGMENT_REPLY,
+)
 
 
 def _config(data_root, cassette_dir, out_dir, seed=7):
@@ -291,6 +293,47 @@ class TestRunAll:
                 in result.output)
         assert not (tmp_path / "out").exists()
 
+    def test_cost_sum_too_large_for_a_float_exits_1_naming_the_video(
+        self, data_root, cassette_dir, tmp_path
+    ):
+        # Each video's segmentation reply prices at 1.5e308, below the float
+        # range; the run's sum of the two is not.
+        cassettes = tmp_path / "cassettes"
+        shutil.copytree(cassette_dir, cassettes)
+        for caption, reply in ((V1_CAPTION, V1_SEGMENT_REPLY), (V2_CAPTION, V2_SEGMENT_REPLY)):
+            llm.write_cassette(cassettes, MODEL, segment_mod.build_prompt(caption), reply,
+                               SEGMENT_TOKENS[0], 10**314)
+        result = CliRunner().invoke(main, [
+            "run-all", "--data-root", str(data_root), "--out-dir", str(tmp_path / "out"),
+            "--cache-dir", str(cassettes), "--offline",
+        ])
+        assert result.exit_code == 1, result.output
+        assert isinstance(result.exception, SystemExit), result.exception
+        assert ("stage 'write' failed: video 'kitchen02': the estimated cost summed up to "
+                "this video is too large for a float") in result.output
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_a_stop_iteration_in_a_video_fails_the_run_at_stage_process(
+        self, data_root, cassette_dir, tmp_path, monkeypatch, workers
+    ):
+        # The builtin map would take it for the end of the chunk's videos and
+        # drop kitchen02 from a run that exits 0.
+        align_video = pipeline.align_video
+
+        def align(video_id, *args):
+            if video_id == "kitchen02":
+                raise StopIteration
+            return align_video(video_id, *args)
+
+        monkeypatch.setattr(pipeline, "align_video", align)
+        config = _config(data_root, cassette_dir, tmp_path / "out")
+        config.workers = workers
+        with pytest.raises(StageError) as err:
+            run_all(config)
+        assert err.value.stage == "process"
+        assert not (tmp_path / "out").exists()
+
     def test_the_cyclic_gc_is_paused_for_the_run_and_restored(
         self, data_root, cassette_dir, tmp_path, monkeypatch
     ):
@@ -378,19 +421,32 @@ class TestOneVideoChunks:
                 tmp_path / "parallel" / name
             ).read_bytes()
 
-    @pytest.fixture
-    def four_videos(self, data_root, tmp_path):
-        """The fixture's two videos and a copy of each under a new id."""
+    @staticmethod
+    def _with_copies(data_root, tmp_path, copies):
+        """The fixture's two videos and ``copies`` copies of each under new ids."""
         root = tmp_path / "data"
         shutil.copytree(data_root, root)
         manifests = load_manifests(root / "manifest.ndjson")
-        copies = [dataclasses.replace(m, video_id=f"{m.video_id}-copy") for m in manifests]
-        write_manifests(manifests + copies, root / "manifest.ndjson")
-        for m, copy in zip(manifests, copies):
-            for kind in ("embeddings/{}.frames.nlve", "embeddings/{}.sentences.nlve",
-                         "detections/{}.ndjson"):
-                shutil.copy(root / kind.format(m.video_id), root / kind.format(copy.video_id))
-        return root, [m.video_id for m in manifests + copies]
+        copied = []
+        for n in range(1, copies + 1):
+            for m in manifests:
+                copy = dataclasses.replace(m, video_id=f"{m.video_id}-copy{n}")
+                for kind in ("embeddings/{}.frames.nlve", "embeddings/{}.sentences.nlve",
+                             "detections/{}.ndjson"):
+                    shutil.copy(root / kind.format(m.video_id), root / kind.format(copy.video_id))
+                copied.append(copy)
+        write_manifests(manifests + copied, root / "manifest.ndjson")
+        return root, [m.video_id for m in manifests + copied]
+
+    @pytest.fixture
+    def four_videos(self, data_root, tmp_path):
+        """The fixture's two videos and a copy of each under a new id."""
+        return self._with_copies(data_root, tmp_path, 1)
+
+    @pytest.fixture
+    def eight_videos(self, data_root, tmp_path):
+        """The fixture's two videos and three copies of each under new ids."""
+        return self._with_copies(data_root, tmp_path, 3)
 
     def _serial_then_parallel(self, root, cassette_dir, tmp_path, patch, workers):
         """Run at --workers 1, apply ``patch``, run at ``workers``, and check
@@ -404,6 +460,39 @@ class TestOneVideoChunks:
             assert (tmp_path / "serial" / name).read_bytes() == (
                 tmp_path / "parallel" / name
             ).read_bytes()
+
+    def test_the_next_chunk_clusters_before_a_chunks_videos_run(
+        self, four_videos, cassette_dir, tmp_path, monkeypatch
+    ):
+        # At --workers 1 as at any other, a chunk's videos run only once the
+        # next chunk has loaded and clustered.
+        root, video_ids = four_videos
+        events = []
+        cluster_videos = align_mod.cluster_videos
+        monkeypatch.setattr(
+            align_mod, "cluster_videos",
+            lambda matrices, *a: events.append("cluster") or cluster_videos(matrices, *a),
+        )
+        process_video = pipeline._process_video
+
+        def process(manifest, *args):
+            events.append(manifest.video_id)
+            return process_video(manifest, *args)
+
+        monkeypatch.setattr(pipeline, "_process_video", process)
+        run_all(_config(root, cassette_dir, tmp_path / "out"))
+        first, second, third, fourth = sorted(video_ids)
+        assert events == [
+            "cluster", "cluster", first, "cluster", second, "cluster", third, fourth
+        ]
+
+    def test_workers_write_serial_bytes_across_chunk_boundaries(
+        self, eight_videos, cassette_dir, tmp_path
+    ):
+        # --workers 1 runs eight one-video chunks; --workers 3 runs chunks of
+        # three, three and two videos.
+        root, _ = eight_videos
+        self._serial_then_parallel(root, cassette_dir, tmp_path, patch=lambda: None, workers=3)
 
     def test_workers_process_the_videos_of_a_chunk_at_once(
         self, four_videos, cassette_dir, tmp_path, monkeypatch
@@ -1204,6 +1293,21 @@ class TestValidateCommand:
         result = runner.invoke(main, ["validate", "--data-root", str(data_root)])
         assert result.exit_code == 0
         assert "ok: 2 videos" in result.output
+
+    def test_holds_one_video_at_a_time(self, data_root, monkeypatch):
+        frames, alive = [], []
+        load_video = ingest.load_video
+
+        def load(*args):
+            alive.append([ref() is not None for ref in frames])
+            loaded = load_video(*args)
+            frames.append(weakref.ref(loaded[0]))
+            return loaded
+
+        monkeypatch.setattr(ingest, "load_video", load)
+        result = CliRunner().invoke(main, ["validate", "--data-root", str(data_root)])
+        assert result.exit_code == 0, result.output
+        assert alive == [[], [False]]
 
     def test_validation_failure_exit_two(self, tmp_path):
         import numpy as np

@@ -247,6 +247,31 @@ class TestCacheFiles:
         assert sorted(p.name for p in tmp_path.iterdir()) == [path.name]
 
 
+class TestCostSumOverflow:
+    """Each reply prices at 1.5e308, below the float range; two do not."""
+
+    def test_second_replay_of_a_cassette_names_it(self, tmp_path):
+        path = write_cassette(tmp_path, "m", "hello", "1. ok", 0, 10**314)
+        client = ChatClient("m", cache_dir=tmp_path, offline=True)
+        client.complete("hello")
+        with pytest.raises(LlmTransport, match=re.escape(
+            f"{path}: the estimated cost summed up to this reply is too large for a float"
+        )):
+            client.complete("hello")
+        assert client.usage.output_tokens == 10**314
+
+    def test_second_network_reply_without_a_cache_names_its_key(self, monkeypatch):
+        monkeypatch.setattr(llm.requests, "post", lambda *a, **k: FakeResponse(
+            200, _ok_payload(completion_tokens=10**314)
+        ))
+        client = ChatClient("m", endpoint="http://example/chat")
+        client.complete("hello")
+        with pytest.raises(LlmTransport, match=re.escape(
+            f"key {cache_key('m', 'hello')[:12]}…: the estimated cost summed up to this reply"
+        )):
+            client.complete("hello")
+
+
 class TestReplyMemo:
     @pytest.fixture
     def reads(self, monkeypatch):
