@@ -349,25 +349,27 @@ def cluster_frames(
 
 def sort_clusters(similarities: Sequence[float]) -> List[int]:
     """Cluster ids ordered by descending similarity; ties keep the lower id."""
-    sims = np.asarray(similarities, dtype=np.float64)
-    return [int(i) for i in np.argsort(-sims, kind="stable")]
+    return sorted(range(len(similarities)), key=lambda c: -similarities[c])
 
 
-def _rank(sims: np.ndarray, selection: str, gap_tau: float) -> Tuple[List[int], int, float]:
+def _rank(scores: List[float], selection: str, gap_tau: float) -> Tuple[List[int], int, float]:
     """One descending sort of a sentence's centroid scores: the cluster order
     (``sort_clusters``), the length of its prefix that ``selection`` keeps,
-    and the steepest consecutive drop (0.0 for fewer than two clusters)."""
-    order = sort_clusters(sims)
-    ordered = sims[order]
-    drops = ordered[:-1] - ordered[1:]
-    gap = float(drops.max()) if drops.size else 0.0
+    and the steepest consecutive drop (0.0 for fewer than two clusters).
+
+    On Python floats, not numpy: a sentence scores only k clusters. A stable
+    sort, the float differences and the first maximum give the bits of
+    ``argsort(kind="stable")``, array subtraction and ``argmax``."""
+    order = sort_clusters(scores)
+    ordered = [scores[c] for c in order]
+    drops = [a - b for a, b in zip(ordered, ordered[1:])]
+    gap = max(drops, default=0.0)
     if len(order) == 1:
         return order, 1, gap
     if selection == "steepest_decline":
-        return order, int(np.argmax(drops)) + 1, gap
+        return order, drops.index(gap) + 1, gap
     if selection == "fixed_gap":
-        exceeding = np.flatnonzero(drops > gap_tau)
-        return order, int(exceeding[0]) + 1 if exceeding.size else len(order), gap
+        return order, next((i + 1 for i, d in enumerate(drops) if d > gap_tau), len(order)), gap
     raise ValueError(f"unknown selection mode {selection!r}")
 
 
@@ -382,7 +384,7 @@ def select_clusters(
     consecutive drop (earliest wins ties); ``fixed_gap`` cuts before the first
     drop exceeding ``gap_tau``, keeping every cluster when no drop does.
     """
-    order, keep, _ = _rank(np.asarray(similarities, dtype=np.float64), selection, gap_tau)
+    order, keep, _ = _rank([float(s) for s in similarities], selection, gap_tau)
     return order[:keep]
 
 
@@ -446,10 +448,11 @@ def align_sentences(
     members = clustering.members()
     ordered = sorted(range(len(sentences)), key=lambda i: sentences[i].order_index)
 
-    ranked: Dict[int, Tuple[np.ndarray, List[int], int, float]] = {}
+    ranked: Dict[int, Tuple[List[float], List[int], int, float]] = {}
     candidates: List[Tuple[SegmentedSentence, Set[int]]] = []
     for i in ordered:
-        sims = clustering.centroids @ np.asarray(sentence_embeds.rows[i], dtype=np.float64)
+        row = np.asarray(sentence_embeds.rows[i], dtype=np.float64)
+        sims = (clustering.centroids @ row).tolist()
         order, keep, gap = _rank(sims, config.selection, config.gap_tau)
         frames = set()
         for cluster in order[:keep]:
@@ -474,7 +477,7 @@ def align_sentences(
         trace.sentences.append(
             SentenceTrace(
                 order_index=sentence.order_index,
-                similarities=[float(s) for s in sims],
+                similarities=sims,
                 sorted_clusters=order,
                 selected_clusters=order[:keep],
                 steepest_gap=gap,

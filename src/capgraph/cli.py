@@ -20,7 +20,7 @@ import sys
 import time
 from collections import Counter
 from pathlib import Path
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Sequence, Tuple
 
 import click
 
@@ -196,6 +196,14 @@ def segment(data_root, out_path, mode, model, cache_dir, offline):
     click.echo(f"wrote {sum(map(len, sentences.values()))} sentences to {out_path}")
 
 
+def _check_in_manifest(video_ids: Iterable[str], manifests, source: str) -> None:
+    """Raise ``CapgraphError`` naming ``source`` and the first of ``video_ids``,
+    in sorted order, that no manifest holds."""
+    unknown = sorted(set(video_ids) - {m.video_id for m in manifests})
+    if unknown:
+        raise CapgraphError(f"{source}: video {unknown[0]!r} is not in the manifest")
+
+
 def _parse_selection(value: str) -> AlignConfig:
     """The ``--selection`` flag as an ``AlignConfig`` with the default beta."""
     if value in ("steepest", "steepest_decline"):
@@ -218,25 +226,22 @@ def _parse_selection(value: str) -> AlignConfig:
 def align_cmd(data_root, sentences_path, out_path, beta, selection, seed, trace_out):
     """Align segmented sentences with consecutive frame intervals."""
     from . import align as align_mod
-    from .pipeline import align_video
+    from .pipeline import align_video, video_chunks
 
     config = dataclasses.replace(selection, beta=beta)
-    bundle = ingest.load_bundle(data_root)
+    manifests = ingest.load_manifests(Path(data_root) / "manifest.ndjson")
     sentences = ingest.load_sentences(sentences_path)
-    video_ids = sorted(sentences)
-    for video_id in video_ids:
-        if video_id not in bundle.embeddings:
-            raise CapgraphError(f"{sentences_path}: video {video_id!r} is not in the manifest")
-    clusterings = align_mod.cluster_videos(
-        [bundle.embeddings[v] for v in video_ids], config, seed
-    )
-    aligned = {}
-    traces = []
-    for video_id, clustering in zip(video_ids, clusterings):
-        aligned[video_id], trace = align_video(
-            video_id, sentences[video_id], bundle, clustering, config
-        )
-        traces.append(trace)
+    _check_in_manifest(sentences, manifests, sentences_path)
+    aligned, traces = {}, []
+    for chunk in video_chunks(data_root, manifests, config):
+        videos = [m.video_id for m in chunk.manifests if m.video_id in sentences]
+        clusterings = align_mod.cluster_videos([chunk.embeddings[v] for v in videos], config, seed)
+        for video_id, clustering in zip(videos, clusterings):
+            aligned[video_id], trace = align_video(
+                video_id, sentences[video_id], chunk.sentence_embeddings.get(video_id),
+                clustering, config,
+            )
+            traces.append(trace)
     ingest.write_sentences(aligned, out_path)
     if trace_out:
         ingest.write_record_lines([t.to_dict() for t in traces], trace_out)
@@ -291,24 +296,26 @@ def parse_cmd(sentences_path, out_path, parser, mapping, top_n, lexicon_path, mo
 @click.option("--out", "out_path", required=True, type=click.Path())
 def ground(data_root, sentences_path, triplets_path, out_path):
     """Ground parsed triplets to detections across their aligned frames."""
-    from .pipeline import ground_video
+    from .pipeline import ground_video, video_chunks
 
-    bundle = ingest.load_bundle(data_root)
+    manifests = ingest.load_manifests(Path(data_root) / "manifest.ndjson")
     sentences = ingest.load_sentences(sentences_path)
     mapped: Dict[str, List[Tuple[int, Triplet]]] = {}
     for video_id, order_index, triplet in ingest.load_parsed_triplets(triplets_path):
         mapped.setdefault(video_id, []).append((order_index, triplet))
-    graphs = [
-        SceneGraph.from_triplets(
-            video_id,
-            ground_video(
-                video_id, items, sentences.get(video_id, []), bundle, source=triplets_path
-            ),
-        )
-        for video_id, items in sorted(mapped.items())
+    _check_in_manifest(mapped, manifests, triplets_path)
+    # A video's graph lines, taken in video-id order, are the lines of the file.
+    lines = [
+        line
+        for chunk in video_chunks(data_root, manifests, AlignConfig())
+        for m in chunk.manifests if m.video_id in mapped
+        for line in ingest.scene_graph_lines([SceneGraph.from_triplets(m.video_id, ground_video(
+            mapped[m.video_id], sentences.get(m.video_id, []), chunk.detections[m.video_id]
+        ))])
     ]
-    ingest.write_scene_graphs(graphs, out_path)
-    click.echo(f"grounded {sum(len(g.all_triplets()) for g in graphs)} triplets")
+    with ingest.NdjsonWriter(out_path) as out:
+        out.write(lines)
+    click.echo(f"grounded {len(lines)} triplets")
 
 
 @main.command()
@@ -324,23 +331,26 @@ def ground(data_root, sentences_path, triplets_path, out_path):
               default=motion.MotionLabelConfig.strategy_not_contacting, show_default=True)
 def plm(data_root, sentences_path, graphs_path, out_path, alpha, not_looking, not_contacting):
     """Assign negative-action pseudo-labels on unaligned frames."""
-    from .pipeline import negative_graphs
+    from .pipeline import negative_graphs, video_chunks
 
     config = motion.MotionLabelConfig(
         alpha_percent=alpha,
         strategy_not_looking=not_looking,
         strategy_not_contacting=not_contacting,
     )
-    bundle = ingest.load_bundle(data_root)
+    manifests = ingest.load_manifests(Path(data_root) / "manifest.ndjson")
     sentences = ingest.load_sentences(sentences_path)
-    graphs = {g.video_id: g for g in ingest.load_scene_graphs(graphs_path)}
-    runs = {
-        m.video_id: motion.collect_unaligned_runs(m, sentences.get(m.video_id, []))
-        for m in bundle.manifests
-    }
-    candidates = motion.build_candidates(
-        bundle.manifests, bundle.detections, graphs, runs, config
-    )
+    classes: Dict[str, set] = {}
+    for video_id, triplet in ingest.graph_triplets(graphs_path):
+        classes.setdefault(video_id, set()).add(triplet.object_class)
+    candidates = []
+    for chunk in video_chunks(data_root, manifests, AlignConfig()):
+        for m in chunk.manifests:
+            # pop: each video's sentences are read once, and need not stay.
+            runs = motion.collect_unaligned_runs(m, sentences.pop(m.video_id, []))
+            candidates.extend(motion.video_candidates(
+                m.video_id, classes.get(m.video_id, ()), chunk.detections[m.video_id], runs
+            ))
     assignment = motion.assign_negatives(candidates, config)
     ingest.write_scene_graphs(negative_graphs(assignment), out_path)
     click.echo(

@@ -17,8 +17,10 @@ that read and write it import numpy where they run, so that ``eval`` and
 Scene graph NDJSON: one triplet per line with its video id and frame index,
 sorted by ``triplet_sort_key`` (video id, frame index, classes, boxes, score,
 provenance) so equal inputs always produce byte-identical files. A graph file
-is read once, straight into frames (``load_frame_triplets``); ``eval`` scores
-those frames and ``load_scene_graphs`` groups them into one graph per video.
+is read once, line by line (``graph_triplets``): ``plm`` keeps only each
+video's object classes, and ``load_frame_triplets`` groups the lines into
+frames, which ``eval`` scores and ``load_scene_graphs`` groups into one graph
+per video.
 
 Every NDJSON file is read by ``read_records``, which decodes each line to the
 value ``json.loads`` gives it and rejects a line with ``json.loads``' reason.
@@ -68,8 +70,8 @@ class IngestConfig:
 
 @dataclass
 class DatasetBundle:
-    """Everything loaded from one dataset root, or from one chunk of its
-    videos."""
+    """What ``load_video`` read for one chunk of a dataset root's videos
+    (``pipeline.video_chunks``), or for all of them (``load_bundle``)."""
 
     manifests: List[VideoManifest] = field(default_factory=list)
     embeddings: Dict[str, EmbeddingMatrix] = field(default_factory=dict)
@@ -392,19 +394,17 @@ def write_detections(detections: Sequence[Detection], path) -> None:
 # Scene graphs (also used for pseudo-label and prediction files)
 
 
-def scene_graph_lines(graphs: Sequence[SceneGraph]) -> List[str]:
+def scene_graph_lines(graphs: Sequence[SceneGraph]) -> Iterator[str]:
     """The graphs' triplets as NDJSON lines, one triplet a line, in a stable
     total order: ``triplet_sort_key``, which orders by video id first, so the
     lines of graphs of distinct videos, taken in video-id order, are the
-    lines of all of them."""
-    rows: List[Tuple[tuple, str]] = []
-    for graph in graphs:
-        for t in graph.all_triplets():
-            record = t.to_dict()
-            record["video_id"] = graph.video_id
-            rows.append((triplet_sort_key(graph.video_id, t), _dump_line(record)))
-    rows.sort(key=lambda pair: pair[0])
-    return [line for _, line in rows]
+    lines of all of them. Each line is made as it is read."""
+    rows = [(graph.video_id, t) for graph in graphs for t in graph.all_triplets()]
+    rows.sort(key=lambda row: triplet_sort_key(*row))
+    for video_id, t in rows:
+        record = t.to_dict()
+        record["video_id"] = video_id
+        yield _dump_line(record)
 
 
 def write_scene_graphs(graphs: Sequence[SceneGraph], path) -> None:
@@ -456,23 +456,27 @@ def _cyclic_gc_paused() -> Iterator[None]:
         gc.enable()
 
 
-def load_frame_triplets(path) -> FrameTriplets:
-    """Read a graph file straight into its frames: (video id, frame index) ->
-    the frame's triplets, in (video id, frame index) order. Every triplet must
-    be localized (both boxes set).
-
-    Each frame is in ``triplet_sort_key`` order (``sorted_frames``). Equal
-    boxes within the file are one shared (immutable) object.
-    """
+def graph_triplets(path) -> Iterator[Tuple[str, Triplet]]:
+    """Each line of a graph file as its video id and triplet, in file order.
+    Every triplet must be localized (both boxes set). Equal boxes within the
+    file are one shared (immutable) object."""
     box = _shared_boxes()
+    rows = read_records(path, "graph", lambda r: (str(r["video_id"]), Triplet.from_dict(r, box)))
+    for line_no, (video_id, triplet) in rows:
+        if not triplet.is_localized:
+            raise MalformedRecord(path, line_no, "graph triplet is not localized (null box)")
+        yield video_id, triplet
+
+
+def load_frame_triplets(path) -> FrameTriplets:
+    """Read a graph file (``graph_triplets``) straight into its frames:
+    (video id, frame index) -> the frame's triplets, in (video id, frame
+    index) order. Each frame is in ``triplet_sort_key`` order
+    (``sorted_frames``).
+    """
     by_video: Dict[str, List[Triplet]] = {}
-    records = read_records(
-        path, "graph", lambda r: (str(r["video_id"]), Triplet.from_dict(r, box))
-    )
     with _cyclic_gc_paused():
-        for line_no, (video_id, triplet) in records:
-            if not triplet.is_localized:
-                raise MalformedRecord(path, line_no, "graph triplet is not localized (null box)")
+        for video_id, triplet in graph_triplets(path):
             by_video.setdefault(video_id, []).append(triplet)
     frames: FrameTriplets = {}
     for video_id in sorted(by_video):
@@ -483,7 +487,7 @@ def load_frame_triplets(path) -> FrameTriplets:
 
 def load_scene_graphs(path) -> List[SceneGraph]:
     """``load_frame_triplets`` as one ``SceneGraph`` per video, sorted by
-    video id."""
+    video id. No command calls it; the benchmark (``bench/``) and tests do."""
     per_video: Dict[str, Dict[int, Tuple[Triplet, ...]]] = {}
     for (video_id, frame), triplets in load_frame_triplets(path).items():
         per_video.setdefault(video_id, {})[frame] = tuple(triplets)
@@ -644,7 +648,12 @@ def load_video(
 def load_bundle(root, config: Optional[IngestConfig] = None) -> DatasetBundle:
     """Load a dataset root into memory: its manifests (``load_manifests``)
     and each video's files (``load_video``), or raise the first error that
-    names the file (and line) that breaks an invariant."""
+    names the file (and line) that breaks an invariant.
+
+    No command calls it: every command that reads a dataset root streams it
+    one chunk or one video at a time (``pipeline.video_chunks``). It is kept
+    for the benchmark's traced pass (``bench/traced.py``), the package
+    export and tests, until the benchmark runs the streamed pipeline."""
     config = config or IngestConfig()
     bundle = DatasetBundle()
     for manifest in load_manifests(Path(root) / "manifest.ndjson"):

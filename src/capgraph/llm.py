@@ -17,7 +17,7 @@ import threading
 import time
 from dataclasses import asdict, dataclass
 from pathlib import Path
-from typing import Optional
+from typing import Optional, Tuple
 
 from .errors import LlmTransport
 
@@ -98,8 +98,10 @@ class ChatClient:
     """Cached chat-completion transport.
 
     ``complete`` first consults the cache; on a miss it POSTs to the endpoint
-    (unless ``offline``), retries transient failures, then records the reply.
-    A retried 429 or 503 waits as its ``Retry-After`` header asks.
+    (unless ``offline``), retries transient failures, then checks the reply
+    as a replay checks a cassette (``_checked_reply``) and records it. A
+    retried 429 or 503 waits as its ``Retry-After`` header asks; a malformed
+    200 reply is not retried and records nothing.
     Token usage from every call, cached or live, accumulates on ``usage``.
     Threads may share a client: ``_lock`` guards only the counters, so calls
     do not wait on each other's network round trips.
@@ -107,8 +109,7 @@ class ChatClient:
     ``replies`` maps a cache key to its recorded ``(response, input_tokens,
     output_tokens)``, so each cache file is read at most once per memo. A
     client given none keeps its own; the clients of one run share one dict.
-    Only replies that passed ``_cache_read``'s checks, or that a client
-    recorded into the cache, go into it. Two threads that miss it at once
+    Only replies that passed ``_checked_reply`` go into it. Two threads that miss it at once
     both read the file, which is harmless.
     """
 
@@ -139,11 +140,40 @@ class ChatClient:
 
     # -- cache ------------------------------------------------------------
 
-    def _cache_read(self, key: str) -> Optional[dict]:
-        """The recorded reply for ``key``, or None on a miss.
+    def _checked_reply(self, text, counts: dict, fields: Tuple[str, str, str]) -> tuple:
+        """``(text, input_tokens, output_tokens)`` of a reply that can be
+        recorded and replayed: ``text`` is a string, each count
+        (``counts[field]``, 0 when absent) a non-negative integer and not a
+        boolean, and the two price to a finite cost. ``fields`` names the
+        text and the two counts: a cassette's ``response``, ``input_tokens``
+        and ``output_tokens``, or a completion payload's ``content``,
+        ``prompt_tokens`` and ``completion_tokens``. Otherwise ``ValueError``
+        names the field.
+        A cassette and a network reply pass this one check, so nothing is
+        recorded that a replay would reject."""
+        text_field, *count_fields = fields
+        if not isinstance(text, str):
+            raise ValueError(f"no string {text_field}")
+        tokens = [counts.get(field, 0) for field in count_fields]
+        for field, count in zip(count_fields, tokens):
+            if isinstance(count, bool) or not isinstance(count, int) or count < 0:
+                raise ValueError(f"{field} {count!r} is not a non-negative integer")
+        try:
+            cost = estimate_cost(
+                *tokens, self.input_price_per_million, self.output_price_per_million
+            )
+        except OverflowError:
+            cost = math.inf
+        if cost == math.inf:
+            raise ValueError("its token counts are too large to price")
+        return (text, *tokens)
 
-        A path that cannot be read or does not hold a recorded reply raises
-        ``LlmTransport`` naming it.
+    def _cache_read(self, key: str) -> Optional[tuple]:
+        """The recorded ``(response, input_tokens, output_tokens)`` for
+        ``key``, or None on a miss.
+
+        A path that cannot be read or does not hold a recorded reply
+        (``_checked_reply``) raises ``LlmTransport`` naming it.
         """
         if self.cache_dir is None:
             return None
@@ -156,39 +186,23 @@ class ChatClient:
             raise LlmTransport(f"{path}: cannot read cache file: {e.strerror or e}") from e
         except (ValueError, RecursionError) as e:
             raise LlmTransport(f"{path}: corrupt cache file: {e}") from e
-        if not isinstance(record, dict) or not isinstance(record.get("response"), str):
+        if not isinstance(record, dict):
             raise LlmTransport(f"{path}: corrupt cache file: no recorded response")
-        for name in ("input_tokens", "output_tokens"):
-            count = record.get(name, 0)
-            if isinstance(count, bool) or not isinstance(count, int) or count < 0:
-                raise LlmTransport(
-                    f"{path}: corrupt cache file: {name} {count!r} is not a non-negative integer"
-                )
         try:
-            cost = estimate_cost(
-                record.get("input_tokens", 0), record.get("output_tokens", 0),
-                self.input_price_per_million, self.output_price_per_million,
+            return self._checked_reply(
+                record.get("response"), record, ("response", "input_tokens", "output_tokens")
             )
-        except OverflowError:
-            cost = math.inf
-        if cost == math.inf:
-            raise LlmTransport(
-                f"{path}: corrupt cache file: its token counts are too large to price"
-            )
-        return record
+        except ValueError as e:
+            raise LlmTransport(f"{path}: corrupt cache file: {e}") from e
 
     def _replay(self, key: str) -> Optional[tuple]:
         """``(response, input_tokens, output_tokens)`` recorded for ``key``,
         from ``replies`` or else from the cache file, or None on a miss."""
         if key in self.replies:
             return self.replies[key]
-        record = self._cache_read(key)
-        if record is None:
-            return None
-        reply = (
-            record["response"], record.get("input_tokens", 0), record.get("output_tokens", 0)
-        )
-        self.replies[key] = reply
+        reply = self._cache_read(key)
+        if reply is not None:
+            self.replies[key] = reply
         return reply
 
     # -- transport ---------------------------------------------------------
@@ -237,18 +251,28 @@ class ChatClient:
         if self.offline:
             raise LlmTransport(f"offline mode and no cached response for key {key[:12]}…")
         payload = self._post(prompt)
+        # A malformed reply is not retried: the endpoint answered, and would
+        # most likely answer the same again, at the same price.
+        malformed = f"key {key[:12]}…: malformed completion payload"
         try:
             text = payload["choices"][0]["message"]["content"]
-        except (KeyError, IndexError, TypeError) as e:
-            raise LlmTransport(f"malformed completion payload: {e}") from e
-        usage = payload.get("usage", {})
-        input_tokens = int(usage.get("prompt_tokens", 0))
-        output_tokens = int(usage.get("completion_tokens", 0))
+            usage = payload.get("usage", {})
+        except (KeyError, IndexError, TypeError, AttributeError) as e:
+            raise LlmTransport(f"{malformed}: {e!r}") from e
+        if not isinstance(usage, dict):
+            raise LlmTransport(f"{malformed}: usage {usage!r} is not an object")
+        try:
+            reply = self._checked_reply(
+                text, usage, ("content", "prompt_tokens", "completion_tokens")
+            )
+        except ValueError as e:
+            raise LlmTransport(f"{malformed}: {e}") from e
+        text, input_tokens, output_tokens = reply
         if self.cache_dir is not None:
             write_cassette(
                 self.cache_dir, self.model_name, prompt, text, input_tokens, output_tokens
             )
-            self.replies[key] = (text, input_tokens, output_tokens)
+            self.replies[key] = reply
         self._account(key, input_tokens, output_tokens)
         return text
 

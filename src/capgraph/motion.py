@@ -48,7 +48,7 @@ class MotionLabelConfig:
                 raise ValueError(f"unknown endpoint strategy {strategy!r}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class MotionCandidate:
     """One (person, object, unaligned run) with endpoint GIoUs and boxes.
 
@@ -157,7 +157,12 @@ def build_candidates(
     config: MotionLabelConfig,
 ) -> List[MotionCandidate]:
     """``video_candidates`` of every video that has a graph, in video-id
-    order."""
+    order, from tables of the whole dataset.
+
+    No command calls it: ``run-all`` and ``plm`` call ``video_candidates``
+    video by video as they stream the dataset. It is kept for the
+    benchmark's traced pass (``bench/traced.py``), the package export and
+    tests, until the benchmark runs the streamed pipeline."""
     candidates: List[MotionCandidate] = []
     for manifest in sorted(manifests, key=lambda m: m.video_id):
         video_id = manifest.video_id

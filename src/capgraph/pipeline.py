@@ -28,7 +28,8 @@ from . import evaluate as eval_mod
 from . import ingest, motion, parse as parse_mod, segment as segment_mod
 from .config import DEFAULT_SEED, check_seed
 from .core import (
-    FrameTriplets, SceneGraph, SegmentedSentence, Triplet, VideoManifest, Vocabulary,
+    EmbeddingMatrix, FrameTriplets, GroundingTable, SceneGraph, SegmentedSentence, Triplet,
+    VideoManifest, Vocabulary,
 )
 from .errors import CapgraphError, IoFailure, MalformedRecord, MissingFile, StageError
 from .llm import ChatClient, TokenUsage
@@ -152,18 +153,18 @@ def segment_video(
 def align_video(
     video_id: str,
     sentences: List[SegmentedSentence],
-    bundle: ingest.DatasetBundle,
+    sentence_embeds: Optional[EmbeddingMatrix],
     clustering: align_mod.ClusteringResult,
     config: align_mod.AlignConfig,
 ) -> Tuple[List[SegmentedSentence], align_mod.AlignmentTrace]:
     """Align one video's sentences on ``clustering``, the clustering of its
     frames (``align.cluster_videos``).
 
-    The sentence embeddings must hold one row per sentence, in order: row
+    ``sentence_embeds`` is the video's sentence matrix, None when it has no
+    file (``MissingFile``), and must hold one row per sentence, in order: row
     *i*'s id is sentence *i*'s order index. Otherwise ``MalformedRecord``
     names the file."""
     path = f"embeddings/{video_id}.sentences.nlve"
-    sentence_embeds = bundle.sentence_embeddings.get(video_id)
     if sentence_embeds is None:
         raise MissingFile(
             f"{path} (produce sentence embeddings for the segmented captions, then re-run)"
@@ -222,29 +223,17 @@ def kept_predicates(counts: Mapping[str, int], config: parse_mod.ParseConfig) ->
 
 
 def ground_video(
-    video_id: str,
-    mapped: List[Tuple[int, Triplet]],
-    sentences: List[SegmentedSentence],
-    bundle: ingest.DatasetBundle,
-    source: str,
+    mapped: List[Tuple[int, Triplet]], sentences: List[SegmentedSentence], table: GroundingTable
 ) -> List[Triplet]:
-    """Ground one video's mapped triplets on their sentences' aligned frames.
-
-    Triplets whose sentence is absent ground nothing. ``source`` names where
-    the triplets came from when the video is not in the manifest.
-    """
-    detections = bundle.detections.get(video_id)
-    if detections is None:
-        raise CapgraphError(f"{source}: video {video_id!r} is not in the manifest")
-    by_order = {s.order_index: s for s in sentences}
-    grounded: List[Triplet] = []
-    for order_index, triplet in mapped:
-        sentence = by_order.get(order_index)
-        if sentence is not None:
-            grounded.extend(
-                parse_mod.ground_triplets([triplet], sentence.aligned_frames, detections)
-            )
-    return grounded
+    """Ground one video's mapped triplets on their sentences' aligned frames
+    in ``table``, the video's grounding table. Triplets whose sentence is
+    absent ground nothing."""
+    frames = {s.order_index: s.aligned_frames for s in sentences}
+    return [
+        grounded
+        for order_index, triplet in mapped if order_index in frames
+        for grounded in parse_mod.ground_triplets([triplet], frames[order_index], table)
+    ]
 
 
 def negative_graphs(assignment: motion.NegativeAssignment) -> List[SceneGraph]:
@@ -271,7 +260,8 @@ def _process_video(
     discards = parse_mod.DiscardCounters()
     sentences = segment_video(manifest, config.segmentation, client)
     aligned, trace = align_video(
-        manifest.video_id, sentences, bundle, clustering, config.alignment
+        manifest.video_id, sentences, bundle.sentence_embeddings.get(manifest.video_id),
+        clustering, config.alignment,
     )
     extracted, mapped = parse_sentences(aligned, vocab, config.parsing, client, discards)
     return VideoResult(
@@ -326,6 +316,19 @@ def _load_chunks(
         elements += size
     if chunk.manifests:
         yield chunk
+
+
+def video_chunks(
+    data_root: str, manifests: Sequence[VideoManifest], alignment: align_mod.AlignConfig
+) -> Iterator[ingest.DatasetBundle]:
+    """``run_all``'s chunks (``_load_chunks``, sized by ``alignment``'s beta)
+    of ``manifests`` under ``data_root``, for a staged command that holds one
+    chunk at a time. A file that fails to load raises its own error, which
+    names it, not a ``StageError`` of stage ``load``."""
+    try:
+        yield from _load_chunks(PipelineConfig(data_root, alignment=alignment), manifests)
+    except StageError as e:
+        raise e.cause
 
 
 def _in_order(function: Callable, *iterables) -> Iterator:
@@ -429,9 +432,7 @@ def _stream(config: PipelineConfig, manifests: Sequence[VideoManifest], staged: 
         for chunk, results in _processed_chunks(config, manifests, vocab, replies, map_videos):
             for manifest, r in zip(chunk.manifests, results):
                 with _stage("ground"):
-                    grounded = ground_video(
-                        r.video_id, r.mapped, r.sentences, chunk, source=config.data_root
-                    )
+                    grounded = ground_video(r.mapped, r.sentences, chunk.detections[r.video_id])
                 with _stage("write"):
                     report.sentences += len(r.sentences)
                     report.triplets_extracted += len(r.extracted)

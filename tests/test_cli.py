@@ -32,7 +32,7 @@ from capgraph.core import (
     Triplet,
     VideoManifest,
 )
-from capgraph.errors import IoFailure, LlmTransport, MissingFile, StageError
+from capgraph.errors import CapgraphError, IoFailure, LlmTransport, MissingFile, StageError
 from capgraph.evaluate import EvalConfig
 from capgraph.ingest import (
     load_manifests,
@@ -795,41 +795,46 @@ class TestRunAllCli:
         assert result.exit_code == 1
 
 
+def _staged_steps(data_root, cassette_dir, out, parse_flags=(), inputs=None):
+    """segment -> align -> parse -> ground -> plm on ``data_root``, each step
+    reading its predecessor's output from ``inputs`` (default ``out``) and
+    writing into ``out``, under ``run_all``'s output names where it has one
+    (``sentences``, ``trace``, ``scene_graphs``, ``negatives``)."""
+    d, i = str(data_root), Path(inputs or out)
+    return [
+        ["segment", "--data-root", d, "--out", str(out / "raw.ndjson"),
+         "--cache-dir", str(cassette_dir), "--offline"],
+        ["align", "--data-root", d, "--sentences", str(i / "raw.ndjson"),
+         "--out", str(out / "sentences.ndjson"), "--seed", "7",
+         "--trace-out", str(out / "trace.ndjson")],
+        ["parse", "--sentences", str(i / "sentences.ndjson"),
+         "--out", str(out / "triplets.ndjson"), "--cache-dir", str(cassette_dir),
+         "--offline", *parse_flags],
+        ["ground", "--data-root", d, "--sentences", str(i / "sentences.ndjson"),
+         "--triplets", str(i / "triplets.ndjson"), "--out", str(out / "scene_graphs.ndjson")],
+        ["plm", "--data-root", d, "--sentences", str(i / "sentences.ndjson"),
+         "--graphs", str(i / "scene_graphs.ndjson"), "--out", str(out / "negatives.ndjson")],
+    ]
+
+
+_PARSINGS = pytest.mark.parametrize(
+    "parse_flags, parsing",
+    [
+        ([], {}),
+        (["--mapping", "none", "--top-n", "2"],
+         {"mapping": "none", "top_n_open_classes": 2}),
+    ],
+    ids=["lexicon", "open-vocabulary-top-2"],
+)
+
+
 class TestStageCommands:
-    @pytest.mark.parametrize(
-        "parse_flags, parsing",
-        [
-            ([], {}),
-            (["--mapping", "none", "--top-n", "2"],
-             {"mapping": "none", "top_n_open_classes": 2}),
-        ],
-        ids=["lexicon", "open-vocabulary-top-2"],
-    )
-    def test_staged_pipeline_matches_run_all(
-        self, data_root, cassette_dir, tmp_path, parse_flags, parsing
-    ):
+    def _assert_staged_match_run_all(self, data_root, cassette_dir, tmp_path, parse_flags,
+                                     parsing):
         runner = CliRunner()
         out = tmp_path / "staged"
         out.mkdir()
-        steps = [
-            ["segment", "--data-root", str(data_root), "--out", str(out / "raw.ndjson"),
-             "--cache-dir", str(cassette_dir), "--offline"],
-            ["align", "--data-root", str(data_root), "--sentences", str(out / "raw.ndjson"),
-             "--out", str(out / "sentences.ndjson"), "--seed", "7",
-             "--trace-out", str(out / "trace.ndjson")],
-            ["parse", "--sentences", str(out / "sentences.ndjson"),
-             "--out", str(out / "triplets.ndjson"), "--cache-dir", str(cassette_dir),
-             "--offline", *parse_flags],
-            ["ground", "--data-root", str(data_root),
-             "--sentences", str(out / "sentences.ndjson"),
-             "--triplets", str(out / "triplets.ndjson"),
-             "--out", str(out / "scene_graphs.ndjson")],
-            ["plm", "--data-root", str(data_root),
-             "--sentences", str(out / "sentences.ndjson"),
-             "--graphs", str(out / "scene_graphs.ndjson"),
-             "--out", str(out / "negatives.ndjson")],
-        ]
-        for step in steps:
+        for step in _staged_steps(data_root, cassette_dir, out, parse_flags):
             result = runner.invoke(main, step)
             assert result.exit_code == 0, (step[0], result.output)
 
@@ -840,6 +845,85 @@ class TestStageCommands:
         run_all(config)
         for name in ("sentences.ndjson", "scene_graphs.ndjson", "negatives.ndjson"):
             assert (out / name).read_bytes() == (reference / name).read_bytes(), name
+
+    @_PARSINGS
+    def test_staged_pipeline_matches_run_all(
+        self, data_root, cassette_dir, tmp_path, parse_flags, parsing
+    ):
+        self._assert_staged_match_run_all(data_root, cassette_dir, tmp_path, parse_flags, parsing)
+
+    @_PARSINGS
+    def test_staged_pipeline_matches_run_all_in_one_video_chunks(
+        self, data_root, cassette_dir, tmp_path, monkeypatch, parse_flags, parsing
+    ):
+        # align, ground and plm load the dataset as run-all does, one chunk
+        # at a time (one video a chunk here), and never whole.
+        def whole_dataset(*args, **kwargs):
+            raise AssertionError("the whole dataset was loaded")
+
+        monkeypatch.setattr(ingest, "load_bundle", whole_dataset)
+        monkeypatch.setattr(align_mod, "KMEANS_BATCH_ELEMENTS", 1)
+        sizes = []
+        cluster_videos = align_mod.cluster_videos
+        monkeypatch.setattr(align_mod, "cluster_videos", lambda matrices, *args: (
+            sizes.append(len(matrices)) or cluster_videos(matrices, *args)
+        ))
+        self._assert_staged_match_run_all(data_root, cassette_dir, tmp_path, parse_flags, parsing)
+        assert sizes and max(sizes) == 1
+
+    @pytest.fixture
+    def bad_last_video(self, data_root, cassette_dir, tmp_path):
+        """The staged inputs made on the fixture (segment to ground), a copy
+        of the fixture whose last video by id has a detections file with a
+        line that is not JSON, and the loader's error for that file."""
+        staged = tmp_path / "staged"
+        staged.mkdir()
+        for step in _staged_steps(data_root, cassette_dir, staged)[:4]:
+            assert CliRunner().invoke(main, step).exit_code == 0, step[0]
+        root = tmp_path / "bad"
+        shutil.copytree(data_root, root)
+        last = load_manifests(root / "manifest.ndjson")[-1]
+        with open(root / "detections" / f"{last.video_id}.ndjson", "a") as fh:
+            fh.write("{not json\n")
+        with pytest.raises(CapgraphError) as err:
+            ingest.load_video(root, last, ingest.IngestConfig())
+        return staged, root, str(err.value)
+
+    @pytest.mark.parametrize("command", ["align", "ground", "plm"])
+    def test_a_bad_file_of_the_last_video_names_it_and_writes_nothing(
+        self, bad_last_video, cassette_dir, tmp_path, command
+    ):
+        staged, root, error = bad_last_video
+        assert error.startswith(str(root / "detections")) and ": invalid JSON: " in error
+        out = tmp_path / "out"
+        out.mkdir()
+        steps = _staged_steps(root, cassette_dir, out, inputs=staged)
+        result = CliRunner().invoke(main, next(s for s in steps if s[0] == command))
+        assert result.exit_code == 1, result.output
+        assert isinstance(result.exception, SystemExit), result.exception
+        assert result.output == f"error: {error}\n"
+        assert list(out.iterdir()) == []
+
+    @pytest.mark.parametrize("command, name", [
+        ("align", "raw.ndjson"), ("ground", "triplets.ndjson"),
+    ])
+    def test_a_video_outside_the_manifest_is_named_before_a_bad_file(
+        self, bad_last_video, cassette_dir, tmp_path, command, name
+    ):
+        # The manifest check needs no video's files, so it runs before any
+        # is loaded: the unknown video is named, not the bad file.
+        staged, root, _ = bad_last_video
+        inputs = tmp_path / "inputs"
+        shutil.copytree(staged, inputs)
+        if command == "align":
+            write_sentences({"ghost": [SegmentedSentence(1, "A person waits.")]}, inputs / name)
+        else:
+            write_parsed_triplets([("ghost", 1, Triplet("person", "holding", "cup"))],
+                                  inputs / name)
+        steps = _staged_steps(root, cassette_dir, tmp_path, inputs=inputs)
+        result = CliRunner().invoke(main, next(s for s in steps if s[0] == command))
+        assert result.exit_code == 1, result.output
+        assert result.output == f"error: {inputs / name}: video 'ghost' is not in the manifest\n"
 
     def test_align_video_missing_from_manifest(self, data_root, tmp_path):
         sentences = tmp_path / "raw.ndjson"

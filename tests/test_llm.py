@@ -7,11 +7,15 @@ import threading
 import time
 
 import pytest
+from click.testing import CliRunner
 
 import capgraph
 import capgraph.llm as llm
+from capgraph import segment as segment_mod
+from capgraph.cli import main
 from capgraph.errors import LlmTransport
 from capgraph.llm import ChatClient, TokenUsage, cache_key, write_cassette
+from fixture_builder import MODEL, V1_CAPTION
 
 
 class FakeResponse:
@@ -138,6 +142,78 @@ class TestTransport:
         client = ChatClient("m", cache_dir=tmp_path, offline=True)
         with pytest.raises(LlmTransport):
             client.complete("never recorded")
+
+
+def _payload(content="1. ok", **usage):
+    return {"choices": [{"message": {"content": content}}], "usage": usage}
+
+
+class TestMalformedReply:
+    """A 200 reply that a replay of its cassette would reject stops the
+    command with exit 1, naming the key and the field; it is not retried and
+    records no cassette."""
+
+    # The fixture's first video (by id) is segmented first.
+    KEY = cache_key(MODEL, segment_mod.build_prompt(V1_CAPTION))[:12]
+
+    @pytest.fixture(params=[
+        (_payload(None), "no string content"),
+        (_payload(3), "no string content"),
+        (_payload(["1. ok"]), "no string content"),
+        ({"choices": [{"message": {"content": "1. ok"}}], "usage": [12, 4]},
+         "usage [12, 4] is not an object"),
+        (_payload(prompt_tokens="abc"), "prompt_tokens 'abc' is not a non-negative integer"),
+        (_payload(prompt_tokens=None), "prompt_tokens None is not a non-negative integer"),
+        # A fractional count is rejected, not truncated.
+        (_payload(prompt_tokens=1.5), "prompt_tokens 1.5 is not a non-negative integer"),
+        (_payload(completion_tokens=-1), "completion_tokens -1 is not a non-negative integer"),
+        (_payload(completion_tokens=10**400), "its token counts are too large to price"),
+    ], ids=["content-null", "content-3", "content-list", "usage-list", "prompt-abc",
+            "prompt-null", "prompt-1.5", "completion-negative", "completion-huge"])
+    def bad_reply(self, request, monkeypatch):
+        """The drawn payload's reason; every POST answers it with a 200."""
+        payload, reason = request.param
+        self.posts = []
+        monkeypatch.setattr(llm.requests, "post", lambda *a, **k: self.posts.append(a) or
+                            FakeResponse(200, payload))
+        return reason
+
+    def test_segment_exits_1_and_records_nothing(self, bad_reply, data_root, tmp_path):
+        cache = tmp_path / "cache"
+        result = CliRunner().invoke(main, [
+            "segment", "--data-root", str(data_root), "--out", str(tmp_path / "raw.ndjson"),
+            "--tcs-mode", "llm", "--cache-dir", str(cache),
+        ])
+        assert result.exit_code == 1, result.output
+        assert isinstance(result.exception, SystemExit), result.exception
+        assert (f"error: key {self.KEY}…: malformed completion payload: {bad_reply}\n"
+                in result.output)
+        assert len(self.posts) == 1
+        assert not cache.exists() or not list(cache.iterdir())
+        assert not (tmp_path / "raw.ndjson").exists()
+
+    def test_run_all_exits_1_naming_the_key(self, bad_reply, data_root, tmp_path):
+        cache = tmp_path / "cache"
+        result = CliRunner().invoke(main, [
+            "run-all", "--data-root", str(data_root), "--out-dir", str(tmp_path / "out"),
+            "--cache-dir", str(cache),
+        ])
+        assert result.exit_code == 1, result.output
+        assert isinstance(result.exception, SystemExit), result.exception
+        assert (f"error: stage 'process' failed: key {self.KEY}…: malformed completion "
+                f"payload: {bad_reply}\n") in result.output
+        assert not cache.exists() or not list(cache.iterdir())
+        assert not (tmp_path / "out").exists()
+
+    def test_a_payload_without_choices_names_the_key(self, monkeypatch, tmp_path):
+        monkeypatch.setattr(llm.requests, "post", lambda *a, **k: FakeResponse(200, {"x": 1}))
+        client = ChatClient("m", endpoint="http://example/chat", cache_dir=tmp_path)
+        with pytest.raises(LlmTransport, match=re.escape(
+            f"key {cache_key('m', 'hello')[:12]}…: malformed completion payload: "
+            "KeyError('choices')"
+        )):
+            client.complete("hello")
+        assert not list(tmp_path.iterdir())
 
 
 class TestLazyRequests:
