@@ -29,7 +29,7 @@ from . import ingest, motion, parse as parse_mod, segment as segment_mod
 from .config import DEFAULT_SEED, AlignConfig, check_seed
 from .core import SceneGraph, Triplet, Vocabulary
 from .errors import CapgraphError, IoFailure, MalformedRecord
-from .llm import TokenUsage
+from .llm import TokenUsage, checked_count
 
 if TYPE_CHECKING:
     from .pipeline import PipelineConfig
@@ -56,7 +56,9 @@ def aggregate_stats(trace_paths: Sequence[str]) -> dict:
 
     Cost is the ``usage.estimated_cost`` each record holds, as its run priced
     it with the run's configured prices. A video id met in more than one
-    record (two runs passed together) sums its records in ``per_video``.
+    record (two runs passed together) sums its records in ``per_video``. A
+    token or discard count that is not a non-negative integer
+    (``llm.checked_count``) is a bad record, named by its file and line.
     """
 
     def decode(record: dict) -> tuple:
@@ -73,7 +75,7 @@ def aggregate_stats(trace_paths: Sequence[str]) -> dict:
             str(len(sentences)),
             [str(interval[1] - interval[0] + 1) for interval in intervals],
             [f"{round(float(gap), 1):.1f}" for gap in gaps],
-            {reason: int(count) for reason, count in discards.items()},
+            {reason: checked_count(f"discards.{reason}", n) for reason, n in discards.items()},
         )
 
     videos = 0
@@ -204,6 +206,13 @@ def _check_in_manifest(video_ids: Iterable[str], manifests, source: str) -> None
         raise CapgraphError(f"{source}: video {unknown[0]!r} is not in the manifest")
 
 
+def _loader(data_root: str):
+    """``ingest.load_video`` of one manifest under ``data_root``, for
+    ``pipeline.video_chunks``: a file that fails to load raises the loader's
+    own error, which names it."""
+    return lambda manifest: ingest.load_video(data_root, manifest, ingest.IngestConfig())
+
+
 def _parse_selection(value: str) -> AlignConfig:
     """The ``--selection`` flag as an ``AlignConfig`` with the default beta."""
     if value in ("steepest", "steepest_decline"):
@@ -233,13 +242,12 @@ def align_cmd(data_root, sentences_path, out_path, beta, selection, seed, trace_
     sentences = ingest.load_sentences(sentences_path)
     _check_in_manifest(sentences, manifests, sentences_path)
     aligned, traces = {}, []
-    for chunk in video_chunks(data_root, manifests, config):
-        videos = [m.video_id for m in chunk.manifests if m.video_id in sentences]
-        clusterings = align_mod.cluster_videos([chunk.embeddings[v] for v in videos], config, seed)
-        for video_id, clustering in zip(videos, clusterings):
-            aligned[video_id], trace = align_video(
-                video_id, sentences[video_id], chunk.sentence_embeddings.get(video_id),
-                clustering, config,
+    for chunk in video_chunks(manifests, _loader(data_root), config.beta):
+        chunk = [video for video in chunk if video[0].video_id in sentences]
+        clusterings = align_mod.cluster_videos([frames for _, frames, _, _ in chunk], config, seed)
+        for (m, _, sentence_embeds, _), clustering in zip(chunk, clusterings):
+            aligned[m.video_id], trace = align_video(
+                m.video_id, sentences[m.video_id], sentence_embeds, clustering, config
             )
             traces.append(trace)
     ingest.write_sentences(aligned, out_path)
@@ -304,13 +312,14 @@ def ground(data_root, sentences_path, triplets_path, out_path):
     for video_id, order_index, triplet in ingest.load_parsed_triplets(triplets_path):
         mapped.setdefault(video_id, []).append((order_index, triplet))
     _check_in_manifest(mapped, manifests, triplets_path)
+    _check_in_manifest(sentences, manifests, sentences_path)
     # A video's graph lines, taken in video-id order, are the lines of the file.
     lines = [
         line
-        for chunk in video_chunks(data_root, manifests, AlignConfig())
-        for m in chunk.manifests if m.video_id in mapped
+        for chunk in video_chunks(manifests, _loader(data_root), AlignConfig.beta)
+        for m, _, _, table in chunk if m.video_id in mapped
         for line in ingest.scene_graph_lines([SceneGraph.from_triplets(m.video_id, ground_video(
-            mapped[m.video_id], sentences.get(m.video_id, []), chunk.detections[m.video_id]
+            mapped[m.video_id], sentences.get(m.video_id, []), table
         ))])
     ]
     with ingest.NdjsonWriter(out_path) as out:
@@ -343,13 +352,15 @@ def plm(data_root, sentences_path, graphs_path, out_path, alpha, not_looking, no
     classes: Dict[str, set] = {}
     for video_id, triplet in ingest.graph_triplets(graphs_path):
         classes.setdefault(video_id, set()).add(triplet.object_class)
+    _check_in_manifest(classes, manifests, graphs_path)
+    _check_in_manifest(sentences, manifests, sentences_path)
     candidates = []
-    for chunk in video_chunks(data_root, manifests, AlignConfig()):
-        for m in chunk.manifests:
+    for chunk in video_chunks(manifests, _loader(data_root), AlignConfig.beta):
+        for m, _, _, table in chunk:
             # pop: each video's sentences are read once, and need not stay.
             runs = motion.collect_unaligned_runs(m, sentences.pop(m.video_id, []))
             candidates.extend(motion.video_candidates(
-                m.video_id, classes.get(m.video_id, ()), chunk.detections[m.video_id], runs
+                m.video_id, classes.get(m.video_id, ()), table, runs
             ))
     assignment = motion.assign_negatives(candidates, config)
     ingest.write_scene_graphs(negative_graphs(assignment), out_path)

@@ -70,28 +70,14 @@ class IngestConfig:
 
 @dataclass
 class DatasetBundle:
-    """What ``load_video`` read for one chunk of a dataset root's videos
-    (``pipeline.video_chunks``), or for all of them (``load_bundle``)."""
+    """What ``load_video`` read for every video of a dataset root
+    (``load_bundle``), keyed by video id. No command holds one: each walks
+    the dataset one chunk of videos at a time (``pipeline.video_chunks``)."""
 
     manifests: List[VideoManifest] = field(default_factory=list)
     embeddings: Dict[str, EmbeddingMatrix] = field(default_factory=dict)
     sentence_embeddings: Dict[str, EmbeddingMatrix] = field(default_factory=dict)
     detections: Dict[str, GroundingTable] = field(default_factory=dict)
-
-    def add(
-        self,
-        manifest: VideoManifest,
-        frames: EmbeddingMatrix,
-        sentences: Optional[EmbeddingMatrix],
-        table: GroundingTable,
-    ) -> None:
-        """Add one video's manifest and what ``load_video`` read for it."""
-        video_id = manifest.video_id
-        self.manifests.append(manifest)
-        self.embeddings[video_id] = frames
-        if sentences is not None:
-            self.sentence_embeddings[video_id] = sentences
-        self.detections[video_id] = table
 
     def manifest_for(self, video_id: str) -> VideoManifest:
         for m in self.manifests:
@@ -657,5 +643,10 @@ def load_bundle(root, config: Optional[IngestConfig] = None) -> DatasetBundle:
     config = config or IngestConfig()
     bundle = DatasetBundle()
     for manifest in load_manifests(Path(root) / "manifest.ndjson"):
-        bundle.add(manifest, *load_video(root, manifest, config))
+        frames, sentences, table = load_video(root, manifest, config)
+        bundle.manifests.append(manifest)
+        bundle.embeddings[manifest.video_id] = frames
+        if sentences is not None:
+            bundle.sentence_embeddings[manifest.video_id] = sentences
+        bundle.detections[manifest.video_id] = table
     return bundle

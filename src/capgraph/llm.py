@@ -36,11 +36,13 @@ def _requests():
     return requests
 
 
-def __getattr__(name: str):
-    # ``llm.requests`` still names the module, for callers that patch it.
-    if name == "requests":
-        return _requests()
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+def checked_count(field: str, count) -> int:
+    """``count`` if it is a non-negative integer and not a boolean, else
+    ``ValueError`` naming ``field``: the rule for every token or discard
+    count that is read back from a reply, a cassette or a trace."""
+    if isinstance(count, bool) or not isinstance(count, int) or count < 0:
+        raise ValueError(f"{field} {count!r} is not a non-negative integer")
+    return count
 
 
 @dataclass
@@ -67,9 +69,11 @@ class TokenUsage:
 
     @classmethod
     def from_dict(cls, d: dict) -> "TokenUsage":
+        """Inverse of ``to_dict``; a token count that is not a non-negative
+        integer (``checked_count``) raises ``ValueError``."""
         return cls(
-            input_tokens=int(d.get("input_tokens", 0)),
-            output_tokens=int(d.get("output_tokens", 0)),
+            input_tokens=checked_count("input_tokens", d.get("input_tokens", 0)),
+            output_tokens=checked_count("output_tokens", d.get("output_tokens", 0)),
             estimated_cost=float(d.get("estimated_cost", 0.0)),
         )
 
@@ -143,8 +147,8 @@ class ChatClient:
     def _checked_reply(self, text, counts: dict, fields: Tuple[str, str, str]) -> tuple:
         """``(text, input_tokens, output_tokens)`` of a reply that can be
         recorded and replayed: ``text`` is a string, each count
-        (``counts[field]``, 0 when absent) a non-negative integer and not a
-        boolean, and the two price to a finite cost. ``fields`` names the
+        (``counts[field]``, 0 when absent) passes ``checked_count``, and the
+        two price to a finite cost. ``fields`` names the
         text and the two counts: a cassette's ``response``, ``input_tokens``
         and ``output_tokens``, or a completion payload's ``content``,
         ``prompt_tokens`` and ``completion_tokens``. Otherwise ``ValueError``
@@ -154,10 +158,7 @@ class ChatClient:
         text_field, *count_fields = fields
         if not isinstance(text, str):
             raise ValueError(f"no string {text_field}")
-        tokens = [counts.get(field, 0) for field in count_fields]
-        for field, count in zip(count_fields, tokens):
-            if isinstance(count, bool) or not isinstance(count, int) or count < 0:
-                raise ValueError(f"{field} {count!r} is not a non-negative integer")
+        tokens = [checked_count(field, counts.get(field, 0)) for field in count_fields]
         try:
             cost = estimate_cost(
                 *tokens, self.input_price_per_million, self.output_price_per_million
@@ -207,7 +208,11 @@ class ChatClient:
 
     # -- transport ---------------------------------------------------------
 
-    def _post(self, prompt: str) -> dict:
+    def _post(self, prompt: str):
+        """POST ``prompt`` and return the endpoint's 200 response, retrying
+        a failed request and a 429, 500, 502, 503 or 504 status. The body is
+        read by ``complete``: a 200 whose body is not JSON is a malformed
+        reply, not a failed request, and is not retried."""
         api_key = os.environ.get(API_KEY_ENV, "")
         headers = {"Content-Type": "application/json"}
         if api_key:
@@ -234,7 +239,7 @@ class ChatClient:
                 elif response.status_code != 200:
                     raise LlmTransport(f"HTTP {response.status_code}: {response.text[:200]}")
                 else:
-                    return response.json()
+                    return response
             except requests.RequestException as e:
                 last_error = e
             if attempt < self.max_retries:
@@ -250,14 +255,15 @@ class ChatClient:
             return text
         if self.offline:
             raise LlmTransport(f"offline mode and no cached response for key {key[:12]}…")
-        payload = self._post(prompt)
+        response = self._post(prompt)
         # A malformed reply is not retried: the endpoint answered, and would
         # most likely answer the same again, at the same price.
         malformed = f"key {key[:12]}…: malformed completion payload"
         try:
+            payload = response.json()
             text = payload["choices"][0]["message"]["content"]
             usage = payload.get("usage", {})
-        except (KeyError, IndexError, TypeError, AttributeError) as e:
+        except (ValueError, RecursionError, KeyError, IndexError, TypeError, AttributeError) as e:
             raise LlmTransport(f"{malformed}: {e!r}") from e
         if not isinstance(usage, dict):
             raise LlmTransport(f"{malformed}: usage {usage!r} is not an object")

@@ -246,22 +246,22 @@ def negative_graphs(assignment: motion.NegativeAssignment) -> List[SceneGraph]:
 def _process_video(
     manifest,
     clustering: align_mod.ClusteringResult,
-    bundle: ingest.DatasetBundle,
+    sentence_embeds: Optional[EmbeddingMatrix],
     config: PipelineConfig,
     vocab: Vocabulary,
     replies: dict,
 ) -> VideoResult:
-    """Segment, align and parse one video of ``bundle`` on ``clustering``, the
-    clustering of its frames. ``replies`` is the run's shared memo of recorded
-    chat replies; usage is still counted per video."""
+    """Segment, align and parse one video on ``clustering``, the clustering
+    of its frames, and ``sentence_embeds``, its sentence matrix (None when it
+    has no file). ``replies`` is the run's shared memo of recorded chat
+    replies; usage is still counted per video."""
     client = segment_mod.make_client(
         config.segmentation, config.cache_dir, config.offline, replies
     )
     discards = parse_mod.DiscardCounters()
     sentences = segment_video(manifest, config.segmentation, client)
     aligned, trace = align_video(
-        manifest.video_id, sentences, bundle.sentence_embeddings.get(manifest.video_id),
-        clustering, config.alignment,
+        manifest.video_id, sentences, sentence_embeds, clustering, config.alignment
     )
     extracted, mapped = parse_sentences(aligned, vocab, config.parsing, client, discards)
     return VideoResult(
@@ -291,44 +291,36 @@ class _stage:
             raise StageError(self.name, error) from error
 
 
-def _load_chunks(
-    config: PipelineConfig, manifests: Sequence[VideoManifest]
-) -> Iterator[ingest.DatasetBundle]:
-    """The videos of ``manifests`` loaded (``ingest.load_video``) in chunks
-    of consecutive videos: as many as one ``align.cluster_videos`` chunk
-    admits under ``KMEANS_BATCH_ELEMENTS``, and at least ``config.workers``,
-    so that every worker has a video. ``cluster_videos`` splits a larger
-    chunk into k-means chunks of its own. A file that fails to load stops
-    the run at stage ``load``."""
-    chunk, elements = ingest.DatasetBundle(), 0
-    for manifest in manifests:
-        with _stage("load"):
-            frames, sentences, table = ingest.load_video(
-                config.data_root, manifest, config.ingest
-            )
-        with _stage("process"):
-            size = align_mod.video_elements(*frames.rows.shape, config.alignment.beta)
-        full = len(chunk.manifests) >= config.workers
-        if full and elements + size > align_mod.KMEANS_BATCH_ELEMENTS:
-            yield chunk
-            chunk, elements = ingest.DatasetBundle(), 0
-        chunk.add(manifest, frames, sentences, table)
-        elements += size
-    if chunk.manifests:
-        yield chunk
+# One loaded video: its manifest and what ``ingest.load_video`` read for it,
+# the frame matrix, the sentence matrix (None without a file) and the
+# grounding table.
+LoadedVideo = Tuple[VideoManifest, EmbeddingMatrix, Optional[EmbeddingMatrix], GroundingTable]
 
 
 def video_chunks(
-    data_root: str, manifests: Sequence[VideoManifest], alignment: align_mod.AlignConfig
-) -> Iterator[ingest.DatasetBundle]:
-    """``run_all``'s chunks (``_load_chunks``, sized by ``alignment``'s beta)
-    of ``manifests`` under ``data_root``, for a staged command that holds one
-    chunk at a time. A file that fails to load raises its own error, which
-    names it, not a ``StageError`` of stage ``load``."""
-    try:
-        yield from _load_chunks(PipelineConfig(data_root, alignment=alignment), manifests)
-    except StageError as e:
-        raise e.cause
+    manifests: Sequence[VideoManifest],
+    load: Callable[[VideoManifest], tuple],
+    beta: int,
+    workers: int = 1,
+) -> Iterator[List[LoadedVideo]]:
+    """The videos of ``manifests``, each loaded with ``load`` (``load_video``
+    of one manifest), in chunks of consecutive videos: as many as one
+    ``align.cluster_videos`` chunk admits at ``beta`` under
+    ``KMEANS_BATCH_ELEMENTS``, and at least ``workers``, so that every worker
+    has a video. ``cluster_videos`` splits a larger chunk into k-means chunks
+    of its own. ``run_all`` and the staged commands that read a dataset root
+    all walk it this way; an error of ``load`` passes through as it is."""
+    chunk, elements = [], 0
+    for manifest in manifests:
+        frames, sentences, table = load(manifest)
+        size = align_mod.video_elements(*frames.rows.shape, beta)
+        if len(chunk) >= workers and elements + size > align_mod.KMEANS_BATCH_ELEMENTS:
+            yield chunk
+            chunk, elements = [], 0
+        chunk.append((manifest, frames, sentences, table))
+        elements += size
+    if chunk:
+        yield chunk
 
 
 def _in_order(function: Callable, *iterables) -> Iterator:
@@ -344,39 +336,36 @@ def _processed_chunks(
     vocab: Vocabulary,
     replies: dict,
     map_videos: Callable[..., Iterator[VideoResult]],
-) -> Iterator[Tuple[ingest.DatasetBundle, List[VideoResult]]]:
-    """Each chunk of ``_load_chunks`` with ``_process_video`` of its videos,
-    in order.
+) -> Iterator[Tuple[List[LoadedVideo], List[VideoResult]]]:
+    """Each chunk of ``video_chunks`` with ``_process_video`` of its videos,
+    in order. A file that fails to load stops the run at stage ``load``, and
+    any other error of the walk at stage ``process``.
 
     A chunk is clustered in one ``align.cluster_videos`` call, and its videos
     are then mapped with ``map_videos`` (``_in_order``, or a thread pool's
-    ``map``) over their manifests and clusterings. A chunk is collected only
-    once the next chunk has loaded and clustered, so the pool's workers take
-    the next chunk's videos without waiting at the end of each chunk; two
-    chunks are held at every ``--workers``."""
+    ``map``) over their manifests, clusterings and sentence matrices. A chunk
+    is collected only once the next chunk has loaded and clustered, so the
+    pool's workers take the next chunk's videos without waiting at the end of
+    each chunk; two chunks are held at every ``--workers``."""
+
+    def load(manifest: VideoManifest):
+        with _stage("load"):
+            return ingest.load_video(config.data_root, manifest, config.ingest)
+
     running = None
-    for chunk in _load_chunks(config, manifests):
-        with _stage("process"):
-            clusterings = align_mod.cluster_videos(
-                [chunk.embeddings[m.video_id] for m in chunk.manifests],
-                config.alignment, config.seed,
-            )
-            shared = [repeat(arg) for arg in (chunk, config, vocab, replies)]
-            results = map_videos(_process_video, chunk.manifests, clusterings, *shared)
-        if running:
-            yield _collected(*running)
-        running = chunk, results
-        del chunk, clusterings, shared, results  # so that the next chunk loads without them
-    if running:
-        yield _collected(*running)
-
-
-def _collected(
-    chunk: ingest.DatasetBundle, results: Iterator[VideoResult]
-) -> Tuple[ingest.DatasetBundle, List[VideoResult]]:
-    """``chunk`` with its videos' ``results``, read under stage ``process``."""
     with _stage("process"):
-        return chunk, list(results)
+        for chunk in video_chunks(manifests, load, config.alignment.beta, config.workers):
+            videos, frames, sentences, _ = zip(*chunk)
+            clusterings = align_mod.cluster_videos(frames, config.alignment, config.seed)
+            shared = [repeat(arg) for arg in (config, vocab, replies)]
+            results = map_videos(_process_video, videos, clusterings, sentences, *shared)
+            if running:
+                yield running[0], list(running[1])
+            running = chunk, results
+            # So that the next chunk loads without them.
+            del chunk, videos, frames, sentences, clusterings, shared, results
+        if running:
+            yield running[0], list(running[1])
 
 
 def _trace_record(result: VideoResult) -> dict:
@@ -388,7 +377,9 @@ def _trace_record(result: VideoResult) -> dict:
 
 def _stream(config: PipelineConfig, manifests: Sequence[VideoManifest], staged: Path) -> RunReport:
     """Run the pipeline over ``manifests`` one chunk at a time
-    (``_load_chunks``) and write the run's outputs into ``staged``.
+    (``video_chunks``) and write the run's outputs into ``staged``. Each
+    video is grounded on, and its candidates built from, the grounding
+    table that was loaded with it in its chunk.
 
     Each video's sentence and trace lines are written once it is grounded,
     and so are its scene-graph lines unless an open-vocabulary cut applies.
@@ -430,9 +421,9 @@ def _stream(config: PipelineConfig, manifests: Sequence[VideoManifest], staged: 
                 graphs_out.write(ingest.scene_graph_lines([graph]))
 
         for chunk, results in _processed_chunks(config, manifests, vocab, replies, map_videos):
-            for manifest, r in zip(chunk.manifests, results):
+            for (manifest, _, _, table), r in zip(chunk, results):
                 with _stage("ground"):
-                    grounded = ground_video(r.mapped, r.sentences, chunk.detections[r.video_id])
+                    grounded = ground_video(r.mapped, r.sentences, table)
                 with _stage("write"):
                     report.sentences += len(r.sentences)
                     report.triplets_extracted += len(r.extracted)
@@ -452,7 +443,6 @@ def _stream(config: PipelineConfig, manifests: Sequence[VideoManifest], staged: 
                         [] if config.skip_negatives
                         else motion.collect_unaligned_runs(manifest, r.sentences)
                     )
-                    table = chunk.detections[r.video_id]
                     if cut:
                         rows = {f: table[f] for run in runs for f in run if f in table}
                         held.append((r.video_id, grounded, runs, rows))

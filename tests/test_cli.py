@@ -15,6 +15,7 @@ import weakref
 from pathlib import Path
 
 import pytest
+import requests
 from click.testing import CliRunner
 
 import capgraph
@@ -206,7 +207,7 @@ class TestRunAll:
             posts.append(args)
             raise RuntimeError("network used")
 
-        monkeypatch.setattr(llm.requests, "post", post)
+        monkeypatch.setattr(requests, "post", post)
         config = PipelineConfig(data_root=str(data_root), out_dir=str(tmp_path / "out"),
                                 cache_dir=str(tmp_path / "empty-cassettes"))
         config.offline = True
@@ -925,6 +926,30 @@ class TestStageCommands:
         assert result.exit_code == 1, result.output
         assert result.output == f"error: {inputs / name}: video 'ghost' is not in the manifest\n"
 
+    @pytest.mark.parametrize("command, name", [
+        ("align", "raw.ndjson"), ("ground", "sentences.ndjson"), ("ground", "triplets.ndjson"),
+        ("plm", "sentences.ndjson"), ("plm", "scene_graphs.ndjson"),
+    ])
+    def test_every_input_file_that_names_videos_is_checked_against_the_manifest(
+        self, bad_last_video, cassette_dir, tmp_path, command, name
+    ):
+        # The file's first line copied under the unknown id "ghost": without
+        # the check its lines would be read and dropped without a word.
+        staged, root, _ = bad_last_video
+        inputs = tmp_path / "inputs"
+        shutil.copytree(staged, inputs)
+        path = inputs / name
+        lines = path.read_text().splitlines(keepends=True)
+        ghost = json.dumps({**json.loads(lines[0]), "video_id": "ghost"}) + "\n"
+        path.write_text(ghost + "".join(lines))
+        out = tmp_path / "out"
+        out.mkdir()
+        steps = _staged_steps(root, cassette_dir, out, inputs=inputs)
+        result = CliRunner().invoke(main, next(s for s in steps if s[0] == command))
+        assert result.exit_code == 1, result.output
+        assert result.output == f"error: {path}: video 'ghost' is not in the manifest\n"
+        assert list(out.iterdir()) == []
+
     def test_align_video_missing_from_manifest(self, data_root, tmp_path):
         sentences = tmp_path / "raw.ndjson"
         write_sentences({"absent": [SegmentedSentence(1, "A person waits.")]}, sentences)
@@ -1350,6 +1375,30 @@ class TestStats:
         assert result.exit_code == 1
         assert isinstance(result.exception, SystemExit), result.exception
         assert f"{trace}:2: " in result.output
+
+    @pytest.mark.parametrize("bad, shown", [
+        ('{"usage": {"input_tokens": 1.5}}', "input_tokens 1.5"),
+        ('{"usage": {"output_tokens": true}}', "output_tokens True"),
+        ('{"usage": {"input_tokens": false}}', "input_tokens False"),
+        ('{"usage": {"output_tokens": -2}}', "output_tokens -2"),
+        ('{"usage": {"input_tokens": "3"}}', "input_tokens '3'"),
+        ('{"discards": {"unparseable": 2.7}}', "discards.unparseable 2.7"),
+        ('{"discards": {"unparseable": true}}', "discards.unparseable True"),
+        ('{"discards": {"unparseable": "2"}}', "discards.unparseable '2'"),
+    ], ids=["input-1.5", "output-true", "input-false", "output-negative", "input-string",
+            "discard-2.7", "discard-true", "discard-string"])
+    def test_a_count_that_is_not_a_non_negative_integer_exits_1_naming_it(
+        self, tmp_path, bad, shown
+    ):
+        # Rejected, not truncated: int() would read 1.5, true and "3" as counts.
+        trace = tmp_path / "trace.ndjson"
+        trace.write_text('{"video_id": "ok", "sentences": []}\n' + bad + "\n")
+        result = CliRunner().invoke(main, ["stats", str(trace)])
+        assert result.exit_code == 1, result.output
+        assert isinstance(result.exception, SystemExit), result.exception
+        assert result.output == (
+            f"error: {trace}:2: bad trace record: {shown} is not a non-negative integer\n"
+        )
 
     def test_cost_sum_too_large_for_a_float_exits_1_naming_its_line(self, tmp_path):
         trace = tmp_path / "trace.ndjson"

@@ -70,6 +70,12 @@ class TestVocabulary:
     def test_negative_classes_are_the_motion_labels(self):
         assert Vocabulary.action_genome().negative_classes == set(NEGATIVE_CLASS_NAMES)
 
+    def test_each_motion_label_is_in_the_partition_of_its_strategy(self):
+        # assign_negatives unpacks the names in order: the first takes the
+        # not-looking strategy (attention), the second the not-contacting one.
+        partition = Vocabulary.action_genome().action_partition
+        assert [partition[name] for name in NEGATIVE_CLASS_NAMES] == ["attention", "contacting"]
+
     def test_partition_must_cover_actions(self):
         with pytest.raises(ValueError):
             Vocabulary(

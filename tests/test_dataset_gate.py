@@ -3,7 +3,7 @@
 ``capgraph validate`` runs the per-video loader, ``load_video``, over every
 video of the manifest, one at a time, plus exit 2; ``run-all`` loads each
 video through the same loader, one chunk of videos at a time
-(``pipeline._load_chunks``). The property below mutates the test fixture
+(``pipeline.video_chunks``). The property below mutates the test fixture
 and checks both commands against an oracle: the per-video check that
 ``validate`` ran before the loader made these checks itself, kept verbatim
 (apart from ``tuple(d.box)`` for the removed ``as_tuple()``) over a loader

@@ -7,6 +7,7 @@ import threading
 import time
 
 import pytest
+import requests
 from click.testing import CliRunner
 
 import capgraph
@@ -44,7 +45,7 @@ class TestTransport:
             calls.append((url, json, headers))
             return FakeResponse(200, _ok_payload())
 
-        monkeypatch.setattr(llm.requests, "post", fake_post)
+        monkeypatch.setattr(requests, "post", fake_post)
         monkeypatch.setenv(llm.API_KEY_ENV, "secret-key")
         client = ChatClient("m", endpoint="http://example/chat", cache_dir=tmp_path)
         reply = client.complete("hello")
@@ -66,7 +67,7 @@ class TestTransport:
                 return FakeResponse(503, {})
             return FakeResponse(200, _ok_payload("steady"))
 
-        monkeypatch.setattr(llm.requests, "post", flaky_post)
+        monkeypatch.setattr(requests, "post", flaky_post)
         monkeypatch.setattr(llm.time, "sleep", lambda s: None)
         client = ChatClient("m", endpoint="http://example/chat", max_retries=2,
                             cache_dir=tmp_path)
@@ -83,7 +84,7 @@ class TestTransport:
         replies = [FakeResponse(status, {}, {"Retry-After": retry_after}),
                    FakeResponse(200, _ok_payload())]
         slept = []
-        monkeypatch.setattr(llm.requests, "post", lambda *a, **k: replies.pop(0))
+        monkeypatch.setattr(requests, "post", lambda *a, **k: replies.pop(0))
         monkeypatch.setattr(llm.time, "sleep", slept.append)
         client = ChatClient("m", endpoint="http://example/chat", cache_dir=tmp_path)
         assert client.complete("x") == "1. ok"
@@ -98,7 +99,7 @@ class TestTransport:
             barrier.wait()
             return FakeResponse(200, _ok_payload())
 
-        monkeypatch.setattr(llm.requests, "post", post)
+        monkeypatch.setattr(requests, "post", post)
         client = ChatClient("m", endpoint="http://example/chat", cache_dir=tmp_path)
         replies, errors = [], []
 
@@ -121,8 +122,8 @@ class TestTransport:
 
     def test_transport_error_after_retries(self, tmp_path, monkeypatch):
         monkeypatch.setattr(
-            llm.requests, "post",
-            lambda *a, **k: (_ for _ in ()).throw(llm.requests.ConnectionError("down")),
+            requests, "post",
+            lambda *a, **k: (_ for _ in ()).throw(requests.ConnectionError("down")),
         )
         monkeypatch.setattr(llm.time, "sleep", lambda s: None)
         client = ChatClient("m", endpoint="http://example/chat", max_retries=1,
@@ -132,7 +133,7 @@ class TestTransport:
 
     def test_non_retryable_status_raises(self, tmp_path, monkeypatch):
         monkeypatch.setattr(
-            llm.requests, "post", lambda *a, **k: FakeResponse(401, {"error": "no"})
+            requests, "post", lambda *a, **k: FakeResponse(401, {"error": "no"})
         )
         client = ChatClient("m", endpoint="http://example/chat", cache_dir=tmp_path)
         with pytest.raises(LlmTransport):
@@ -174,7 +175,7 @@ class TestMalformedReply:
         """The drawn payload's reason; every POST answers it with a 200."""
         payload, reason = request.param
         self.posts = []
-        monkeypatch.setattr(llm.requests, "post", lambda *a, **k: self.posts.append(a) or
+        monkeypatch.setattr(requests, "post", lambda *a, **k: self.posts.append(a) or
                             FakeResponse(200, payload))
         return reason
 
@@ -205,8 +206,33 @@ class TestMalformedReply:
         assert not cache.exists() or not list(cache.iterdir())
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("body", [b"<html>gateway</html>", b"", b"[" * 100_000],
+                             ids=["html", "empty", "nested-past-the-recursion-limit"])
+    def test_a_body_that_is_not_json_is_not_retried_and_names_the_key(
+        self, monkeypatch, tmp_path, body
+    ):
+        # A real Response: its json() raises requests' JSONDecodeError, which
+        # is a RequestException too, and so is no reason to retry.
+        def post(*args, **kwargs):
+            posts.append(args)
+            response = requests.Response()
+            response.status_code = 200
+            response._content = body
+            return response
+
+        posts, slept = [], []
+        monkeypatch.setattr(requests, "post", post)
+        monkeypatch.setattr(llm.time, "sleep", slept.append)
+        client = ChatClient("m", endpoint="http://example/chat", cache_dir=tmp_path)
+        with pytest.raises(LlmTransport, match=re.escape(
+            f"key {cache_key('m', 'hello')[:12]}…: malformed completion payload: "
+        )):
+            client.complete("hello")
+        assert (len(posts), slept) == (1, [])
+        assert not list(tmp_path.iterdir())
+
     def test_a_payload_without_choices_names_the_key(self, monkeypatch, tmp_path):
-        monkeypatch.setattr(llm.requests, "post", lambda *a, **k: FakeResponse(200, {"x": 1}))
+        monkeypatch.setattr(requests, "post", lambda *a, **k: FakeResponse(200, {"x": 1}))
         client = ChatClient("m", endpoint="http://example/chat", cache_dir=tmp_path)
         with pytest.raises(LlmTransport, match=re.escape(
             f"key {cache_key('m', 'hello')[:12]}…: malformed completion payload: "
@@ -227,13 +253,6 @@ class TestLazyRequests:
         result = subprocess.run([sys.executable, "-c", code], env=env,
                                 capture_output=True, text=True, check=True)
         assert result.stdout.strip() == "False"
-
-    def test_module_attribute_names_requests(self):
-        import requests
-
-        assert llm.requests is requests
-        with pytest.raises(AttributeError, match="no attribute 'nonexistent'"):
-            llm.nonexistent
 
 
 class TestCacheKey:
@@ -337,7 +356,7 @@ class TestCostSumOverflow:
         assert client.usage.output_tokens == 10**314
 
     def test_second_network_reply_without_a_cache_names_its_key(self, monkeypatch):
-        monkeypatch.setattr(llm.requests, "post", lambda *a, **k: FakeResponse(
+        monkeypatch.setattr(requests, "post", lambda *a, **k: FakeResponse(
             200, _ok_payload(completion_tokens=10**314)
         ))
         client = ChatClient("m", endpoint="http://example/chat")
@@ -383,7 +402,7 @@ class TestReplyMemo:
         assert ChatClient("m", cache_dir=tmp_path, offline=True).complete("hello") == "second"
 
     def test_recorded_reply_enters_the_memo(self, tmp_path, monkeypatch):
-        monkeypatch.setattr(llm.requests, "post",
+        monkeypatch.setattr(requests, "post",
                             lambda *a, **k: FakeResponse(200, _ok_payload("fresh", 7, 2)))
         replies = {}
         client = ChatClient("m", endpoint="http://example/chat", cache_dir=tmp_path,

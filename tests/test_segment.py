@@ -1,6 +1,7 @@
 import warnings
 
 import pytest
+import requests
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -121,9 +122,9 @@ class TestSegmentCaption:
 
         def post(*args, **kwargs):
             posts.append(args)
-            raise llm.requests.ConnectionError("network used")
+            raise requests.ConnectionError("network used")
 
-        monkeypatch.setattr(llm.requests, "post", post)
+        monkeypatch.setattr(requests, "post", post)
         monkeypatch.setattr(llm.time, "sleep", lambda s: None)
         with pytest.raises(ValueError, match="client"):
             segment_caption("A person waves.", SegmentConfig(mode="llm"))
