@@ -27,9 +27,11 @@ import click
 from . import evaluate as eval_mod
 from . import ingest, motion, parse as parse_mod, segment as segment_mod
 from .config import DEFAULT_SEED, AlignConfig, check_seed
-from .core import SceneGraph, Triplet, Vocabulary
+from .core import (
+    SceneGraph, Triplet, Vocabulary, checked_int, checked_interval, checked_number,
+)
 from .errors import CapgraphError, IoFailure, MalformedRecord
-from .llm import TokenUsage, checked_count
+from .llm import TokenUsage
 
 if TYPE_CHECKING:
     from .pipeline import PipelineConfig
@@ -58,24 +60,28 @@ def aggregate_stats(trace_paths: Sequence[str]) -> dict:
     it with the run's configured prices. A video id met in more than one
     record (two runs passed together) sums its records in ``per_video``. A
     token or discard count that is not a non-negative integer
-    (``llm.checked_count``) is a bad record, named by its file and line.
+    (``core.checked_int``), a cost or a steepest gap that is not a number
+    (``core.checked_number``), or a post-pruning interval that is not null
+    or two integers (``core.checked_interval``) is a bad record, named by
+    its file and line.
     """
 
     def decode(record: dict) -> tuple:
         """(video id, usage, sentence count, interval lengths, gap buckets,
         discard counts) of one trace record."""
         sentences = [ingest.json_object(s) for s in record.get("sentences", [])]
-        intervals = [s["post_pruning_interval"] for s in sentences
-                     if s.get("post_pruning_interval")]
-        gaps = [s["steepest_gap"] for s in sentences if s.get("steepest_gap") is not None]
+        intervals = [checked_interval("post_pruning_interval", s.get("post_pruning_interval"))
+                     for s in sentences]
+        gaps = [checked_number("steepest_gap", s["steepest_gap"]) for s in sentences
+                if s.get("steepest_gap") is not None]
         discards = ingest.json_object(record.get("discards", {}))
         return (
             str(record.get("video_id", "?")),
             TokenUsage.from_dict(ingest.json_object(record.get("usage", {}))),
             str(len(sentences)),
-            [str(interval[1] - interval[0] + 1) for interval in intervals],
-            [f"{round(float(gap), 1):.1f}" for gap in gaps],
-            {reason: checked_count(f"discards.{reason}", n) for reason, n in discards.items()},
+            [str(last - first + 1) for first, last in filter(None, intervals)],
+            [f"{round(gap, 1):.1f}" for gap in gaps],
+            {reason: checked_int(f"discards.{reason}", n) for reason, n in discards.items()},
         )
 
     videos = 0
@@ -391,11 +397,11 @@ def eval_cmd(gt_path, pred_path, k_values, regime, iou_threshold, json_out):
     config = eval_mod.EvalConfig(k_values=k_values, iou_threshold=iou_threshold, regime=regime)
     # Every loaded triplet lives until scoring ends and holds no cycle, so the
     # collector stays paused through pairing and scoring, not just the reads.
+    # The frames are freed before it resumes, so it never scans them.
     with ingest._cyclic_gc_paused():
-        instances = eval_mod.pair_frames(
+        results = eval_mod.recall_at_k(eval_mod.pair_frames(
             ingest.load_frame_triplets(gt_path), ingest.load_frame_triplets(pred_path)
-        )
-        results = eval_mod.recall_at_k(instances, config)
+        ), config)
     payload = {
         f"{regime_name}/R@{k}": value for (regime_name, k), value in sorted(results.items())
     }

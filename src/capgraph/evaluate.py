@@ -12,7 +12,7 @@ the mean of per-frame recalls over frames that have ground truth.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Sequence, Set, Tuple
 
 from .core import FrameTriplets, Triplet, box_iou
 from .errors import NoGtFrames
@@ -64,6 +64,21 @@ def _boxes_match(pred: Triplet, gt: Triplet, iou_threshold: float) -> bool:
     )
 
 
+def _kept(predictions: Sequence[Triplet]) -> Set[int]:
+    """Indices of the predictions ``with_constraint`` keeps: per (subject
+    box, subject class, object box, object class) group, the highest-scoring
+    one, first occurrence winning ties."""
+    best: Dict[tuple, Tuple[float, int]] = {}
+    for i, (subject, _, obj, subject_box, object_box, _, score, _) in enumerate(predictions):
+        key = (subject_box, subject, object_box, obj)
+        if score is None:
+            score = 0.0
+        found = best.get(key)
+        if found is None or score > found[0]:
+            best[key] = (score, i)
+    return {i for _, i in best.values()}
+
+
 def apply_constraint(predictions: Sequence[Triplet], regime: str) -> List[Triplet]:
     """Reduce predictions per the regime.
 
@@ -75,24 +90,37 @@ def apply_constraint(predictions: Sequence[Triplet], regime: str) -> List[Triple
         return list(predictions)
     if regime != "with_constraint":
         raise ValueError(f"unknown regime {regime!r}")
-    best: Dict[tuple, Tuple[float, int]] = {}
-    for i, (subject, _, obj, subject_box, object_box, _, score, _) in enumerate(predictions):
-        key = (subject_box, subject, object_box, obj)
-        if score is None:
-            score = 0.0
-        found = best.get(key)
-        if found is None or score > found[0]:
-            best[key] = (score, i)
-    keep = {i for _, i in best.values()}
+    keep = _kept(predictions)
     return [p for i, p in enumerate(predictions) if i in keep]
 
 
-def _ranked(predictions: Sequence[Triplet]) -> List[Triplet]:
-    # Stable sort: equal scores keep input order.
-    return sorted(
-        predictions,
-        key=lambda p: -(p.score if p.score is not None else 0.0),
-    )
+def _rank_key(p: Triplet) -> float:
+    return -(p.score if p.score is not None else 0.0)
+
+
+def _rankings(predictions: Sequence[Triplet], regimes: Sequence[str]) -> List[List[Triplet]]:
+    """Each regime's predictions (``apply_constraint``), ranked by score,
+    highest first, by a stable sort: equal scores keep input order.
+
+    The frame is sorted once: a stable sort of a subset is that subset of the
+    stable sort, so each regime filters the one ranking by the indices it
+    keeps. That holds only for a total order, and a NaN score leaves the
+    order partial, so a frame with one is sorted again for each regime, as
+    its own list.
+    """
+    keys = [_rank_key(p) for p in predictions]
+    if any(key != key for key in keys):  # a NaN
+        return [sorted(apply_constraint(predictions, regime), key=_rank_key)
+                for regime in regimes]
+    order = sorted(range(len(predictions)), key=keys.__getitem__)
+    rankings = []
+    for regime in regimes:
+        if regime == "no_constraint":
+            rankings.append([predictions[i] for i in order])
+        else:
+            keep = _kept(predictions)
+            rankings.append([predictions[i] for i in order if i in keep])
+    return rankings
 
 
 def _frame_hits(
@@ -100,22 +128,22 @@ def _frame_hits(
 ) -> List[List[bool]]:
     """Per-prediction hits of the frame's top-K predictions, one list per regime.
 
-    Predictions are matched in rank order, each to the first unconsumed
-    ground truth it hits. A prediction can only hit ground truth of its own
-    class triple, so each one visits just that bucket, in ground-truth order,
-    and only its boxes are compared. The buckets are built once for all
-    regimes. Greedy matching is prefix-consistent: the first k' hits of a
-    pass at K are the hits of a pass at any k' <= K.
+    Predictions are matched in rank order (``_rankings``), each to the first
+    unconsumed ground truth it hits. A prediction can only hit ground truth
+    of its own class triple, so each one visits just that bucket, in
+    ground-truth order, and only its boxes are compared. The buckets are
+    built once for all regimes. Greedy matching is prefix-consistent: the
+    first k' hits of a pass at K are the hits of a pass at any k' <= K.
     """
     gt = instance.gt
     by_class: Dict[Tuple[str, str, str], List[int]] = {}
     for gi, g in enumerate(gt):
         by_class.setdefault(g.classes(), []).append(gi)
     all_hits = []
-    for regime in regimes:
+    for ranked in _rankings(instance.predictions, regimes):
         hits = []
         consumed = [False] * len(gt)
-        for pred in _ranked(apply_constraint(instance.predictions, regime))[:k]:
+        for pred in ranked[:k]:
             hit = False
             for gi in by_class.get(pred[:3], ()):  # pred[:3]: its class triple
                 if not consumed[gi] and _boxes_match(pred, gt[gi], iou_threshold):

@@ -17,10 +17,17 @@ that read and write it import numpy where they run, so that ``eval`` and
 Scene graph NDJSON: one triplet per line with its video id and frame index,
 sorted by ``triplet_sort_key`` (video id, frame index, classes, boxes, score,
 provenance) so equal inputs always produce byte-identical files. A graph file
-is read once, line by line (``graph_triplets``): ``plm`` keeps only each
-video's object classes, and ``load_frame_triplets`` groups the lines into
-frames, which ``eval`` scores and ``load_scene_graphs`` groups into one graph
-per video.
+is read once, line by line, and each line is decoded by one row function
+(``_graph_rows``) into its video id and localized triplet: the frame index
+must be a positive integer and the score a number or null, and within the
+file equal class names are one string and equal boxes one box. ``plm`` keeps
+only each video's object classes (``graph_triplets``), and
+``load_frame_triplets`` groups the rows into frames, which ``eval`` scores
+and ``load_scene_graphs`` groups into one graph per video.
+
+A count, frame index or order index in any record is an integer, not a
+boolean, a string or a float (``core.checked_int``): ``1.5``, ``true`` and
+``"2"`` are rejected, never truncated.
 
 Every NDJSON file is read by ``read_records``, which decodes each line to the
 value ``json.loads`` gives it and rejects a line with ``json.loads``' reason.
@@ -33,6 +40,7 @@ import io
 import json
 import math
 import struct
+from collections import defaultdict
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -48,6 +56,9 @@ from .core import (
     SegmentedSentence,
     Triplet,
     VideoManifest,
+    checked_int,
+    checked_number,
+    provenance_of,
     sorted_frames,
     triplet_sort_key,
 )
@@ -201,7 +212,15 @@ def read_records(path, what: str, decode: Callable[[dict], T]) -> Iterator[Tuple
         raise read_failure(path, e) from e
 
 
+class RecordRejected(ValueError):
+    """A decode function's rejection whose message is the whole reason:
+    ``read_records`` names the line without the ``bad <what> record:``
+    prefix."""
+
+
 def _reason(error: Exception, line: str, what: str) -> str:
+    if isinstance(error, RecordRejected):
+        return str(error)
     if not isinstance(error, json.JSONDecodeError):
         return f"bad {what} record: {error}"
     if line[0] == "\ufeff":  # json.loads checks for a BOM before it decodes
@@ -399,29 +418,75 @@ def write_scene_graphs(graphs: Sequence[SceneGraph], path) -> None:
     _write_ndjson(scene_graph_lines(graphs), path)
 
 
-def _shared_boxes() -> Callable[[Sequence[float]], BoundingBox]:
-    """A box factory that returns one object for equal coordinate lists.
+class _Names(dict):
+    """Strings by value, each the first one met: ``names[s]`` is ``s`` or an
+    equal string read before it."""
+
+    def __missing__(self, name: str) -> str:
+        self[name] = name
+        return name
+
+
+class _Boxes(dict):
+    """Boxes by coordinates, for sharing: ``boxes[tuple(values)]`` is the box
+    of ``values``, one object for equal coordinates.
 
     Sharing is bit-exact: equal ints and floats convert to the same float,
     and a NaN read from one line never equals one read from another. Boxes
     with a zero coordinate are never shared, since ``-0.0 == 0.0`` would let
     one stand in for the other.
     """
-    boxes: Dict[tuple, BoundingBox] = {}
 
-    def box(values: Sequence[float]) -> BoundingBox:
+    def __missing__(self, key: tuple) -> BoundingBox:
+        box = BoundingBox.from_list(key)
+        if 0 not in key:
+            self[key] = box
+        return box
+
+
+def _graph_rows() -> Callable[[dict], Tuple[str, Triplet]]:
+    """A decode function for one graph file's ``read_records``: a record as
+    its video id and localized triplet.
+
+    The fields convert in ``Triplet.from_dict``'s order, by its rules and
+    with its errors, and a graph line has two more rules: its
+    ``frame_index`` must be set (a positive integer, ``checked_int``), and so
+    must both boxes, else the line is rejected as not localized. Equal class
+    names within the file are one string object (``_Names``), and so are
+    equal boxes (``_Boxes``).
+    """
+    names, boxes = _Names(), _Boxes()
+
+    def row(record: dict) -> Tuple[str, Triplet]:
+        get = record.get
+        video_id = str(record["video_id"])
+        subject = record["subject_class"]
+        subject = names[subject if type(subject) is str else str(subject)]
+        predicate = record["predicate_class"]
+        predicate = names[predicate if type(predicate) is str else str(predicate)]
+        obj = record["object_class"]
+        obj = names[obj if type(obj) is str else str(obj)]
+        subject_box, object_box = get("subject_box"), get("object_box")
         try:
-            key = tuple(values)
-            found = boxes.get(key)
+            subject_box = boxes[tuple(subject_box)] if subject_box else None
+            object_box = boxes[tuple(object_box)] if object_box else None
         except TypeError:  # not a flat list of numbers: let from_list say why
-            return BoundingBox.from_list(values)
-        if found is None:
-            found = BoundingBox.from_list(values)
-            if 0 not in key:
-                boxes[key] = found
-        return found
+            for values in (subject_box, object_box):
+                if values:
+                    BoundingBox.from_list(values)
+            raise
+        frame_index = checked_int("frame_index", get("frame_index"), 1)
+        score = get("score")
+        if type(score) is not float and score is not None:
+            score = checked_number("score", score)
+        provenance = provenance_of(get("provenance", "caption"))
+        if subject_box is None or object_box is None:
+            raise RecordRejected("graph triplet is not localized (null box)")
+        return video_id, tuple.__new__(Triplet, (
+            subject, predicate, obj, subject_box, object_box, frame_index, score, provenance,
+        ))
 
-    return box
+    return row
 
 
 @contextmanager
@@ -443,27 +508,21 @@ def _cyclic_gc_paused() -> Iterator[None]:
 
 
 def graph_triplets(path) -> Iterator[Tuple[str, Triplet]]:
-    """Each line of a graph file as its video id and triplet, in file order.
-    Every triplet must be localized (both boxes set). Equal boxes within the
-    file are one shared (immutable) object."""
-    box = _shared_boxes()
-    rows = read_records(path, "graph", lambda r: (str(r["video_id"]), Triplet.from_dict(r, box)))
-    for line_no, (video_id, triplet) in rows:
-        if not triplet.is_localized:
-            raise MalformedRecord(path, line_no, "graph triplet is not localized (null box)")
-        yield video_id, triplet
+    """Each line of a graph file as its video id and localized triplet, in
+    file order (``_graph_rows``)."""
+    return (row for _, row in read_records(path, "graph", _graph_rows()))
 
 
 def load_frame_triplets(path) -> FrameTriplets:
-    """Read a graph file (``graph_triplets``) straight into its frames:
-    (video id, frame index) -> the frame's triplets, in (video id, frame
-    index) order. Each frame is in ``triplet_sort_key`` order
-    (``sorted_frames``).
+    """Read a graph file (one ``_graph_rows`` row a line, as
+    ``graph_triplets``) straight into its frames: (video id, frame index) ->
+    the frame's triplets, in (video id, frame index) order. Each frame is in
+    ``triplet_sort_key`` order (``sorted_frames``).
     """
-    by_video: Dict[str, List[Triplet]] = {}
+    by_video: Dict[str, List[Triplet]] = defaultdict(list)
     with _cyclic_gc_paused():
-        for video_id, triplet in graph_triplets(path):
-            by_video.setdefault(video_id, []).append(triplet)
+        for _, (video_id, triplet) in read_records(path, "graph", _graph_rows()):
+            by_video[video_id].append(triplet)
     frames: FrameTriplets = {}
     for video_id in sorted(by_video):
         for frame, triplets in sorted_frames(video_id, by_video[video_id]).items():
@@ -547,7 +606,8 @@ def load_parsed_triplets(path) -> List[Tuple[str, int, Triplet]]:
         for _, row in read_records(
             path,
             "parsed-triplet",
-            lambda r: (str(r["video_id"]), int(r["order_index"]), Triplet.from_dict(r)),
+            lambda r: (str(r["video_id"]), checked_int("order_index", r["order_index"], 1),
+                       Triplet.from_dict(r)),
         )
     ]
     rows.sort(key=lambda r: (r[0], r[1], r[2].classes()))

@@ -19,6 +19,7 @@ from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Optional, Tuple
 
+from .core import checked_int, checked_number
 from .errors import LlmTransport
 
 API_KEY_ENV = "CAPGRAPH_API_KEY"
@@ -34,15 +35,6 @@ def _requests():
     import requests
 
     return requests
-
-
-def checked_count(field: str, count) -> int:
-    """``count`` if it is a non-negative integer and not a boolean, else
-    ``ValueError`` naming ``field``: the rule for every token or discard
-    count that is read back from a reply, a cassette or a trace."""
-    if isinstance(count, bool) or not isinstance(count, int) or count < 0:
-        raise ValueError(f"{field} {count!r} is not a non-negative integer")
-    return count
 
 
 @dataclass
@@ -70,11 +62,12 @@ class TokenUsage:
     @classmethod
     def from_dict(cls, d: dict) -> "TokenUsage":
         """Inverse of ``to_dict``; a token count that is not a non-negative
-        integer (``checked_count``) raises ``ValueError``."""
+        integer (``core.checked_int``) or a cost that is not a number
+        (``core.checked_number``) raises ``ValueError``."""
         return cls(
-            input_tokens=checked_count("input_tokens", d.get("input_tokens", 0)),
-            output_tokens=checked_count("output_tokens", d.get("output_tokens", 0)),
-            estimated_cost=float(d.get("estimated_cost", 0.0)),
+            input_tokens=checked_int("input_tokens", d.get("input_tokens", 0)),
+            output_tokens=checked_int("output_tokens", d.get("output_tokens", 0)),
+            estimated_cost=checked_number("estimated_cost", d.get("estimated_cost", 0.0)),
         )
 
 
@@ -147,9 +140,10 @@ class ChatClient:
     def _checked_reply(self, text, counts: dict, fields: Tuple[str, str, str]) -> tuple:
         """``(text, input_tokens, output_tokens)`` of a reply that can be
         recorded and replayed: ``text`` is a string, each count
-        (``counts[field]``, 0 when absent) passes ``checked_count``, and the
-        two price to a finite cost. ``fields`` names the
-        text and the two counts: a cassette's ``response``, ``input_tokens``
+        (``counts[field]``, 0 when absent) is a non-negative integer
+        (``core.checked_int``), and the two price to a finite cost.
+        ``fields`` names the text and the two counts: a cassette's
+        ``response``, ``input_tokens``
         and ``output_tokens``, or a completion payload's ``content``,
         ``prompt_tokens`` and ``completion_tokens``. Otherwise ``ValueError``
         names the field.
@@ -158,7 +152,7 @@ class ChatClient:
         text_field, *count_fields = fields
         if not isinstance(text, str):
             raise ValueError(f"no string {text_field}")
-        tokens = [checked_count(field, counts.get(field, 0)) for field in count_fields]
+        tokens = [checked_int(field, counts.get(field, 0)) for field in count_fields]
         try:
             cost = estimate_cost(
                 *tokens, self.input_price_per_million, self.output_price_per_million

@@ -23,7 +23,7 @@ from .core import (
     SegmentedSentence,
     Triplet,
     VideoManifest,
-    box_intersection_area,
+    box_overlap,
 )
 from .parse import ground_pair
 
@@ -79,8 +79,7 @@ def giou(a: BoundingBox, b: BoundingBox) -> float:
     ``union == 0`` the IoU term is 1 for coinciding boxes and 0 otherwise, and
     with ``hull == 0`` the dead-area term is 0.
     """
-    inter = box_intersection_area(a, b)
-    union = a.area + b.area - inter
+    inter, union = box_overlap(a, b)
     hull = (max(a.x2, b.x2) - min(a.x1, b.x1)) * (max(a.y2, b.y2) - min(a.y1, b.y1))
     iou = inter / union if union else float(a == b)
     dead = (hull - union) / hull if hull else 0.0

@@ -1400,6 +1400,38 @@ class TestStats:
             f"error: {trace}:2: bad trace record: {shown} is not a non-negative integer\n"
         )
 
+    @pytest.mark.parametrize("bad, reason", [
+        ('{"usage": {"estimated_cost": "0.5"}}', "estimated_cost '0.5' is not a number"),
+        ('{"usage": {"estimated_cost": true}}', "estimated_cost True is not a number"),
+        ('{"sentences": [{"steepest_gap": true}]}', "steepest_gap True is not a number"),
+        ('{"sentences": [{"steepest_gap": "0.3"}]}', "steepest_gap '0.3' is not a number"),
+        ('{"sentences": [{"post_pruning_interval": [1.5, 3]}]}',
+         "post_pruning_interval [1.5, 3] is not null or two integers"),
+        ('{"sentences": [{"post_pruning_interval": [true, 3]}]}',
+         "post_pruning_interval [true, 3] is not null or two integers"),
+    ], ids=["cost-string", "cost-true", "gap-true", "gap-string", "interval-1.5",
+            "interval-true"])
+    def test_a_value_that_is_not_the_number_it_names_exits_1_naming_it(
+        self, tmp_path, bad, reason
+    ):
+        # Rejected, not counted: float() read "0.5" and true as costs, and the
+        # interval [1.5, 3] was counted with length 2.5.
+        trace = tmp_path / "trace.ndjson"
+        trace.write_text('{"video_id": "ok", "sentences": []}\n' + bad + "\n")
+        result = CliRunner().invoke(main, ["stats", str(trace)])
+        assert result.exit_code == 1, result.output
+        assert isinstance(result.exception, SystemExit), result.exception
+        assert result.output == f"error: {trace}:2: bad trace record: {reason}\n"
+
+    def test_an_integer_cost_and_gap_are_counted(self, tmp_path):
+        trace = tmp_path / "trace.ndjson"
+        trace.write_text('{"video_id": "v", "usage": {"estimated_cost": 2}, "sentences": '
+                         '[{"steepest_gap": 1, "post_pruning_interval": [2, 4]}, {}]}\n')
+        report = aggregate_stats([str(trace)])
+        assert report["token_usage"]["estimated_cost"] == 2.0
+        assert report["histograms"]["steepest_decline_gaps"] == {"1.0": 1}
+        assert report["histograms"]["aligned_interval_lengths"] == {"3": 1}
+
     def test_cost_sum_too_large_for_a_float_exits_1_naming_its_line(self, tmp_path):
         trace = tmp_path / "trace.ndjson"
         record = '{"video_id": "v", "usage": {"estimated_cost": 1.5e308}}'
@@ -1692,6 +1724,44 @@ class TestEvalCommand:
         assert result.exit_code == 1
         assert isinstance(result.exception, SystemExit), result.exception
         assert f"{gt}:2:" in result.output
+
+    def test_unlocalized_graph_triplet_names_null_box(self, tmp_path):
+        gt, pred = tmp_path / "gt.ndjson", tmp_path / "pred.ndjson"
+        gt.write_text(json.dumps(dict(EVAL_RECORD, object_box=None)) + "\n")
+        pred.write_text(json.dumps(dict(EVAL_RECORD, score=0.9)) + "\n")
+        result = CliRunner().invoke(main, ["eval", "--gt", str(gt), "--pred", str(pred)])
+        assert result.exit_code == 1
+        assert result.output == f"error: {gt}:1: graph triplet is not localized (null box)\n"
+
+    @pytest.mark.parametrize("gt_frame, pred_frame, reason", [
+        (1.5, 1.9, "frame_index 1.5 is not a positive integer"),
+        (True, 1, "frame_index True is not a positive integer"),
+        ("2", 2, "frame_index '2' is not a positive integer"),
+    ], ids=["fractional", "boolean", "string"])
+    def test_a_frame_index_that_is_not_an_integer_exits_1_naming_its_line(
+        self, tmp_path, gt_frame, pred_frame, reason
+    ):
+        # int() read GT frame 1.5 and a prediction at 1.9 as one frame 1.
+        gt, pred = tmp_path / "gt.ndjson", tmp_path / "pred.ndjson"
+        gt.write_text(json.dumps(dict(EVAL_RECORD, frame_index=gt_frame)) + "\n")
+        pred.write_text(json.dumps(dict(EVAL_RECORD, frame_index=pred_frame, score=0.9)) + "\n")
+        result = _cli("eval", "--gt", gt, "--pred", pred)
+        assert result.returncode == 1, result.stderr
+        assert result.stderr == f"error: {gt}:1: bad graph record: {reason}\n"
+
+    @pytest.mark.parametrize("score, shown", [(True, "True"), ("0.9", "'0.9'")],
+                             ids=["boolean", "string"])
+    def test_a_score_that_is_not_a_number_exits_1_naming_its_line(self, tmp_path, score,
+                                                                   shown):
+        gt, pred = tmp_path / "gt.ndjson", tmp_path / "pred.ndjson"
+        gt.write_text(json.dumps(EVAL_RECORD) + "\n")
+        pred.write_text(json.dumps(dict(EVAL_RECORD, score=0.9)) + "\n"
+                        + json.dumps(dict(EVAL_RECORD, score=score)) + "\n")
+        result = CliRunner().invoke(main, ["eval", "--gt", str(gt), "--pred", str(pred)])
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit), result.exception
+        assert result.output == (
+            f"error: {pred}:2: bad graph record: score {shown} is not a number\n")
 
     @pytest.mark.parametrize("line, reason", [
         (b"\xff", "not UTF-8"),

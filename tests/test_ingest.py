@@ -15,6 +15,7 @@ from capgraph.core import (
     BoundingBox,
     Detection,
     EmbeddingMatrix,
+    Provenance,
     SceneGraph,
     Triplet,
     VideoManifest,
@@ -28,6 +29,7 @@ from capgraph.errors import (
 )
 from capgraph.ingest import (
     IngestConfig,
+    graph_triplets,
     load_bundle,
     load_detections,
     load_frame_triplets,
@@ -752,3 +754,166 @@ def test_frame_loader_equals_per_video_scene_graphs(mutation_file, records, seed
         graphs.setdefault(video_id, {})[frame] = tuple(triplets)
     assert repr(load_scene_graphs(mutation_file)) == repr(
         [SceneGraph(video_id, per_frame) for video_id, per_frame in graphs.items()])
+
+
+# ---------------------------------------------------------------------------
+# The graph row function against per-line json.loads plus Triplet(...)
+
+class _NullBox(Exception):
+    pass
+
+
+def _reference_row(record):
+    """One graph record as its video id and triplet, decoded field by field
+    with fresh code: ``str`` for the ids and names, ``BoundingBox.from_list``
+    for a set box, a positive integer frame, a number or null score,
+    ``Provenance(...)``, then ``Triplet(...)``; ``_NullBox`` if a box is not
+    set."""
+    video_id = str(record["video_id"])
+    names = [str(record[field])
+             for field in ("subject_class", "predicate_class", "object_class")]
+    boxes = [BoundingBox.from_list(record.get(field)) if record.get(field) else None
+             for field in ("subject_box", "object_box")]
+    frame = record.get("frame_index")
+    if isinstance(frame, bool) or not isinstance(frame, int) or frame < 1:
+        raise ValueError(f"frame_index {frame!r} is not a positive integer")
+    score = record.get("score")
+    if score is not None:
+        if isinstance(score, bool) or not isinstance(score, (int, float)):
+            raise ValueError(f"score {score!r} is not a number")
+        score = float(score)
+    triplet = Triplet(*names, *boxes, frame, score,
+                      Provenance(record.get("provenance", "caption")))
+    if not triplet.is_localized:
+        raise _NullBox
+    return video_id, triplet
+
+
+def _reference_rows(lines):
+    """(rows, error) for a graph file of ``lines``: each line's
+    ``_reference_row`` up to the first line that fails, and that line's number
+    and reason (None if every line decodes)."""
+    rows = []
+    for line_no, line in enumerate(lines, start=1):
+        try:
+            record = json.loads(line)
+            if not isinstance(record, dict):
+                raise TypeError(f"expected a JSON object, got {type(record).__name__}")
+            rows.append(_reference_row(record))
+        except _NullBox:
+            return rows, (line_no, "graph triplet is not localized (null box)")
+        except (LookupError, TypeError, ValueError, OverflowError) as e:
+            return rows, (line_no, f"bad graph record: {e}")
+    return rows, None
+
+
+# Values that break a graph field, or that a lax loader would convert.
+_SPOILED = {
+    "video_id": [_DELETED, 7],
+    "subject_class": [_DELETED, 5, ["person"]],
+    "predicate_class": [_DELETED, None],
+    "object_class": [_DELETED, True],
+    "subject_box": [None, [], [1, 2, 3], [[1], 2, 3, 4], "abcd", 5, [1, 2, 3, 10**400]],
+    "object_box": [None, 0, {"a": 1, "b": 2, "c": 3, "d": 4}, ["1", "2", "30", "40"]],
+    "frame_index": [_DELETED, None, 0, -1, 1.5, 2.0, True, "2", [1]],
+    "score": [True, "0.5", [0.5], 7, 10**400, math.inf],
+    "provenance": ["bogus", ["prediction"], None],
+}
+_SPOILED_LINES = st.tuples(
+    _GRAPH_LINES, st.sampled_from(sorted(_SPOILED)), st.integers(0, 8),
+).map(lambda drawn: _spoil(*drawn))
+
+
+def _spoil(record, field, pick):
+    record = dict(record)
+    value = _SPOILED[field][pick % len(_SPOILED[field])]
+    if value is _DELETED:
+        del record[field]
+    else:
+        record[field] = value
+    return record
+
+
+@given(records=st.lists(_GRAPH_LINES | _SPOILED_LINES, max_size=12))
+@settings(max_examples=300, deadline=None)
+def test_graph_rows_equal_per_line_json_loads_plus_triplet(mutation_file, records):
+    lines = [json.dumps(r) for r in records]
+    mutation_file.write_text("".join(line + "\n" for line in lines))
+    want_rows, want_error = _reference_rows(lines)
+
+    def outcome(load):
+        got = []
+        try:
+            got.extend(load(mutation_file))
+        except MalformedRecord as e:
+            assert e.path == str(mutation_file)
+            return got, (e.line_number, e.reason)
+        return got, None
+
+    rows, error = outcome(graph_triplets)
+    # repr tells NaN, None, -0.0 and 0.0 apart, as == does not.
+    assert repr(rows) == repr(want_rows)
+    assert error == want_error
+    frames, frames_error = outcome(lambda path: load_frame_triplets(path).items())
+    assert frames_error == want_error
+    if want_error is None:
+        by_video = {}
+        for video_id, t in want_rows:
+            by_video.setdefault(video_id, []).append(t)
+        want_frames = {}
+        for video_id in sorted(by_video):
+            for t in sorted(by_video[video_id], key=lambda t: triplet_sort_key(video_id, t)):
+                want_frames.setdefault((video_id, t.frame_index), []).append(t)
+        assert repr(dict(frames)) == repr(want_frames)
+    # Equal class names within the file are one object.
+    for triplets in ([t for _, t in rows], [t for _, ts in frames for t in ts]):
+        first = {}
+        for t in triplets:
+            for name in t.classes():
+                assert first.setdefault(name, name) is name
+
+
+class TestIntegerRule:
+    """A frame index, order index or score that is not the number it names is
+    rejected with its line, never converted."""
+
+    @pytest.mark.parametrize("field, value, reason", [
+        ("frame_index", 1.5, "frame_index 1.5 is not a positive integer"),
+        ("frame_index", 2.0, "frame_index 2.0 is not a positive integer"),
+        ("frame_index", True, "frame_index True is not a positive integer"),
+        ("frame_index", "2", "frame_index '2' is not a positive integer"),
+        ("frame_index", 0, "frame_index 0 is not a positive integer"),
+        ("frame_index", None, "frame_index None is not a positive integer"),
+        ("score", True, "score True is not a number"),
+        ("score", "0.5", "score '0.5' is not a number"),
+    ], ids=["frame-1.5", "frame-2.0", "frame-true", "frame-string", "frame-0", "frame-null",
+            "score-true", "score-string"])
+    def test_graph_line(self, tmp_path, field, value, reason):
+        good = _graph_record(1, "holding", [0, 0, 2, 2], [3, 3, 5, 5], 0.9)
+        path = tmp_path / "g.ndjson"
+        path.write_text(json.dumps(good) + "\n" + json.dumps(dict(good, **{field: value})) + "\n")
+        for load in (load_frame_triplets, lambda p: list(graph_triplets(p))):
+            with pytest.raises(MalformedRecord) as err:
+                load(path)
+            assert (err.value.line_number, err.value.reason) == (2, f"bad graph record: {reason}")
+
+    def test_graph_line_with_an_integer_score_loads_it_as_a_float(self, tmp_path):
+        path = tmp_path / "g.ndjson"
+        path.write_text(json.dumps(_graph_record(1, "holding", [0, 0, 2, 2], [3, 3, 5, 5], 1))
+                        + "\n")
+        ((_, triplet),) = graph_triplets(path)
+        assert repr(triplet.score) == "1.0"
+
+    @pytest.mark.parametrize("what", ["sentence", "parsed-triplet"])
+    @pytest.mark.parametrize("value, shown", [
+        (1.5, "1.5"), (True, "True"), ("2", "'2'"), (0, "0"), (None, "None"),
+    ], ids=["1.5", "true", "string", "0", "null"])
+    def test_order_index(self, tmp_path, what, value, shown):
+        load, record = _VALID_LINES[what]
+        path = tmp_path / "records.ndjson"
+        path.write_text(json.dumps(record) + "\n"
+                        + json.dumps(dict(record, order_index=value)) + "\n")
+        with pytest.raises(MalformedRecord) as err:
+            load(path)
+        assert (err.value.line_number, err.value.reason) == (
+            2, f"bad {what} record: order_index {shown} is not a positive integer")

@@ -3,11 +3,15 @@ import os
 import re
 import subprocess
 import sys
+import tempfile
 import threading
 import time
+from unittest import mock
 
 import pytest
 import requests
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from click.testing import CliRunner
 
 import capgraph
@@ -240,6 +244,57 @@ class TestMalformedReply:
         )):
             client.complete("hello")
         assert not list(tmp_path.iterdir())
+
+
+# Completion payloads of every shape a 200 reply may carry: well formed, with
+# a content or a count of the wrong type or size, or missing a level.
+_COUNTS = (st.integers(-2, 10**6) | st.sampled_from([10**400, 1.5, True, None, "7", [3]])
+           | st.floats())
+_CONTENTS = st.text(max_size=8) | st.none() | st.integers() | st.lists(st.text(max_size=3),
+                                                                       max_size=2)
+_USAGES = st.fixed_dictionaries({}, optional={
+    "prompt_tokens": _COUNTS, "completion_tokens": _COUNTS,
+}) | st.sampled_from([None, [12, 4], "12", 3])
+_MESSAGES = st.fixed_dictionaries({}, optional={"content": _CONTENTS}) | st.sampled_from(
+    [None, "1. ok", ["1. ok"]])
+_CHOICES = st.lists(st.fixed_dictionaries({}, optional={"message": _MESSAGES}), max_size=2) \
+    | st.sampled_from([None, {}, "choices", {"0": {"message": {"content": "1. ok"}}}])
+_PAYLOADS = st.fixed_dictionaries({}, optional={"choices": _CHOICES, "usage": _USAGES}) \
+    | st.sampled_from([None, [], "1. ok", 3])
+
+
+@given(payload=_PAYLOADS)
+@settings(max_examples=300, deadline=None)
+def test_a_200_payload_is_recorded_and_replayable_or_rejected_naming_its_key(payload):
+    """Each 200 payload either returns its text and writes one cassette that an
+    offline replay accepts, or raises ``LlmTransport`` naming the key after
+    exactly one POST, with nothing written."""
+    posts, slept = [], []
+
+    def post(*args, **kwargs):
+        posts.append(args)
+        response = requests.Response()
+        response.status_code = 200
+        response._content = json.dumps(payload).encode()
+        return response
+
+    key = cache_key("m", "hello")
+    with tempfile.TemporaryDirectory() as cache, \
+            mock.patch.object(requests, "post", post), \
+            mock.patch.object(llm.time, "sleep", slept.append):
+        client = ChatClient("m", endpoint="http://example/chat", cache_dir=cache)
+        try:
+            text = client.complete("hello")
+        except LlmTransport as e:
+            assert str(e).startswith(f"key {key[:12]}…: malformed completion payload: ")
+            assert os.listdir(cache) == []
+        else:
+            assert text == payload["choices"][0]["message"]["content"]
+            assert os.listdir(cache) == [f"{key}.json"]
+            replay = ChatClient("m", cache_dir=cache, offline=True)
+            assert replay.complete("hello") == text
+            assert (replay.usage, replay.network_calls) == (client.usage, 0)
+        assert (len(posts), slept) == (1, [])
 
 
 class TestLazyRequests:
