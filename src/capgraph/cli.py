@@ -62,8 +62,8 @@ def aggregate_stats(trace_paths: Sequence[str]) -> dict:
     token or discard count that is not a non-negative integer
     (``core.checked_int``), a cost or a steepest gap that is not a number
     (``core.checked_number``), or a post-pruning interval that is not null
-    or two integers (``core.checked_interval``) is a bad record, named by
-    its file and line.
+    or two integers with ``1 <= lo <= hi`` (``core.checked_interval``) is a
+    bad record, named by its file and line.
     """
 
     def decode(record: dict) -> tuple:
@@ -253,7 +253,7 @@ def align_cmd(data_root, sentences_path, out_path, beta, selection, seed, trace_
         clusterings = align_mod.cluster_videos([frames for _, frames, _, _ in chunk], config, seed)
         for (m, _, sentence_embeds, _), clustering in zip(chunk, clusterings):
             aligned[m.video_id], trace = align_video(
-                m.video_id, sentences[m.video_id], sentence_embeds, clustering, config
+                m.video_id, sentences[m.video_id], sentence_embeds, clustering, config, data_root
             )
             traces.append(trace)
     ingest.write_sentences(aligned, out_path)

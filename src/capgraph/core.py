@@ -31,17 +31,18 @@ if TYPE_CHECKING:
 # ---------------------------------------------------------------------------
 # Field rules: how a value read back from a file is checked. JSON's only
 # integers are ints and its only other numbers floats; a boolean, a string or
-# a float standing in for an integer is rejected, never converted.
+# a float standing in for a number is rejected, never converted. Every number,
+# interval and box a record holds is read by one of these rules.
 
-_INTEGER_KINDS = {0: "non-negative", 1: "positive"}
+_INTEGER_KINDS = {None: "an", 0: "a non-negative", 1: "a positive"}
 
 
-def checked_int(field: str, value, least: int = 0) -> int:
-    """``value`` if it is an integer of at least ``least`` (0 or 1) and not a
-    boolean, else ``ValueError`` naming ``field``: the rule for every count,
-    frame index and order index a record holds."""
-    if type(value) is not int or value < least:
-        raise ValueError(f"{field} {value!r} is not a {_INTEGER_KINDS[least]} integer")
+def checked_int(field: str, value, least: Optional[int] = 0) -> int:
+    """``value`` if it is an integer of at least ``least`` (0, 1, or None for
+    any) and not a boolean, else ``ValueError`` naming ``field``: the rule
+    for every count, frame index and order index a record holds."""
+    if type(value) is not int or least is not None and value < least:
+        raise ValueError(f"{field} {value!r} is not {_INTEGER_KINDS[least]} integer")
     return value
 
 
@@ -58,12 +59,15 @@ def checked_number(field: str, value) -> float:
 
 def checked_interval(field: str, interval) -> Optional[Tuple[int, int]]:
     """``interval`` as a (first, last) frame pair if it is null or a list of
-    exactly two integers, else ``ValueError`` naming ``field``."""
+    exactly two integers with ``1 <= first <= last``, else ``ValueError``
+    naming ``field``."""
     if interval is None:
         return None
     if not (isinstance(interval, list) and len(interval) == 2
             and all(type(frame) is int for frame in interval)):
         raise ValueError(f"{field} {json.dumps(interval)} is not null or two integers")
+    if not 1 <= interval[0] <= interval[1]:
+        raise ValueError(f"{field} {interval} is not 1 <= lo <= hi")
     return tuple(interval)
 
 
@@ -106,8 +110,15 @@ class BoundingBox(NamedTuple):
 
     @classmethod
     def from_list(cls, values: Sequence[float]) -> "BoundingBox":
+        """The box of four numbers (``checked_number``), as floats."""
         x1, y1, x2, y2 = values
-        return tuple.__new__(cls, (float(x1), float(y1), float(x2), float(y2)))
+        if type(x1) is float and type(y1) is float and type(x2) is float and type(y2) is float:
+            # checked_number's first case for all four at once: most boxes
+            # read are floats, and eval reads 40,000 a pass.
+            return tuple.__new__(cls, (x1, y1, x2, y2))
+        field = "box coordinate"
+        return tuple.__new__(cls, (checked_number(field, x1), checked_number(field, y1),
+                                   checked_number(field, x2), checked_number(field, y2)))
 
 
 def box_overlap(a: BoundingBox, b: BoundingBox) -> Tuple[float, float]:
@@ -151,11 +162,14 @@ class Detection:
 
     @classmethod
     def from_dict(cls, d: dict) -> "Detection":
+        """The detection a record holds: its ``frame_index`` an integer
+        (``checked_int``; ``load_detections`` checks the range), its box and
+        ``confidence`` numbers (``checked_number``), else ``ValueError``."""
         return cls(
-            frame_index=int(d["frame_index"]),
+            frame_index=checked_int("frame_index", d["frame_index"], least=None),
             entity_class=str(d["entity_class"]),
             box=BoundingBox.from_list(d["box"]),
-            confidence=float(d["confidence"]),
+            confidence=checked_number("confidence", d["confidence"]),
         )
 
 
@@ -187,12 +201,13 @@ class VideoManifest:
 
     @classmethod
     def from_dict(cls, d: dict) -> "VideoManifest":
-        return cls(
-            video_id=str(d["video_id"]),
-            frame_ids=tuple(str(f) for f in d["frame_ids"]),
-            fps=float(d["fps"]),
-            caption=str(d["caption"]),
-        )
+        """The manifest a record holds: its ``frame_ids`` a list and its
+        ``fps`` a number (``checked_number``), else ``ValueError``."""
+        video_id, frame_ids = str(d["video_id"]), d["frame_ids"]
+        if type(frame_ids) is not list:
+            raise ValueError(f"frame_ids {frame_ids!r} is not a list")
+        return cls(video_id, tuple(str(f) for f in frame_ids), checked_number("fps", d["fps"]),
+                   str(d["caption"]))
 
 
 _PARTITION_BUCKETS = ("attention", "spatial", "contacting")

@@ -27,7 +27,11 @@ and ``load_scene_graphs`` groups into one graph per video.
 
 A count, frame index or order index in any record is an integer, not a
 boolean, a string or a float (``core.checked_int``): ``1.5``, ``true`` and
-``"2"`` are rejected, never truncated.
+``"2"`` are rejected, never truncated. Every other number (a box coordinate,
+a confidence, a score, an fps) is an integer or a float, not a boolean or a
+string (``core.checked_number``), an aligned interval is null or two frames
+``1 <= lo <= hi`` (``core.checked_interval``), and a manifest's ``frame_ids``
+is a list.
 
 Every NDJSON file is read by ``read_records``, which decodes each line to the
 value ``json.loads`` gives it and rejects a line with ``json.loads``' reason.
@@ -336,10 +340,12 @@ def load_manifests(path) -> List[VideoManifest]:
 def load_detections(path, confidence_floor: float, num_frames: int) -> List[Detection]:
     """One video's detections at or above ``confidence_floor``, in file order.
 
-    A kept detection must lie on a frame in 1..``num_frames`` and have a valid
-    box and a confidence in [0, 1]; one that does not raises
-    ``MalformedRecord`` naming its line. Detections under the floor (a NaN
-    confidence is under any floor) are dropped unchecked.
+    Every line must hold an integer frame index and a box and confidence of
+    numbers (``Detection.from_dict``). A kept detection must also lie on a
+    frame in 1..``num_frames`` and have a valid box and a confidence in
+    [0, 1]; one that does not raises ``MalformedRecord`` naming its line.
+    Detections under the floor (a NaN confidence is under any floor) are
+    dropped without these range checks.
     """
 
     def kept(record: dict) -> Optional[Detection]:
@@ -433,13 +439,15 @@ class _Boxes(dict):
 
     Sharing is bit-exact: equal ints and floats convert to the same float,
     and a NaN read from one line never equals one read from another. Boxes
-    with a zero coordinate are never shared, since ``-0.0 == 0.0`` would let
-    one stand in for the other.
+    with a 0 or 1 coordinate are never shared: ``-0.0 == 0.0`` would let one
+    sign stand in for the other, and ``false == 0`` or ``true == 1`` a
+    boolean, which ``from_list`` rejects, for the number.
     """
 
     def __missing__(self, key: tuple) -> BoundingBox:
         box = BoundingBox.from_list(key)
-        if 0 not in key:
+        # 0.0 and 1.0, not 0 and 1: float-to-float compares take half the time.
+        if 0.0 not in key and 1.0 not in key:
             self[key] = box
         return box
 
@@ -560,22 +568,26 @@ def write_sentences(sentences_by_video: Dict[str, List[SegmentedSentence]], path
 
 
 def _checked_sentence(record: dict) -> Tuple[str, SegmentedSentence]:
-    """The video id and sentence a record holds, if its text is not blank and
-    its frames, if aligned, are ``1 <= lo <= hi``; else ``ValueError``."""
+    """The video id and sentence a record holds, if its text is not blank;
+    else ``ValueError``."""
     sentence = SegmentedSentence.from_dict(record)
     if not sentence.text.strip():
         raise ValueError("text is empty")
-    interval = sentence.aligned_frames
-    if interval and not 1 <= interval[0] <= interval[1]:
-        raise ValueError(f"aligned_frames {list(interval)} is not 1 <= lo <= hi")
     return str(record["video_id"]), sentence
 
 
 def load_sentences(path) -> Dict[str, List[SegmentedSentence]]:
     """Sentences by video id, in order; a record ``_checked_sentence``
-    rejects raises ``MalformedRecord`` naming its line."""
+    rejects, or a repeated (video id, order index) pair, raises
+    ``MalformedRecord`` naming its line."""
     out: Dict[str, List[SegmentedSentence]] = {}
-    for _, (video_id, sentence) in read_records(path, "sentence", _checked_sentence):
+    seen = set()
+    for line_no, (video_id, sentence) in read_records(path, "sentence", _checked_sentence):
+        if (video_id, sentence.order_index) in seen:
+            raise MalformedRecord(
+                path, line_no, f"duplicate order_index {sentence.order_index} of video {video_id!r}"
+            )
+        seen.add((video_id, sentence.order_index))
         out.setdefault(video_id, []).append(sentence)
     for sentences in out.values():
         sentences.sort(key=lambda s: s.order_index)
@@ -632,23 +644,25 @@ def _check_unit_rows(path, matrix: EmbeddingMatrix) -> None:
         )
 
 
-def _check_frame_rows(path, matrix: EmbeddingMatrix, manifest: VideoManifest) -> None:
-    """Raise ``MalformedRecord`` naming ``path`` unless the normalized frame
-    embeddings hold one unit row per frame, with the manifest's frame ids in
-    order."""
-    if len(matrix) != manifest.num_frames:
+_ROW_ID_NAMES = {"frame": "id", "sentence": "order index"}
+
+
+def check_rows(
+    path, matrix: EmbeddingMatrix, ids: Sequence[str], item: str, video_id: str
+) -> None:
+    """Raise ``MalformedRecord`` naming ``path`` unless ``matrix`` holds one
+    row per ``item`` ("frame" or "sentence") of video ``video_id``, row *i*'s
+    id being ``ids[i]``: the row count is checked first, then the ids."""
+    if len(matrix) != len(ids):
         raise MalformedRecord(
-            path, 0, f"{len(matrix)} rows for the {manifest.num_frames} frames of "
-            f"video {manifest.video_id!r}"
+            path, 0, f"{len(matrix)} rows for the {len(ids)} {item}s of video {video_id!r}"
         )
-    if matrix.row_ids != manifest.frame_ids:
-        index = next(i for i, (a, b) in enumerate(zip(matrix.row_ids, manifest.frame_ids))
-                     if a != b)
-        raise MalformedRecord(
-            path, 0, f"row id {matrix.row_ids[index]!r} is not the id of frame "
-            f"{index + 1}, {manifest.frame_ids[index]!r}"
-        )
-    _check_unit_rows(path, matrix)
+    for index, (row_id, expected) in enumerate(zip(matrix.row_ids, ids)):
+        if row_id != expected:
+            raise MalformedRecord(
+                path, 0, f"row id {row_id!r} is not the {_ROW_ID_NAMES[item]} of {item} "
+                f"{index + 1}, {expected!r}"
+            )
 
 
 def load_video(
@@ -672,7 +686,8 @@ def load_video(
     frames = read_embeddings(frames_path).normalized()
     if frames.dim <= 0:
         raise DimensionMismatch(f"{frames_path}: dimension must be positive")
-    _check_frame_rows(frames_path, frames, manifest)
+    check_rows(frames_path, frames, manifest.frame_ids, "frame", video_id)
+    _check_unit_rows(frames_path, frames)
 
     sentences = None
     sentences_path = root / "embeddings" / f"{video_id}.sentences.nlve"

@@ -31,7 +31,7 @@ from .core import (
     EmbeddingMatrix, FrameTriplets, GroundingTable, SceneGraph, SegmentedSentence, Triplet,
     VideoManifest, Vocabulary,
 )
-from .errors import CapgraphError, IoFailure, MalformedRecord, MissingFile, StageError
+from .errors import CapgraphError, IoFailure, MissingFile, StageError
 from .llm import ChatClient, TokenUsage
 
 
@@ -156,30 +156,24 @@ def align_video(
     sentence_embeds: Optional[EmbeddingMatrix],
     clustering: align_mod.ClusteringResult,
     config: align_mod.AlignConfig,
+    data_root,
 ) -> Tuple[List[SegmentedSentence], align_mod.AlignmentTrace]:
     """Align one video's sentences on ``clustering``, the clustering of its
     frames (``align.cluster_videos``).
 
-    ``sentence_embeds`` is the video's sentence matrix, None when it has no
-    file (``MissingFile``), and must hold one row per sentence, in order: row
-    *i*'s id is sentence *i*'s order index. Otherwise ``MalformedRecord``
-    names the file."""
-    path = f"embeddings/{video_id}.sentences.nlve"
+    ``sentence_embeds`` is the video's sentence matrix, None when the dataset
+    root ``data_root`` has no file for it (``MissingFile``), and must hold
+    one row per sentence, in order: row *i*'s id is sentence *i*'s order
+    index (``ingest.check_rows``). Otherwise ``MalformedRecord`` names the
+    file."""
+    path = Path(data_root) / "embeddings" / f"{video_id}.sentences.nlve"
     if sentence_embeds is None:
         raise MissingFile(
             f"{path} (produce sentence embeddings for the segmented captions, then re-run)"
         )
-    if len(sentence_embeds) != len(sentences):
-        raise MalformedRecord(
-            path, 0, f"{len(sentence_embeds)} rows for the {len(sentences)} sentences of "
-            f"video {video_id!r}"
-        )
-    for index, (row_id, sentence) in enumerate(zip(sentence_embeds.row_ids, sentences)):
-        if row_id != str(sentence.order_index):
-            raise MalformedRecord(
-                path, 0, f"row id {row_id!r} is not the order index of sentence "
-                f"{index + 1}, '{sentence.order_index}'"
-            )
+    ingest.check_rows(
+        path, sentence_embeds, [str(s.order_index) for s in sentences], "sentence", video_id
+    )
     return align_mod.align_sentences(
         sentences, sentence_embeds, clustering, config, video_id=video_id
     )
@@ -261,7 +255,8 @@ def _process_video(
     discards = parse_mod.DiscardCounters()
     sentences = segment_video(manifest, config.segmentation, client)
     aligned, trace = align_video(
-        manifest.video_id, sentences, sentence_embeds, clustering, config.alignment
+        manifest.video_id, sentences, sentence_embeds, clustering, config.alignment,
+        config.data_root,
     )
     extracted, mapped = parse_sentences(aligned, vocab, config.parsing, client, discards)
     return VideoResult(

@@ -1409,13 +1409,17 @@ class TestStats:
          "post_pruning_interval [1.5, 3] is not null or two integers"),
         ('{"sentences": [{"post_pruning_interval": [true, 3]}]}',
          "post_pruning_interval [true, 3] is not null or two integers"),
+        ('{"sentences": [{"post_pruning_interval": [3, 1]}]}',
+         "post_pruning_interval [3, 1] is not 1 <= lo <= hi"),
+        ('{"sentences": [{"post_pruning_interval": [0, 2]}]}',
+         "post_pruning_interval [0, 2] is not 1 <= lo <= hi"),
     ], ids=["cost-string", "cost-true", "gap-true", "gap-string", "interval-1.5",
-            "interval-true"])
+            "interval-true", "interval-reversed", "interval-frame-0"])
     def test_a_value_that_is_not_the_number_it_names_exits_1_naming_it(
         self, tmp_path, bad, reason
     ):
         # Rejected, not counted: float() read "0.5" and true as costs, and the
-        # interval [1.5, 3] was counted with length 2.5.
+        # intervals [1.5, 3] and [3, 1] were counted with lengths 2.5 and -1.
         trace = tmp_path / "trace.ndjson"
         trace.write_text('{"video_id": "ok", "sentences": []}\n' + bad + "\n")
         result = CliRunner().invoke(main, ["stats", str(trace)])
@@ -1589,6 +1593,47 @@ class TestSentenceEmbeddingRows:
         _with_sentence_rows(data_root, tmp_path / "data", ["b", "a"])
         result = CliRunner().invoke(main, ["validate", "--data-root", str(tmp_path / "data")])
         assert result.exit_code == 0, result.output
+
+
+class TestSentenceFileIsNamedUnderTheDataRoot:
+    """``run-all`` and ``align`` name a video's sentence embeddings as the
+    loader names its frame embeddings: under ``--data-root``, not relative to
+    the working directory."""
+
+    def _invoke(self, command, data_root, cassette_dir, tmp_path, monkeypatch):
+        sentences = tmp_path / "raw.ndjson"
+        write_sentences({"kitchen01": [SegmentedSentence(1, "A person sits."),
+                                       SegmentedSentence(2, "The person stands.")],
+                         "kitchen02": [SegmentedSentence(1, "A person waves.")]}, sentences)
+        args = {
+            "run-all": ["--out-dir", str(tmp_path / "out"), "--cache-dir", str(cassette_dir),
+                        "--offline"],
+            "align": ["--sentences", str(sentences), "--out", str(tmp_path / "aligned.ndjson")],
+        }[command]
+        elsewhere = tmp_path / "elsewhere"
+        elsewhere.mkdir()
+        monkeypatch.chdir(elsewhere)
+        result = CliRunner().invoke(main, [command, "--data-root", str(data_root), *args])
+        assert result.exit_code == 1, result.output
+        assert isinstance(result.exception, SystemExit), result.exception
+        return result.output
+
+    @pytest.mark.parametrize("command", ["run-all", "align"])
+    def test_a_row_mismatch(self, data_root, cassette_dir, tmp_path, monkeypatch, command):
+        root = tmp_path / "data"
+        _with_sentence_rows(data_root, root, ["1"])
+        output = self._invoke(command, root, cassette_dir, tmp_path, monkeypatch)
+        path = root / "embeddings" / "kitchen01.sentences.nlve"
+        assert f"{path}:0: 1 rows for the 2 sentences of video 'kitchen01'" in output
+
+    @pytest.mark.parametrize("command", ["run-all", "align"])
+    def test_a_missing_file(self, data_root, cassette_dir, tmp_path, monkeypatch, command):
+        root = tmp_path / "data"
+        shutil.copytree(data_root, root)
+        path = root / "embeddings" / "kitchen01.sentences.nlve"
+        path.unlink()
+        output = self._invoke(command, root, cassette_dir, tmp_path, monkeypatch)
+        assert f"{path} (produce sentence embeddings" in output
 
 
 # One localized graph line; as a prediction it takes a score.

@@ -153,11 +153,10 @@ class TestValueTypes:
         assert hash(BoundingBox(0.0, 0.0, 1.0, 1.0)) == hash((0.0, 0.0, 1.0, 1.0))
 
     @pytest.mark.parametrize("bad, error, message", [
-        ([[1], 2, 3, 4], TypeError, "float() argument must be a string or a real number, "
-                                    "not 'list'"),
+        ([[1], 2, 3, 4], ValueError, "box coordinate [1] is not a number"),
         (5, TypeError, "cannot unpack non-iterable int object"),
         ([1, 2, 3], ValueError, "not enough values to unpack (expected 4, got 3)"),
-        ("abcd", ValueError, "could not convert string to float: 'a'"),
+        ("abcd", ValueError, "box coordinate 'a' is not a number"),
     ], ids=["nested", "scalar", "short", "string"])
     def test_from_list_errors(self, bad, error, message):
         with pytest.raises(error) as raised:

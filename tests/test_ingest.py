@@ -5,6 +5,7 @@ import random
 import re
 import struct
 import sys
+from typing import Optional
 
 import numpy as np
 import pytest
@@ -193,8 +194,8 @@ class TestSharedBoxes:
         person = self.PERSON
         return [
             # Integer coordinates, then the same box written as floats.
-            _graph_record(1, "holding", person, [1, 2, 30, 40], 0.9),
-            _graph_record(1, "looking at", person, [1.0, 2.0, 30.0, 40.0], 0.8),
+            _graph_record(1, "holding", person, [3, 2, 30, 40], 0.9),
+            _graph_record(1, "looking at", person, [3.0, 2.0, 30.0, 40.0], 0.8),
             # Boxes that compare equal but differ in the sign of a zero.
             _graph_record(2, "holding", [0.0, 5.0, 50.0, 60.0], person, 0.7),
             _graph_record(2, "looking at", [-0.0, 5.0, 50.0, 60.0], person, 0.6),
@@ -232,6 +233,22 @@ class TestSharedBoxes:
         assert triplets[0].object_box is triplets[1].object_box
         signs = [math.copysign(1.0, t.subject_box.x1) for t in triplets[2:]]
         assert signs == [1.0, -1.0, -1.0, 1.0]
+
+    @pytest.mark.parametrize("flag", [True, False])
+    def test_a_boolean_coordinate_never_takes_a_shared_box(self, tmp_path, flag):
+        # true == 1 and false == 0: a box with a 1 or 0 is never shared, so
+        # the boolean meets the number rule instead of the first box's entry.
+        number = int(flag)
+        path = tmp_path / "g.ndjson"
+        self._write_records(path, [
+            _graph_record(1, "holding", self.PERSON, [number, 2, 30, 40], 0.9),
+            _graph_record(1, "holding", self.PERSON, [float(number), 2, 30, 40], 0.8),
+            _graph_record(1, "holding", self.PERSON, [flag, 2, 30, 40], 0.7),
+        ])
+        with pytest.raises(MalformedRecord) as err:
+            load_scene_graphs(path)
+        assert (err.value.line_number, err.value.reason) == (
+            3, f"bad graph record: box coordinate {flag} is not a number")
 
     @pytest.mark.parametrize("bad_box", [[[1], 2, 3, 4], 5, [1, 2, 3], "abcd"])
     def test_bad_box_reports_the_unshared_error(self, tmp_path, bad_box):
@@ -294,6 +311,20 @@ class TestSentencesFile:
         path = tmp_path / "s.ndjson"
         write_sentences(sentences, path)
         assert load_sentences(path) == sentences
+
+    def test_a_repeated_order_index_of_one_video_is_malformed(self, tmp_path):
+        # Kept, both would share order index 1, and ground would put the
+        # first sentence's triplets on the second sentence's frames.
+        path = tmp_path / "s.ndjson"
+        path.write_text("".join(json.dumps(r) + "\n" for r in [
+            {"video_id": "v", "order_index": 1, "text": "a", "aligned_frames": [1, 1]},
+            {"video_id": "w", "order_index": 1, "text": "b", "aligned_frames": [2, 2]},
+            {"video_id": "v", "order_index": 1, "text": "c", "aligned_frames": [3, 3]},
+        ]))
+        with pytest.raises(MalformedRecord) as err:
+            load_sentences(path)
+        assert (err.value.line_number, err.value.reason) == (
+            3, "duplicate order_index 1 of video 'v'")
 
 
 class TestBundleLoading:
@@ -917,3 +948,231 @@ class TestIntegerRule:
             load(path)
         assert (err.value.line_number, err.value.reason) == (
             2, f"bad {what} record: order_index {shown} is not a positive integer")
+
+
+class TestNumberRule:
+    """A detection's or manifest's numbers are read by the rules every other
+    record's are: a value that is not the number it names is rejected with
+    its line, never converted."""
+
+    DETECTION = {"frame_index": 1, "entity_class": "person", "box": [0, 0, 2, 2],
+                 "confidence": 0.9}
+
+    def _detection_error(self, tmp_path, floor=0.2, **fields):
+        path = tmp_path / "d.ndjson"
+        path.write_text(json.dumps(self.DETECTION) + "\n"
+                        + json.dumps(dict(self.DETECTION, **fields)) + "\n")
+        with pytest.raises(MalformedRecord) as err:
+            load_detections(path, floor, 4)
+        assert err.value.line_number == 2
+        return err.value.reason
+
+    @pytest.mark.parametrize("field, value, reason", [
+        ("frame_index", 1.5, "frame_index 1.5 is not an integer"),
+        ("frame_index", 2.0, "frame_index 2.0 is not an integer"),
+        ("frame_index", "2", "frame_index '2' is not an integer"),
+        ("frame_index", True, "frame_index True is not an integer"),
+        ("frame_index", 0, "frame_index 0 is outside 1..4"),
+        ("frame_index", -1, "frame_index -1 is outside 1..4"),
+        ("confidence", True, "confidence True is not a number"),
+        ("confidence", "0.9", "confidence '0.9' is not a number"),
+        ("box", ["1", "2", "30", "40"], "box coordinate '1' is not a number"),
+        ("box", [0, 0, True, 2], "box coordinate True is not a number"),
+    ], ids=["frame-1.5", "frame-2.0", "frame-string", "frame-true", "frame-0", "frame-negative",
+            "confidence-true", "confidence-string", "box-strings", "box-true"])
+    def test_detection(self, tmp_path, field, value, reason):
+        got = self._detection_error(tmp_path, **{field: value})
+        assert got == f"bad detection record: {reason}"
+
+    @pytest.mark.parametrize("field, value, reason", [
+        ("frame_index", "x", "frame_index 'x' is not an integer"),
+        ("box", ["1", "2", "30", "40"], "box coordinate '1' is not a number"),
+        ("confidence", "0.1", "confidence '0.1' is not a number"),
+    ], ids=["frame-string", "box-strings", "confidence-string"])
+    def test_a_type_error_stops_a_detection_below_the_floor(self, tmp_path, field, value,
+                                                            reason):
+        got = self._detection_error(tmp_path, 0.5, **dict({"confidence": 0.1}, **{field: value}))
+        assert got == f"bad detection record: {reason}"
+
+    def test_a_detection_below_the_floor_is_dropped_off_its_frames(self, tmp_path):
+        path = tmp_path / "d.ndjson"
+        path.write_text(json.dumps(dict(self.DETECTION, frame_index=-3, confidence=0.1)) + "\n")
+        assert load_detections(path, 0.5, 4) == []
+
+    def test_integer_numbers_load_as_floats(self, tmp_path):
+        path = tmp_path / "d.ndjson"
+        path.write_text(json.dumps(dict(self.DETECTION, confidence=1)) + "\n")
+        (det,) = load_detections(path, 0.2, 4)
+        assert repr(det.box) == "BoundingBox(x1=0.0, y1=0.0, x2=2.0, y2=2.0)"
+        assert repr(det.confidence) == "1.0"
+
+    @pytest.mark.parametrize("field, value, reason", [
+        ("frame_ids", "abc", "frame_ids 'abc' is not a list"),
+        ("frame_ids", {"f1": 1}, "frame_ids {'f1': 1} is not a list"),
+        ("fps", True, "fps True is not a number"),
+        ("fps", "24", "fps '24' is not a number"),
+        ("fps", [24], "fps [24] is not a number"),
+    ], ids=["frame-ids-string", "frame-ids-object", "fps-true", "fps-string", "fps-list"])
+    def test_manifest(self, tmp_path, field, value, reason):
+        record = {"video_id": "v", "frame_ids": ["f1"], "fps": 24, "caption": "A person sits."}
+        path = tmp_path / "manifest.ndjson"
+        path.write_text(json.dumps(dict(record, video_id="u")) + "\n"
+                        + json.dumps(dict(record, **{field: value})) + "\n")
+        with pytest.raises(MalformedRecord) as err:
+            load_manifests(path)
+        assert (err.value.line_number, err.value.reason) == (2, f"bad manifest record: {reason}")
+
+
+# ---------------------------------------------------------------------------
+# Manifest and detection lines against a decode of the README's rules
+
+# What a number field may hold instead: integers, floats, booleans, numeric
+# strings and lists.
+_ANY_NUMBER = st.one_of(
+    st.integers(-2, 5), st.just(10**400),
+    st.sampled_from([0.0, -0.0, 0.5, 1.0, 2.0, 2.5, math.nan, math.inf, -math.inf]),
+    st.booleans(), st.sampled_from(["1", "2", "0.5", "nan"]),
+    st.lists(st.integers(0, 3), max_size=2),
+)
+
+
+def _number(value) -> float:
+    """A number field by the README's rule: an integer or a float, never a
+    boolean, a string or a list."""
+    if type(value) not in (int, float):
+        raise ValueError(f"{value!r} is not a number")
+    return float(value)  # OverflowError for an integer too large for a float
+
+
+@st.composite
+def _manifest_lines(draw):
+    """A manifest record, maybe with one of its frame ids, its ``frame_ids``
+    or its ``fps`` drawn from the values a lax loader would convert."""
+    record = {
+        "video_id": draw(st.sampled_from(["a", "b", "c", "d", "e"])),
+        "frame_ids": draw(st.lists(st.sampled_from(["f1", "f2", "1"]), min_size=1, max_size=3)),
+        "fps": draw(st.sampled_from([24, 2.5, 29.97])),
+        "caption": draw(st.sampled_from(["A person sits.", "A person waves.", " "])),
+    }
+    spoil = draw(st.sampled_from([None, None, None, "frame_ids", "frame id", "fps"]))
+    if spoil == "frame_ids":
+        record["frame_ids"] = draw(
+            st.text("f1", max_size=3)
+            | st.dictionaries(st.sampled_from(["f1", "f2"]), st.integers(0, 2), max_size=2)
+            | st.lists(_ANY_NUMBER, max_size=3))
+    elif spoil == "frame id":
+        record["frame_ids"].append(draw(_ANY_NUMBER))
+    elif spoil == "fps":
+        record["fps"] = draw(_ANY_NUMBER)
+    return record
+
+
+def _reference_manifest(record) -> VideoManifest:
+    """One manifest record by the README's rules: ``frame_ids`` a list of at
+    least one id (each read with ``str``), none repeated, a caption that is
+    not blank, and ``fps`` a positive, finite number."""
+    frame_ids = record["frame_ids"]
+    if type(frame_ids) is not list:
+        raise ValueError("frame_ids is not a list")
+    frame_ids = tuple(str(f) for f in frame_ids)
+    fps = _number(record["fps"])
+    if not frame_ids or len(set(frame_ids)) != len(frame_ids):
+        raise ValueError("no frame ids, or a repeated one")
+    if not str(record["caption"]).strip() or not 0.0 < fps < math.inf:
+        raise ValueError("blank caption, or fps not positive and finite")
+    return VideoManifest(str(record["video_id"]), frame_ids, fps, str(record["caption"]))
+
+
+@st.composite
+def _detection_lines(draw):
+    """A detection record on frames 1..3, maybe with its frame index, its
+    box, one box coordinate or its confidence drawn from ``_ANY_NUMBER``."""
+    x1, y1 = draw(st.sampled_from([0, -0.0, 1, 2.5])), draw(st.sampled_from([0, 0.0, 3]))
+    w, h = draw(st.sampled_from([1, 4.5])), draw(st.sampled_from([2, 0.5]))
+    record = {
+        "frame_index": draw(st.integers(1, 3)),
+        "entity_class": draw(st.sampled_from(["person", "cup"])),
+        "box": [x1, y1, x1 + w, y1 + h],
+        "confidence": draw(st.sampled_from([0.1, 0.3, 0.9, 1, math.nan])),
+    }
+    spoil = draw(st.sampled_from(
+        [None, None, None, None, "frame_index", "box", "coordinate", "confidence"]))
+    if spoil == "coordinate":
+        record["box"][draw(st.integers(0, 3))] = draw(_ANY_NUMBER)
+    elif spoil == "box":
+        record["box"] = draw(_ANY_NUMBER | st.lists(_ANY_NUMBER, min_size=3, max_size=5))
+    elif spoil:
+        record[spoil] = draw(_ANY_NUMBER)
+    return record
+
+
+def _reference_detection(record, floor: float, num_frames: int) -> Optional[Detection]:
+    """One detection record by the README's rules, None if it is dropped: an
+    integer frame index, a box of four numbers and a number confidence on
+    every line; at or above the floor, a frame in 1..``num_frames``, a box
+    with finite, non-negative corners, ``x1 < x2`` and ``y1 < y2``, and a
+    confidence in [0, 1]."""
+    frame = record["frame_index"]
+    if type(frame) is not int:
+        raise ValueError(f"frame_index {frame!r} is not an integer")
+    box = record["box"]
+    if type(box) is not list or len(box) != 4:
+        raise ValueError(f"box {box!r} is not four numbers")
+    x1, y1, x2, y2 = (_number(c) for c in box)
+    confidence = _number(record["confidence"])
+    if not confidence >= floor:
+        return None
+    if not (1 <= frame <= num_frames and 0.0 <= x1 < x2 < math.inf
+            and 0.0 <= y1 < y2 < math.inf and 0.0 <= confidence <= 1.0):
+        raise ValueError("out of range")
+    return Detection(frame, str(record["entity_class"]), BoundingBox(x1, y1, x2, y2), confidence)
+
+
+def _reference_load(records, decode):
+    """(decoded values, None) for a file of ``records``, or (None, the
+    number of the first line ``decode`` rejects)."""
+    values = []
+    for line_no, record in enumerate(records, start=1):
+        try:
+            values.append(decode(record))
+        except (ValueError, OverflowError):
+            return None, line_no
+    return values, None
+
+
+def _loaded(load, path):
+    try:
+        return load(path), None
+    except MalformedRecord as e:
+        assert e.path == str(path)
+        return None, e.line_number
+
+
+@given(records=st.lists(_manifest_lines(), max_size=6))
+@settings(max_examples=300, deadline=None)
+def test_manifest_lines_load_as_the_readme_rules_decode_them(mutation_file, records):
+    mutation_file.write_text("".join(json.dumps(r) + "\n" for r in records))
+    seen = set()
+
+    def decode(record):
+        manifest = _reference_manifest(record)
+        if manifest.video_id in seen:
+            raise ValueError("repeated video id")
+        seen.add(manifest.video_id)
+        return manifest
+
+    manifests, line = _reference_load(records, decode)
+    want = (sorted(manifests, key=lambda m: m.video_id) if manifests is not None else None, line)
+    # repr tells an int fps from a float one, as == does not.
+    assert repr(_loaded(load_manifests, mutation_file)) == repr(want)
+
+
+@given(records=st.lists(_detection_lines(), max_size=6),
+       floor=st.sampled_from([0.0, 0.2, 0.5]))
+@settings(max_examples=300, deadline=None)
+def test_detection_lines_load_as_the_readme_rules_decode_them(mutation_file, records, floor):
+    mutation_file.write_text("".join(json.dumps(r) + "\n" for r in records))
+    detections, line = _reference_load(records, lambda r: _reference_detection(r, floor, 3))
+    want = ([d for d in detections if d is not None] if detections is not None else None, line)
+    # repr tells -0.0 from 0.0 and an int from a float, as == does not.
+    assert repr(_loaded(lambda p: load_detections(p, floor, 3), mutation_file)) == repr(want)

@@ -1,7 +1,7 @@
 import math
 import warnings
 from collections import Counter
-from typing import Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import pytest
 from hypothesis import given, settings
@@ -324,20 +324,35 @@ def _scan_ground_pair(
 _CLASSES = ("person", "cup", "dish")
 # Few values, so that equal confidences, equal areas and duplicate boxes are
 # common; both signs of zero, which compare equal but are written apart.
-_corner = st.sampled_from([0.0, -0.0, 1.0, 2.5])
-_extent = st.sampled_from([1.0, 1.5, 4.0])
+_corner = st.sampled_from([0.0, -0.0, 1.0])
+_extent = st.sampled_from([1.0, 4.0])
 _kept_detection = st.builds(
     lambda frame, cls, x1, y1, w, h, conf: Detection(
         frame, cls, BoundingBox(x1, y1, x1 + w, y1 + h), conf
     ),
     st.integers(1, 3), st.sampled_from(_CLASSES), _corner, _corner, _extent, _extent,
-    st.sampled_from([0.2, 0.5, 0.9, 1.0]) | st.floats(0.2, 1.0),
+    st.sampled_from([0.5, 0.9]),
+)
+
+
+def _with_sign_twin(det: Detection, where: int) -> List[Detection]:
+    """``det`` alone (``where`` 0), or with a twin whose zero corners have
+    the other sign, after it (1) or before it (2): the one tie that only the
+    signs of zeros break."""
+    twin = Detection(det.frame_index, det.entity_class,
+                     BoundingBox(*(-c if c == 0 else c for c in det.box)), det.confidence)
+    return [[det], [det, twin], [twin, det]][where]
+
+
+# Lists in which most detections meet a tie of every term of the rank key.
+_tied_detections = st.lists(st.tuples(_kept_detection, st.integers(0, 2)), max_size=8).map(
+    lambda drawn: [d for det, where in drawn for d in _with_sign_twin(det, where)]
 )
 
 
 class TestGroundingTableMatchesTheListScan:
     @settings(max_examples=100, deadline=None)
-    @given(st.lists(_kept_detection, max_size=12))
+    @given(_tied_detections)
     def test_every_role_takes_the_box_the_scan_picked(self, dets):
         table = grounding_table(dets)
         for frame in (1, 2, 3):
