@@ -112,10 +112,6 @@ class BoundingBox(NamedTuple):
     def from_list(cls, values: Sequence[float]) -> "BoundingBox":
         """The box of four numbers (``checked_number``), as floats."""
         x1, y1, x2, y2 = values
-        if type(x1) is float and type(y1) is float and type(x2) is float and type(y2) is float:
-            # checked_number's first case for all four at once: most boxes
-            # read are floats, and eval reads 40,000 a pass.
-            return tuple.__new__(cls, (x1, y1, x2, y2))
         field = "box coordinate"
         return tuple.__new__(cls, (checked_number(field, x1), checked_number(field, y1),
                                    checked_number(field, x2), checked_number(field, y2)))

@@ -644,15 +644,19 @@ def _check_unit_rows(path, matrix: EmbeddingMatrix) -> None:
         )
 
 
-_ROW_ID_NAMES = {"frame": "id", "sentence": "order index"}
+def sentence_embeddings_path(root, video_id: str) -> Path:
+    """The sentence embeddings file of video ``video_id`` under the dataset
+    ``root``."""
+    return Path(root) / "embeddings" / f"{video_id}.sentences.nlve"
 
 
 def check_rows(
-    path, matrix: EmbeddingMatrix, ids: Sequence[str], item: str, video_id: str
+    path, matrix: EmbeddingMatrix, ids: Sequence[str], video_id: str, item: str, id_name: str
 ) -> None:
     """Raise ``MalformedRecord`` naming ``path`` unless ``matrix`` holds one
-    row per ``item`` ("frame" or "sentence") of video ``video_id``, row *i*'s
-    id being ``ids[i]``: the row count is checked first, then the ids."""
+    row per ``item`` (say "frame") of video ``video_id``, row *i*'s id being
+    ``ids[i]``, the ``id_name`` (say "id") of item *i*: the row count is
+    checked first, then the ids."""
     if len(matrix) != len(ids):
         raise MalformedRecord(
             path, 0, f"{len(matrix)} rows for the {len(ids)} {item}s of video {video_id!r}"
@@ -660,7 +664,7 @@ def check_rows(
     for index, (row_id, expected) in enumerate(zip(matrix.row_ids, ids)):
         if row_id != expected:
             raise MalformedRecord(
-                path, 0, f"row id {row_id!r} is not the {_ROW_ID_NAMES[item]} of {item} "
+                path, 0, f"row id {row_id!r} is not the {id_name} of {item} "
                 f"{index + 1}, {expected!r}"
             )
 
@@ -686,11 +690,11 @@ def load_video(
     frames = read_embeddings(frames_path).normalized()
     if frames.dim <= 0:
         raise DimensionMismatch(f"{frames_path}: dimension must be positive")
-    check_rows(frames_path, frames, manifest.frame_ids, "frame", video_id)
+    check_rows(frames_path, frames, manifest.frame_ids, video_id, "frame", "id")
     _check_unit_rows(frames_path, frames)
 
     sentences = None
-    sentences_path = root / "embeddings" / f"{video_id}.sentences.nlve"
+    sentences_path = sentence_embeddings_path(root, video_id)
     if sentences_path.exists():
         sentences = read_embeddings(sentences_path).normalized()
         if sentences.dim != frames.dim:

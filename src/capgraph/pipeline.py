@@ -166,13 +166,14 @@ def align_video(
     one row per sentence, in order: row *i*'s id is sentence *i*'s order
     index (``ingest.check_rows``). Otherwise ``MalformedRecord`` names the
     file."""
-    path = Path(data_root) / "embeddings" / f"{video_id}.sentences.nlve"
+    path = ingest.sentence_embeddings_path(data_root, video_id)
     if sentence_embeds is None:
         raise MissingFile(
             f"{path} (produce sentence embeddings for the segmented captions, then re-run)"
         )
     ingest.check_rows(
-        path, sentence_embeds, [str(s.order_index) for s in sentences], "sentence", video_id
+        path, sentence_embeds, [str(s.order_index) for s in sentences], video_id,
+        "sentence", "order index",
     )
     return align_mod.align_sentences(
         sentences, sentence_embeds, clustering, config, video_id=video_id
