@@ -34,7 +34,6 @@ import numpy as np
 # SELECTION_MODES is re-exported.
 from .config import DEFAULT_SEED, SELECTION_MODES, AlignConfig  # noqa: F401
 from .core import EmbeddingMatrix, SegmentedSentence
-from .errors import DimensionMismatch
 
 KMEANS_MAX_ITERS = 100
 KMEANS_RESTARTS = 5
@@ -430,21 +429,13 @@ def align_sentences(
 ) -> Tuple[List[SegmentedSentence], AlignmentTrace]:
     """Align each sentence with a consecutive frame interval (possibly none).
 
-    Sentence embedding rows must be in sentence order and share the frame
-    embedding dimensionality. The final interval is the maximal consecutive
-    run of surviving candidate frames containing the candidate whose cluster
-    centroid scored highest (ties: the earliest such frame).
+    Sentence embedding rows must be in sentence order, one a sentence, and
+    share the frame embedding dimensionality; the callers check both
+    (``pipeline.align_video`` with ``ingest.check_rows``, and
+    ``ingest.load_video`` the dimension). The final interval is the maximal
+    consecutive run of surviving candidate frames containing the candidate
+    whose cluster centroid scored highest (ties: the earliest such frame).
     """
-    if len(sentence_embeds) != len(sentences):
-        raise DimensionMismatch(
-            f"video {video_id!r}: {len(sentences)} sentences but "
-            f"{len(sentence_embeds)} sentence embedding rows"
-        )
-    if len(sentences) and sentence_embeds.dim != clustering.centroids.shape[1]:
-        raise DimensionMismatch(
-            f"sentence dim {sentence_embeds.dim} != centroid dim {clustering.centroids.shape[1]}"
-        )
-
     members = clustering.members()
     ordered = sorted(range(len(sentences)), key=lambda i: sentences[i].order_index)
 

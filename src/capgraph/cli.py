@@ -28,9 +28,9 @@ from . import evaluate as eval_mod
 from . import ingest, motion, parse as parse_mod, segment as segment_mod
 from .config import DEFAULT_SEED, AlignConfig, check_seed
 from .core import (
-    SceneGraph, Triplet, Vocabulary, checked_int, checked_interval, checked_number,
+    SegmentedSentence, Triplet, Vocabulary, checked_int, checked_interval, checked_number,
 )
-from .errors import CapgraphError, IoFailure, MalformedRecord
+from .errors import CapgraphError, MalformedRecord, write_failure
 from .llm import TokenUsage
 
 if TYPE_CHECKING:
@@ -212,6 +212,26 @@ def _check_in_manifest(video_ids: Iterable[str], manifests, source: str) -> None
         raise CapgraphError(f"{source}: video {unknown[0]!r} is not in the manifest")
 
 
+def _check_sentences(
+    sentences: Dict[str, List[SegmentedSentence]], manifests, path: str
+) -> None:
+    """Check the sentences file ``path`` against the manifest: each of its
+    videos must be in it (``_check_in_manifest``), and each aligned interval
+    must end on a frame of its video. Otherwise raise ``CapgraphError``
+    naming the file and the first video, in sorted order, that fails, and
+    for an interval its sentence's order index."""
+    _check_in_manifest(sentences, manifests, path)
+    frames = {m.video_id: m.num_frames for m in manifests}
+    for video_id, items in sorted(sentences.items()):
+        for s in items:
+            if s.aligned_frames and s.aligned_frames[1] > frames[video_id]:
+                raise CapgraphError(
+                    f"{path}: aligned_frames {list(s.aligned_frames)} of order_index "
+                    f"{s.order_index} of video {video_id!r} run past its "
+                    f"{frames[video_id]} frames"
+                )
+
+
 def _loader(data_root: str):
     """``ingest.load_video`` of one manifest under ``data_root``, for
     ``pipeline.video_chunks``: a file that fails to load raises the loader's
@@ -246,7 +266,7 @@ def align_cmd(data_root, sentences_path, out_path, beta, selection, seed, trace_
     config = dataclasses.replace(selection, beta=beta)
     manifests = ingest.load_manifests(Path(data_root) / "manifest.ndjson")
     sentences = ingest.load_sentences(sentences_path)
-    _check_in_manifest(sentences, manifests, sentences_path)
+    _check_sentences(sentences, manifests, sentences_path)
     aligned, traces = {}, []
     for chunk in video_chunks(manifests, _loader(data_root), config.beta):
         chunk = [video for video in chunk if video[0].video_id in sentences]
@@ -318,15 +338,23 @@ def ground(data_root, sentences_path, triplets_path, out_path):
     for video_id, order_index, triplet in ingest.load_parsed_triplets(triplets_path):
         mapped.setdefault(video_id, []).append((order_index, triplet))
     _check_in_manifest(mapped, manifests, triplets_path)
-    _check_in_manifest(sentences, manifests, sentences_path)
+    _check_sentences(sentences, manifests, sentences_path)
+    for video_id, items in sorted(mapped.items()):
+        orders = {s.order_index for s in sentences.get(video_id, ())}
+        for order_index, _ in items:
+            if order_index not in orders:
+                raise CapgraphError(
+                    f"{triplets_path}: video {video_id!r} has no sentence of order_index "
+                    f"{order_index} in {sentences_path}"
+                )
     # A video's graph lines, taken in video-id order, are the lines of the file.
     lines = [
         line
         for chunk in video_chunks(manifests, _loader(data_root), AlignConfig.beta)
         for m, _, _, table in chunk if m.video_id in mapped
-        for line in ingest.scene_graph_lines([SceneGraph.from_triplets(m.video_id, ground_video(
-            mapped[m.video_id], sentences.get(m.video_id, []), table
-        ))])
+        for line in ingest.scene_graph_lines(
+            (m.video_id, t) for t in ground_video(mapped[m.video_id], sentences[m.video_id], table)
+        )
     ]
     with ingest.NdjsonWriter(out_path) as out:
         out.write(lines)
@@ -346,7 +374,7 @@ def ground(data_root, sentences_path, triplets_path, out_path):
               default=motion.MotionLabelConfig.strategy_not_contacting, show_default=True)
 def plm(data_root, sentences_path, graphs_path, out_path, alpha, not_looking, not_contacting):
     """Assign negative-action pseudo-labels on unaligned frames."""
-    from .pipeline import negative_graphs, video_chunks
+    from .pipeline import video_chunks
 
     config = motion.MotionLabelConfig(
         alpha_percent=alpha,
@@ -359,7 +387,7 @@ def plm(data_root, sentences_path, graphs_path, out_path, alpha, not_looking, no
     for video_id, triplet in ingest.graph_triplets(graphs_path):
         classes.setdefault(video_id, set()).add(triplet.object_class)
     _check_in_manifest(classes, manifests, graphs_path)
-    _check_in_manifest(sentences, manifests, sentences_path)
+    _check_sentences(sentences, manifests, sentences_path)
     candidates = []
     for chunk in video_chunks(manifests, _loader(data_root), AlignConfig.beta):
         for m, _, _, table in chunk:
@@ -369,10 +397,12 @@ def plm(data_root, sentences_path, graphs_path, out_path, alpha, not_looking, no
                 m.video_id, classes.get(m.video_id, ()), table, runs
             ))
     assignment = motion.assign_negatives(candidates, config)
-    ingest.write_scene_graphs(negative_graphs(assignment), out_path)
+    rows = assignment.rows()
+    with ingest.NdjsonWriter(out_path) as out:
+        out.write(ingest.scene_graph_lines(rows))
     click.echo(
         f"selected {len(assignment.selected)} of {len(candidates)} candidates; "
-        f"wrote {sum(len(t) for t in assignment.by_video.values())} negatives"
+        f"wrote {len(rows)} negatives"
     )
 
 
@@ -411,7 +441,7 @@ def eval_cmd(gt_path, pred_path, k_values, regime, iou_threshold, json_out):
                 json.dumps(payload, sort_keys=True, indent=1) + "\n", encoding="utf-8"
             )
         except OSError as e:
-            raise IoFailure(f"cannot write {json_out}: {e.strerror or e}") from e
+            raise write_failure(json_out, e) from e
     click.echo(json.dumps(payload, sort_keys=True, indent=1))
     click.echo(format_recall_table(results, k_values, config.regimes()))
 

@@ -41,6 +41,12 @@ def read_failure(path, error: OSError) -> CapgraphError:
     return IoFailure(f"cannot read {path}: {error.strerror or error}")
 
 
+def write_failure(path, error: OSError) -> IoFailure:
+    """The error for a file that could not be written: ``IoFailure`` naming
+    it and the cause, as ``read_failure`` names a file it cannot read."""
+    return IoFailure(f"cannot write {path}: {error.strerror or error}")
+
+
 class StageError(CapgraphError):
     """Wraps the first fatal error of a pipeline stage with the stage name."""
 

@@ -17,13 +17,20 @@ that read and write it import numpy where they run, so that ``eval`` and
 Scene graph NDJSON: one triplet per line with its video id and frame index,
 sorted by ``triplet_sort_key`` (video id, frame index, classes, boxes, score,
 provenance) so equal inputs always produce byte-identical files. A graph file
-is read once, line by line, and each line is decoded by one row function
-(``_graph_rows``) into its video id and localized triplet: the frame index
-must be a positive integer and the score a number or null, and within the
-file equal class names are one string and equal boxes one box. ``plm`` keeps
-only each video's object classes (``graph_triplets``), and
-``load_frame_triplets`` groups the rows into frames, which ``eval`` scores
-and ``load_scene_graphs`` groups into one graph per video.
+is written from rows, each a video id and a localized triplet: every command
+hands its rows to ``scene_graph_lines``, which sorts them once, and none
+builds a ``SceneGraph`` to write them. A graph file is read once, line by
+line, and each line is decoded by one row function (``_graph_rows``) into
+its video id and localized triplet: the frame index must be a positive
+integer and the score a number or null, and within the file equal class
+names are one string and equal boxes one box. ``plm`` keeps only each
+video's object classes (``graph_triplets``), and ``load_frame_triplets``
+groups the rows into frames, which ``eval`` scores and ``load_scene_graphs``
+groups into one graph per video.
+
+A file that cannot be written raises ``errors.write_failure``'s error, which
+names it and the cause, as ``read_failure``'s names a file that cannot be
+read.
 
 A count, frame index or order index in any record is an integer, not a
 boolean, a string or a float (``core.checked_int``): ``1.5``, ``true`` and
@@ -66,7 +73,7 @@ from .core import (
     sorted_frames,
     triplet_sort_key,
 )
-from .errors import DimensionMismatch, IoFailure, MalformedRecord, read_failure
+from .errors import DimensionMismatch, MalformedRecord, read_failure, write_failure
 
 _NLVE_MAGIC = b"NLVE"
 T = TypeVar("T")
@@ -121,7 +128,7 @@ def write_embeddings(matrix: EmbeddingMatrix, path) -> None:
         path.parent.mkdir(parents=True, exist_ok=True)
         path.write_bytes(buf.getvalue())
     except OSError as e:
-        raise IoFailure(f"cannot write {path}: {e}") from e
+        raise write_failure(path, e) from e
 
 
 def read_embeddings(path) -> EmbeddingMatrix:
@@ -245,9 +252,10 @@ def _first_undecodable_line(path: Path) -> int:
 
 
 class NdjsonWriter:
-    """An NDJSON file opened for writing and filled one batch of lines at a
-    time, so that a run can stream its outputs; closed at the end of its
-    ``with`` block. An ``OSError`` raises ``IoFailure`` naming the file."""
+    """A text file opened for writing and filled one batch of lines at a
+    time, so that a run can stream its NDJSON outputs; closed at the end of
+    its ``with`` block. An ``OSError`` raises ``write_failure``'s error naming
+    the file."""
 
     def __init__(self, path):
         self.path = Path(path)
@@ -255,10 +263,7 @@ class NdjsonWriter:
             self.path.parent.mkdir(parents=True, exist_ok=True)
             self._fh = open(self.path, "w", encoding="utf-8", newline="\n")
         except OSError as e:
-            raise self._failure(e) from e
-
-    def _failure(self, error: OSError) -> IoFailure:
-        return IoFailure(f"cannot write {self.path}: {error}")
+            raise write_failure(self.path, e) from e
 
     def write(self, lines: Iterable[str]) -> None:
         """Append ``lines``, each followed by a newline."""
@@ -267,7 +272,7 @@ class NdjsonWriter:
                 self._fh.write(line)
                 self._fh.write("\n")
         except OSError as e:
-            raise self._failure(e) from e
+            raise write_failure(self.path, e) from e
 
     def __enter__(self) -> "NdjsonWriter":
         return self
@@ -276,7 +281,7 @@ class NdjsonWriter:
         try:
             self._fh.close()
         except OSError as e:
-            raise self._failure(e) from e
+            raise write_failure(self.path, e) from e
 
 
 def _write_ndjson(lines: Iterable[str], path) -> None:
@@ -405,23 +410,24 @@ def write_detections(detections: Sequence[Detection], path) -> None:
 # Scene graphs (also used for pseudo-label and prediction files)
 
 
-def scene_graph_lines(graphs: Sequence[SceneGraph]) -> Iterator[str]:
-    """The graphs' triplets as NDJSON lines, one triplet a line, in a stable
-    total order: ``triplet_sort_key``, which orders by video id first, so the
-    lines of graphs of distinct videos, taken in video-id order, are the
-    lines of all of them. Each line is made as it is read."""
-    rows = [(graph.video_id, t) for graph in graphs for t in graph.all_triplets()]
-    rows.sort(key=lambda row: triplet_sort_key(*row))
-    for video_id, t in rows:
+def scene_graph_lines(rows: Iterable[Tuple[str, Triplet]]) -> Iterator[str]:
+    """Graph rows, each a video id and a localized triplet, as NDJSON lines,
+    one row a line, sorted once by ``triplet_sort_key``. The sort is stable,
+    and the key orders by video id first, so the lines of distinct videos'
+    rows, taken in video-id order, are the lines of all of them. Each line is
+    made as it is read."""
+    for video_id, t in sorted(rows, key=lambda row: triplet_sort_key(*row)):
         record = t.to_dict()
         record["video_id"] = video_id
         yield _dump_line(record)
 
 
 def write_scene_graphs(graphs: Sequence[SceneGraph], path) -> None:
-    """Write graphs as ``scene_graph_lines``: equal input graphs produce
-    byte-identical files."""
-    _write_ndjson(scene_graph_lines(graphs), path)
+    """Write graphs as the ``scene_graph_lines`` of their rows: equal input
+    graphs produce byte-identical files. No command calls it, since every
+    command writes rows; the benchmark (``bench/``) and tests do."""
+    rows = ((graph.video_id, t) for graph in graphs for t in graph.all_triplets())
+    _write_ndjson(scene_graph_lines(rows), path)
 
 
 class _Names(dict):

@@ -20,7 +20,7 @@ from pathlib import Path
 from typing import Optional, Tuple
 
 from .core import checked_int, checked_number
-from .errors import LlmTransport
+from .errors import LlmTransport, write_failure
 
 API_KEY_ENV = "CAPGRAPH_API_KEY"
 
@@ -316,10 +316,11 @@ def write_cassette(cache_dir, model_name: str, prompt: str, response: str,
     The record is staged in a temporary file unique to this call and renamed
     into place, so a reader never sees a partial file, a crash leaves the
     previous record intact, and concurrent writers of one key do not collide.
+    A record that cannot be written raises ``errors.write_failure``'s error
+    naming its path, and leaves no temporary file.
     """
     key = cache_key(model_name, prompt)
     path = Path(cache_dir) / f"{key}.json"
-    path.parent.mkdir(parents=True, exist_ok=True)
     text = json.dumps(
         {
             "model": model_name,
@@ -330,12 +331,16 @@ def write_cassette(cache_dir, model_name: str, prompt: str, response: str,
         sort_keys=True,
         indent=1,
     )
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{key}.", suffix=".tmp")
     try:
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        os.unlink(tmp)
-        raise
+        path.parent.mkdir(parents=True, exist_ok=True)
+        fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{key}.", suffix=".tmp")
+        try:
+            with os.fdopen(fd, "w", encoding="utf-8") as fh:
+                fh.write(text)
+            os.replace(tmp, path)
+        except BaseException:
+            os.unlink(tmp)
+            raise
+    except OSError as e:
+        raise write_failure(path, e) from e
     return path

@@ -89,13 +89,15 @@ def giou(a: BoundingBox, b: BoundingBox) -> float:
 def collect_unaligned_runs(
     video: VideoManifest, sentences: Sequence[SegmentedSentence]
 ) -> List[Tuple[int, int]]:
-    """Maximal contiguous frame runs covered by no sentence's interval."""
+    """Maximal contiguous frame runs covered by no sentence's interval. Each
+    interval must lie within the video's frames, as ``align`` makes them and
+    the staged commands check them."""
     covered = [False] * (video.num_frames + 1)
     for s in sentences:
         if s.aligned_frames is None:
             continue
         lo, hi = s.aligned_frames
-        for f in range(max(1, lo), min(video.num_frames, hi) + 1):
+        for f in range(lo, hi + 1):
             covered[f] = True
     runs: List[Tuple[int, int]] = []
     start: Optional[int] = None
@@ -194,6 +196,11 @@ class NegativeAssignment:
 
     selected: List[MotionCandidate]
     by_video: Dict[str, List[Triplet]]
+
+    def rows(self) -> List[Tuple[str, Triplet]]:
+        """The negatives as graph rows, each a video id and a triplet
+        (``ingest.scene_graph_lines``)."""
+        return [(video_id, t) for video_id, ts in self.by_video.items() for t in ts]
 
 
 def assign_negatives(

@@ -31,7 +31,7 @@ from .core import (
     EmbeddingMatrix, FrameTriplets, GroundingTable, SceneGraph, SegmentedSentence, Triplet,
     VideoManifest, Vocabulary,
 )
-from .errors import CapgraphError, IoFailure, MissingFile, StageError
+from .errors import CapgraphError, MissingFile, StageError, write_failure
 from .llm import ChatClient, TokenUsage
 
 
@@ -221,20 +221,13 @@ def ground_video(
     mapped: List[Tuple[int, Triplet]], sentences: List[SegmentedSentence], table: GroundingTable
 ) -> List[Triplet]:
     """Ground one video's mapped triplets on their sentences' aligned frames
-    in ``table``, the video's grounding table. Triplets whose sentence is
-    absent ground nothing."""
+    in ``table``, the video's grounding table. Each triplet's order index
+    must name one of ``sentences``."""
     frames = {s.order_index: s.aligned_frames for s in sentences}
     return [
         grounded
-        for order_index, triplet in mapped if order_index in frames
+        for order_index, triplet in mapped
         for grounded in parse_mod.ground_triplets([triplet], frames[order_index], table)
-    ]
-
-
-def negative_graphs(assignment: motion.NegativeAssignment) -> List[SceneGraph]:
-    return [
-        SceneGraph.from_triplets(video_id, triplets)
-        for video_id, triplets in sorted(assignment.by_video.items())
     ]
 
 
@@ -408,13 +401,11 @@ def _stream(config: PipelineConfig, manifests: Sequence[VideoManifest], staged: 
 
         def emit_graph(video_id: str, grounded: List[Triplet], runs, table) -> None:
             with _stage("negatives"):
-                graph = SceneGraph.from_triplets(video_id, grounded)
-                candidates.extend(
-                    motion.video_candidates(video_id, graph.object_classes(), table, runs)
-                )
+                classes = {t.object_class for t in grounded}
+                candidates.extend(motion.video_candidates(video_id, classes, table, runs))
             with _stage("write"):
                 report.grounded_triplets += len(grounded)
-                graphs_out.write(ingest.scene_graph_lines([graph]))
+                graphs_out.write(ingest.scene_graph_lines((video_id, t) for t in grounded))
 
         for chunk, results in _processed_chunks(config, manifests, vocab, replies, map_videos):
             for (manifest, _, _, table), r in zip(chunk, results):
@@ -458,12 +449,13 @@ def _stream(config: PipelineConfig, manifests: Sequence[VideoManifest], staged: 
     with _stage("negatives"):
         assignment = motion.assign_negatives(candidates, config.motion)
     report.motion_candidates = len(candidates)
-    report.negatives = sum(len(ts) for ts in assignment.by_video.values())
+    rows = assignment.rows()
+    report.negatives = len(rows)
     with _stage("write"):
-        ingest.write_scene_graphs(negative_graphs(assignment), staged / "negatives.ndjson")
-        (staged / "report.json").write_text(
-            json.dumps(report.to_dict(), sort_keys=True, indent=1) + "\n", encoding="utf-8"
-        )
+        with ingest.NdjsonWriter(staged / "negatives.ndjson") as out:
+            out.write(ingest.scene_graph_lines(rows))
+        with ingest.NdjsonWriter(staged / "report.json") as out:
+            out.write([json.dumps(report.to_dict(), sort_keys=True, indent=1)])
     return report
 
 
@@ -511,7 +503,7 @@ def run_all(config: PipelineConfig) -> RunReport:
                     # Inside out_dir, so that each os.replace stays on one file system.
                     staging = tempfile.TemporaryDirectory(prefix=".staging-", dir=out_dir)
                 except OSError as e:
-                    raise IoFailure(f"cannot write {out_dir}: {e.strerror or e}") from e
+                    raise write_failure(out_dir, e) from e
             with staging:
                 staged = Path(staging.name)
                 report = _stream(config, manifests, staged)
@@ -523,7 +515,7 @@ def run_all(config: PipelineConfig) -> RunReport:
                             dest = out_dir / name
                             os.replace(staged / name, dest)
                     except OSError as e:
-                        raise IoFailure(f"cannot write {dest}: {e.strerror or e}") from e
+                        raise write_failure(dest, e) from e
         return report
     except BaseException:
         for directory in made:

@@ -23,7 +23,6 @@ from capgraph.align import (
     sort_clusters,
 )
 from capgraph.core import EmbeddingMatrix, SegmentedSentence
-from capgraph.errors import DimensionMismatch
 
 DIM = 8
 
@@ -640,14 +639,6 @@ class TestAlignSentences:
                 if s.aligned_frames is not None:
                     lo, hi = s.aligned_frames
                     assert 1 <= lo <= hi <= 12
-
-    def test_dimension_mismatch(self):
-        frames = _frames([0], [4])
-        sentences, _ = _sentences([0])
-        clustering = cluster_frames(frames, AlignConfig(), seed=0)
-        bad = EmbeddingMatrix(["1"], np.ones((1, 3), dtype=np.float32))
-        with pytest.raises(DimensionMismatch):
-            align_sentences(sentences, bad, clustering, AlignConfig())
 
     def test_trace_deterministic(self):
         frames = _frames([0, 1], [2, 6])

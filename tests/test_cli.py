@@ -29,6 +29,7 @@ from capgraph.core import (
     BoundingBox,
     Detection,
     EmbeddingMatrix,
+    SceneGraph,
     SegmentedSentence,
     Triplet,
     VideoManifest,
@@ -352,9 +353,9 @@ class TestRunAll:
 
     @pytest.mark.parametrize("step, stage", [
         ((motion_mod, "collect_unaligned_runs"), "negatives"),
-        ((pipeline.SceneGraph, "from_triplets"), "negatives"),
+        ((motion_mod, "video_candidates"), "negatives"),
         ((align_mod, "video_elements"), "process"),
-    ], ids=["unaligned-runs", "scene-graph", "video-elements"])
+    ], ids=["unaligned-runs", "video-candidates", "video-elements"])
     def test_an_error_of_a_streamed_step_names_its_stage(
         self, data_root, cassette_dir, tmp_path, monkeypatch, step, stage
     ):
@@ -635,6 +636,26 @@ class TestOutputUnderAFile:
         assert isinstance(result.exception, SystemExit), result.exception
         assert f"error: cannot write {out}: " in result.output
 
+    @pytest.mark.parametrize("command", ["segment", "eval"])
+    def test_an_output_that_is_a_directory_names_it_and_the_reason(
+        self, data_root, tmp_path, command
+    ):
+        # One rule words every failed write: the path, then the reason, where
+        # segment said "[Errno 21] Is a directory: '<path>'" after the path.
+        out = tmp_path / "adir"
+        out.mkdir()
+        gt = tmp_path / "gt.ndjson"
+        gt.write_text(json.dumps(EVAL_RECORD) + "\n")
+        args = {
+            "segment": ["segment", "--data-root", str(data_root), "--out", str(out),
+                        "--tcs-mode", "rule_fallback"],
+            "eval": ["eval", "--gt", str(gt), "--pred", str(gt), "--json-out", str(out)],
+        }[command]
+        result = CliRunner().invoke(main, args)
+        assert result.exit_code == 1, result.output
+        assert isinstance(result.exception, SystemExit), result.exception
+        assert result.output.endswith(f"error: cannot write {out}: Is a directory\n")
+
     def test_run_all_out_dir_that_is_a_file_names_it(self, data_root, cassette_dir, tmp_path):
         out = tmp_path / "file"
         out.write_text("")
@@ -642,6 +663,50 @@ class TestOutputUnderAFile:
             run_all(_config(data_root, cassette_dir, out))
         assert err.value.stage == "write"
         assert str(err.value.cause).startswith(f"cannot write {out}: ")
+
+
+class TestCassetteThatCannotBeWritten:
+    """A 200 reply whose cassette cannot be written stops the command with an
+    error naming the cassette, not a traceback, and leaves no temporary
+    file."""
+
+    @pytest.fixture
+    def cassette(self, tmp_path, monkeypatch):
+        """The path the fixture's first segmentation reply would be recorded
+        at, with every request answered by a 200 reply and every cassette's
+        temporary file refused."""
+        class Reply:
+            status_code, headers, text = 200, {}, ""
+
+            def json(self):
+                return {"choices": [{"message": {"content": V1_SEGMENT_REPLY}}],
+                        "usage": {"prompt_tokens": 10, "completion_tokens": 5}}
+
+        def deny(*args, **kwargs):
+            raise PermissionError(13, "Permission denied")
+
+        monkeypatch.setattr(requests, "post", lambda *args, **kwargs: Reply())
+        monkeypatch.setattr(llm.tempfile, "mkstemp", deny)
+        key = llm.cache_key(MODEL, segment_mod.build_prompt(V1_CAPTION))
+        return tmp_path / "cache" / f"{key}.json"
+
+    @pytest.mark.parametrize("command", ["segment", "run-all"])
+    def test_exits_1_naming_the_cassette(self, data_root, tmp_path, cassette, command):
+        args = {
+            "segment": ["--out", str(tmp_path / "raw.ndjson"), "--tcs-mode", "llm"],
+            "run-all": ["--out-dir", str(tmp_path / "out")],
+        }[command]
+        result = CliRunner().invoke(main, [
+            command, "--data-root", str(data_root), "--cache-dir", str(cassette.parent), *args,
+        ])
+        assert result.exit_code == 1, result.output
+        assert isinstance(result.exception, SystemExit), result.exception
+        assert "Traceback" not in result.output
+        reason = f"cannot write {cassette}: Permission denied"
+        shown = {"segment": reason, "run-all": f"stage 'process' failed: {reason}"}[command]
+        assert result.output.endswith(f"error: {shown}\n")
+        assert list(cassette.parent.iterdir()) == []
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["cache"]
 
 
 class TestReplyMemo:
@@ -872,15 +937,93 @@ class TestStageCommands:
         self._assert_staged_match_run_all(data_root, cassette_dir, tmp_path, parse_flags, parsing)
         assert sizes and max(sizes) == 1
 
+    def test_no_command_builds_a_scene_graph_and_every_output_holds(
+        self, data_root, cassette_dir, tmp_path, monkeypatch
+    ):
+        # Every command writes its graph files from rows: with no SceneGraph
+        # buildable, run-all still writes its goldens, and ground and plm
+        # still write what run-all writes.
+        from test_acceptance import GOLDEN_CHECKSUMS
+
+        def built(graph):
+            raise AssertionError(f"a SceneGraph of {graph.video_id!r} was built")
+
+        monkeypatch.setattr(SceneGraph, "__post_init__", built)
+        self._assert_staged_match_run_all(data_root, cassette_dir, tmp_path, [], {})
+        digests = {
+            name: hashlib.sha256((tmp_path / "reference" / name).read_bytes()).hexdigest()
+            for name in GOLDEN_CHECKSUMS
+        }
+        assert digests == GOLDEN_CHECKSUMS
+
     @pytest.fixture
-    def bad_last_video(self, data_root, cassette_dir, tmp_path):
-        """The staged inputs made on the fixture (segment to ground), a copy
-        of the fixture whose last video by id has a detections file with a
-        line that is not JSON, and the loader's error for that file."""
+    def staged(self, data_root, cassette_dir, tmp_path):
+        """The staged inputs made on the fixture, segment to ground."""
         staged = tmp_path / "staged"
         staged.mkdir()
         for step in _staged_steps(data_root, cassette_dir, staged)[:4]:
             assert CliRunner().invoke(main, step).exit_code == 0, step[0]
+        return staged
+
+    def _run(self, command, data_root, cassette_dir, tmp_path, inputs):
+        """``command``'s staged step on ``data_root`` reading ``inputs``, into
+        an empty output directory: the result, and the directory's files."""
+        out = tmp_path / "out"
+        out.mkdir()
+        steps = _staged_steps(data_root, cassette_dir, out, inputs=inputs)
+        result = CliRunner().invoke(main, next(s for s in steps if s[0] == command))
+        return result, list(out.iterdir())
+
+    @pytest.mark.parametrize("last", [9, 99])
+    @pytest.mark.parametrize("command, name", [
+        ("align", "raw.ndjson"), ("ground", "sentences.ndjson"), ("plm", "sentences.ndjson"),
+    ])
+    def test_an_interval_past_its_video_exits_1_naming_file_video_and_order_index(
+        self, staged, data_root, cassette_dir, tmp_path, command, name, last
+    ):
+        # The file's first line is kitchen01's first sentence, and kitchen01
+        # has 8 frames: ground and plm took frames 9.. as frames without a
+        # detection, and exited 0.
+        path = staged / name
+        lines = path.read_text().splitlines(keepends=True)
+        first = json.loads(lines[0])
+        assert (first["video_id"], first["order_index"]) == ("kitchen01", 1)
+        lines[0] = json.dumps({**first, "aligned_frames": [1, last]}) + "\n"
+        path.write_text("".join(lines))
+        result, written = self._run(command, data_root, cassette_dir, tmp_path, staged)
+        assert result.exit_code == 1, result.output
+        assert isinstance(result.exception, SystemExit), result.exception
+        assert result.output == (
+            f"error: {path}: aligned_frames [1, {last}] of order_index 1 of video "
+            "'kitchen01' run past its 8 frames\n"
+        )
+        assert written == []
+
+    def test_a_triplet_whose_sentence_is_absent_exits_1_naming_the_triplets_file(
+        self, staged, data_root, cassette_dir, tmp_path
+    ):
+        # kitchen01 has two sentences: ground dropped the triplet of a third
+        # without a word, and exited 0.
+        path = staged / "triplets.ndjson"
+        lines = path.read_text().splitlines(keepends=True)
+        first = json.loads(lines[0])
+        assert first["video_id"] == "kitchen01"
+        lines[0] = json.dumps({**first, "order_index": 9}) + "\n"
+        path.write_text("".join(lines))
+        result, written = self._run("ground", data_root, cassette_dir, tmp_path, staged)
+        assert result.exit_code == 1, result.output
+        assert isinstance(result.exception, SystemExit), result.exception
+        assert result.output == (
+            f"error: {path}: video 'kitchen01' has no sentence of order_index 9 in "
+            f"{staged / 'sentences.ndjson'}\n"
+        )
+        assert written == []
+
+    @pytest.fixture
+    def bad_last_video(self, staged, data_root, tmp_path):
+        """The staged inputs made on the fixture (segment to ground), a copy
+        of the fixture whose last video by id has a detections file with a
+        line that is not JSON, and the loader's error for that file."""
         root = tmp_path / "bad"
         shutil.copytree(data_root, root)
         last = load_manifests(root / "manifest.ndjson")[-1]
@@ -1593,6 +1736,35 @@ class TestSentenceEmbeddingRows:
         _with_sentence_rows(data_root, tmp_path / "data", ["b", "a"])
         result = CliRunner().invoke(main, ["validate", "--data-root", str(tmp_path / "data")])
         assert result.exit_code == 0, result.output
+
+
+class TestSentenceEmbeddingDimension:
+    """A sentence matrix whose dimension is not the frames' is the loader's
+    error, named by its file: ``validate`` exits 2 and ``run-all`` 1."""
+
+    @pytest.fixture
+    def path(self, data_root, tmp_path):
+        shutil.copytree(data_root, tmp_path / "data")
+        path = tmp_path / "data" / "embeddings" / "kitchen01.sentences.nlve"
+        write_embeddings(EmbeddingMatrix(["1", "2"], [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]), path)
+        return path
+
+    def test_validate_exits_2_naming_the_file(self, path, tmp_path):
+        result = CliRunner().invoke(main, ["validate", "--data-root", str(tmp_path / "data")])
+        assert result.exit_code == 2, result.output
+        assert isinstance(result.exception, SystemExit), result.exception
+        assert f"validation failure: {path}: sentence dim 3 != frame dim 8\n" in result.output
+
+    def test_run_all_exits_1_naming_the_file(self, path, cassette_dir, tmp_path):
+        result = CliRunner().invoke(main, [
+            "run-all", "--data-root", str(tmp_path / "data"), "--out-dir", str(tmp_path / "out"),
+            "--cache-dir", str(cassette_dir), "--offline",
+        ])
+        assert result.exit_code == 1, result.output
+        assert isinstance(result.exception, SystemExit), result.exception
+        assert (f"error: stage 'load' failed: {path}: sentence dim 3 != frame dim 8\n"
+                in result.output)
+        assert not (tmp_path / "out").exists()
 
 
 class TestSentenceFileIsNamedUnderTheDataRoot:

@@ -40,6 +40,7 @@ from capgraph.ingest import (
     load_sentences,
     read_embeddings,
     read_records,
+    scene_graph_lines,
     write_detections,
     write_embeddings,
     write_manifests,
@@ -176,6 +177,50 @@ class TestSceneGraphFiles:
         with pytest.raises(MalformedRecord) as err:
             load_scene_graphs(path)
         assert err.value.line_number in (1, 2)
+
+
+# Few values per field, so that rows repeat and sort keys tie: a box and its
+# sign-of-zero twin compare equal, and so do the scores None, 0.0 and -0.0,
+# yet each writes other bytes, so only a stable sort pins their lines.
+_TWIN_BOXES = st.sampled_from([
+    _box(0.0, 0.0, 2.0, 2.0), _box(-0.0, 0.0, 2.0, 2.0), _box(0.0, -0.0, 2.0, 2.0),
+    _box(1.0, 1.0, 3.0, 3.0),
+])
+_GRAPH_ROWS = st.lists(st.tuples(st.sampled_from(["a", "b", "c"]), st.builds(
+    Triplet,
+    subject_class=st.sampled_from(["person", "dog"]),
+    predicate_class=st.sampled_from(["holding", "near"]),
+    object_class=st.sampled_from(["cup", "cup/glass/bottle"]),
+    subject_box=_TWIN_BOXES,
+    object_box=_TWIN_BOXES,
+    frame_index=st.integers(1, 3),
+    score=st.sampled_from([None, 0.0, -0.0, 0.5]),
+    provenance=st.sampled_from(list(Provenance)),
+)), min_size=2, max_size=40)
+
+
+@given(rows=_GRAPH_ROWS)
+@settings(max_examples=150, deadline=None)
+def test_graph_lines_of_rows_are_the_lines_written_from_scene_graphs(mutation_file, rows):
+    """Rows are written in their stable ``triplet_sort_key`` order, as a
+    ``SceneGraph`` per video wrote them, and each video's lines, taken in
+    video-id order, are the lines of all rows."""
+    assume(len({video_id for video_id, _ in rows}) >= 2)
+    lines = list(scene_graph_lines(rows))
+    assert lines == [
+        json.dumps({**t.to_dict(), "video_id": video_id}, sort_keys=True, separators=(",", ":"))
+        for video_id, t in sorted(rows, key=lambda row: triplet_sort_key(*row))
+    ]
+    by_video = {}
+    for video_id, t in rows:
+        by_video.setdefault(video_id, []).append(t)
+    graphs = [SceneGraph.from_triplets(video_id, ts) for video_id, ts in by_video.items()]
+    write_scene_graphs(graphs, mutation_file)
+    assert "".join(line + "\n" for line in lines) == mutation_file.read_text()
+    assert lines == [
+        line for video_id in sorted(by_video)
+        for line in scene_graph_lines((video_id, t) for t in by_video[video_id])
+    ]
 
 
 def _graph_record(frame, predicate, subject_box, object_box, score):

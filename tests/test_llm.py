@@ -18,7 +18,7 @@ import capgraph
 import capgraph.llm as llm
 from capgraph import segment as segment_mod
 from capgraph.cli import main
-from capgraph.errors import LlmTransport
+from capgraph.errors import IoFailure, LlmTransport
 from capgraph.llm import ChatClient, TokenUsage, cache_key, write_cassette
 from fixture_builder import MODEL, V1_CAPTION
 
@@ -61,6 +61,26 @@ class TestTransport:
         offline = ChatClient("m", cache_dir=tmp_path, offline=True)
         assert offline.complete("hello") == "1. ok"
         assert offline.network_calls == 0
+
+    @pytest.mark.parametrize("refused", ["mkstemp", "replace"])
+    def test_a_cassette_that_cannot_be_written_names_it_and_records_nothing(
+        self, tmp_path, monkeypatch, refused
+    ):
+        # Refused when its temporary file is made, or when it is renamed
+        # into place: either way no file is left and no reply is memoized.
+        def deny(*args, **kwargs):
+            raise PermissionError(13, "Permission denied")
+
+        monkeypatch.setattr(requests, "post", lambda *a, **k: FakeResponse(200, _ok_payload()))
+        monkeypatch.setattr(llm.tempfile if refused == "mkstemp" else llm.os, refused, deny)
+        client = ChatClient("m", endpoint="http://example/chat", cache_dir=tmp_path)
+        path = tmp_path / f"{cache_key('m', 'hello')}.json"
+        with pytest.raises(IoFailure) as err:
+            client.complete("hello")
+        assert str(err.value) == f"cannot write {path}: Permission denied"
+        assert list(tmp_path.iterdir()) == []
+        assert client.replies == {}
+        assert client.usage == TokenUsage()
 
     def test_retries_then_succeeds(self, tmp_path, monkeypatch):
         attempts = []
