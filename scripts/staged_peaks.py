@@ -11,7 +11,8 @@ the process it was forked from, so the launcher is kept small.
 Exits 1 when the staged outputs differ from ``run-all``'s, or when ``align``,
 ``ground`` or ``plm`` peaks more than 10% higher at 320 videos than at 80:
 each holds one chunk of loaded files at a time, so its peak should follow
-the chunk, not the dataset. Prints every peak in MiB.
+the chunk, not the dataset. Prints every peak in MiB, and each checked
+command's growth against the bound (``plm +9.4% of 10%``).
 
     python scripts/staged_peaks.py
 """
@@ -91,6 +92,8 @@ def main() -> int:
                     print(f"{videos} videos: staged {name} differs from run-all's")
                     return 1
     low, high = (peaks[videos] for videos in VIDEOS)
+    print(f"growth {VIDEOS[0]} -> {VIDEOS[1]} videos: " + ", ".join(
+        f"{name} {high[name] / low[name] - 1:+.1%} of {BOUND:.0%}" for name in CHECKED))
     grown = [name for name in CHECKED if high[name] > low[name] * (1 + BOUND)]
     for name in grown:
         print(f"{name} peaks at {high[name]:.1f} MiB at {VIDEOS[1]} videos, more than "

@@ -437,6 +437,7 @@ def eval_cmd(gt_path, pred_path, k_values, regime, iou_threshold, json_out):
     }
     if json_out:
         try:
+            Path(json_out).parent.mkdir(parents=True, exist_ok=True)
             Path(json_out).write_text(
                 json.dumps(payload, sort_keys=True, indent=1) + "\n", encoding="utf-8"
             )

@@ -12,7 +12,7 @@ the mean of per-frame recalls over frames that have ground truth.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Sequence, Set, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from .core import FrameTriplets, Triplet, box_iou
 from .errors import NoGtFrames
@@ -64,10 +64,18 @@ def _boxes_match(pred: Triplet, gt: Triplet, iou_threshold: float) -> bool:
     )
 
 
-def _kept(predictions: Sequence[Triplet]) -> Set[int]:
-    """Indices of the predictions ``with_constraint`` keeps: per (subject
-    box, subject class, object box, object class) group, the highest-scoring
-    one, first occurrence winning ties."""
+def apply_constraint(predictions: Sequence[Triplet], regime: str) -> List[Triplet]:
+    """Reduce predictions per the regime, keeping their order.
+
+    with_constraint keeps one predicate per (subject box, subject class,
+    object box, object class) group: the highest-scoring one (a None score
+    counts as 0.0), first occurrence winning ties. no_constraint returns the
+    predictions unchanged.
+    """
+    if regime == "no_constraint":
+        return list(predictions)
+    if regime != "with_constraint":
+        raise ValueError(f"unknown regime {regime!r}")
     best: Dict[tuple, Tuple[float, int]] = {}
     for i, (subject, _, obj, subject_box, object_box, _, score, _) in enumerate(predictions):
         key = (subject_box, subject, object_box, obj)
@@ -76,51 +84,11 @@ def _kept(predictions: Sequence[Triplet]) -> Set[int]:
         found = best.get(key)
         if found is None or score > found[0]:
             best[key] = (score, i)
-    return {i for _, i in best.values()}
-
-
-def apply_constraint(predictions: Sequence[Triplet], regime: str) -> List[Triplet]:
-    """Reduce predictions per the regime.
-
-    with_constraint keeps one predicate per (subject box, subject class,
-    object box, object class) group: the highest-scoring one, first occurrence
-    winning ties. no_constraint returns the predictions unchanged.
-    """
-    if regime == "no_constraint":
-        return list(predictions)
-    if regime != "with_constraint":
-        raise ValueError(f"unknown regime {regime!r}")
-    keep = _kept(predictions)
-    return [p for i, p in enumerate(predictions) if i in keep]
+    return [predictions[i] for i in sorted(i for _, i in best.values())]
 
 
 def _rank_key(p: Triplet) -> float:
     return -(p.score if p.score is not None else 0.0)
-
-
-def _rankings(predictions: Sequence[Triplet], regimes: Sequence[str]) -> List[List[Triplet]]:
-    """Each regime's predictions (``apply_constraint``), ranked by score,
-    highest first, by a stable sort: equal scores keep input order.
-
-    The frame is sorted once: a stable sort of a subset is that subset of the
-    stable sort, so each regime filters the one ranking by the indices it
-    keeps. That holds only for a total order, and a NaN score leaves the
-    order partial, so a frame with one is sorted again for each regime, as
-    its own list.
-    """
-    keys = [_rank_key(p) for p in predictions]
-    if any(key != key for key in keys):  # a NaN
-        return [sorted(apply_constraint(predictions, regime), key=_rank_key)
-                for regime in regimes]
-    order = sorted(range(len(predictions)), key=keys.__getitem__)
-    rankings = []
-    for regime in regimes:
-        if regime == "no_constraint":
-            rankings.append([predictions[i] for i in order])
-        else:
-            keep = _kept(predictions)
-            rankings.append([predictions[i] for i in order if i in keep])
-    return rankings
 
 
 def _frame_hits(
@@ -128,19 +96,22 @@ def _frame_hits(
 ) -> List[List[bool]]:
     """Per-prediction hits of the frame's top-K predictions, one list per regime.
 
-    Predictions are matched in rank order (``_rankings``), each to the first
-    unconsumed ground truth it hits. A prediction can only hit ground truth
-    of its own class triple, so each one visits just that bucket, in
-    ground-truth order, and only its boxes are compared. The buckets are
-    built once for all regimes. Greedy matching is prefix-consistent: the
-    first k' hits of a pass at K are the hits of a pass at any k' <= K.
+    Each regime's predictions (``apply_constraint``) are ranked by score,
+    highest first, by a stable sort, so equal scores keep input order. They
+    are matched in rank order, each to the first unconsumed ground truth it
+    hits. A prediction can only hit ground truth of its own class triple, so
+    each one visits just that bucket, in ground-truth order, and only its
+    boxes are compared. The buckets are built once for all regimes. Greedy
+    matching is prefix-consistent: the first k' hits of a pass at K are the
+    hits of a pass at any k' <= K.
     """
     gt = instance.gt
     by_class: Dict[Tuple[str, str, str], List[int]] = {}
     for gi, g in enumerate(gt):
         by_class.setdefault(g.classes(), []).append(gi)
     all_hits = []
-    for ranked in _rankings(instance.predictions, regimes):
+    for regime in regimes:
+        ranked = sorted(apply_constraint(instance.predictions, regime), key=_rank_key)
         hits = []
         consumed = [False] * len(gt)
         for pred in ranked[:k]:

@@ -507,9 +507,12 @@ def _graph_rows() -> Callable[[dict], Tuple[str, Triplet]]:
 def _cyclic_gc_paused() -> Iterator[None]:
     """Pause the cyclic garbage collector, if it runs, for the block.
 
-    A loader that keeps every record makes the collector scan the growing
-    heap over and over, though the triplets it keeps hold no reference
-    cycles: on eval's 76,000 graph lines those scans took 8-9% of the run.
+    Two commands pause it, each once around all its work: ``eval``
+    (``cli.eval_cmd``, both loads, pairing and scoring) and ``run-all``
+    (``pipeline.run_all``). A run that keeps every record makes the collector
+    scan the growing heap over and over, though the triplets it keeps hold
+    no reference cycles: on eval's 76,000 graph lines those scans took 8-9%
+    of the run. The loaders themselves leave the collector alone.
     """
     if not gc.isenabled():
         yield
@@ -534,9 +537,8 @@ def load_frame_triplets(path) -> FrameTriplets:
     ``triplet_sort_key`` order (``sorted_frames``).
     """
     by_video: Dict[str, List[Triplet]] = defaultdict(list)
-    with _cyclic_gc_paused():
-        for _, (video_id, triplet) in read_records(path, "graph", _graph_rows()):
-            by_video[video_id].append(triplet)
+    for _, (video_id, triplet) in read_records(path, "graph", _graph_rows()):
+        by_video[video_id].append(triplet)
     frames: FrameTriplets = {}
     for video_id in sorted(by_video):
         for frame, triplets in sorted_frames(video_id, by_video[video_id]).items():

@@ -1915,21 +1915,61 @@ class TestEvalCommand:
         assert isinstance(result.exception, SystemExit), result.exception
         assert f"error: cannot read {gt}: " in result.output
 
-    @pytest.mark.parametrize("where", ["directory", "missing-parent"])
-    def test_json_out_that_cannot_be_written_exits_1_naming_it(self, tmp_path, where):
+    @staticmethod
+    def _pair(tmp_path):
+        """A ground-truth file and a prediction file of one matching line each."""
         gt, pred = tmp_path / "gt.ndjson", tmp_path / "pred.ndjson"
         gt.write_text(json.dumps(EVAL_RECORD) + "\n")
         pred.write_text(json.dumps(dict(EVAL_RECORD, score=0.9)) + "\n")
+        return gt, pred
+
+    # A missing parent is created (test_json_out_creates_its_missing_parents).
+    @pytest.mark.parametrize("where", ["directory"])
+    def test_json_out_that_cannot_be_written_exits_1_naming_it(self, tmp_path, where):
+        gt, pred = self._pair(tmp_path)
         out = tmp_path / "eval.json"
-        if where == "directory":
-            out.mkdir()
-        else:
-            out = tmp_path / "absent" / "eval.json"
+        out.mkdir()
         result = CliRunner().invoke(main, ["eval", "--gt", str(gt), "--pred", str(pred),
                                            "--json-out", str(out)])
         assert result.exit_code == 1
         assert isinstance(result.exception, SystemExit), result.exception
         assert f"error: cannot write {out}: " in result.output
+
+    def test_json_out_creates_its_missing_parents(self, tmp_path):
+        gt, pred = self._pair(tmp_path)
+        out = tmp_path / "absent" / "deeper" / "eval.json"
+        result = CliRunner().invoke(main, ["eval", "--gt", str(gt), "--pred", str(pred),
+                                           "--json-out", str(out)])
+        assert result.exit_code == 0, result.output
+        assert json.loads(out.read_text()) == {
+            f"{regime}/R@{k}": 1.0
+            for regime in ("no_constraint", "with_constraint") for k in (20, 50)
+        }
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    def test_eval_pauses_the_cyclic_gc_and_leaves_it_as_it_found_it(
+        self, tmp_path, monkeypatch, enabled
+    ):
+        gt, pred = self._pair(tmp_path)
+        bad = tmp_path / "bad.ndjson"
+        bad.write_text(pred.read_text() + "not json\n")
+        during = []
+        load = ingest.load_frame_triplets
+        monkeypatch.setattr(ingest, "load_frame_triplets",
+                            lambda path: during.append(gc.isenabled()) or load(path))
+        was_enabled = gc.isenabled()
+        try:
+            gc.enable() if enabled else gc.disable()
+            result = CliRunner().invoke(main, ["eval", "--gt", str(gt), "--pred", str(pred)])
+            assert result.exit_code == 0, result.output
+            assert gc.isenabled() is enabled
+            result = CliRunner().invoke(main, ["eval", "--gt", str(gt), "--pred", str(bad)])
+            assert result.exit_code == 1
+            assert f"{bad}:2:" in result.output
+            assert gc.isenabled() is enabled
+        finally:
+            gc.enable() if was_enabled else gc.disable()
+        assert during == [False] * 4
 
     def test_unlocalized_graph_triplet_exits_1_naming_file_and_line(self, tmp_path):
         gt = tmp_path / "gt.ndjson"

@@ -59,6 +59,11 @@ def oracle_match(p, g, thr):
     )
 
 
+def oracle_score(p):
+    """A prediction's score, an unscored one (None) reading as 0.0."""
+    return 0.0 if p.score is None else p.score
+
+
 def oracle_constraint(preds, regime):
     if regime == "no_constraint":
         return list(preds)
@@ -73,7 +78,9 @@ def oracle_constraint(preds, regime):
             )
             if qkey != key or j == i:
                 continue
-            if q.score > p.score or (q.score == p.score and j < i):
+            if oracle_score(q) > oracle_score(p) or (
+                oracle_score(q) == oracle_score(p) and j < i
+            ):
                 beaten = True
         if not beaten:
             survivors.append(p)
@@ -82,7 +89,7 @@ def oracle_constraint(preds, regime):
 
 def oracle_frame_recall(gt, preds, regime, k, thr):
     kept = oracle_constraint(preds, regime)
-    ranked = sorted(range(len(kept)), key=lambda i: (-kept[i].score, i))
+    ranked = sorted(range(len(kept)), key=lambda i: (-oracle_score(kept[i]), i))
     top = [kept[i] for i in ranked[:k]]
     used = [False] * len(gt)
     for p in top:
@@ -349,8 +356,9 @@ _OBJECT_BOXES = st.sampled_from([BOX_B, _box(0, 20, 10, 30)])
 
 @st.composite
 def _shared_box_frames(draw):
-    """One to three frames; frame 1 always has ground truth."""
-    score = st.sampled_from([0.25, 0.5, 0.75, 1.0])
+    """One to three frames; frame 1 always has ground truth. A prediction
+    may be unscored (None), which ties with a score of 0.0."""
+    score = st.sampled_from([None, 0.0, 0.25, 0.5, 0.75, 1.0])
     instances = []
     for f in range(1, draw(st.integers(1, 3)) + 1):
         gt = draw(st.lists(st.tuples(_CLASS_TRIPLES, _SUBJECT_BOXES, _OBJECT_BOXES),

@@ -1,4 +1,3 @@
-import gc
 import json
 import math
 import random
@@ -154,22 +153,6 @@ class TestSceneGraphFiles:
         shuffled = tmp_path / "shuffled.ndjson"
         shuffled.write_text("\n".join(lines) + "\n")
         assert load_scene_graphs(shuffled) == load_scene_graphs(path)
-
-    @pytest.mark.parametrize("enabled", [True, False])
-    def test_load_leaves_the_cyclic_gc_as_it_found_it(self, tmp_path, enabled):
-        good, bad = tmp_path / "good.ndjson", tmp_path / "bad.ndjson"
-        write_scene_graphs([_graph()], good)
-        bad.write_text(good.read_text() + "not json\n")
-        was_enabled = gc.isenabled()
-        try:
-            gc.enable() if enabled else gc.disable()
-            load_frame_triplets(good)
-            assert gc.isenabled() is enabled
-            with pytest.raises(MalformedRecord):
-                load_frame_triplets(bad)
-            assert gc.isenabled() is enabled
-        finally:
-            gc.enable() if was_enabled else gc.disable()
 
     def test_malformed_line_reports_number(self, tmp_path):
         path = tmp_path / "g.ndjson"
