@@ -19,6 +19,7 @@ import json
 import sys
 import time
 from collections import Counter
+from contextlib import nullcontext
 from pathlib import Path
 from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Sequence, Tuple
 
@@ -30,7 +31,7 @@ from .config import DEFAULT_SEED, AlignConfig, check_seed
 from .core import (
     SegmentedSentence, Triplet, Vocabulary, checked_int, checked_interval, checked_number,
 )
-from .errors import CapgraphError, MalformedRecord, write_failure
+from .errors import CapgraphError, MalformedRecord
 from .llm import TokenUsage
 
 if TYPE_CHECKING:
@@ -196,12 +197,14 @@ def segment(data_root, out_path, mode, model, cache_dir, offline):
 
     config = segment_mod.SegmentConfig(model_name=model, mode=mode)
     client = segment_mod.make_client(config, cache_dir, offline)
-    sentences = {
-        m.video_id: segment_video(m, config, client)
-        for m in ingest.load_manifests(Path(data_root) / "manifest.ndjson")
-    }
-    ingest.write_sentences(sentences, out_path)
-    click.echo(f"wrote {sum(map(len, sentences.values()))} sentences to {out_path}")
+    manifests = ingest.load_manifests(Path(data_root) / "manifest.ndjson")
+    count = 0
+    with ingest.OutputFile(out_path) as out:
+        for m in manifests:
+            sentences = segment_video(m, config, client)
+            count += len(sentences)
+            out.write(ingest.sentence_lines(m.video_id, sentences))
+    click.echo(f"wrote {count} sentences to {out_path}")
 
 
 def _check_in_manifest(video_ids: Iterable[str], manifests, source: str) -> None:
@@ -267,19 +270,24 @@ def align_cmd(data_root, sentences_path, out_path, beta, selection, seed, trace_
     manifests = ingest.load_manifests(Path(data_root) / "manifest.ndjson")
     sentences = ingest.load_sentences(sentences_path)
     _check_sentences(sentences, manifests, sentences_path)
-    aligned, traces = {}, []
-    for chunk in video_chunks(manifests, _loader(data_root), config.beta):
-        chunk = [video for video in chunk if video[0].video_id in sentences]
-        clusterings = align_mod.cluster_videos([frames for _, frames, _, _ in chunk], config, seed)
-        for (m, _, sentence_embeds, _), clustering in zip(chunk, clusterings):
-            aligned[m.video_id], trace = align_video(
-                m.video_id, sentences[m.video_id], sentence_embeds, clustering, config, data_root
-            )
-            traces.append(trace)
-    ingest.write_sentences(aligned, out_path)
-    if trace_out:
-        ingest.write_record_lines([t.to_dict() for t in traces], trace_out)
-    click.echo(f"aligned {len(aligned)} videos")
+    # The trace file is renamed into place first: one that cannot be written
+    # leaves no --out either.
+    with (
+        ingest.OutputFile(out_path) as out,
+        ingest.OutputFile(trace_out) if trace_out else nullcontext() as traces,
+    ):
+        for chunk in video_chunks(manifests, _loader(data_root), config.beta):
+            chunk = [video for video in chunk if video[0].video_id in sentences]
+            clusterings = align_mod.cluster_videos([frames for _, frames, _, _ in chunk], config, seed)
+            for (m, _, sentence_embeds, _), clustering in zip(chunk, clusterings):
+                aligned, trace = align_video(
+                    m.video_id, sentences[m.video_id], sentence_embeds, clustering, config, data_root
+                )
+                out.write(ingest.sentence_lines(m.video_id, aligned))
+                if traces:
+                    traces.write(ingest.record_lines([trace.to_dict()]))
+    # _check_sentences found every video of the sentences file in the manifest.
+    click.echo(f"aligned {len(sentences)} videos")
 
 
 @main.command(name="parse")
@@ -348,17 +356,15 @@ def ground(data_root, sentences_path, triplets_path, out_path):
                     f"{order_index} in {sentences_path}"
                 )
     # A video's graph lines, taken in video-id order, are the lines of the file.
-    lines = [
-        line
-        for chunk in video_chunks(manifests, _loader(data_root), AlignConfig.beta)
-        for m, _, _, table in chunk if m.video_id in mapped
-        for line in ingest.scene_graph_lines(
-            (m.video_id, t) for t in ground_video(mapped[m.video_id], sentences[m.video_id], table)
-        )
-    ]
-    with ingest.NdjsonWriter(out_path) as out:
-        out.write(lines)
-    click.echo(f"grounded {len(lines)} triplets")
+    count = 0
+    with ingest.OutputFile(out_path) as out:
+        for chunk in video_chunks(manifests, _loader(data_root), AlignConfig.beta):
+            for m, _, _, table in chunk:
+                if m.video_id in mapped:
+                    grounded = ground_video(mapped[m.video_id], sentences[m.video_id], table)
+                    count += len(grounded)
+                    out.write(ingest.scene_graph_lines((m.video_id, t) for t in grounded))
+    click.echo(f"grounded {count} triplets")
 
 
 @main.command()
@@ -398,8 +404,7 @@ def plm(data_root, sentences_path, graphs_path, out_path, alpha, not_looking, no
             ))
     assignment = motion.assign_negatives(candidates, config)
     rows = assignment.rows()
-    with ingest.NdjsonWriter(out_path) as out:
-        out.write(ingest.scene_graph_lines(rows))
+    ingest.write_lines(ingest.scene_graph_lines(rows), out_path)
     click.echo(
         f"selected {len(assignment.selected)} of {len(candidates)} candidates; "
         f"wrote {len(rows)} negatives"
@@ -435,15 +440,10 @@ def eval_cmd(gt_path, pred_path, k_values, regime, iou_threshold, json_out):
     payload = {
         f"{regime_name}/R@{k}": value for (regime_name, k), value in sorted(results.items())
     }
+    text = json.dumps(payload, sort_keys=True, indent=1)
     if json_out:
-        try:
-            Path(json_out).parent.mkdir(parents=True, exist_ok=True)
-            Path(json_out).write_text(
-                json.dumps(payload, sort_keys=True, indent=1) + "\n", encoding="utf-8"
-            )
-        except OSError as e:
-            raise write_failure(json_out, e) from e
-    click.echo(json.dumps(payload, sort_keys=True, indent=1))
+        ingest.write_lines([text], json_out)
+    click.echo(text)
     click.echo(format_recall_table(results, k_values, config.regimes()))
 
 

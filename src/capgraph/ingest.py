@@ -28,9 +28,12 @@ video's object classes (``graph_triplets``), and ``load_frame_triplets``
 groups the rows into frames, which ``eval`` scores and ``load_scene_graphs``
 groups into one graph per video.
 
-A file that cannot be written raises ``errors.write_failure``'s error, which
-names it and the cause, as ``read_failure``'s names a file that cannot be
-read.
+Every file the package writes (an output of any command, an NLVE file, a
+recorded reply) is written by ``OutputFile``: into a temporary file beside
+its path, renamed into place whole once all of it is written, and removed
+otherwise. A file that cannot be written raises ``errors.write_failure``'s
+error, which names it and the cause, as ``read_failure``'s names a file that
+cannot be read.
 
 A count, frame index or order index in any record is an integer, not a
 boolean, a string or a float (``core.checked_int``): ``1.5``, ``true`` and
@@ -50,9 +53,10 @@ import gc
 import io
 import json
 import math
+import os
 import struct
 from collections import defaultdict
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, TypeVar
@@ -115,7 +119,6 @@ class DatasetBundle:
 def write_embeddings(matrix: EmbeddingMatrix, path) -> None:
     import numpy as np
 
-    path = Path(path)
     buf = io.BytesIO()
     buf.write(_NLVE_MAGIC)
     buf.write(struct.pack("<II", matrix.dim, len(matrix)))
@@ -124,11 +127,8 @@ def write_embeddings(matrix: EmbeddingMatrix, path) -> None:
         buf.write(struct.pack("<I", len(raw)))
         buf.write(raw)
     buf.write(np.ascontiguousarray(matrix.rows, dtype="<f4").tobytes())
-    try:
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_bytes(buf.getvalue())
-    except OSError as e:
-        raise write_failure(path, e) from e
+    with OutputFile(path) as out:
+        out.write_binary(buf.getvalue())
 
 
 def read_embeddings(path) -> EmbeddingMatrix:
@@ -251,41 +251,64 @@ def _first_undecodable_line(path: Path) -> int:
     return 0
 
 
-class NdjsonWriter:
-    """A text file opened for writing and filled one batch of lines at a
-    time, so that a run can stream its NDJSON outputs; closed at the end of
-    its ``with`` block. An ``OSError`` raises ``write_failure``'s error naming
-    the file."""
+class OutputFile:
+    """The one way a file is written: ``with OutputFile(path) as out:``.
+
+    Entering makes ``path``'s missing parent directories and creates a new
+    temporary file beside it, exclusively, under a name unique to this call
+    and with the mode a plain ``open`` gives (0666 under the umask). ``write``
+    and ``write_binary`` fill it. When the block exits cleanly the file is
+    closed and renamed over ``path``, replacing a symlink there rather than
+    its target; on any other exit it is removed. So ``path`` holds its
+    previous bytes until the new ones are all written, and no temporary file
+    is left. An ``OSError`` raises ``write_failure``'s error naming ``path``.
+    """
 
     def __init__(self, path):
         self.path = Path(path)
+
+    @contextmanager
+    def _failing(self) -> Iterator[None]:
         try:
-            self.path.parent.mkdir(parents=True, exist_ok=True)
-            self._fh = open(self.path, "w", encoding="utf-8", newline="\n")
+            yield
         except OSError as e:
             raise write_failure(self.path, e) from e
+
+    def __enter__(self) -> "OutputFile":
+        self._temp = self.path.parent / f".{self.path.name}.{os.urandom(8).hex()}.tmp"
+        with self._failing():
+            self.path.parent.mkdir(parents=True, exist_ok=True)
+            self._fh = open(self._temp, "x", encoding="utf-8", newline="\n")
+        return self
 
     def write(self, lines: Iterable[str]) -> None:
         """Append ``lines``, each followed by a newline."""
-        try:
+        with self._failing():
             for line in lines:
                 self._fh.write(line)
                 self._fh.write("\n")
-        except OSError as e:
-            raise write_failure(self.path, e) from e
 
-    def __enter__(self) -> "NdjsonWriter":
-        return self
+    def write_binary(self, data: bytes) -> None:
+        """Append ``data`` as it is."""
+        with self._failing():
+            self._fh.flush()
+            self._fh.buffer.write(data)
 
-    def __exit__(self, *exc) -> None:
+    def __exit__(self, kind, error, traceback) -> None:
         try:
-            self._fh.close()
-        except OSError as e:
-            raise write_failure(self.path, e) from e
+            with self._failing():
+                self._fh.close()
+                if kind is None:
+                    os.replace(self._temp, self.path)
+        finally:
+            with suppress(OSError):  # gone once renamed into place
+                os.unlink(self._temp)
 
 
-def _write_ndjson(lines: Iterable[str], path) -> None:
-    with NdjsonWriter(path) as out:
+def write_lines(lines: Iterable[str], path) -> None:
+    """Write ``lines`` to ``path``, each followed by a newline, in one
+    ``OutputFile``."""
+    with OutputFile(path) as out:
         out.write(lines)
 
 
@@ -296,7 +319,7 @@ def record_lines(records: Iterable[dict]) -> Iterator[str]:
 
 def write_record_lines(records: Iterable[dict], path) -> None:
     """Write dict records as canonical NDJSON in the given order."""
-    _write_ndjson(record_lines(records), path)
+    write_lines(record_lines(records), path)
 
 
 # ---------------------------------------------------------------------------
@@ -305,7 +328,7 @@ def write_record_lines(records: Iterable[dict], path) -> None:
 
 def write_manifests(manifests: Sequence[VideoManifest], path) -> None:
     ordered = sorted(manifests, key=lambda m: m.video_id)
-    _write_ndjson((_dump_line(m.to_dict()) for m in ordered), path)
+    write_lines((_dump_line(m.to_dict()) for m in ordered), path)
 
 
 def _checked_manifest(record: dict) -> VideoManifest:
@@ -403,7 +426,7 @@ def grounding_table(detections: Iterable[Detection]) -> GroundingTable:
 
 def write_detections(detections: Sequence[Detection], path) -> None:
     ordered = sorted(detections, key=_detection_order)
-    _write_ndjson((_dump_line(d.to_dict()) for d in ordered), path)
+    write_lines((_dump_line(d.to_dict()) for d in ordered), path)
 
 
 # ---------------------------------------------------------------------------
@@ -427,7 +450,7 @@ def write_scene_graphs(graphs: Sequence[SceneGraph], path) -> None:
     graphs produce byte-identical files. No command calls it, since every
     command writes rows; the benchmark (``bench/``) and tests do."""
     rows = ((graph.video_id, t) for graph in graphs for t in graph.all_triplets())
-    _write_ndjson(scene_graph_lines(rows), path)
+    write_lines(scene_graph_lines(rows), path)
 
 
 class _Names(dict):
@@ -568,7 +591,7 @@ def sentence_lines(video_id: str, sentences: Sequence[SegmentedSentence]) -> Ite
 
 
 def write_sentences(sentences_by_video: Dict[str, List[SegmentedSentence]], path) -> None:
-    _write_ndjson(
+    write_lines(
         (line for video_id in sorted(sentences_by_video)
          for line in sentence_lines(video_id, sentences_by_video[video_id])),
         path,
@@ -617,7 +640,7 @@ def write_parsed_triplets(
         record["order_index"] = order_index
         keyed.append(((video_id, order_index) + triplet.classes(), _dump_line(record)))
     keyed.sort(key=lambda pair: pair[0])
-    _write_ndjson((line for _, line in keyed), path)
+    write_lines((line for _, line in keyed), path)
 
 
 def load_parsed_triplets(path) -> List[Tuple[str, int, Triplet]]:

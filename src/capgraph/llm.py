@@ -12,7 +12,6 @@ import hashlib
 import json
 import math
 import os
-import tempfile
 import threading
 import time
 from dataclasses import asdict, dataclass
@@ -20,7 +19,8 @@ from pathlib import Path
 from typing import Optional, Tuple
 
 from .core import checked_int, checked_number
-from .errors import LlmTransport, write_failure
+from .errors import LlmTransport
+from .ingest import OutputFile
 
 API_KEY_ENV = "CAPGRAPH_API_KEY"
 
@@ -313,11 +313,13 @@ def write_cassette(cache_dir, model_name: str, prompt: str, response: str,
                    input_tokens: int = 0, output_tokens: int = 0) -> Path:
     """Record a response so later calls replay it without network.
 
-    The record is staged in a temporary file unique to this call and renamed
-    into place, so a reader never sees a partial file, a crash leaves the
-    previous record intact, and concurrent writers of one key do not collide.
-    A record that cannot be written raises ``errors.write_failure``'s error
-    naming its path, and leaves no temporary file.
+    The record is written by ``ingest.OutputFile``: into a temporary file
+    unique to this call, renamed into place whole, so a reader never sees a
+    partial file, a crash leaves the previous record intact, and concurrent
+    writers of one key do not collide. It gets the mode every output gets
+    (0666 under the umask). A record that cannot be written raises
+    ``errors.write_failure``'s error naming its path, and leaves no temporary
+    file.
     """
     key = cache_key(model_name, prompt)
     path = Path(cache_dir) / f"{key}.json"
@@ -331,16 +333,6 @@ def write_cassette(cache_dir, model_name: str, prompt: str, response: str,
         sort_keys=True,
         indent=1,
     )
-    try:
-        path.parent.mkdir(parents=True, exist_ok=True)
-        fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{key}.", suffix=".tmp")
-        try:
-            with os.fdopen(fd, "w", encoding="utf-8") as fh:
-                fh.write(text)
-            os.replace(tmp, path)
-        except BaseException:
-            os.unlink(tmp)
-            raise
-    except OSError as e:
-        raise write_failure(path, e) from e
+    with OutputFile(path) as out:
+        out.write_binary(text.encode("utf-8"))
     return path

@@ -390,7 +390,7 @@ def _stream(config: PipelineConfig, manifests: Sequence[VideoManifest], staged: 
     # between them names its own stage.
     with _stage("write"), ExitStack() as stack:
         sentences_out, graphs_out, trace_out = (
-            stack.enter_context(ingest.NdjsonWriter(staged / name)) for name in _STREAMED
+            stack.enter_context(ingest.OutputFile(staged / name)) for name in _STREAMED
         )
         map_videos = _in_order
         if workers > 1:
@@ -452,10 +452,9 @@ def _stream(config: PipelineConfig, manifests: Sequence[VideoManifest], staged: 
     rows = assignment.rows()
     report.negatives = len(rows)
     with _stage("write"):
-        with ingest.NdjsonWriter(staged / "negatives.ndjson") as out:
-            out.write(ingest.scene_graph_lines(rows))
-        with ingest.NdjsonWriter(staged / "report.json") as out:
-            out.write([json.dumps(report.to_dict(), sort_keys=True, indent=1)])
+        ingest.write_lines(ingest.scene_graph_lines(rows), staged / "negatives.ndjson")
+        ingest.write_lines([json.dumps(report.to_dict(), sort_keys=True, indent=1)],
+                           staged / "report.json")
     return report
 
 

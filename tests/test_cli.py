@@ -6,7 +6,9 @@ import math
 import os
 import random
 import re
+import resource
 import shutil
+import stat
 import struct
 import subprocess
 import sys
@@ -272,11 +274,25 @@ class TestRunAll:
         def fail(writer, lines):
             raise IoFailure(f"cannot write {writer.path}: no space left on device")
 
-        monkeypatch.setattr(ingest.NdjsonWriter, "write", fail)
+        monkeypatch.setattr(ingest.OutputFile, "write", fail)
         with pytest.raises(StageError) as err:
             run_all(_config(data_root, cassette_dir, out, seed=3))
         assert err.value.stage == "write"
         assert {path.name: path.read_bytes() for path in out.iterdir()} == before
+
+    def test_a_cassette_and_a_staged_output_get_one_mode(self, data_root, cassette_dir,
+                                                        tmp_path):
+        # One writer makes every file, a cassette included, with the mode a
+        # plain open() gives under the umask.
+        umask = os.umask(0o027)
+        try:
+            cassette = llm.write_cassette(tmp_path / "cache", MODEL, "a prompt", "a reply")
+            run_all(_config(data_root, cassette_dir, tmp_path / "out"))
+        finally:
+            os.umask(umask)
+        paths = [cassette, *(tmp_path / "out").iterdir()]
+        assert len(paths) == 1 + len(pipeline._RUN_OUTPUTS)
+        assert {stat.S_IMODE(path.stat().st_mode) for path in paths} == {0o640}
 
     def test_cassette_token_count_too_large_to_price_exits_1_naming_it(
         self, data_root, cassette_dir, tmp_path
@@ -674,7 +690,7 @@ class TestCassetteThatCannotBeWritten:
     def cassette(self, tmp_path, monkeypatch):
         """The path the fixture's first segmentation reply would be recorded
         at, with every request answered by a 200 reply and every cassette's
-        temporary file refused."""
+        temporary file refused when the writer creates it."""
         class Reply:
             status_code, headers, text = 200, {}, ""
 
@@ -682,13 +698,17 @@ class TestCassetteThatCannotBeWritten:
                 return {"choices": [{"message": {"content": V1_SEGMENT_REPLY}}],
                         "usage": {"prompt_tokens": 10, "completion_tokens": 5}}
 
-        def deny(*args, **kwargs):
-            raise PermissionError(13, "Permission denied")
+        cache = tmp_path / "cache"
+
+        def deny_in_cache(path, *args, **kwargs):
+            if Path(path).parent == cache:
+                raise PermissionError(13, "Permission denied")
+            return open(path, *args, **kwargs)
 
         monkeypatch.setattr(requests, "post", lambda *args, **kwargs: Reply())
-        monkeypatch.setattr(llm.tempfile, "mkstemp", deny)
+        monkeypatch.setattr(ingest, "open", deny_in_cache, raising=False)
         key = llm.cache_key(MODEL, segment_mod.build_prompt(V1_CAPTION))
-        return tmp_path / "cache" / f"{key}.json"
+        return cache / f"{key}.json"
 
     @pytest.mark.parametrize("command", ["segment", "run-all"])
     def test_exits_1_naming_the_cassette(self, data_root, tmp_path, cassette, command):
@@ -964,6 +984,51 @@ class TestStageCommands:
         for step in _staged_steps(data_root, cassette_dir, staged)[:4]:
             assert CliRunner().invoke(main, step).exit_code == 0, step[0]
         return staged
+
+    @pytest.mark.parametrize("command", ["segment", "align", "parse", "ground", "plm", "eval"])
+    def test_a_write_that_fails_partway_keeps_the_previous_file(
+        self, staged, data_root, cassette_dir, tmp_path, command
+    ):
+        # Writes past the first 32 bytes of any file fail, as on a full disk.
+        out = tmp_path / "out"
+        out.mkdir()
+        graphs = str(staged / "scene_graphs.ndjson")
+        steps = _staged_steps(data_root, cassette_dir, out, inputs=staged) + [
+            ["eval", "--gt", graphs, "--pred", graphs, "--json-out", str(out / "eval.json")],
+        ]
+        step = next(s for s in steps if s[0] == command)
+        if command == "align":  # its trace file has a test of its own
+            step = step[:step.index("--trace-out")]
+        path = Path(step[step.index("--json-out" if command == "eval" else "--out") + 1])
+        path.write_bytes(b"the previous output\n")
+        soft, hard = resource.getrlimit(resource.RLIMIT_FSIZE)
+        resource.setrlimit(resource.RLIMIT_FSIZE, (32, hard))
+        try:
+            result = CliRunner().invoke(main, step)
+        finally:
+            resource.setrlimit(resource.RLIMIT_FSIZE, (soft, hard))
+        assert result.exit_code == 1, result.output
+        assert isinstance(result.exception, SystemExit), result.exception
+        assert result.output == f"error: cannot write {path}: File too large\n"
+        assert path.read_bytes() == b"the previous output\n"
+        assert [p.name for p in out.iterdir()] == [path.name]
+
+    def test_align_with_a_trace_out_directory_writes_neither_output(
+        self, staged, data_root, tmp_path
+    ):
+        # The trace file is renamed into place first, so --out is never written.
+        out, traces = tmp_path / "a.ndjson", tmp_path / "traces"
+        traces.mkdir()
+        before = sorted(p.name for p in tmp_path.iterdir())
+        result = CliRunner().invoke(main, [
+            "align", "--data-root", str(data_root), "--sentences", str(staged / "raw.ndjson"),
+            "--out", str(out), "--trace-out", str(traces),
+        ])
+        assert result.exit_code == 1, result.output
+        assert isinstance(result.exception, SystemExit), result.exception
+        assert result.output == f"error: cannot write {traces}: Is a directory\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == before
+        assert list(traces.iterdir()) == []
 
     def _run(self, command, data_root, cassette_dir, tmp_path, inputs):
         """``command``'s staged step on ``data_root`` reading ``inputs``, into

@@ -115,6 +115,17 @@ def test_output_under_a_file_is_a_write_failure_naming_it(tmp_path, write, under
         write(path)
 
 
+def test_an_output_replaces_a_symlink_and_leaves_its_target(tmp_path):
+    target, link = tmp_path / "target", tmp_path / "link"
+    target.write_text("the target\n")
+    link.symlink_to(target)
+    write_record_lines([{"a": 1}], link)
+    assert not link.is_symlink()
+    assert link.read_text() == '{"a":1}\n'
+    assert target.read_text() == "the target\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["link", "target"]
+
+
 class TestSceneGraphFiles:
     def test_write_then_load_round_trip(self, tmp_path):
         graphs = [_graph("v1"), _graph("v2")]

@@ -16,6 +16,7 @@ from click.testing import CliRunner
 
 import capgraph
 import capgraph.llm as llm
+from capgraph import ingest
 from capgraph import segment as segment_mod
 from capgraph.cli import main
 from capgraph.errors import IoFailure, LlmTransport
@@ -62,17 +63,21 @@ class TestTransport:
         assert offline.complete("hello") == "1. ok"
         assert offline.network_calls == 0
 
-    @pytest.mark.parametrize("refused", ["mkstemp", "replace"])
+    @pytest.mark.parametrize("refused", ["create", "replace"])
     def test_a_cassette_that_cannot_be_written_names_it_and_records_nothing(
         self, tmp_path, monkeypatch, refused
     ):
-        # Refused when its temporary file is made, or when it is renamed
-        # into place: either way no file is left and no reply is memoized.
+        # Refused when the writer creates its temporary file, or when it
+        # renames it into place: either way no file is left and no reply is
+        # memoized.
         def deny(*args, **kwargs):
             raise PermissionError(13, "Permission denied")
 
         monkeypatch.setattr(requests, "post", lambda *a, **k: FakeResponse(200, _ok_payload()))
-        monkeypatch.setattr(llm.tempfile if refused == "mkstemp" else llm.os, refused, deny)
+        if refused == "create":
+            monkeypatch.setattr(ingest, "open", deny, raising=False)
+        else:
+            monkeypatch.setattr(ingest.os, "replace", deny)
         client = ChatClient("m", endpoint="http://example/chat", cache_dir=tmp_path)
         path = tmp_path / f"{cache_key('m', 'hello')}.json"
         with pytest.raises(IoFailure) as err:
