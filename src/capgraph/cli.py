@@ -31,7 +31,7 @@ from .config import DEFAULT_SEED, AlignConfig, check_seed
 from .core import (
     SegmentedSentence, Triplet, Vocabulary, checked_int, checked_interval, checked_number,
 )
-from .errors import CapgraphError, MalformedRecord
+from .errors import CapgraphError, MalformedRecord, read_failure
 from .llm import TokenUsage
 
 if TYPE_CHECKING:
@@ -165,6 +165,7 @@ def _load_pipeline_config(
     """The config file (defaults without one) with ``overrides`` folded in.
 
     Override keys are ``field`` or ``section.field``; None values are skipped.
+    A file that cannot be read raises ``errors.read_failure``'s error.
     """
     from . import pipeline
 
@@ -177,6 +178,8 @@ def _load_pipeline_config(
                 section, _, name = key.rpartition(".")
                 (data.setdefault(section, {}) if section else data)[name] = value
         return pipeline.PipelineConfig.from_dict(data)
+    except OSError as e:
+        raise read_failure(config_path, e) from e
     except json.JSONDecodeError as e:
         raise MalformedRecord(config_path, e.lineno, f"invalid JSON: {e.msg}") from e
     except (TypeError, ValueError, RecursionError) as e:
@@ -394,6 +397,10 @@ def plm(data_root, sentences_path, graphs_path, out_path, alpha, not_looking, no
         classes.setdefault(video_id, set()).add(triplet.object_class)
     _check_in_manifest(classes, manifests, graphs_path)
     _check_sentences(sentences, manifests, sentences_path)
+    unsegmented = sorted(set(classes) - set(sentences))
+    if unsegmented:
+        raise CapgraphError(f"{graphs_path}: video {unsegmented[0]!r} has no sentence in "
+                            f"{sentences_path}")
     candidates = []
     for chunk in video_chunks(manifests, _loader(data_root), AlignConfig.beta):
         for m, _, _, table in chunk:

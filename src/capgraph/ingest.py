@@ -31,9 +31,10 @@ groups into one graph per video.
 Every file the package writes (an output of any command, an NLVE file, a
 recorded reply) is written by ``OutputFile``: into a temporary file beside
 its path, renamed into place whole once all of it is written, and removed
-otherwise. A file that cannot be written raises ``errors.write_failure``'s
-error, which names it and the cause, as ``read_failure``'s names a file that
-cannot be read.
+otherwise, with any directory that was made for it and is still empty. A
+file that cannot be written raises ``errors.write_failure``'s error, which
+names it and the cause, as ``read_failure``'s names a file that cannot be
+read.
 
 A count, frame index or order index in any record is an integer, not a
 boolean, a string or a float (``core.checked_int``): ``1.5``, ``true`` and
@@ -58,6 +59,7 @@ import struct
 from collections import defaultdict
 from contextlib import contextmanager, suppress
 from dataclasses import dataclass, field
+from itertools import takewhile
 from pathlib import Path
 from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, TypeVar
 
@@ -251,21 +253,37 @@ def _first_undecodable_line(path: Path) -> int:
     return 0
 
 
+def _missing_dirs(path: Path) -> List[Path]:
+    """``path`` and its parents up to the first that exists, innermost first."""
+    return list(takewhile(lambda directory: not directory.exists(), (path, *path.parents)))
+
+
 class OutputFile:
     """The one way a file is written: ``with OutputFile(path) as out:``.
 
-    Entering makes ``path``'s missing parent directories and creates a new
-    temporary file beside it, exclusively, under a name unique to this call
-    and with the mode a plain ``open`` gives (0666 under the umask). ``write``
-    and ``write_binary`` fill it. When the block exits cleanly the file is
-    closed and renamed over ``path``, replacing a symlink there rather than
-    its target; on any other exit it is removed. So ``path`` holds its
-    previous bytes until the new ones are all written, and no temporary file
-    is left. An ``OSError`` raises ``write_failure``'s error naming ``path``.
+    Entering makes ``path``'s missing parent directories, and records them,
+    and creates a new temporary file beside it, exclusively, under a name
+    unique to this call and with the mode a plain ``open`` gives (0666 under
+    the umask). ``write`` and ``write_binary`` fill it. When the block exits
+    cleanly the file is closed and renamed over ``path``, replacing a symlink
+    there rather than its target. On any other exit, or when entering fails,
+    the temporary file is removed, then the directories entering made,
+    innermost first, while they are empty. So ``path`` holds its previous
+    bytes until the new ones are all written, and a failed write leaves no
+    temporary file and no directory it made. An ``OSError`` raises
+    ``write_failure``'s error naming ``path``.
+
+    Writers nest: ``run_all`` enters its five outputs last to first, so a
+    clean exit renames them first to last and an error removes every
+    temporary file. Each writer removes only empty directories, so a failing
+    writer never removes another's file; but a concurrent writer about to
+    create its file in a fresh directory that a failing writer has just
+    removed fails, naming its own path.
     """
 
     def __init__(self, path):
         self.path = Path(path)
+        self._made: List[Path] = []
 
     @contextmanager
     def _failing(self) -> Iterator[None]:
@@ -274,11 +292,23 @@ class OutputFile:
         except OSError as e:
             raise write_failure(self.path, e) from e
 
+    def _remove_made_dirs(self) -> None:
+        for directory in self._made:
+            try:
+                directory.rmdir()
+            except OSError:  # not empty, or gone
+                break
+
     def __enter__(self) -> "OutputFile":
         self._temp = self.path.parent / f".{self.path.name}.{os.urandom(8).hex()}.tmp"
-        with self._failing():
-            self.path.parent.mkdir(parents=True, exist_ok=True)
-            self._fh = open(self._temp, "x", encoding="utf-8", newline="\n")
+        try:
+            with self._failing():
+                self._made = _missing_dirs(self.path.parent)
+                self.path.parent.mkdir(parents=True, exist_ok=True)
+                self._fh = open(self._temp, "x", encoding="utf-8", newline="\n")
+        except BaseException:
+            self._remove_made_dirs()
+            raise
         return self
 
     def write(self, lines: Iterable[str]) -> None:
@@ -294,15 +324,30 @@ class OutputFile:
             self._fh.flush()
             self._fh.buffer.write(data)
 
+    def flush(self) -> None:
+        """Hand what is buffered to the file system, so that a full disk
+        fails here rather than when the block exits."""
+        with self._failing():
+            self._fh.flush()
+
     def __exit__(self, kind, error, traceback) -> None:
+        renamed = False
         try:
-            with self._failing():
-                self._fh.close()
-                if kind is None:
+            if kind is None:
+                with self._failing():
+                    self._fh.close()
                     os.replace(self._temp, self.path)
+                renamed = True
+            else:
+                # The file is dropped, so what its close fails to write is
+                # moot: the error that ended the block is the one raised.
+                with suppress(OSError):
+                    self._fh.close()
         finally:
-            with suppress(OSError):  # gone once renamed into place
-                os.unlink(self._temp)
+            if not renamed:
+                with suppress(OSError):
+                    os.unlink(self._temp)
+                self._remove_made_dirs()
 
 
 def write_lines(lines: Iterable[str], path) -> None:

@@ -12,12 +12,10 @@ from __future__ import annotations
 import dataclasses
 import gc
 import json
-import os
-import tempfile
 import typing
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
-from contextlib import ExitStack
+from contextlib import ExitStack, contextmanager
 from dataclasses import dataclass, field
 from itertools import repeat
 from pathlib import Path
@@ -93,13 +91,12 @@ def _from_plain(klass, data, prefix=""):
     return klass(**kwargs)
 
 
-# The files run_all writes, in the order it moves them into place: report.json
-# goes last, so it never describes outputs that are not all in place.
+# The files run_all writes, in the order it renames them into place:
+# report.json goes last, so it never describes outputs that are not all in
+# place.
 _RUN_OUTPUTS = (
     "sentences.ndjson", "scene_graphs.ndjson", "negatives.ndjson", "trace.ndjson", "report.json"
 )
-# The outputs run_all writes video by video as it goes.
-_STREAMED = ("sentences.ndjson", "scene_graphs.ndjson", "trace.ndjson")
 
 
 @dataclass
@@ -357,18 +354,32 @@ def _processed_chunks(
             yield running[0], list(running[1])
 
 
-def _trace_record(result: VideoResult) -> dict:
-    record = result.trace.to_dict()
-    record["usage"] = result.usage.to_dict()
-    record["discards"] = result.discards.to_dict()
-    return record
+@contextmanager
+def _committing(outputs: Sequence[ingest.OutputFile], report: Path) -> Iterator[None]:
+    """Once the block exits cleanly, flush ``outputs``, so that a full disk
+    fails the run before any previous file is touched, then remove
+    ``report``, if it is there."""
+    yield
+    for out in outputs:
+        out.flush()
+    try:
+        report.unlink(missing_ok=True)
+    except OSError as e:
+        raise write_failure(report, e) from e
 
 
-def _stream(config: PipelineConfig, manifests: Sequence[VideoManifest], staged: Path) -> RunReport:
+def _stream(config: PipelineConfig, manifests: Sequence[VideoManifest], out_dir: Path) -> RunReport:
     """Run the pipeline over ``manifests`` one chunk at a time
-    (``video_chunks``) and write the run's outputs into ``staged``. Each
+    (``video_chunks``) and write the run's outputs into ``out_dir``. Each
     video is grounded on, and its candidates built from, the grounding
     table that was loaded with it in its chunk.
+
+    The five outputs are ``ingest.OutputFile``s, entered last to first, and
+    inside them ``_committing``. So a clean exit flushes every output,
+    removes the previous ``report.json``, then renames the outputs in
+    ``_RUN_OUTPUTS`` order, ``report.json`` last; any error before the first
+    rename removes every temporary file and leaves every previous file as
+    it was, and ``out_dir`` is removed again if the run made it.
 
     Each video's sentence and trace lines are written once it is grounded,
     and so are its scene-graph lines unless an open-vocabulary cut applies.
@@ -386,12 +397,13 @@ def _stream(config: PipelineConfig, manifests: Sequence[VideoManifest], staged: 
     cut = _cuts_open_vocabulary(config.parsing)
     held = []
     workers = min(config.workers, len(manifests))
-    # Opening and closing the streamed files is the write stage; every step
-    # between them names its own stage.
+    # Opening and closing the outputs is the write stage; every step between
+    # them names its own stage.
     with _stage("write"), ExitStack() as stack:
-        sentences_out, graphs_out, trace_out = (
-            stack.enter_context(ingest.OutputFile(staged / name)) for name in _STREAMED
-        )
+        outputs = [stack.enter_context(ingest.OutputFile(out_dir / name))
+                   for name in reversed(_RUN_OUTPUTS)]
+        report_out, trace_out, negatives_out, graphs_out, sentences_out = outputs
+        stack.enter_context(_committing(outputs[::-1], out_dir / "report.json"))
         map_videos = _in_order
         if workers > 1:
             pool = ThreadPoolExecutor(max_workers=workers)
@@ -424,7 +436,9 @@ def _stream(config: PipelineConfig, manifests: Sequence[VideoManifest], staged: 
                         ) from e
                     predicates.update(t.predicate_class for _, t in r.mapped)
                     sentences_out.write(ingest.sentence_lines(r.video_id, r.sentences))
-                    trace_out.write(ingest.record_lines([_trace_record(r)]))
+                    trace = {**r.trace.to_dict(), "usage": r.usage.to_dict(),
+                             "discards": r.discards.to_dict()}
+                    trace_out.write(ingest.record_lines([trace]))
                 with _stage("negatives"):
                     runs = (
                         [] if config.skip_negatives
@@ -446,26 +460,14 @@ def _stream(config: PipelineConfig, manifests: Sequence[VideoManifest], staged: 
         for video_id, grounded, runs, rows in held:
             emit_graph(video_id, [t for t in grounded if t.predicate_class in kept], runs, rows)
 
-    with _stage("negatives"):
-        assignment = motion.assign_negatives(candidates, config.motion)
-    report.motion_candidates = len(candidates)
-    rows = assignment.rows()
-    report.negatives = len(rows)
-    with _stage("write"):
-        ingest.write_lines(ingest.scene_graph_lines(rows), staged / "negatives.ndjson")
-        ingest.write_lines([json.dumps(report.to_dict(), sort_keys=True, indent=1)],
-                           staged / "report.json")
+        with _stage("negatives"):
+            assignment = motion.assign_negatives(candidates, config.motion)
+        report.motion_candidates = len(candidates)
+        rows = assignment.rows()
+        report.negatives = len(rows)
+        negatives_out.write(ingest.scene_graph_lines(rows))
+        report_out.write([json.dumps(report.to_dict(), sort_keys=True, indent=1)])
     return report
-
-
-def _missing_dirs(path: Path) -> List[Path]:
-    """``path`` and its parents up to the first that exists, innermost first."""
-    missing = []
-    for directory in (path, *path.parents):
-        if directory.exists():
-            break
-        missing.append(directory)
-    return missing
 
 
 def run_all(config: PipelineConfig) -> RunReport:
@@ -478,51 +480,20 @@ def run_all(config: PipelineConfig) -> RunReport:
     later video that fails to load stops it only once the chunks before the
     previous one ran; ``capgraph validate`` checks every file up front.
 
-    The outputs are written into a staging directory inside ``out_dir`` and
-    moved into place only once all are written, so a failed run leaves
-    ``out_dir`` as it was, and removes it if the run created it.
-    ``report.json`` marks a complete run: the previous one is removed before
-    the first move and the new one moved in last, so a failed move leaves no
-    report. The first fatal error is raised as a ``StageError`` naming its
-    stage. The cyclic garbage collector is paused for the run, and collects
-    the youngest generation after each chunk, so cycles a chunk leaves do
-    not pile up over the run.
+    Each output is written beside its path in ``out_dir`` and renamed into
+    place only once all five are written, ``report.json`` last after the
+    previous one is removed (``_stream``). So a failed run leaves ``out_dir``
+    as it was, or removes it if the run made it, and ``report.json`` marks a
+    complete run: a failed rename leaves no report. The first fatal error is
+    raised as a ``StageError`` naming its stage. The cyclic garbage
+    collector is paused for the run, and collects the youngest generation
+    after each chunk, so cycles a chunk leaves do not pile up over the run.
     """
-    out_dir = Path(config.out_dir)
-    made: List[Path] = []
-    try:
-        with ingest._cyclic_gc_paused():
-            with _stage("load"):
-                PipelineConfig.from_dict(config.to_dict())
-                manifests = ingest.load_manifests(Path(config.data_root) / "manifest.ndjson")
-            with _stage("write"):
-                made = _missing_dirs(out_dir)
-                try:
-                    out_dir.mkdir(parents=True, exist_ok=True)
-                    # Inside out_dir, so that each os.replace stays on one file system.
-                    staging = tempfile.TemporaryDirectory(prefix=".staging-", dir=out_dir)
-                except OSError as e:
-                    raise write_failure(out_dir, e) from e
-            with staging:
-                staged = Path(staging.name)
-                report = _stream(config, manifests, staged)
-                with _stage("write"):
-                    try:
-                        dest = out_dir / "report.json"
-                        dest.unlink(missing_ok=True)
-                        for name in _RUN_OUTPUTS:
-                            dest = out_dir / name
-                            os.replace(staged / name, dest)
-                    except OSError as e:
-                        raise write_failure(dest, e) from e
-        return report
-    except BaseException:
-        for directory in made:
-            try:
-                directory.rmdir()
-            except OSError:
-                break
-        raise
+    with ingest._cyclic_gc_paused():
+        with _stage("load"):
+            PipelineConfig.from_dict(config.to_dict())
+            manifests = ingest.load_manifests(Path(config.data_root) / "manifest.ndjson")
+        return _stream(config, manifests, Path(config.out_dir))
 
 
 def build_eval_instances(

@@ -270,7 +270,7 @@ class TestRunAll:
         before = {path.name: path.read_bytes() for path in out.iterdir()}
         assert sorted(before) == sorted(pipeline._RUN_OUTPUTS)
 
-        # The first line the run writes into its staging directory fails.
+        # The first line the run writes fails.
         def fail(writer, lines):
             raise IoFailure(f"cannot write {writer.path}: no space left on device")
 
@@ -399,7 +399,46 @@ class TestRunAll:
         assert isinstance(err.value.cause, IoFailure)
         assert str(err.value.cause).startswith(f"cannot write {out / 'trace.ndjson'}: ")
         assert not (out / "report.json").exists()
-        assert not [p for p in out.iterdir() if p.name.startswith(".staging-")]
+        assert not [p for p in out.iterdir() if p.name.endswith(".tmp")]
+
+    def test_outputs_are_renamed_in_order_after_the_previous_report_goes(
+        self, data_root, cassette_dir, tmp_path, monkeypatch
+    ):
+        out = tmp_path / "out"
+        run_all(_config(data_root, cassette_dir, out))
+        renames = []
+        replace = os.replace
+
+        def record(source, dest):
+            renames.append((Path(dest).name, (out / "report.json").exists()))
+            replace(source, dest)
+
+        monkeypatch.setattr(ingest.os, "replace", record)
+        run_all(_config(data_root, cassette_dir, out, seed=3))
+        assert renames == [(name, False) for name in pipeline._RUN_OUTPUTS]
+
+    def test_a_full_disk_keeps_the_previous_outputs_and_leaves_no_temporary_file(
+        self, data_root, cassette_dir, tmp_path
+    ):
+        # Writes past the first 32 bytes of any file fail, as on a full disk;
+        # the outputs are flushed before the previous report.json goes.
+        out = tmp_path / "out"
+        run_all(_config(data_root, cassette_dir, out))
+        before = {path.name: path.read_bytes() for path in out.iterdir()}
+        soft, hard = resource.getrlimit(resource.RLIMIT_FSIZE)
+        resource.setrlimit(resource.RLIMIT_FSIZE, (32, hard))
+        try:
+            result = CliRunner().invoke(main, [
+                "run-all", "--data-root", str(data_root), "--out-dir", str(out),
+                "--cache-dir", str(cassette_dir), "--offline", "--seed", "3",
+            ])
+        finally:
+            resource.setrlimit(resource.RLIMIT_FSIZE, (soft, hard))
+        assert result.exit_code == 1, result.output
+        assert isinstance(result.exception, SystemExit), result.exception
+        assert result.output == (f"error: stage 'write' failed: cannot write "
+                                 f"{out / 'sentences.ndjson'}: File too large\n")
+        assert {path.name: path.read_bytes() for path in out.iterdir()} == before
 
 
 class TestOneVideoChunks:
@@ -678,13 +717,14 @@ class TestOutputUnderAFile:
         with pytest.raises(StageError) as err:
             run_all(_config(data_root, cassette_dir, out))
         assert err.value.stage == "write"
-        assert str(err.value.cause).startswith(f"cannot write {out}: ")
+        # Its first output names it, as every other command names its output.
+        assert str(err.value.cause) == f"cannot write {out / 'report.json'}: File exists"
 
 
 class TestCassetteThatCannotBeWritten:
     """A 200 reply whose cassette cannot be written stops the command with an
     error naming the cassette, not a traceback, and leaves no temporary
-    file."""
+    file and no directory it made."""
 
     @pytest.fixture
     def cassette(self, tmp_path, monkeypatch):
@@ -725,8 +765,8 @@ class TestCassetteThatCannotBeWritten:
         reason = f"cannot write {cassette}: Permission denied"
         shown = {"segment": reason, "run-all": f"stage 'process' failed: {reason}"}[command]
         assert result.output.endswith(f"error: {shown}\n")
-        assert list(cassette.parent.iterdir()) == []
-        assert sorted(p.name for p in tmp_path.iterdir()) == ["cache"]
+        # The cache directory the failed write made is removed with it.
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestReplyMemo:
@@ -1013,6 +1053,20 @@ class TestStageCommands:
         assert path.read_bytes() == b"the previous output\n"
         assert [p.name for p in out.iterdir()] == [path.name]
 
+    def test_a_failed_write_removes_the_directories_it_made(self, data_root, tmp_path):
+        out = tmp_path / "new" / "sub" / "raw.ndjson"
+        soft, hard = resource.getrlimit(resource.RLIMIT_FSIZE)
+        resource.setrlimit(resource.RLIMIT_FSIZE, (32, hard))
+        try:
+            result = CliRunner().invoke(main, ["segment", "--data-root", str(data_root),
+                                               "--out", str(out), "--tcs-mode", "rule_fallback"])
+        finally:
+            resource.setrlimit(resource.RLIMIT_FSIZE, (soft, hard))
+        assert result.exit_code == 1, result.output
+        assert isinstance(result.exception, SystemExit), result.exception
+        assert result.output == f"error: cannot write {out}: File too large\n"
+        assert list(tmp_path.iterdir()) == []
+
     def test_align_with_a_trace_out_directory_writes_neither_output(
         self, staged, data_root, tmp_path
     ):
@@ -1081,6 +1135,24 @@ class TestStageCommands:
         assert result.output == (
             f"error: {path}: video 'kitchen01' has no sentence of order_index 9 in "
             f"{staged / 'sentences.ndjson'}\n"
+        )
+        assert written == []
+
+    def test_a_graphed_video_without_sentences_exits_1_naming_the_graphs_file(
+        self, staged, data_root, cassette_dir, tmp_path
+    ):
+        # plm read every frame of such a video as unaligned, and exited 0.
+        graphs, sentences = staged / "scene_graphs.ndjson", staged / "sentences.ndjson"
+        video_id = json.loads(graphs.read_text().splitlines()[0])["video_id"]
+        lines = sentences.read_text().splitlines(keepends=True)
+        kept = [line for line in lines if json.loads(line)["video_id"] != video_id]
+        assert len(lines) > len(kept) > 0
+        sentences.write_text("".join(kept))
+        result, written = self._run("plm", data_root, cassette_dir, tmp_path, staged)
+        assert result.exit_code == 1, result.output
+        assert isinstance(result.exception, SystemExit), result.exception
+        assert result.output == (
+            f"error: {graphs}: video {video_id!r} has no sentence in {sentences}\n"
         )
         assert written == []
 
@@ -1296,6 +1368,25 @@ class TestConfigFile:
         assert isinstance(result.exception, SystemExit), result.exception
         assert str(config_path) in result.output
         assert f"'{key}'" in result.output
+
+    def test_a_config_file_that_cannot_be_read_exits_1_naming_it(self, tmp_path, monkeypatch):
+        config_path = tmp_path / "pipeline.json"
+        config_path.write_text("{}")
+        read_text = Path.read_text
+
+        def refuse(path, *args, **kwargs):
+            if path == config_path:
+                raise PermissionError(13, "Permission denied")
+            return read_text(path, *args, **kwargs)
+
+        monkeypatch.setattr(Path, "read_text", refuse)
+        result = CliRunner().invoke(
+            main, ["run-all", "--config", str(config_path), "--dump-config"]
+        )
+        assert result.exit_code == 1, result.output
+        assert isinstance(result.exception, SystemExit), result.exception
+        assert "Traceback" not in result.output
+        assert result.output == f"error: cannot read {config_path}: Permission denied\n"
 
 
 class TestSelectionFlag:

@@ -2,7 +2,7 @@ import itertools
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from capgraph.core import BoundingBox, Provenance, Triplet
@@ -377,6 +377,13 @@ def _shared_box_frames(draw):
 class TestRecallOracleProperty:
     # K = 50 always exceeds the 8 predictions a frame can have.
     @given(_shared_box_frames(), st.sampled_from([(1,), (1, 3, 50), (2, 5)]))
+    # An unscored prediction ties with a 0.0 one of its box group and, first,
+    # wins: only the second one's class triple has ground truth, so a rule
+    # that ranks None below 0.0 keeps the hit and shows.
+    @example([EvalInstance(1, [_gt("person", "looking at", "cup/glass/bottle", BOX_A, BOX_B)], [
+        _pred("person", "holding", "cup/glass/bottle", BOX_A, BOX_B, None),
+        _pred("person", "looking at", "cup/glass/bottle", BOX_A, BOX_B, 0.0),
+    ])], (1,))
     @settings(max_examples=300, deadline=None)
     def test_equals_brute_force_oracle_exactly(self, instances, k_values):
         got = recall_at_k(instances, EvalConfig(k_values=k_values))
