@@ -5,11 +5,14 @@ validate. Exit codes: 0 success, 1 fatal stage error, 2 validation failure.
 The API key is read from the environment; ``--offline`` forbids network
 access and requires recorded responses in the cache.
 
-This module holds click and the modules that load without numpy. The
-commands that run pipeline stages import ``pipeline`` (and through it
-``align`` and numpy) when they run, so ``eval``, ``stats`` and ``--help``
-never load it. The pipeline names (``PipelineConfig``, ``run_all``, ...)
-are still served from here, loading ``pipeline`` on first use.
+This module holds click and the modules that load without numpy, the
+text-only stages of ``segment`` and ``parse`` among them. The commands that
+read embeddings or walk a dataset root's videos (``align``, ``ground``,
+``plm``, ``run-all``) import ``pipeline`` (and through it ``align`` and
+numpy) when they run, and ``validate`` loads numpy to read the embedding
+files; ``segment``, ``parse``, ``eval``, ``stats`` and ``--help`` never load
+either. The pipeline names (``PipelineConfig``, ``run_all``, ...) are still
+served from here, loading ``pipeline`` on first use.
 """
 
 from __future__ import annotations
@@ -196,15 +199,13 @@ def _load_pipeline_config(
 @click.option("--offline", is_flag=True, default=False)
 def segment(data_root, out_path, mode, model, cache_dir, offline):
     """Split each video caption into chronologically ordered sentences."""
-    from .pipeline import segment_video
-
     config = segment_mod.SegmentConfig(model_name=model, mode=mode)
     client = segment_mod.make_client(config, cache_dir, offline)
     manifests = ingest.load_manifests(Path(data_root) / "manifest.ndjson")
     count = 0
     with ingest.OutputFile(out_path) as out:
         for m in manifests:
-            sentences = segment_video(m, config, client)
+            sentences = segment_mod.segment_video(m, config, client)
             count += len(sentences)
             out.write(ingest.sentence_lines(m.video_id, sentences))
     click.echo(f"wrote {count} sentences to {out_path}")
@@ -309,8 +310,6 @@ def align_cmd(data_root, sentences_path, out_path, beta, selection, seed, trace_
 @click.option("--offline", is_flag=True, default=False)
 def parse_cmd(sentences_path, out_path, parser, mapping, top_n, lexicon_path, model, cache_dir, offline):
     """Extract triplets from sentences and map them into the vocabulary."""
-    from .pipeline import kept_predicates, parse_sentences
-
     config = parse_mod.ParseConfig(
         parser=parser, mapping=mapping, lexicon_path=lexicon_path,
         top_n_open_classes=top_n,
@@ -324,9 +323,11 @@ def parse_cmd(sentences_path, out_path, parser, mapping, top_n, lexicon_path, mo
     rows = [
         (video_id, order_index, t)
         for video_id, items in sorted(sentences.items())
-        for order_index, t in parse_sentences(items, vocab, config, client, counters)[1]
+        for order_index, t in parse_mod.parse_sentences(
+            items, vocab, config, client, counters
+        )[1]
     ]
-    kept = kept_predicates(Counter(t.predicate_class for _, _, t in rows), config)
+    kept = parse_mod.kept_predicates(Counter(t.predicate_class for _, _, t in rows), config)
     rows = [(video_id, order, t) for video_id, order, t in rows if t.predicate_class in kept]
     ingest.write_parsed_triplets(rows, out_path)
     click.echo(
@@ -341,7 +342,7 @@ def parse_cmd(sentences_path, out_path, parser, mapping, top_n, lexicon_path, mo
 @click.option("--out", "out_path", required=True, type=click.Path())
 def ground(data_root, sentences_path, triplets_path, out_path):
     """Ground parsed triplets to detections across their aligned frames."""
-    from .pipeline import ground_video, video_chunks
+    from .pipeline import video_chunks
 
     manifests = ingest.load_manifests(Path(data_root) / "manifest.ndjson")
     sentences = ingest.load_sentences(sentences_path)
@@ -364,7 +365,9 @@ def ground(data_root, sentences_path, triplets_path, out_path):
         for chunk in video_chunks(manifests, _loader(data_root), AlignConfig.beta):
             for m, _, _, table in chunk:
                 if m.video_id in mapped:
-                    grounded = ground_video(mapped[m.video_id], sentences[m.video_id], table)
+                    grounded = parse_mod.ground_video(
+                        mapped[m.video_id], sentences[m.video_id], table
+                    )
                     count += len(grounded)
                     out.write(ingest.scene_graph_lines((m.video_id, t) for t in grounded))
     click.echo(f"grounded {count} triplets")

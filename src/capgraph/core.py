@@ -5,11 +5,11 @@ Frame indices are 1-based everywhere. Boxes are axis-aligned corner boxes
 cosine similarity reduces to a dot product. All types here are immutable
 after construction and safe to share across threads.
 
-``BoundingBox`` and ``Triplet`` are tuples (``NamedTuple``), the others frozen
-dataclasses: the loaders build one of each per record, and a tuple costs a
-fraction of a frozen dataclass to construct. They compare and hash field by
-field as the dataclasses did, and, being tuples, also equal a plain tuple of
-the same values (``BoundingBox(0, 0, 1, 1) == (0, 0, 1, 1)``).
+``BoundingBox``, ``Detection`` and ``Triplet`` are tuples (``NamedTuple``),
+the others frozen dataclasses: the loaders build one of each per record, and a
+tuple costs a fraction of a frozen dataclass to construct. They compare and
+hash field by field as the dataclasses did, and, being tuples, also equal a
+plain tuple of the same values (``BoundingBox(0, 0, 1, 1) == (0, 0, 1, 1)``).
 """
 
 from __future__ import annotations
@@ -139,8 +139,7 @@ def box_iou(a: BoundingBox, b: BoundingBox) -> float:
     return inter / union
 
 
-@dataclass(frozen=True)
-class Detection:
+class Detection(NamedTuple):
     """One detector output box for a single frame (1-based frame index)."""
 
     frame_index: int
@@ -161,12 +160,12 @@ class Detection:
         """The detection a record holds: its ``frame_index`` an integer
         (``checked_int``; ``load_detections`` checks the range), its box and
         ``confidence`` numbers (``checked_number``), else ``ValueError``."""
-        return cls(
-            frame_index=checked_int("frame_index", d["frame_index"], least=None),
-            entity_class=str(d["entity_class"]),
-            box=BoundingBox.from_list(d["box"]),
-            confidence=checked_number("confidence", d["confidence"]),
-        )
+        return tuple.__new__(cls, (
+            checked_int("frame_index", d["frame_index"], least=None),
+            str(d["entity_class"]),
+            BoundingBox.from_list(d["box"]),
+            checked_number("confidence", d["confidence"]),
+        ))
 
 
 # One video's detections as ``ingest.grounding_table`` ranks them: frame index

@@ -42,7 +42,9 @@ boolean, a string or a float (``core.checked_int``): ``1.5``, ``true`` and
 a confidence, a score, an fps) is an integer or a float, not a boolean or a
 string (``core.checked_number``), an aligned interval is null or two frames
 ``1 <= lo <= hi`` (``core.checked_interval``), and a manifest's ``frame_ids``
-is a list.
+is a list. A detection line is checked in full, its ranges too, whatever the
+confidence floor: the floor only drops checked lines, so it never changes
+whether a file loads (``load_detections``).
 
 Every NDJSON file is read by ``read_records``, which decodes each line to the
 value ``json.loads`` gives it and rejects a line with ``json.loads``' reason.
@@ -414,29 +416,29 @@ def load_detections(path, confidence_floor: float, num_frames: int) -> List[Dete
     """One video's detections at or above ``confidence_floor``, in file order.
 
     Every line must hold an integer frame index and a box and confidence of
-    numbers (``Detection.from_dict``). A kept detection must also lie on a
-    frame in 1..``num_frames`` and have a valid box and a confidence in
-    [0, 1]; one that does not raises ``MalformedRecord`` naming its line.
-    Detections under the floor (a NaN confidence is under any floor) are
-    dropped without these range checks.
+    numbers (``Detection.from_dict``), a frame in 1..``num_frames``, a valid
+    box and a confidence in [0, 1]; one that does not raises
+    ``MalformedRecord`` naming its line, whatever the floor. Only then are
+    the detections under the floor dropped, so a file's verdict never
+    depends on the floor.
     """
 
-    def kept(record: dict) -> Optional[Detection]:
+    def checked(record: dict) -> Detection:
         det = Detection.from_dict(record)
-        if not det.confidence >= confidence_floor:
-            return None
-        if not 1 <= det.frame_index <= num_frames:
-            raise ValueError(f"frame_index {det.frame_index} is outside 1..{num_frames}")
-        if not det.box.is_valid():
+        frame_index, entity_class, box, confidence = det
+        if not 1 <= frame_index <= num_frames:
+            raise ValueError(f"frame_index {frame_index} is outside 1..{num_frames}")
+        if not box.is_valid():
             raise ValueError(
-                f"box {det.box.to_list()} of {det.entity_class!r} is not finite, "
+                f"box {box.to_list()} of {entity_class!r} is not finite, "
                 "non-negative and of positive width and height"
             )
-        if not 0.0 <= det.confidence <= 1.0:
-            raise ValueError(f"confidence {det.confidence} is outside [0, 1]")
+        if not 0.0 <= confidence <= 1.0:
+            raise ValueError(f"confidence {confidence} is outside [0, 1]")
         return det
 
-    return [det for _, det in read_records(path, "detection", kept) if det is not None]
+    return [det for _, det in read_records(path, "detection", checked)
+            if det.confidence >= confidence_floor]
 
 
 def _detection_order(d: Detection) -> tuple:

@@ -6,6 +6,12 @@ clause. Classes are then mapped into the target vocabulary through a shipped
 synonym lexicon, through the chat model, or left untouched for open-vocabulary
 runs. Grounding looks each role up, per aligned frame, in the video's
 grounding table, which holds the best detections of each entity class.
+
+The parse and ground stages live here, each shared by ``pipeline.run_all``
+and its subcommand: ``parse_sentences``, then ``kept_predicates``, which
+alone decides the open-vocabulary cut (``ParseConfig.cuts_open_vocabulary``),
+and ``ground_video``. This module loads no numpy, and neither does
+``capgraph parse``.
 """
 
 from __future__ import annotations
@@ -40,6 +46,13 @@ class ParseConfig:
             raise ValueError(f"unknown mapping mode {self.mapping!r}")
         if self.top_n_open_classes is not None and self.top_n_open_classes < 0:
             raise ValueError("top_n_open_classes must be >= 0 (0 or null: no cut)")
+
+    @property
+    def cuts_open_vocabulary(self) -> bool:
+        """Whether a run keeps only the dataset's top predicate classes
+        (``kept_predicates``): no class mapping, and a ``top_n_open_classes``
+        that is neither 0 nor null."""
+        return self.mapping == "none" and bool(self.top_n_open_classes)
 
 
 @dataclass
@@ -369,6 +382,33 @@ def top_predicates(counts: Mapping[str, int], top_n: int) -> Set[str]:
     return {name for name, _ in ranked[:top_n]}
 
 
+def kept_predicates(counts: Mapping[str, int], config: ParseConfig) -> Set[str]:
+    """The counted predicate classes that a run keeps: all of them, or under
+    the open-vocabulary cut (``ParseConfig.cuts_open_vocabulary``) the
+    ``top_predicates`` of them, so ``counts`` must count the mapped triplets
+    of the whole dataset."""
+    if config.cuts_open_vocabulary:
+        return top_predicates(counts, config.top_n_open_classes)
+    return set(counts)
+
+
+def parse_sentences(
+    sentences: List[SegmentedSentence], vocab: Vocabulary, config: ParseConfig,
+    client: Optional[ChatClient], discards: DiscardCounters,
+) -> Tuple[List[Tuple[int, Triplet]], List[Tuple[int, Triplet]]]:
+    """Extracted and mapped triplets, each paired with its sentence's order
+    index: the parse stage of ``run_all`` and of ``capgraph parse``."""
+    extracted: List[Tuple[int, Triplet]] = []
+    mapped: List[Tuple[int, Triplet]] = []
+    for sentence in sentences:
+        for t in parse_triplets(sentence, config, client=client, counters=discards):
+            extracted.append((sentence.order_index, t))
+            m = map_classes(t, vocab, config, client=client, counters=discards)
+            if m is not None:
+                mapped.append((sentence.order_index, m))
+    return extracted, mapped
+
+
 # ---------------------------------------------------------------------------
 # Grounding
 
@@ -422,3 +462,18 @@ def ground_triplets(
                 )
             )
     return grounded
+
+
+def ground_video(
+    mapped: List[Tuple[int, Triplet]], sentences: List[SegmentedSentence], table: GroundingTable
+) -> List[Triplet]:
+    """Ground one video's mapped triplets on their sentences' aligned frames
+    in ``table``, the video's grounding table: the ground stage of
+    ``run_all`` and of ``capgraph ground``. Each triplet's order index must
+    name one of ``sentences``."""
+    frames = {s.order_index: s.aligned_frames for s in sentences}
+    return [
+        grounded
+        for order_index, triplet in mapped
+        for grounded in ground_triplets([triplet], frames[order_index], table)
+    ]

@@ -1,10 +1,16 @@
-"""The pipeline run: one config, the stages, and ``run_all``.
+"""The pipeline run: one config, ``run_all``, and the code that ties a
+dataset root's files to the stages.
 
-Each stage helper is shared by ``run_all`` and the subcommand of the same
-stage in ``cli``. This module imports ``align``, and through it numpy, when it
-loads: building a ``PipelineConfig`` loads the whole pipeline before a run
-starts, and the commands that need neither (``eval``, ``stats``, ``--help``)
-never import it.
+Each stage lives in its own module and is shared by ``run_all`` and the
+subcommand of the same stage in ``cli``: ``segment.segment_video``,
+``parse.parse_sentences``, ``parse.kept_predicates`` and
+``parse.ground_video``. This module keeps what reads a dataset root:
+``video_chunks``, the chunk walk of ``run_all`` and of the staged commands
+that read one, and ``align_video``, which checks a video's sentence matrix
+against its file. It imports ``align``, and through it numpy, when it loads:
+building a ``PipelineConfig`` loads the whole pipeline before a run starts,
+and the commands that need neither (``segment``, ``parse``, ``eval``,
+``stats``, ``--help``) never import it.
 """
 
 from __future__ import annotations
@@ -19,7 +25,7 @@ from contextlib import ExitStack, contextmanager
 from dataclasses import dataclass, field
 from itertools import repeat
 from pathlib import Path
-from typing import Callable, Iterator, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import Callable, Iterator, List, Optional, Sequence, Tuple
 
 from . import align as align_mod
 from . import evaluate as eval_mod
@@ -30,7 +36,7 @@ from .core import (
     VideoManifest, Vocabulary,
 )
 from .errors import CapgraphError, MissingFile, StageError, write_failure
-from .llm import ChatClient, TokenUsage
+from .llm import TokenUsage
 
 
 @dataclass
@@ -132,19 +138,8 @@ class RunReport:
 
 
 # ---------------------------------------------------------------------------
-# Stages, each shared by run_all and its subcommand
-
-
-def segment_video(
-    manifest, config: segment_mod.SegmentConfig, client: ChatClient
-) -> List[SegmentedSentence]:
-    """Segment one caption, capping the sentence count below the frame count."""
-    return segment_mod.segment_caption(
-        manifest.caption,
-        config,
-        client=client,
-        max_sentences=max(1, manifest.num_frames - 1),
-    )
+# The code that ties a dataset root's files to the stages, shared by run_all
+# and the staged commands
 
 
 def align_video(
@@ -177,57 +172,6 @@ def align_video(
     )
 
 
-def parse_sentences(
-    sentences: List[SegmentedSentence],
-    vocab: Vocabulary,
-    config: parse_mod.ParseConfig,
-    client: ChatClient,
-    discards: parse_mod.DiscardCounters,
-) -> Tuple[List[Tuple[int, Triplet]], List[Tuple[int, Triplet]]]:
-    """Extracted and mapped triplets, each paired with its sentence's order index."""
-    extracted: List[Tuple[int, Triplet]] = []
-    mapped: List[Tuple[int, Triplet]] = []
-    for sentence in sentences:
-        triplets = parse_mod.parse_triplets(
-            sentence, config, client=client, counters=discards
-        )
-        for t in triplets:
-            extracted.append((sentence.order_index, t))
-            m = parse_mod.map_classes(t, vocab, config, client=client, counters=discards)
-            if m is not None:
-                mapped.append((sentence.order_index, m))
-    return extracted, mapped
-
-
-def _cuts_open_vocabulary(config: parse_mod.ParseConfig) -> bool:
-    """Whether ``config`` asks for the dataset-wide open-vocabulary cut: no
-    class mapping, and a ``top_n_open_classes`` that is neither 0 nor null."""
-    return config.mapping == "none" and bool(config.top_n_open_classes)
-
-
-def kept_predicates(counts: Mapping[str, int], config: parse_mod.ParseConfig) -> Set[str]:
-    """The counted predicate classes that a run keeps: all of them, or under
-    the open-vocabulary cut the ``parse.top_predicates`` of them, so
-    ``counts`` must count the mapped triplets of the whole dataset."""
-    if _cuts_open_vocabulary(config):
-        return parse_mod.top_predicates(counts, config.top_n_open_classes)
-    return set(counts)
-
-
-def ground_video(
-    mapped: List[Tuple[int, Triplet]], sentences: List[SegmentedSentence], table: GroundingTable
-) -> List[Triplet]:
-    """Ground one video's mapped triplets on their sentences' aligned frames
-    in ``table``, the video's grounding table. Each triplet's order index
-    must name one of ``sentences``."""
-    frames = {s.order_index: s.aligned_frames for s in sentences}
-    return [
-        grounded
-        for order_index, triplet in mapped
-        for grounded in parse_mod.ground_triplets([triplet], frames[order_index], table)
-    ]
-
-
 def _process_video(
     manifest,
     clustering: align_mod.ClusteringResult,
@@ -244,12 +188,13 @@ def _process_video(
         config.segmentation, config.cache_dir, config.offline, replies
     )
     discards = parse_mod.DiscardCounters()
-    sentences = segment_video(manifest, config.segmentation, client)
+    sentences = segment_mod.segment_video(manifest, config.segmentation, client)
     aligned, trace = align_video(
         manifest.video_id, sentences, sentence_embeds, clustering, config.alignment,
         config.data_root,
     )
-    extracted, mapped = parse_sentences(aligned, vocab, config.parsing, client, discards)
+    extracted, mapped = parse_mod.parse_sentences(
+        aligned, vocab, config.parsing, client, discards)
     return VideoResult(
         video_id=manifest.video_id,
         sentences=aligned,
@@ -394,7 +339,7 @@ def _stream(config: PipelineConfig, manifests: Sequence[VideoManifest], out_dir:
     report = RunReport(videos=len(manifests))
     predicates: Counter = Counter()
     candidates: List[motion.MotionCandidate] = []
-    cut = _cuts_open_vocabulary(config.parsing)
+    cut = config.parsing.cuts_open_vocabulary
     held = []
     workers = min(config.workers, len(manifests))
     # Opening and closing the outputs is the write stage; every step between
@@ -422,7 +367,7 @@ def _stream(config: PipelineConfig, manifests: Sequence[VideoManifest], out_dir:
         for chunk, results in _processed_chunks(config, manifests, vocab, replies, map_videos):
             for (manifest, _, _, table), r in zip(chunk, results):
                 with _stage("ground"):
-                    grounded = ground_video(r.mapped, r.sentences, table)
+                    grounded = parse_mod.ground_video(r.mapped, r.sentences, table)
                 with _stage("write"):
                     report.sentences += len(r.sentences)
                     report.triplets_extracted += len(r.extracted)
@@ -455,7 +400,7 @@ def _stream(config: PipelineConfig, manifests: Sequence[VideoManifest], out_dir:
             gc.collect(0)
 
         with _stage("ground"):
-            kept = kept_predicates(predicates, config.parsing)
+            kept = parse_mod.kept_predicates(predicates, config.parsing)
         report.triplets_mapped = sum(predicates[predicate] for predicate in kept)
         for video_id, grounded, runs, rows in held:
             emit_graph(video_id, [t for t in grounded if t.predicate_class in kept], runs, rows)

@@ -4,6 +4,10 @@ pronoun-resolved sentences.
 The primary path prompts a chat model; a deterministic rule-based fallback
 splits on sentence terminators and a fixed temporal-marker lexicon so test
 suites and offline runs need no network.
+
+``segment_video`` is the segment stage, shared by ``pipeline.run_all`` and
+``capgraph segment``. The stage reads text only, so this module loads no
+numpy, and neither does ``capgraph segment``.
 """
 
 from __future__ import annotations
@@ -17,7 +21,7 @@ from functools import lru_cache
 from importlib import resources
 from typing import List, Optional
 
-from .core import SegmentedSentence
+from .core import SegmentedSentence, VideoManifest
 from .llm import (
     DEFAULT_INPUT_PRICE_PER_MILLION,
     DEFAULT_OUTPUT_PRICE_PER_MILLION,
@@ -220,3 +224,13 @@ def segment_caption(
         items = [caption.strip()]
     sentences = [SegmentedSentence(i, text) for i, text in enumerate(items, start=1)]
     return _cap_sentences(sentences, max_sentences)
+
+
+def segment_video(
+    manifest: VideoManifest, config: SegmentConfig, client: Optional[ChatClient]
+) -> List[SegmentedSentence]:
+    """Segment one video's caption, capping the sentence count below its
+    frame count: the segment stage of ``run_all`` and of ``capgraph segment``."""
+    return segment_caption(
+        manifest.caption, config, client=client, max_sentences=max(1, manifest.num_frames - 1)
+    )

@@ -7,7 +7,9 @@ video through the same loader, one chunk of videos at a time
 and checks both commands against an oracle: the per-video check that
 ``validate`` ran before the loader made these checks itself, kept verbatim
 (apart from ``tuple(d.box)`` for the removed ``as_tuple()``) over a loader
-that makes none of them.
+that makes none of them. The oracle checks every detection line, as the
+loader does, whatever the confidence floor: the detections under it are
+dropped only once checked.
 """
 
 import json
@@ -97,9 +99,10 @@ def validate_manifest(
     return ValidationReport(tuple(problems))
 
 
-def _oracle_accepts(root: Path, confidence_floor: float = 0.2) -> bool:
+def _oracle_accepts(root: Path) -> bool:
     """Whether ``validate`` accepted ``root`` when the loader checked only
-    each record's own syntax and ``validate_manifest`` checked the rest."""
+    each record's own syntax and ``validate_manifest`` checked the rest, on
+    every detection line at any confidence floor."""
     try:
         for _, manifest in ingest.read_records(
             root / "manifest.ndjson", "manifest", VideoManifest.from_dict
@@ -111,7 +114,6 @@ def _oracle_accepts(root: Path, confidence_floor: float = 0.2) -> bool:
                 for _, d in ingest.read_records(
                     root / "detections" / f"{video_id}.ndjson", "detection", Detection.from_dict
                 )
-                if d.confidence >= confidence_floor
             ]
             if not validate_manifest(manifest, frames.normalized(), detections).ok:
                 return False
@@ -250,6 +252,27 @@ def test_run_all_writes_outputs_exactly_when_validate_accepts(data_root, cassett
         assert run.exit_code == (0 if accepted else 1), run.output
         written = sorted(os.listdir(out)) if out.exists() else []
         assert written == (sorted(pipeline._RUN_OUTPUTS) if accepted else [])
+
+
+def test_validate_and_run_all_reject_a_bad_line_under_any_floor(data_root, cassette_dir,
+                                                                tmp_path):
+    root = tmp_path / "data"
+    shutil.copytree(data_root, root)
+    path = root / "detections" / "kitchen01.ndjson"
+    line = len(path.read_text().splitlines()) + 1
+    with path.open("a") as fh:
+        fh.write(json.dumps({"frame_index": 1, "entity_class": "cup", "box": [50, 0, 10, 10],
+                             "confidence": 0.1}) + "\n")
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"ingest": {"confidence_floor": 0.05}}))
+    validate = CliRunner().invoke(main, ["validate", "--data-root", str(root)])
+    run = CliRunner().invoke(main, ["run-all", "--data-root", str(root), "--out-dir",
+                                    str(tmp_path / "out"), "--cache-dir", str(cassette_dir),
+                                    "--offline", "--config", str(config)])
+    assert (validate.exit_code, run.exit_code) == (2, 1), (validate.output, run.output)
+    for result in (validate, run):
+        assert f"{path}:{line}: bad detection record: box [50.0, 0.0, 10.0, 10.0]" in result.output
+    assert not (tmp_path / "out").exists()
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,8 @@ import capgraph
 from capgraph.cli import main
 from capgraph.pipeline import PipelineConfig, run_all
 
-# The modules that only the commands running pipeline stages may load.
+# The modules that only the commands reading embeddings or walking a dataset
+# root's videos may load: not the text-only stages of segment and parse.
 HEAVY = ("numpy", "capgraph.align", "capgraph.pipeline")
 
 # Prints the heavy modules loaded after running the code given as argv[1].
@@ -88,6 +89,22 @@ def test_eval_leaves_requests_unimported(data_root, run_out):
 
 def test_stats_leaves_the_pipeline_unloaded(run_out):
     assert _loaded_after(_command("stats", run_out / "trace.ndjson")) == []
+
+
+def test_segment_leaves_the_pipeline_unloaded(data_root, tmp_path):
+    out = tmp_path / "sentences.ndjson"
+    code = _command("segment", "--data-root", data_root, "--out", out,
+                    "--tcs-mode", "rule_fallback", "--offline")
+    assert _loaded_after(code) == []
+    assert out.read_text()
+
+
+def test_parse_leaves_the_pipeline_unloaded(run_out, tmp_path):
+    out = tmp_path / "triplets.ndjson"
+    code = _command("parse", "--sentences", run_out / "sentences.ndjson", "--out", out,
+                    "--parser", "rule", "--mapping", "lexicon", "--offline")
+    assert _loaded_after(code) == []
+    assert out.read_text()
 
 
 @pytest.mark.parametrize("command", [""] + sorted(main.commands))

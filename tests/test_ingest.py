@@ -539,11 +539,23 @@ class TestDatasetGate:
         assert (err.value.path, err.value.line_number) == (str(path), 2)
         assert err.value.reason == f"bad detection record: {reason}"
 
-    def test_detection_under_the_floor_is_not_checked(self, tmp_path):
-        below = [Detection(9, "person", _box(5, 0, 5, 5), 0.1),
-                 Detection(1, "person", _box(0, 0, 1, 1), float("nan"))]
-        _write_dataset(tmp_path, t=4, detections=below)
-        assert load_bundle(tmp_path).detections["v"] == {}
+    def test_detection_under_the_floor_is_checked(self, tmp_path):
+        good = Detection(1, "person", _box(0, 0, 5, 5), 0.9)
+        path = tmp_path / "detections" / "v.ndjson"
+        _write_dataset(tmp_path, t=4)
+        for det, reason in [
+            (Detection(9, "person", _box(0, 0, 5, 5), 0.1), "frame_index 9 is outside 1..4"),
+            (Detection(1, "person", _box(5, 0, 5, 5), 0.1),
+             "box [5.0, 0.0, 5.0, 5.0] of 'person' is not finite, non-negative and of positive "
+             "width and height"),
+            (Detection(1, "person", _box(0, 0, 1, 1), float("nan")),
+             "confidence nan is outside [0, 1]"),
+        ]:
+            path.write_text(json.dumps(good.to_dict()) + "\n" + json.dumps(det.to_dict()) + "\n")
+            with pytest.raises(MalformedRecord) as err:
+                load_bundle(tmp_path)
+            assert err.value.line_number == 2
+            assert err.value.reason == f"bad detection record: {reason}"
 
 
 # One valid line per NDJSON loader; the reader must reject any line a loader
@@ -1033,10 +1045,9 @@ class TestNumberRule:
         got = self._detection_error(tmp_path, 0.5, **dict({"confidence": 0.1}, **{field: value}))
         assert got == f"bad detection record: {reason}"
 
-    def test_a_detection_below_the_floor_is_dropped_off_its_frames(self, tmp_path):
-        path = tmp_path / "d.ndjson"
-        path.write_text(json.dumps(dict(self.DETECTION, frame_index=-3, confidence=0.1)) + "\n")
-        assert load_detections(path, 0.5, 4) == []
+    def test_a_detection_below_the_floor_is_checked_for_its_frame(self, tmp_path):
+        got = self._detection_error(tmp_path, 0.5, frame_index=-3, confidence=0.1)
+        assert got == "bad detection record: frame_index -3 is outside 1..4"
 
     def test_integer_numbers_load_as_floats(self, tmp_path):
         path = tmp_path / "d.ndjson"
@@ -1146,11 +1157,11 @@ def _detection_lines(draw):
 
 
 def _reference_detection(record, floor: float, num_frames: int) -> Optional[Detection]:
-    """One detection record by the README's rules, None if it is dropped: an
-    integer frame index, a box of four numbers and a number confidence on
-    every line; at or above the floor, a frame in 1..``num_frames``, a box
-    with finite, non-negative corners, ``x1 < x2`` and ``y1 < y2``, and a
-    confidence in [0, 1]."""
+    """One detection record by the README's rules, None if it is dropped: on
+    every line an integer frame index in 1..``num_frames``, a box of four
+    numbers with finite, non-negative corners, ``x1 < x2`` and ``y1 < y2``,
+    and a number confidence in [0, 1]; then a line under the floor is
+    dropped."""
     frame = record["frame_index"]
     if type(frame) is not int:
         raise ValueError(f"frame_index {frame!r} is not an integer")
@@ -1159,11 +1170,11 @@ def _reference_detection(record, floor: float, num_frames: int) -> Optional[Dete
         raise ValueError(f"box {box!r} is not four numbers")
     x1, y1, x2, y2 = (_number(c) for c in box)
     confidence = _number(record["confidence"])
-    if not confidence >= floor:
-        return None
     if not (1 <= frame <= num_frames and 0.0 <= x1 < x2 < math.inf
             and 0.0 <= y1 < y2 < math.inf and 0.0 <= confidence <= 1.0):
         raise ValueError("out of range")
+    if confidence < floor:
+        return None
     return Detection(frame, str(record["entity_class"]), BoundingBox(x1, y1, x2, y2), confidence)
 
 
@@ -1215,3 +1226,24 @@ def test_detection_lines_load_as_the_readme_rules_decode_them(mutation_file, rec
     want = ([d for d in detections if d is not None] if detections is not None else None, line)
     # repr tells -0.0 from 0.0 and an int from a float, as == does not.
     assert repr(_loaded(lambda p: load_detections(p, floor, 3), mutation_file)) == repr(want)
+
+
+def _verdict(load, path):
+    """(None, None) if ``load`` accepts the file at ``path``, else the line
+    and reason of its ``MalformedRecord``."""
+    try:
+        load(path)
+    except MalformedRecord as e:
+        return e.line_number, e.reason
+    return None, None
+
+
+@given(records=st.lists(_detection_lines(), max_size=6),
+       floors=st.lists(st.sampled_from([0.0, 0.05, 0.2, 0.5, 1.0]), min_size=2, max_size=2))
+@settings(max_examples=300, deadline=None)
+def test_a_detection_file_has_one_verdict_at_every_floor(mutation_file, records, floors):
+    mutation_file.write_text("".join(json.dumps(r) + "\n" for r in records))
+    # Two frames, so that the drawn frame 3 is out of range.
+    first, second = (_verdict(lambda p: load_detections(p, floor, 2), mutation_file)
+                     for floor in floors)
+    assert first == second
