@@ -17,6 +17,7 @@ class MalformedRecord(CapgraphError):
         super().__init__(f"{path}:{line_number}: {reason}")
 
 
+# The package raises none; the benchmark's traced loader (bench/traced.py) does.
 class DimensionMismatch(CapgraphError):
     pass
 

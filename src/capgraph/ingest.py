@@ -46,8 +46,10 @@ is a list. A detection line is checked in full, its ranges too, whatever the
 confidence floor: the floor only drops checked lines, so it never changes
 whether a file loads (``load_detections``).
 
-Every NDJSON file is read by ``read_records``, which decodes each line to the
-value ``json.loads`` gives it and rejects a line with ``json.loads``' reason.
+Every NDJSON file is read by ``read_records``, once and one line at a time: it
+checks that each line is UTF-8 and decodes it to the value ``json.loads``
+gives it, as the line is reached, so a file's first faulty line is the one it
+names, with the decoder's reason.
 """
 
 from __future__ import annotations
@@ -81,7 +83,7 @@ from .core import (
     sorted_frames,
     triplet_sort_key,
 )
-from .errors import DimensionMismatch, MalformedRecord, read_failure, write_failure
+from .errors import MalformedRecord, read_failure, write_failure
 
 _NLVE_MAGIC = b"NLVE"
 T = TypeVar("T")
@@ -160,10 +162,8 @@ def read_embeddings(path) -> EmbeddingMatrix:
             offset += n
         expected = count * dim * 4
         if len(data) - offset != expected:
-            raise DimensionMismatch(
-                f"{path}: declared {count} rows of dim {dim} "
-                f"({expected} bytes) but found {len(data) - offset} bytes"
-            )
+            raise MalformedRecord(path, 0, f"declared {count} rows of dim {dim} "
+                                  f"({expected} bytes) but found {len(data) - offset} bytes")
         rows = np.frombuffer(data, dtype="<f4", count=count * dim, offset=offset)
     except struct.error as e:
         raise MalformedRecord(path, 0, f"truncated NLVE file: {e}") from e
@@ -196,16 +196,25 @@ _raw_decode = json.JSONDecoder().raw_decode
 def read_records(path, what: str, decode: Callable[[dict], T]) -> Iterator[Tuple[int, T]]:
     """Yield ``(line number, decode(record))`` for each non-blank NDJSON line.
 
-    Lines are decoded as they are read, each to the value ``json.loads`` gives
-    it. A line that is not UTF-8, not JSON, not a JSON object, or that
-    ``decode`` rejects raises ``MalformedRecord`` naming the file and line,
-    with ``json.loads``' reason for a line that is not JSON; a file that cannot
-    be opened or read raises ``read_failure``'s error naming it.
+    The file is read once, and each line is checked in full when it is
+    reached: its bytes must be UTF-8, and it is decoded to the value
+    ``json.loads`` gives it. A line that is not UTF-8, not JSON, not a JSON
+    object, or that ``decode`` rejects raises ``MalformedRecord`` naming the
+    file and line, with the UTF-8 decoder's reason for a line that is not
+    UTF-8 and ``json.loads``' for one that is not JSON. So the first faulty
+    line of a file is the one named, whatever the fault and however long the
+    file. A file that cannot be opened or read raises ``read_failure``'s
+    error naming it.
     """
     path = Path(path)
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
             for line_no, line in enumerate(fh, start=1):
+                if not line.isascii():
+                    try:  # bytes that are not UTF-8 were read as surrogates
+                        line.encode("utf-8", "surrogateescape").decode("utf-8")
+                    except UnicodeDecodeError as e:
+                        raise MalformedRecord(path, line_no, f"not UTF-8: {e.reason}") from e
                 line = line.strip()
                 if not line:
                     continue
@@ -219,10 +228,6 @@ def read_records(path, what: str, decode: Callable[[dict], T]) -> Iterator[Tuple
                 except (LookupError, TypeError, ValueError, OverflowError, RecursionError) as e:
                     raise MalformedRecord(path, line_no, _reason(e, line, what)) from e
                 yield line_no, value
-    except UnicodeDecodeError as e:
-        # Raised while reading ahead, so the line is found on a second pass.
-        line_no = _first_undecodable_line(path)
-        raise MalformedRecord(path, line_no, f"not UTF-8: {e.reason}") from e
     except OSError as e:
         raise read_failure(path, e) from e
 
@@ -241,18 +246,6 @@ def _reason(error: Exception, line: str, what: str) -> str:
     if line[0] == "\ufeff":  # json.loads checks for a BOM before it decodes
         return "invalid JSON: Unexpected UTF-8 BOM (decode using utf-8-sig)"
     return f"invalid JSON: {error.msg}"
-
-
-def _first_undecodable_line(path: Path) -> int:
-    """Number of the first line of ``path`` (counted as ``read_records``
-    counts them) that is not UTF-8, or 0 if every line is."""
-    with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            try:
-                line.encode("utf-8")
-            except UnicodeEncodeError:
-                return line_no
-    return 0
 
 
 def _missing_dirs(path: Path) -> List[Path]:
@@ -379,10 +372,15 @@ def write_manifests(manifests: Sequence[VideoManifest], path) -> None:
 
 
 def _checked_manifest(record: dict) -> VideoManifest:
-    """The manifest a record holds, if every stage can run on it: at least one
-    frame, no repeated frame id, a caption that is not blank and a positive,
-    finite fps. Otherwise raises ``ValueError`` naming the first that fails."""
+    """The manifest a record holds, if every stage can run on it: a video id
+    that is a file name (not empty, ``.`` or ``..``, and without ``/`` or
+    NUL), at least one frame, no repeated frame id, a caption that is not
+    blank and a positive, finite fps. Otherwise raises ``ValueError`` naming
+    the first that fails."""
     manifest = VideoManifest.from_dict(record)
+    video_id = manifest.video_id
+    if video_id in ("", ".", "..") or "/" in video_id or "\0" in video_id:
+        raise ValueError(f"video_id {video_id!r} is not a file name")
     if not manifest.frame_ids:
         raise ValueError("frame_ids is empty")
     if len(set(manifest.frame_ids)) != manifest.num_frames:
@@ -767,7 +765,7 @@ def load_video(
     frames_path = root / "embeddings" / f"{video_id}.frames.nlve"
     frames = read_embeddings(frames_path).normalized()
     if frames.dim <= 0:
-        raise DimensionMismatch(f"{frames_path}: dimension must be positive")
+        raise MalformedRecord(frames_path, 0, "dimension must be positive")
     check_rows(frames_path, frames, manifest.frame_ids, video_id, "frame", "id")
     _check_unit_rows(frames_path, frames)
 
@@ -776,8 +774,8 @@ def load_video(
     if sentences_path.exists():
         sentences = read_embeddings(sentences_path).normalized()
         if sentences.dim != frames.dim:
-            raise DimensionMismatch(
-                f"{sentences_path}: sentence dim {sentences.dim} != frame dim {frames.dim}"
+            raise MalformedRecord(
+                sentences_path, 0, f"sentence dim {sentences.dim} != frame dim {frames.dim}"
             )
         _check_unit_rows(sentences_path, sentences)
 

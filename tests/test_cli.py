@@ -1909,7 +1909,7 @@ class TestSentenceEmbeddingDimension:
         result = CliRunner().invoke(main, ["validate", "--data-root", str(tmp_path / "data")])
         assert result.exit_code == 2, result.output
         assert isinstance(result.exception, SystemExit), result.exception
-        assert f"validation failure: {path}: sentence dim 3 != frame dim 8\n" in result.output
+        assert f"validation failure: {path}:0: sentence dim 3 != frame dim 8\n" in result.output
 
     def test_run_all_exits_1_naming_the_file(self, path, cassette_dir, tmp_path):
         result = CliRunner().invoke(main, [
@@ -1918,8 +1918,91 @@ class TestSentenceEmbeddingDimension:
         ])
         assert result.exit_code == 1, result.output
         assert isinstance(result.exception, SystemExit), result.exception
-        assert (f"error: stage 'load' failed: {path}: sentence dim 3 != frame dim 8\n"
+        assert (f"error: stage 'load' failed: {path}:0: sentence dim 3 != frame dim 8\n"
                 in result.output)
+        assert not (tmp_path / "out").exists()
+
+
+# A line that is not JSON followed by one that is not UTF-8: the reader names
+# the first, whatever the size of the file before them.
+_BAD_JSON_THEN_BAD_UTF8 = b'{"video_id": "v"\n\xff\n'
+
+
+class TestFirstFaultyLineIsNamed:
+    def test_validate_names_the_manifest_line_that_is_not_json(self, tmp_path):
+        (tmp_path / "manifest.ndjson").write_bytes(_BAD_JSON_THEN_BAD_UTF8)
+        result = CliRunner().invoke(main, ["validate", "--data-root", str(tmp_path)])
+        assert result.exit_code == 2, result.output
+        assert (f"validation failure: {tmp_path / 'manifest.ndjson'}:1: invalid JSON: "
+                "Expecting ',' delimiter" in result.output)
+
+    def test_run_all_names_the_detection_line_past_the_read_ahead(self, data_root, cassette_dir,
+                                                                  tmp_path):
+        root = tmp_path / "data"
+        shutil.copytree(data_root, root)
+        path = root / "detections" / "kitchen01.ndjson"
+        lines = path.read_bytes().splitlines(keepends=True)
+        padded = b"".join(lines * (8192 // len(b"".join(lines)) + 1))
+        assert len(padded) > 8192
+        path.write_bytes(padded + _BAD_JSON_THEN_BAD_UTF8)
+        line = padded.count(b"\n") + 1
+        result = CliRunner().invoke(main, [
+            "run-all", "--data-root", str(root), "--out-dir", str(tmp_path / "out"),
+            "--cache-dir", str(cassette_dir), "--offline",
+        ])
+        assert result.exit_code == 1, result.output
+        assert (f"error: stage 'load' failed: {path}:{line}: invalid JSON: "
+                "Expecting ',' delimiter" in result.output)
+        assert not (tmp_path / "out").exists()
+
+
+class TestVideoIdThatIsNotAFileName:
+    """A manifest's video id names the video's files under the dataset root,
+    so an id that is not a file name is rejected at its manifest line before
+    any of them is opened."""
+
+    @pytest.fixture(params=["a\0b", "../x"], ids=["nul", "parent"])
+    def video_id(self, request):
+        return request.param
+
+    @pytest.fixture
+    def root(self, data_root, tmp_path, video_id):
+        root = tmp_path / "data"
+        shutil.copytree(data_root, root)
+        record = json.loads((root / "manifest.ndjson").read_text().splitlines()[0])
+        (root / "manifest.ndjson").write_text(json.dumps(dict(record, video_id=video_id)) + "\n")
+        return root
+
+    def _reason(self, root, video_id):
+        return (f"{root / 'manifest.ndjson'}:1: bad manifest record: "
+                f"video_id {video_id!r} is not a file name\n")
+
+    def test_validate_exits_2(self, root, video_id):
+        result = CliRunner().invoke(main, ["validate", "--data-root", str(root)])
+        assert result.exit_code == 2, result.output
+        assert isinstance(result.exception, SystemExit), result.exception
+        assert "validation failure: " + self._reason(root, video_id) in result.output
+
+    def test_align_exits_1(self, root, video_id, tmp_path):
+        sentences = tmp_path / "raw.ndjson"
+        write_sentences({video_id: [SegmentedSentence(1, "A person sits.")]}, sentences)
+        result = CliRunner().invoke(main, [
+            "align", "--data-root", str(root), "--sentences", str(sentences),
+            "--out", str(tmp_path / "out" / "sentences.ndjson"),
+        ])
+        assert result.exit_code == 1, result.output
+        assert isinstance(result.exception, SystemExit), result.exception
+        assert "error: " + self._reason(root, video_id) in result.output
+        assert not (tmp_path / "out").exists()
+
+    def test_run_all_exits_1(self, root, video_id, cassette_dir, tmp_path):
+        result = CliRunner().invoke(main, [
+            "run-all", "--data-root", str(root), "--out-dir", str(tmp_path / "out"),
+            "--cache-dir", str(cassette_dir), "--offline",
+        ])
+        assert result.exit_code == 1, result.output
+        assert isinstance(result.exception, SystemExit), result.exception
+        assert "error: stage 'load' failed: " + self._reason(root, video_id) in result.output
         assert not (tmp_path / "out").exists()
 
 

@@ -9,7 +9,8 @@ and checks both commands against an oracle: the per-video check that
 (apart from ``tuple(d.box)`` for the removed ``as_tuple()``) over a loader
 that makes none of them. The oracle checks every detection line, as the
 loader does, whatever the confidence floor: the detections under it are
-dropped only once checked.
+dropped only once checked. It also rejects a video id that is not a file
+name, before it opens any file the id names.
 """
 
 import json
@@ -102,12 +103,15 @@ def validate_manifest(
 def _oracle_accepts(root: Path) -> bool:
     """Whether ``validate`` accepted ``root`` when the loader checked only
     each record's own syntax and ``validate_manifest`` checked the rest, on
-    every detection line at any confidence floor."""
+    every detection line at any confidence floor; a video id must also be a
+    file name, since it names the video's files."""
     try:
         for _, manifest in ingest.read_records(
             root / "manifest.ndjson", "manifest", VideoManifest.from_dict
         ):
             video_id = manifest.video_id
+            if video_id in ("", ".", "..") or "/" in video_id or "\0" in video_id:
+                return False  # not a file name
             frames = ingest.read_embeddings(root / "embeddings" / f"{video_id}.frames.nlve")
             detections = [
                 d
@@ -189,6 +193,8 @@ class _Dataset:
                 del rows[keep:], row_ids[keep:]
         elif kind == "blank caption":
             (manifest["caption"],) = args
+        elif kind == "video id":
+            (manifest["video_id"],) = args
 
     def write(self, root: Path) -> Path:
         shutil.copytree(self.source, root)
@@ -228,6 +234,7 @@ _MUTATIONS = st.one_of(
               st.sampled_from(["renamed", "repeat previous"]), st.booleans()),
     st.tuples(st.just("frames"), _VIDEOS, st.sampled_from(["drop last", "none"]), st.booleans()),
     st.tuples(st.just("blank caption"), _VIDEOS, st.sampled_from(["", " ", "\t\n"])),
+    st.tuples(st.just("video id"), _VIDEOS, st.sampled_from(["a\0b", "../x"])),
 )
 
 

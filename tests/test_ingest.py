@@ -22,7 +22,6 @@ from capgraph.core import (
     triplet_sort_key,
 )
 from capgraph.errors import (
-    DimensionMismatch,
     IoFailure,
     MalformedRecord,
     MissingFile,
@@ -80,8 +79,11 @@ class TestEmbeddingFiles:
         write_embeddings(matrix, path)
         data = path.read_bytes()
         path.write_bytes(data[: len(data) - 256 * 4])  # row truncated to 256 floats
-        with pytest.raises(DimensionMismatch):
+        with pytest.raises(MalformedRecord) as err:
             read_embeddings(path)
+        assert str(err.value) == (
+            f"{path}:0: declared 1 rows of dim 512 (2048 bytes) but found 1024 bytes"
+        )
 
     def test_row_id_that_is_not_utf8_is_malformed_naming_its_index(self, tmp_path):
         path = tmp_path / "m.nlve"
@@ -503,14 +505,36 @@ class TestDatasetGate:
         ("fps", -3.0, "fps -3.0 is not a positive finite number"),
         ("fps", float("nan"), "fps nan is not a positive finite number"),
         ("fps", float("inf"), "fps inf is not a positive finite number"),
+        ("video_id", "", "video_id '' is not a file name"),
+        ("video_id", ".", "video_id '.' is not a file name"),
+        ("video_id", "..", "video_id '..' is not a file name"),
+        ("video_id", "../x", "video_id '../x' is not a file name"),
+        ("video_id", "a/b", "video_id 'a/b' is not a file name"),
+        ("video_id", "a\0b", "video_id 'a\\x00b' is not a file name"),
     ], ids=["blank-caption", "no-frames", "duplicate-frame-id", "fps-zero", "fps-negative",
-            "fps-nan", "fps-inf"])
+            "fps-nan", "fps-inf", "id-empty", "id-dot", "id-dot-dot", "id-parent", "id-slash",
+            "id-nul"])
     def test_manifest_field_is_malformed_at_its_line(self, tmp_path, field, value, reason):
         _write_dataset(tmp_path, t=3, **{field: value})
         with pytest.raises(MalformedRecord) as err:
             load_bundle(tmp_path)
         assert (err.value.path, err.value.line_number) == (str(tmp_path / "manifest.ndjson"), 1)
         assert err.value.reason == f"bad manifest record: {reason}"
+
+    @pytest.mark.parametrize("video_id", ["...", ".v", "v.1", "a b", "a\\b"])
+    def test_video_id_that_is_a_file_name_loads(self, tmp_path, video_id):
+        _write_dataset(tmp_path, t=2, video_id=video_id)
+        for path in (tmp_path / "embeddings" / "v.frames.nlve",
+                     tmp_path / "detections" / "v.ndjson"):
+            path.rename(path.with_name(video_id + path.name[1:]))  # "v" -> video_id
+        assert [m.video_id for m in load_bundle(tmp_path).manifests] == [video_id]
+
+    def test_frame_rows_of_dimension_zero_are_malformed(self, tmp_path):
+        _write_dataset(tmp_path, t=2, rows=np.zeros((2, 0), dtype=np.float32))
+        with pytest.raises(MalformedRecord) as err:
+            load_bundle(tmp_path)
+        path = tmp_path / "embeddings" / "v.frames.nlve"
+        assert str(err.value) == f"{path}:0: dimension must be positive"
 
     def test_garbage_manifest_is_malformed_not_a_crash(self, tmp_path):
         (tmp_path / "manifest.ndjson").write_text(
@@ -699,19 +723,16 @@ def test_single_field_mutation_loads_or_is_malformed(mutation_file, what, key, v
 
 def _per_line_loads(raw: bytes, what: str):
     """What ``read_records(path, what, lambda r: r)`` must give for a file of
-    ``raw`` bytes ("\\n"-ended lines, no "\\r", under one 8 KiB read-ahead
-    chunk): ``(line number, json.loads(line))`` for each non-blank stripped
-    line in order, then the first failing line's number and reason, if any.
-    A byte that is not UTF-8 is met before any line is read."""
-    lines = raw.split(b"\n")[:-1]
-    for line_no, line in enumerate(lines, start=1):
-        try:
-            (line + b"\n").decode("utf-8")
-        except UnicodeDecodeError as e:
-            return [], (line_no, f"not UTF-8: {e.reason}")
+    ``raw`` bytes ("\\n"-ended lines, no "\\r"), of any length:
+    ``(line number, json.loads(line))`` for each non-blank stripped line in
+    order, then the first failing line's number and reason, if any, whether
+    it fails as UTF-8 or as JSON."""
     records = []
-    for line_no, line in enumerate(lines, start=1):
-        text = line.decode("utf-8").strip()
+    for line_no, line in enumerate(raw.split(b"\n")[:-1], start=1):
+        try:
+            text = (line + b"\n").decode("utf-8").strip()
+        except UnicodeDecodeError as e:
+            return records, (line_no, f"not UTF-8: {e.reason}")
         if not text:
             continue
         try:
@@ -747,9 +768,14 @@ _JSON_VALUES = st.recursive(
 )
 
 
+# A blank line longer than the 8 KiB a text-mode file decodes ahead.
+_LONG_BLANK = b" " * 9_000
+
+
 @st.composite
 def _record_files(draw):
-    """The bytes of a short NDJSON file of awkward, random and valid lines."""
+    """The bytes of an NDJSON file of a few awkward, random and valid lines,
+    with a blank line of 9,000 spaces among them when it draws one."""
     line = (
         _AWKWARD_LINES
         # A lone surrogate has no UTF-8 form; "surrogatepass" writes it as the
@@ -759,13 +785,15 @@ def _record_files(draw):
             lambda d: json.dumps(d).encode("utf-8"))
         | st.just(b"[" * (sys.getrecursionlimit() + 1))  # deeper than the limit
     )
-    return b"".join(chunk + b"\n" for chunk in draw(st.lists(line, max_size=6)))
+    lines = draw(st.lists(line, max_size=6))
+    if draw(st.booleans()):
+        lines.insert(draw(st.integers(0, len(lines))), _LONG_BLANK)
+    return b"".join(chunk + b"\n" for chunk in lines)
 
 
 @given(raw=_record_files())
 @settings(max_examples=300, deadline=None)
 def test_reader_gives_what_per_line_json_loads_gives(mutation_file, raw):
-    assume(len(raw) < 8192)
     mutation_file.write_bytes(raw)
     records, error = _per_line_loads(raw, "test")
     got = []
